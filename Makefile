@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt ci golden trace report-smoke bench-kernels bench-smoke serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate
+.PHONY: build test race vet fmt ci golden trace report-smoke bench-kernels bench-smoke bench-check serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate
 
 # Kernel micro-benchmarks: the CPU execution engine's hot paths
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
@@ -29,7 +29,7 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race bench-smoke serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate
+ci: vet fmt build race bench-smoke bench-check serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate
 
 # bench-kernels measures the kernel micro-benchmarks and appends the
 # run to BENCH_kernels.json (the committed perf trajectory). Label the
@@ -44,20 +44,25 @@ bench-kernels: build
 bench-smoke:
 	@$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 1x . ./internal/tensor > /dev/null
 
+# bench-check vets and smoke-tests the repo benchmark runner. bench/ is
+# a nested module that imports internal/*, and `go build ./...` never
+# compiles it, so a signature change it depends on must fail here.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
+
 # serve-smoke boots the inference server on a random port, answers one
 # self-issued request through the real HTTP surface, and drains. It
 # needs nothing beyond the splitcnn binary (no curl).
 serve-smoke:
 	$(GO) run ./cmd/splitcnn serve -smoke
 
-# compile-smoke lowers VGG-19 and ResNet-18 through graph.Compile,
-# renders the slab-timeline report, and boots the server through the
-# compiled path. The subcommand itself verifies the plotted peak
-# against the mapped slab size with ==.
+# compile-smoke lowers VGG-19 and ResNet-18 through graph.Compile and
+# renders the slab-timeline report (serve-smoke boots the server over
+# the compiled program). The subcommand itself verifies the plotted
+# peak against the mapped slab size with ==.
 compile-smoke:
 	$(GO) run ./cmd/splitcnn compile -arch vgg19 -o /tmp/splitcnn-compile.html
 	$(GO) run ./cmd/splitcnn compile -arch resnet18
-	$(GO) run ./cmd/splitcnn serve -smoke -compiled
 
 # bench-serve load-tests an in-process server and appends the run to
 # BENCH_serve.json (the committed serving-performance trajectory).

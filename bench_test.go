@@ -291,10 +291,12 @@ func BenchmarkConv2DForward(b *testing.B) {
 	x.RandNormal(rng, 1)
 	w.RandNormal(rng, 0.1)
 	p := tensor.ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: tensor.Symmetric(1)}
+	dst := tensor.New(8, 64, 32, 32)
+	a := tensor.NewArena()
 	flops := 2 * int64(8*64*32*32) * int64(64*9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, bias, p)
+		tensor.Conv2DInto(a, dst, x, w, bias, p)
 	}
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -310,10 +312,11 @@ func BenchmarkConv2DFFT(b *testing.B) {
 	x.RandNormal(rng, 1)
 	w.RandNormal(rng, 0.1)
 	p := tensor.ConvParams{KH: 5, KW: 5, SH: 1, SW: 1, Pad: tensor.Symmetric(2)}
+	dst := tensor.New(4, 32, 32, 32)
 	flops := 2 * int64(4*32*32*32) * int64(32*25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2DFFT(x, w, bias, p)
+		tensor.Conv2DFFTInto(dst, x, w, bias, p)
 	}
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -334,12 +337,12 @@ func BenchmarkAutotunedConv(b *testing.B) {
 	autotune.Default.Tune(p, x.Shape(), 64)
 	op := &nn.Conv{Params: p, HasBias: true}
 	in := []*tensor.Tensor{x, w, bias}
+	dst := tensor.New(8, 64, 32, 32)
 	a := tensor.NewArena()
 	flops := 2 * int64(8*64*32*32) * int64(64*9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := op.ForwardArena(a, in)
-		a.Put(out)
+		op.ForwardInto(a, dst, in)
 	}
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }

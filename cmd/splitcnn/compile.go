@@ -63,7 +63,7 @@ func cmdCompile(args []string) error {
 			return err
 		}
 	}
-	// Inference program over the logits, exactly like `serve -compiled`.
+	// Inference program over the logits, exactly like `serve`.
 	m.Graph.SetTraining(false)
 	m.Graph.SetOutput(m.Logits)
 
@@ -84,8 +84,8 @@ func cmdCompile(args []string) error {
 	}
 
 	fmt.Printf("model:     %s (batch %d)\n", m.Name, *batch)
-	fmt.Printf("program:   %d ops -> %d steps (%d fused, %d elided, %d viewed, %d fallback)\n",
-		st.Ops, st.Steps, st.Fused, st.Elided, st.Reshaped, st.Fallbacks)
+	fmt.Printf("program:   %d ops -> %d steps (%d fused, %d elided, %d viewed)\n",
+		st.Ops, st.Steps, st.Fused, st.Elided, st.Reshaped)
 	fmt.Printf("slab:      %s (no-reuse baseline %s, %.1f%% saved)\n",
 		report.HumanBytes(float64(st.SlabBytes)), report.HumanBytes(float64(st.NoReuseBytes)),
 		100*(1-float64(st.SlabBytes)/float64(max(st.NoReuseBytes, 1))))

@@ -34,7 +34,7 @@
 //	    micro-benchmark every convolution backend (im2col, Winograd,
 //	    direct, FFT) per layer shape, print the algorithm table with
 //	    measured GFLOP/s, and persist the winning plans
-//	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap [-compiled]
+//	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap
 //	    HTTP inference server with dynamic micro-batching
 //	splitcnn worker    -addr :9090 -arch vgg19 -snapshot w.snap [-maxpods 4]
 //	    distributed split-inference shard worker (RPC)
@@ -156,8 +156,8 @@ subcommands:
                     and persist the winning per-shape plans
                     (-tunecache for the cache file, "off" to disable)
   serve             HTTP inference server with dynamic micro-batching
-                    over the arena executor (-smoke for a CI self-test,
-                    -compiled to serve the compiled static program)
+                    over the compiled static program (-smoke for a CI
+                    self-test)
   worker            shard-evaluation worker for distributed
                     split-inference: owns a band of feature-map rows per
                     stage and serves Shard.{Eval,Halo,Health} over RPC
@@ -484,7 +484,6 @@ func cmdTrain(args []string) error {
 	maxGrad := fs.Float64("maxgradnorm", 0, "gradient-explosion threshold on the global grad L2 norm (with -guards; 0 = 1e6)")
 	flight := fs.String("flight", "", "write the flight-recorder dump (recent steps + op spans) here when a guard trips")
 	calibrate := fs.Bool("calibrate", false, "after the run, report measured-vs-predicted per-op drift against the -device cost model")
-	compiledEval := fs.Bool("compiledeval", false, "run per-epoch validation through the compiled static program (bit-identical results)")
 	tune := fs.Bool("tune", false, "autotune the convolution backends on the run's shapes before the first step")
 	tuneCache := fs.String("tunecache", "", `autotune plan cache file (with -tune; "" = ~/.cache/splitcnn/autotune.json, "off" = no persistence)`)
 	dev := deviceFlag(fs)
@@ -522,7 +521,6 @@ func cmdTrain(args []string) error {
 		LRDecayEpochs: []int{*epochs * 2 / 3},
 		Split:         core.Config{Depth: *depth, NH: grid[0], NW: grid[1], Stochastic: *stochastic, Omega: 0.2},
 		EvalUnsplit:   *stochastic,
-		CompiledEval:  *compiledEval,
 		Tune:          *tune,
 		Seed:          *seed,
 		SavePath:      *savePath,

@@ -58,7 +58,7 @@ func memSmokeServe() error {
 			Classes: 10, InputC: 3, InputH: 64, InputW: 64,
 			WidthDiv: 16, BatchNorm: true,
 		},
-		MaxBatch: 4, Compiled: true,
+		MaxBatch: 4,
 	}
 	reg, err := serve.NewRegistry(spec)
 	if err != nil {

@@ -208,7 +208,7 @@ func memReport(model string, batch, widthDiv, inputHW, passes int, out, metricsO
 		Model: models.Config{
 			Classes: 10, InputC: 3, InputH: inputHW, InputW: inputHW, WidthDiv: widthDiv,
 		},
-		MaxBatch: batch, Compiled: true,
+		MaxBatch: batch,
 	})
 	if err != nil {
 		return err

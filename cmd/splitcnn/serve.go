@@ -36,7 +36,6 @@ type specFlags struct {
 	inW      *int
 	snapshot *string
 	maxBatch *int
-	compiled *bool
 	tune     *bool
 	tuneCach *string
 }
@@ -51,8 +50,7 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 		inH:      fs.Int("inh", 32, "input height (with -arch)"),
 		inW:      fs.Int("inw", 32, "input width (with -arch)"),
 		snapshot: fs.String("snapshot", "", "weight snapshot to restore (from `splitcnn train -save`)"),
-		maxBatch: fs.Int("maxbatch", 8, "executor batch size = batching cap"),
-		compiled: fs.Bool("compiled", false, "serve through the compiled static program (fused ops + fixed-offset memory plan); logits are bit-identical"),
+		maxBatch: fs.Int("maxbatch", 8, "program batch size = batching cap"),
 		tune:     fs.Bool("tune", false, "autotune the convolution backends at load (see `splitcnn tune`)"),
 		tuneCach: fs.String("tunecache", "", `autotune plan cache file (with -tune; "" = ~/.cache/splitcnn/autotune.json, "off" = no persistence)`),
 	}
@@ -62,7 +60,6 @@ func (sf *specFlags) spec() (serve.Spec, error) {
 	s := serve.Spec{
 		Snapshot: *sf.snapshot,
 		MaxBatch: *sf.maxBatch,
-		Compiled: *sf.compiled,
 		Tune:     *sf.tune,
 	}
 	if s.Tune {

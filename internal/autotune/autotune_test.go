@@ -98,7 +98,7 @@ func TestTunePicksMeasuredWinner(t *testing.T) {
 // TestTunedDispatchEquivalence is the property test: for a randomized
 // stride-1 shape sweep (including asymmetric split-patch-style
 // padding), every algorithm the tuner may install computes the same
-// result as Conv2D — bit-identical for im2col, within fp32 noise for
+// result as Conv2DInto — bit-identical for im2col, within fp32 noise for
 // Winograd/direct, within the pinned FFTConvTolerance for FFT.
 func TestTunedDispatchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -118,8 +118,9 @@ func TestTunedDispatchEquivalence(t *testing.T) {
 		x.RandNormal(rng, 1)
 		wt.RandNormal(rng, 0.5)
 		bias.RandNormal(rng, 0.1)
-		want := tensor.Conv2D(x, wt, bias, p)
 		oh, ow := p.OutSize(h, w)
+		want := tensor.New(n, cout, oh, ow)
+		tensor.Conv2DInto(nil, want, x, wt, bias, p)
 		for _, algo := range Candidates(p, x.Shape(), cout) {
 			dst := tensor.New(n, cout, oh, ow)
 			runner(algo)(tensor.NewArena(), dst, x, wt, bias, p)

@@ -309,10 +309,19 @@ func (se *ShardEval) EvalStage(i int, x *tensor.Tensor, out Range) (*tensor.Tens
 	in := make([]*tensor.Tensor, 0, 1+len(se.params[i]))
 	in = append(in, x)
 	in = append(in, se.params[i]...)
-	y, _ := op.Forward(in)
-	if y.Shape().H() != out.Len() {
-		return nil, fmt.Errorf("distserve: stage %s: produced %d rows for %v", st.Name, y.Shape().H(), out)
+	shapes := make([]tensor.Shape, len(in))
+	for j, t := range in {
+		shapes[j] = t.Shape()
 	}
+	shape, err := op.OutShape(shapes)
+	if err != nil {
+		return nil, fmt.Errorf("distserve: stage %s: %w", st.Name, err)
+	}
+	if shape.H() != out.Len() {
+		return nil, fmt.Errorf("distserve: stage %s: produces %d rows for %v", st.Name, shape.H(), out)
+	}
+	y := tensor.New(shape...)
+	op.ForwardInto(nil, y, in) // heap scratch: a dropped stash is just garbage
 	return y, nil
 }
 

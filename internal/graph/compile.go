@@ -42,16 +42,6 @@ import (
 // slab whose size IS the plan's peak — the executor maps exactly
 // SlabBytes() and nothing else on the activation path.
 
-// ForwardIntoOp is implemented by ops that can write their forward
-// output into a caller-supplied destination tensor of the declared
-// output shape, drawing any scratch from the arena (and returning it
-// before the call completes). It must compute bit-identical values to
-// Forward/ForwardArena. dst never aliases an input.
-type ForwardIntoOp interface {
-	Op
-	ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor)
-}
-
 // InplaceOp is implemented by ops that can overwrite their first input
 // with their output (same shape, elementwise). CanRunInplace reports
 // whether the op's current mode permits it (BatchNorm/BNReLU only in
@@ -116,7 +106,6 @@ type CompileStats struct {
 	Fused     int // ops folded in place into a producer's step
 	Elided    int // no-op forwards removed entirely
 	Reshaped  int // reshapes turned into views
-	Fallbacks int // steps running via Forward+copy (no ForwardInto)
 	SlabBytes int64
 	// NoReuseBytes is what the slab would need without lifetime reuse —
 	// the sum of all storage sizes (ablation baseline, mirrors
@@ -177,8 +166,6 @@ type epilogue struct {
 // step is one kernel invocation of the compiled program.
 type step struct {
 	node *Node
-	into ForwardIntoOp  // preferred execution
-	fwdA ArenaForwardOp // fallback: run into scratch, copy to out
 	in   []*tensor.Tensor
 	out  *tensor.Tensor
 	post []epilogue
@@ -440,14 +427,6 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 			in:   make([]*tensor.Tensor, len(n.Inputs)),
 			out:  views[n.ID],
 		}
-		if fi, ok := n.Op.(ForwardIntoOp); ok {
-			st.into = fi
-		} else {
-			if fa, ok := n.Op.(ArenaForwardOp); ok {
-				st.fwdA = fa
-			}
-			stats.Fallbacks++
-		}
 		for slot, src := range n.Inputs {
 			v := vals[src.ID]
 			switch v.kind {
@@ -606,36 +585,16 @@ func (p *CompiledProgram) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
 	return outs, nil
 }
 
-// runStep executes one step: kernel call plus fused epilogues.
+// runStep executes one step: kernel call plus fused epilogues. The
+// program never runs backward, so a stash goes straight back to the
+// scratch arena.
 func (p *CompiledProgram) runStep(st *step) {
-	if st.into != nil {
-		st.into.ForwardInto(p.scratch, st.out, st.in)
-	} else {
-		// Fallback for ops without ForwardInto: run the op's own
-		// forward into transient storage and copy into the planned
-		// window. Correct for any op, but not allocation-free.
-		var out *tensor.Tensor
-		var stash any
-		if st.fwdA != nil {
-			out, stash = st.fwdA.ForwardArena(p.scratch, st.in)
-		} else {
-			out, stash = st.node.Op.Forward(st.in)
-		}
-		st.out.CopyFrom(out)
-		p.scratch.Put(out)
-		if t, ok := stash.(*tensor.Tensor); ok {
-			p.scratch.Put(t)
-		}
+	if t, ok := st.node.Op.ForwardInto(p.scratch, st.out, st.in).(*tensor.Tensor); ok {
+		p.scratch.Put(t)
 	}
 	for _, ep := range st.post {
 		ep.op.ForwardInplace(ep.x, ep.in)
 	}
-}
-
-// ExecuteCompiled runs one compiled forward pass — the documented entry
-// point mirroring Executor.Forward.
-func ExecuteCompiled(p *CompiledProgram, feeds Feeds) ([]*tensor.Tensor, error) {
-	return p.Forward(feeds)
 }
 
 // SlabBytes returns the size of the single activation slab the program

@@ -34,32 +34,6 @@ type OpEvent struct {
 // OpHook receives per-op execution events.
 type OpHook func(OpEvent)
 
-// ArenaForwardOp is an optional extension of Op: operations that can
-// draw their output and scratch from a tensor.Arena. ForwardArena with
-// a nil arena must behave exactly like Forward (ops typically implement
-// Forward by delegating). The returned stash, if it holds a tensor,
-// should be a bare *tensor.Tensor — pointers cross the `any` boundary
-// without heap-allocating a box, unlike shapes or index slices.
-type ArenaForwardOp interface {
-	Op
-	ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (out *tensor.Tensor, stash any)
-}
-
-// ArenaBackwardOp is the backward-pass counterpart. The op writes the
-// per-input gradients into gin (len(gin) == number of inputs, entries
-// pre-nil'd; nil means "no gradient") instead of returning a fresh
-// slice, and draws gradient tensors from the arena. inShapes carries
-// every input's static shape — including inputs the executor released —
-// so shape-only adjoints (flatten, average pooling) need no stash at
-// all. The op owns its stash: if Forward stashed an arena tensor,
-// BackwardArena must Put it back. Gradients written to gin must be
-// distinct tensors (or aliases of gradOut, which the executor copies
-// before reuse); two gin entries must not alias each other otherwise.
-type ArenaBackwardOp interface {
-	Op
-	BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor)
-}
-
 // Executor runs real forward/backward arithmetic for a graph on the CPU.
 // It honors the same liveness discipline the memory planner assumes:
 // after the forward pass, activations that no backward computation needs
@@ -91,10 +65,8 @@ type Executor struct {
 	// arena, when set, supplies all activation/gradient/stash storage.
 	arena *tensor.Arena
 	// Per-node caches built once so the hot loops allocate nothing:
-	// arena-capable op interfaces, reusable input/gradient slices, and
-	// the static input shapes handed to BackwardArena.
-	fwdA     []ArenaForwardOp
-	bwdA     []ArenaBackwardOp
+	// reusable input/gradient slices and the static input shapes handed
+	// to Op.Backward.
 	inbufs   [][]*tensor.Tensor
 	ginbufs  [][]*tensor.Tensor
 	inShapes [][]tensor.Shape
@@ -140,8 +112,6 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 		vals:      make([]*tensor.Tensor, len(g.Nodes)),
 		stashes:   make([]any, len(g.Nodes)),
 		remaining: make([]int, len(g.Nodes)),
-		fwdA:      make([]ArenaForwardOp, len(g.Nodes)),
-		bwdA:      make([]ArenaBackwardOp, len(g.Nodes)),
 		inbufs:    make([][]*tensor.Tensor, len(g.Nodes)),
 		ginbufs:   make([][]*tensor.Tensor, len(g.Nodes)),
 		inShapes:  make([][]tensor.Shape, len(g.Nodes)),
@@ -164,12 +134,6 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 			shapes[i] = src.Shape
 		}
 		e.inShapes[n.ID] = shapes
-		if fa, ok := n.Op.(ArenaForwardOp); ok {
-			e.fwdA[n.ID] = fa
-		}
-		if ba, ok := n.Op.(ArenaBackwardOp); ok {
-			e.bwdA[n.ID] = ba
-		}
 	}
 	return e, nil
 }
@@ -289,12 +253,12 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 				}
 			}
 			opStart := e.hookStart()
-			var out *tensor.Tensor
+			out := e.arena.GetRaw(n.Shape...)
 			var stash any
 			if opLabelsOn() {
-				labelOp(n.Name, func() { out, stash = e.runOp(n, in) })
+				labelOp(n.Name, func() { stash = n.Op.ForwardInto(e.arena, out, in) })
 			} else {
-				out, stash = e.runOp(n, in)
+				stash = n.Op.ForwardInto(e.arena, out, in)
 			}
 			if e.Hook != nil {
 				e.Hook(OpEvent{
@@ -303,9 +267,6 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 					OutputBytes: out.Bytes(),
 					Output:      out,
 				})
-			}
-			if !out.Shape().Equal(n.Shape) {
-				return nil, fmt.Errorf("executor: %s produced %v, declared %v", n, out.Shape(), n.Shape)
 			}
 			e.vals[n.ID] = out
 			e.stashes[n.ID] = stash
@@ -336,14 +297,6 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 		}
 	}
 	return outs, nil
-}
-
-// runOp invokes node n's forward kernel (arena-aware when available).
-func (e *Executor) runOp(n *Node, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	if fa := e.fwdA[n.ID]; fa != nil {
-		return fa.ForwardArena(e.arena, in)
-	}
-	return n.Op.Forward(in)
 }
 
 // keepForBackward reports whether node n's forward value is read by any
@@ -459,16 +412,11 @@ func (e *Executor) Backward() error {
 			out = e.vals[n.ID]
 		}
 		opStart := e.hookStart()
-		var gin []*tensor.Tensor
-		if ba := e.bwdA[n.ID]; ba != nil {
-			gin = e.ginbufs[n.ID]
-			for j := range gin {
-				gin[j] = nil
-			}
-			ba.BackwardArena(e.arena, gradOut, in, e.inShapes[n.ID], out, e.stashes[n.ID], gin)
-		} else {
-			gin = n.Op.Backward(gradOut, in, out, e.stashes[n.ID])
+		gin := e.ginbufs[n.ID]
+		for j := range gin {
+			gin[j] = nil
 		}
+		n.Op.Backward(e.arena, gradOut, in, e.inShapes[n.ID], out, e.stashes[n.ID], gin)
 		if e.Hook != nil {
 			var produced int64
 			var first *tensor.Tensor
@@ -486,9 +434,6 @@ func (e *Executor) Backward() error {
 				OutputBytes: produced,
 				Output:      first,
 			})
-		}
-		if len(gin) != len(n.Inputs) {
-			return fmt.Errorf("executor: %s backward returned %d grads for %d inputs", n, len(gin), len(n.Inputs))
 		}
 		// Summation ops return gradOut itself as each addend's gradient
 		// (§4.2's shared error terms). Count the aliases up front: a

@@ -51,15 +51,28 @@ type Op interface {
 	Kind() string
 	// OutShape computes the output shape from input shapes.
 	OutShape(in []tensor.Shape) (tensor.Shape, error)
-	// Forward computes the output. stash carries values (e.g. pooling
-	// argmax indices) forwarded verbatim to Backward.
-	Forward(in []*tensor.Tensor) (out *tensor.Tensor, stash any)
-	// Backward returns the gradient with respect to each input (entries
-	// may be nil for inputs that need no gradient). Inputs whose
-	// NeedsInput is false and the output when NeedsOutput is false are
-	// passed as nil: the executor frees them eagerly, exactly as the
-	// memory planner assumes.
-	Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor
+	// ForwardInto computes the output into dst, a tensor of the declared
+	// output shape that the caller owns (an arena buffer, a window of a
+	// compiled slab, a plain allocation) and that never aliases an
+	// input. Every element of dst is written. Scratch and any stash
+	// come from a; a nil arena means the heap. The returned stash is
+	// either nil or a bare *tensor.Tensor vended by a (pointers cross
+	// the `any` boundary without boxing) and is handed verbatim to
+	// Backward, which returns it to the arena. A caller that will not
+	// run Backward returns the stash to the arena itself.
+	ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) (stash any)
+	// Backward writes the gradient with respect to each input into gin
+	// (len(gin) == len(in), entries pre-nil'd; nil means "no
+	// gradient"), drawing gradient tensors and scratch from a. Inputs
+	// whose NeedsInput is false and the output when NeedsOutput is false
+	// are passed as nil: the executor frees them eagerly, exactly as the
+	// memory planner assumes. inShapes carries every input's static
+	// shape — including released inputs — so shape-only adjoints
+	// (flatten, average pooling, patch extraction) need no stash at all.
+	// Gradients written to gin must be distinct tensors or aliases of
+	// gradOut (which the executor copies before reuse); two gin entries
+	// must not alias each other otherwise.
+	Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor)
 	// NeedsInput reports whether input i must be kept (or offloaded and
 	// prefetched) for the backward pass.
 	NeedsInput(i int) bool

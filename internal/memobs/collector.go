@@ -6,25 +6,23 @@ import (
 	"splitcnn/internal/graph"
 )
 
-// Collector accumulates a measured MemTimeline from executor or
-// compiled-program hooks. It is safe for concurrent reads (HTTP
+// Collector accumulates a measured MemTimeline from a compiled
+// program's step hook. It is safe for concurrent reads (HTTP
 // handlers snapshot via Timeline) against a single writer — hooks fire
 // from the one goroutine that runs Forward, which is the serving
 // registry's dispatch discipline.
 type Collector struct {
 	mu          sync.Mutex
-	source      string
 	plannedSlab int64
-	plannedLive []int64 // per step index; nil on the interpreted path
+	plannedLive []int64 // per step index
 	steps       int
 
-	cur     []MemSample // pass in progress
-	last    []MemSample // latest completed pass
-	passes  int64
-	highW   int64 // lifetime max MeasuredBytes
-	scrHW   int64 // lifetime arena high water
-	lastPk  int64 // peak MeasuredBytes of the latest completed pass
-	elapsed int   // interpreted path: ops seen this pass
+	cur    []MemSample // pass in progress
+	last   []MemSample // latest completed pass
+	passes int64
+	highW  int64 // lifetime max MeasuredBytes
+	scrHW  int64 // lifetime arena high water
+	lastPk int64 // peak MeasuredBytes of the latest completed pass
 }
 
 // AttachCompiled installs a step hook on p and returns the collector
@@ -33,41 +31,11 @@ type Collector struct {
 // step its lifetime [Start, End] covers.
 func AttachCompiled(p *graph.CompiledProgram) *Collector {
 	c := &Collector{
-		source:      "compiled",
 		plannedSlab: p.SlabBytes(),
 		plannedLive: PlannedLiveBytes(p.PlanEntries(), p.Steps()),
 		steps:       p.Steps(),
 	}
 	p.Hook = c.compiledStep
-	return c
-}
-
-// AttachExecutor installs an op hook on ex (chaining any existing hook)
-// and returns the collector feeding off it. The interpreted path has no
-// static plan, so samples carry arena occupancy only; callers must
-// FlushPass after each Forward to close the pass.
-func AttachExecutor(ex *graph.Executor) *Collector {
-	c := &Collector{source: "executor"}
-	prev := ex.Hook
-	ex.Hook = func(ev graph.OpEvent) {
-		if prev != nil {
-			prev(ev)
-		}
-		st := ex.Arena().Stats()
-		c.mu.Lock()
-		c.cur = append(c.cur, MemSample{
-			Step: c.elapsed, Name: ev.Name, Kind: ev.Kind,
-			MeasuredBytes: st.InUseBytes, ScratchBytes: st.InUseBytes,
-		})
-		c.elapsed++
-		if st.InUseBytes > c.highW {
-			c.highW = st.InUseBytes
-		}
-		if st.HighWaterBytes > c.scrHW {
-			c.scrHW = st.HighWaterBytes
-		}
-		c.mu.Unlock()
-	}
 	return c
 }
 
@@ -118,21 +86,9 @@ func (c *Collector) compiledStep(ev graph.StepEvent) {
 	}
 }
 
-// FlushPass closes the pass in progress (interpreted path; a no-op when
-// nothing was sampled since the last flush).
-func (c *Collector) FlushPass() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.cur) == 0 {
-		return
-	}
-	c.finishLocked()
-}
-
 func (c *Collector) finishLocked() {
 	c.last = append(c.last[:0], c.cur...)
 	c.cur = c.cur[:0]
-	c.elapsed = 0
 	c.passes++
 	pk := int64(0)
 	for _, s := range c.last {
@@ -148,7 +104,7 @@ func (c *Collector) Timeline() *MemTimeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return &MemTimeline{
-		Source:            c.source,
+		Source:            "compiled",
 		Samples:           append([]MemSample(nil), c.last...),
 		PlannedSlabBytes:  c.plannedSlab,
 		MeasuredHighWater: c.highW,

@@ -6,7 +6,7 @@
 //
 // Everything the repo reported about memory before this package was a
 // plan — slab sizes, HMMS peaks, first-fit offsets. memobs closes the
-// loop: executor and compiled-program hooks snapshot the arena and the
+// loop: a compiled-program hook snapshots the scratch arena and the
 // slab windows each op actually touches, producing a MemTimeline that
 // is directly comparable, step by step, against the static plan. The
 // drift gauges are the bytes analogue of the calibration op-time drift
@@ -26,26 +26,23 @@ type MemSample struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
 	// MeasuredBytes is the step's measured activation footprint: slab
-	// bytes the kernel referenced plus scratch arena in-use on the
-	// compiled path, or arena in-use bytes on the interpreted path.
+	// bytes the kernel referenced plus scratch arena in-use.
 	MeasuredBytes int64 `json:"measured_bytes"`
 	// PlannedBytes is the static plan's live bytes at this step — the
-	// sum of storage windows whose lifetime covers it (0 when no plan
-	// exists, i.e. the interpreted path).
+	// sum of storage windows whose lifetime covers it.
 	PlannedBytes int64 `json:"planned_bytes"`
-	// SlabRefBytes is the slab footprint the kernel call referenced
-	// (compiled path only).
+	// SlabRefBytes is the slab footprint the kernel call referenced.
 	SlabRefBytes int64 `json:"slab_ref_bytes"`
 	// ScratchBytes is the arena in-use bytes observed after the step.
 	ScratchBytes int64 `json:"scratch_bytes"`
 	// WrittenBytes is the high-water extent of slab windows written so
-	// far in the pass (compiled path only).
+	// far in the pass.
 	WrittenBytes int64 `json:"written_bytes"`
 }
 
 // MemTimeline is one measured forward pass plus lifetime aggregates.
 type MemTimeline struct {
-	// Source is "compiled" or "executor".
+	// Source names the measured execution route; always "compiled".
 	Source string `json:"source"`
 	// Samples holds the latest completed pass, one entry per op step.
 	Samples []MemSample `json:"samples"`

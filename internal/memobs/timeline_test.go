@@ -157,49 +157,3 @@ func TestTimelineRecord(t *testing.T) {
 		}
 	}
 }
-
-// TestExecutorCollector covers the interpreted path: per-op arena
-// occupancy with an explicit pass flush.
-func TestExecutorCollector(t *testing.T) {
-	m, err := models.Build("alexnet", models.Config{
-		BatchSize: 2, Classes: 10, InputC: 3, InputH: 64, InputW: 64,
-		WidthDiv: 16, BatchNorm: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := graph.NewParamStore()
-	store.InitFromGraph(m.Graph, rand.New(rand.NewSource(1)), nn.KaimingInit)
-	m.Graph.SetTraining(false)
-	m.Graph.SetOutput(m.Logits)
-	ex, err := graph.NewExecutor(m.Graph, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.UseArena(tensor.NewArena())
-	c := AttachExecutor(ex)
-	feeds := graph.Feeds{"image": tensor.New(2, 3, 64, 64), "labels": tensor.New(2)}
-	for pass := 0; pass < 2; pass++ {
-		if _, err := ex.Forward(feeds); err != nil {
-			t.Fatal(err)
-		}
-		c.FlushPass()
-	}
-	tl := c.Timeline()
-	if tl.Source != "executor" {
-		t.Fatalf("source = %q, want executor", tl.Source)
-	}
-	if tl.Passes != 2 || len(tl.Samples) == 0 {
-		t.Fatalf("passes = %d, samples = %d; want 2 passes with samples", tl.Passes, len(tl.Samples))
-	}
-	if err := tl.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if tl.MeasuredHighWater <= 0 {
-		t.Fatalf("measured high water = %d, want > 0", tl.MeasuredHighWater)
-	}
-	// No static plan on the interpreted path.
-	if err := tl.CheckAgainstPlan(); err == nil {
-		t.Fatal("CheckAgainstPlan accepted a planless timeline")
-	}
-}

@@ -30,29 +30,23 @@ func (ReLU) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (ReLU) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := tensor.New(in[0].Shape()...)
-	tensor.ReLU(out, in[0])
-	return out, nil
+// ForwardInto implements graph.Op.
+func (ReLU) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	tensor.ReLU(dst, in[0])
+	return nil
 }
 
-// ForwardArena implements graph.ArenaForwardOp.
-func (ReLU) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := a.GetRaw(in[0].Shape()...)
-	tensor.ReLU(out, in[0])
-	return out, nil
+// CanRunInplace implements graph.InplaceOp: always legal.
+func (ReLU) CanRunInplace() bool { return true }
+
+// ForwardInplace implements graph.InplaceOp (tensor.ReLU documents that
+// dst may alias x).
+func (ReLU) ForwardInplace(x *tensor.Tensor, _ []*tensor.Tensor) {
+	tensor.ReLU(x, x)
 }
 
 // Backward implements graph.Op.
-func (ReLU) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, out *tensor.Tensor, _ any) []*tensor.Tensor {
-	gi := tensor.New(gradOut.Shape()...)
-	tensor.ReLUBackward(gi, gradOut, out)
-	return []*tensor.Tensor{gi}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (ReLU) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (ReLU) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(gradOut.Shape()...)
 	tensor.ReLUBackward(gi, gradOut, out)
 	gin[0] = gi
@@ -97,39 +91,25 @@ func (d *Dropout) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op. The stash is the keep mask.
-func (d *Dropout) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x := in[0]
-	if !d.Training || d.Rng == nil || d.P <= 0 {
-		return x.Clone(), nil
-	}
-	out := tensor.New(x.Shape()...)
-	mask := make([]bool, x.Elems())
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data() {
-		if d.Rng.Float64() >= d.P {
-			mask[i] = true
-			out.Data()[i] = v * scale
-		}
-	}
-	return out, mask
-}
+// identity reports whether the op forwards its input unchanged.
+func (d *Dropout) identity() bool { return !d.Training || d.Rng == nil || d.P <= 0 }
 
-// ForwardArena implements graph.ArenaForwardOp. Instead of a []bool
-// mask, the arena path stashes a float32 tensor holding the per-element
-// scale (0 for dropped, 1/(1−P) for kept): a *Tensor crosses the stash
-// `any` boundary without boxing, and the backward pass becomes one
-// elementwise multiply.
-func (d *Dropout) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+// IsNoop implements graph.NoopOp: inference-mode dropout is elided by
+// the compiler.
+func (d *Dropout) IsNoop() bool { return d.identity() }
+
+// ForwardInto implements graph.Op. In training mode the stash is a
+// tensor holding the per-element scale (0 for dropped, 1/(1−P) for
+// kept), which turns the backward pass into one elementwise multiply.
+func (d *Dropout) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
 	x := in[0]
-	out := a.GetRaw(x.Shape()...)
-	if !d.Training || d.Rng == nil || d.P <= 0 {
-		out.CopyFrom(x)
-		return out, nil
+	if d.identity() {
+		dst.CopyFrom(x)
+		return nil
 	}
 	mask := a.GetRaw(x.Shape()...)
 	scale := float32(1 / (1 - d.P))
-	od, md := out.Data(), mask.Data()
+	od, md := dst.Data(), mask.Data()
 	for i, v := range x.Data() {
 		if d.Rng.Float64() >= d.P {
 			md[i] = scale
@@ -139,39 +119,21 @@ func (d *Dropout) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Te
 			od[i] = 0
 		}
 	}
-	return out, mask
+	return mask
 }
 
-// Backward implements graph.Op.
-func (d *Dropout) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	gi := tensor.New(gradOut.Shape()...)
-	if stash == nil {
-		gi.CopyFrom(gradOut)
-		return []*tensor.Tensor{gi}
-	}
-	mask := stash.([]bool)
-	scale := float32(1 / (1 - d.P))
-	for i, g := range gradOut.Data() {
-		if mask[i] {
-			gi.Data()[i] = g * scale
-		}
-	}
-	return []*tensor.Tensor{gi}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp; the stash, when
-// non-nil, is the scale-mask tensor from ForwardArena.
-func (d *Dropout) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+// Backward implements graph.Op; a nil stash means the forward pass was
+// the identity.
+func (d *Dropout) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(gradOut.Shape()...)
+	gin[0] = gi
 	if stash == nil {
 		gi.CopyFrom(gradOut)
-		gin[0] = gi
 		return
 	}
 	mask := stash.(*tensor.Tensor)
 	tensor.Mul(gi, gradOut, mask)
 	a.Put(mask)
-	gin[0] = gi
 }
 
 // NeedsInput implements graph.Op.

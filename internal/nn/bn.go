@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"splitcnn/internal/tensor"
 )
@@ -21,23 +22,24 @@ type BNState struct {
 	Momentum    float64
 
 	mu sync.Mutex
-	// version counts Update calls; the compiled execution path uses it
-	// to cache the precast inference statistics between forwards.
+	// version counts updates; inference forwards use it to cache the
+	// precast statistics between calls.
 	version uint64
 }
 
-// Update folds fresh batch statistics into the running estimates.
-func (s *BNState) Update(mean, variance []float64) {
+// update folds one forward's batch statistics into the running
+// estimates.
+func (s *BNState) update(st bnStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.version++
-	for ch := range mean {
-		s.RunningMean[ch] = (1-s.Momentum)*s.RunningMean[ch] + s.Momentum*mean[ch]
-		s.RunningVar[ch] = (1-s.Momentum)*s.RunningVar[ch] + s.Momentum*variance[ch]
+	for ch := 0; ch < st.c; ch++ {
+		s.RunningMean[ch] = (1-s.Momentum)*s.RunningMean[ch] + s.Momentum*st.mean(ch)
+		s.RunningVar[ch] = (1-s.Momentum)*s.RunningVar[ch] + s.Momentum*st.variance(ch)
 	}
 }
 
-// Version returns the number of Update calls so far. Callers that
+// Version returns the number of running-statistic updates so far. Callers that
 // mutate RunningMean/RunningVar directly (checkpoint restore) should
 // call Invalidate instead of tracking versions themselves.
 func (s *BNState) Version() uint64 {
@@ -82,18 +84,13 @@ type BatchNorm struct {
 	Recompute bool
 	// Training selects batch statistics (true) or running statistics.
 	Training bool
-	// cache holds the precast inference statistics for the compiled
-	// execution path (see compiled.go).
+	// cache holds the precast inference statistics.
 	cache bnEvalCache
 }
 
 // NewBatchNorm returns a train-mode batch normalization bound to state.
 func NewBatchNorm(state *BNState) *BatchNorm {
 	return &BatchNorm{State: state, Eps: 1e-5, Training: true}
-}
-
-type bnStash struct {
-	mean, invStd []float64
 }
 
 // SetTraining implements graph.ModalOp: inference mode normalizes with
@@ -125,150 +122,56 @@ func (b *BatchNorm) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return x.Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (b *BatchNorm) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x, gamma, beta := in[0], in[1], in[2]
-	s := x.Shape()
-	n, c, h, w := s.N(), s.C(), s.H(), s.W()
-	plane := h * w
-	cnt := float64(n * plane)
-	mean := make([]float64, c)
-	variance := make([]float64, c)
-	invStd := make([]float64, c)
-	if b.Training {
-		for ch := 0; ch < c; ch++ {
-			var sum, sq float64
-			for bi := 0; bi < n; bi++ {
-				base := (bi*c + ch) * plane
-				for _, v := range x.Data()[base : base+plane] {
-					f := float64(v)
-					sum += f
-					sq += f * f
-				}
-			}
-			m := sum / cnt
-			v := sq/cnt - m*m
-			if v < 0 {
-				v = 0
-			}
-			mean[ch] = m
-			variance[ch] = v
-			invStd[ch] = 1 / math.Sqrt(v+b.Eps)
-		}
-		b.State.Update(mean, variance)
-	} else {
-		for ch := 0; ch < c; ch++ {
-			mean[ch] = b.State.RunningMean[ch]
-			invStd[ch] = 1 / math.Sqrt(b.State.RunningVar[ch]+b.Eps)
-		}
-	}
-	out := tensor.New(s...)
+// ForwardInto implements graph.Op.
+func (b *BatchNorm) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	return bnForward(a, dst, in, b.State, b.Eps, b.Training, &b.cache, -1)
+}
+
+// CanRunInplace implements graph.InplaceOp: only the inference affine
+// is folded; training-mode BN stays a regular step so the batch
+// statistics and running-estimate update remain a single visible op.
+// (BatchNorm deliberately does NOT implement InPlaceEligible — that
+// marker feeds the hmms storage-sharing planner, whose plans for BN
+// layers are pinned by existing tests; the compiler treats the marker
+// as a veto when present, not a requirement.)
+func (b *BatchNorm) CanRunInplace() bool { return !b.Training }
+
+// ForwardInplace implements graph.InplaceOp.
+func (b *BatchNorm) ForwardInplace(x *tensor.Tensor, in []*tensor.Tensor) {
+	bnForward(nil, x, in, b.State, b.Eps, b.Training, &b.cache, -1)
+}
+
+// Backward implements graph.Op. x̂ comes either from the stashed input
+// or, in the recompute variant, from the output.
+func (b *BatchNorm) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+	gamma, beta := in[1], in[2]
+	s := gradOut.Shape()
+	n, c, plane := s.N(), s.C(), s.H()*s.W()
+	blk, st := bnSaved(a, stash, c, b.State, b.Eps)
+	xhat := a.GetRaw(s...)
 	for bi := 0; bi < n; bi++ {
 		for ch := 0; ch < c; ch++ {
 			base := (bi*c + ch) * plane
-			g, bt := gamma.Data()[ch], beta.Data()[ch]
-			m, is := float32(mean[ch]), float32(invStd[ch])
-			src := x.Data()[base : base+plane]
-			dst := out.Data()[base : base+plane]
-			for i, v := range src {
-				dst[i] = (v-m)*is*g + bt
-			}
-		}
-	}
-	return out, &bnStash{mean: mean, invStd: invStd}
-}
-
-// Backward implements graph.Op.
-func (b *BatchNorm) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor {
-	st := stash.(*bnStash)
-	gamma, beta := in[1], in[2]
-	s := gradOut.Shape()
-	n, c, h, w := s.N(), s.C(), s.H(), s.W()
-	plane := h * w
-	cnt := float64(n * plane)
-
-	// xhat: either from the stashed input or recomputed from the output.
-	xhat := tensor.New(s...)
-	if b.Recompute {
-		for bi := 0; bi < n; bi++ {
-			for ch := 0; ch < c; ch++ {
-				base := (bi*c + ch) * plane
+			dst := xhat.Data()[base : base+plane]
+			if b.Recompute {
 				g, bt := gamma.Data()[ch], beta.Data()[ch]
 				if g == 0 {
 					g = 1e-12 // guard: γ=0 loses information; avoid Inf
 				}
-				src := out.Data()[base : base+plane]
-				dst := xhat.Data()[base : base+plane]
-				for i, v := range src {
+				for i, v := range out.Data()[base : base+plane] {
 					dst[i] = (v - bt) / g
 				}
-			}
-		}
-	} else {
-		x := in[0]
-		for bi := 0; bi < n; bi++ {
-			for ch := 0; ch < c; ch++ {
-				base := (bi*c + ch) * plane
-				m, is := float32(st.mean[ch]), float32(st.invStd[ch])
-				src := x.Data()[base : base+plane]
-				dst := xhat.Data()[base : base+plane]
-				for i, v := range src {
+			} else {
+				m, is := st.m32()[ch], st.is32()[ch]
+				for i, v := range in[0].Data()[base : base+plane] {
 					dst[i] = (v - m) * is
 				}
 			}
 		}
 	}
-
-	gGamma := tensor.New(c)
-	gBeta := tensor.New(c)
-	sumG := make([]float64, c)  // Σ gradOut per channel
-	sumGX := make([]float64, c) // Σ gradOut·x̂ per channel
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * plane
-			gsrc := gradOut.Data()[base : base+plane]
-			xsrc := xhat.Data()[base : base+plane]
-			var sg, sgx float64
-			for i, g := range gsrc {
-				sg += float64(g)
-				sgx += float64(g) * float64(xsrc[i])
-			}
-			sumG[ch] += sg
-			sumGX[ch] += sgx
-		}
-	}
-	for ch := 0; ch < c; ch++ {
-		gGamma.Data()[ch] = float32(sumGX[ch])
-		gBeta.Data()[ch] = float32(sumG[ch])
-	}
-
-	gradX := tensor.New(s...)
-	var mg, mgx []float64
-	if b.Training {
-		mg, mgx = sumG, sumGX
-	}
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * plane
-			g := float64(gamma.Data()[ch])
-			is := st.invStd[ch]
-			gsrc := gradOut.Data()[base : base+plane]
-			xsrc := xhat.Data()[base : base+plane]
-			dst := gradX.Data()[base : base+plane]
-			if b.Training {
-				mG, mGX := mg[ch]/cnt, mgx[ch]/cnt
-				for i, gv := range gsrc {
-					dst[i] = float32(g * is * (float64(gv) - mG - float64(xsrc[i])*mGX))
-				}
-			} else {
-				for i, gv := range gsrc {
-					dst[i] = float32(g * is * float64(gv))
-				}
-			}
-		}
-	}
-	_ = beta
-	return []*tensor.Tensor{gradX, gGamma, gBeta}
+	bnBackward(a, gradOut, xhat, gamma, st, b.Eps, b.Training, gin)
+	a.Put(xhat)
+	a.Put(blk)
 }
 
 // NeedsInput implements graph.Op: the input feature map is stashed only
@@ -292,3 +195,212 @@ func (b *BatchNorm) FLOPs(in []tensor.Shape, _ tensor.Shape) int64 {
 
 // WorkspaceBytes implements graph.Op.
 func (b *BatchNorm) WorkspaceBytes([]tensor.Shape, tensor.Shape) int64 { return 0 }
+
+// bnStats views one forward's per-channel statistics, kept in a float32
+// arena tensor of 6·c words so they recycle like any activation: words
+// [0,c) hold float32(mean) and [c,2c) float32(invStd) — the constants
+// bnApply consumes — followed by every channel's float64 mean and then
+// variance, two words apiece and bit-exact, because the running-estimate
+// update and the backward pass need them at full precision.
+type bnStats struct {
+	c int
+	w []float32
+}
+
+func (s bnStats) m32() []float32  { return s.w[:s.c] }
+func (s bnStats) is32() []float32 { return s.w[s.c : 2*s.c] }
+
+func (s bnStats) f64(slot, ch int) float64 {
+	w := s.w[2*(s.c+slot*s.c+ch):]
+	return math.Float64frombits(uint64(math.Float32bits(w[0])) | uint64(math.Float32bits(w[1]))<<32)
+}
+
+func (s bnStats) mean(ch int) float64     { return s.f64(0, ch) }
+func (s bnStats) variance(ch int) float64 { return s.f64(1, ch) }
+
+// invStd is 1/√(σ²+ε) at full precision.
+func (s bnStats) invStd(ch int, eps float64) float64 {
+	return 1 / math.Sqrt(s.variance(ch)+eps)
+}
+
+// set records channel ch's statistics.
+func (s bnStats) set(ch int, mean, variance, eps float64) {
+	for slot, v := range [2]float64{mean, variance} {
+		w, b := s.w[2*(s.c+slot*s.c+ch):], math.Float64bits(v)
+		w[0], w[1] = math.Float32frombits(uint32(b)), math.Float32frombits(uint32(b>>32))
+	}
+	s.w[ch] = float32(mean)
+	s.w[s.c+ch] = float32(1 / math.Sqrt(variance+eps))
+}
+
+// newBNStats draws an unset statistics block for c channels from a.
+func newBNStats(a *tensor.Arena, c int) (*tensor.Tensor, bnStats) {
+	blk := a.GetRaw(6 * c)
+	return blk, bnStats{c, blk.Data()}
+}
+
+// bnBatchStats computes training-mode batch statistics — float64
+// accumulation, variance clamped at zero — into a block drawn from a,
+// and folds them into the running estimates.
+func bnBatchStats(a *tensor.Arena, x *tensor.Tensor, state *BNState, eps float64) (*tensor.Tensor, bnStats) {
+	s := x.Shape()
+	n, c, plane := s.N(), s.C(), s.H()*s.W()
+	cnt := float64(n * plane)
+	blk, st := newBNStats(a, c)
+	for ch := 0; ch < c; ch++ {
+		var sum, sq float64
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ch) * plane
+			for _, v := range x.Data()[base : base+plane] {
+				f := float64(v)
+				sum += f
+				sq += f * f
+			}
+		}
+		m := sum / cnt
+		v := sq/cnt - m*m
+		if v < 0 {
+			v = 0
+		}
+		st.set(ch, m, v, eps)
+	}
+	state.update(st)
+	return blk, st
+}
+
+// bnSaved returns the statistics the forward pass normalized with: the
+// training-mode stash, or (inference mode, nil stash) a block rebuilt
+// from the running estimates. Either way the caller returns the block
+// to a.
+func bnSaved(a *tensor.Arena, stash any, c int, state *BNState, eps float64) (*tensor.Tensor, bnStats) {
+	if blk, ok := stash.(*tensor.Tensor); ok {
+		return blk, bnStats{c, blk.Data()}
+	}
+	blk, st := newBNStats(a, c)
+	for ch := 0; ch < c; ch++ {
+		st.set(ch, state.RunningMean[ch], state.RunningVar[ch], eps)
+	}
+	return blk, st
+}
+
+// bnEval is an immutable set of precast inference constants: m32 =
+// float32(running mean), is32 = float32(1/√(running var+ε)) — the same
+// cast points as bnStats.set.
+type bnEval struct {
+	version   uint64
+	eps       float64
+	m32, is32 []float32
+}
+
+// bnEvalCache keeps the latest bnEval so a warmed inference forward
+// neither allocates nor recomputes the square roots. Swapping whole
+// snapshots atomically keeps concurrent inference forwards over one op
+// (distserve.ShardEval) race-free.
+type bnEvalCache struct{ p atomic.Pointer[bnEval] }
+
+// get returns constants matching the state's version, the epsilon and
+// the channel count, rebuilding them if any changed since the last call.
+func (c *bnEvalCache) get(state *BNState, eps float64) *bnEval {
+	v, n := state.Version(), len(state.RunningMean)
+	if e := c.p.Load(); e != nil && e.version == v && e.eps == eps && len(e.m32) == n {
+		return e
+	}
+	e := &bnEval{version: v, eps: eps, m32: make([]float32, n), is32: make([]float32, n)}
+	for ch := 0; ch < n; ch++ {
+		e.m32[ch] = float32(state.RunningMean[ch])
+		e.is32[ch] = float32(1 / math.Sqrt(state.RunningVar[ch]+eps))
+	}
+	c.p.Store(e)
+	return e
+}
+
+// bnForward is the forward pass of the whole BN family: resolve the
+// per-channel constants for the mode — cached running statistics in
+// inference, fresh batch statistics (stashed for Backward) in training —
+// and apply the affine with an optional leaky ReLU.
+func bnForward(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor, state *BNState, eps float64, training bool, cache *bnEvalCache, slope float32) any {
+	if !training {
+		e := cache.get(state, eps)
+		bnApply(dst, in[0], in[1], in[2], e.m32, e.is32, slope)
+		return nil
+	}
+	blk, st := bnBatchStats(a, in[0], state, eps)
+	bnApply(dst, in[0], in[1], in[2], st.m32(), st.is32(), slope)
+	return blk
+}
+
+// bnApply runs the normalization affine (and optional leaky ReLU with
+// the given slope; slope < 0 means no activation) writing dst, which
+// may alias x: each element is read once before it is written.
+func bnApply(dst, x, gamma, beta *tensor.Tensor, m32, is32 []float32, slope float32) {
+	s := x.Shape()
+	n, c, plane := s.N(), s.C(), s.H()*s.W()
+	for bi := 0; bi < n; bi++ {
+		for ch := 0; ch < c; ch++ {
+			base := (bi*c + ch) * plane
+			g, bt := gamma.Data()[ch], beta.Data()[ch]
+			m, is := m32[ch], is32[ch]
+			src := x.Data()[base : base+plane]
+			out := dst.Data()[base : base+plane]
+			if slope < 0 {
+				for i, v := range src {
+					out[i] = (v-m)*is*g + bt
+				}
+			} else {
+				for i, v := range src {
+					z := (v-m)*is*g + bt
+					if z < 0 {
+						z *= slope
+					}
+					out[i] = z
+				}
+			}
+		}
+	}
+}
+
+// bnBackward is the shared tail of the BN family's backward pass: given
+// gz, the gradient reaching the affine output, and x̂, it writes the
+// input, gamma and beta gradients into gin[0..2]. Sums accumulate in
+// float64, per plane and then across the batch.
+func bnBackward(a *tensor.Arena, gz, xhat, gamma *tensor.Tensor, st bnStats, eps float64, training bool, gin []*tensor.Tensor) {
+	s := gz.Shape()
+	n, c, plane := s.N(), s.C(), s.H()*s.W()
+	cnt := float64(n * plane)
+	gradX, gGamma, gBeta := a.GetRaw(s...), a.GetRaw(c), a.GetRaw(c)
+	for ch := 0; ch < c; ch++ {
+		var sumG, sumGX float64 // Σ gz and Σ gz·x̂ over the channel
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ch) * plane
+			xsrc := xhat.Data()[base : base+plane]
+			var sg, sgx float64
+			for i, g := range gz.Data()[base : base+plane] {
+				sg += float64(g)
+				sgx += float64(g) * float64(xsrc[i])
+			}
+			sumG += sg
+			sumGX += sgx
+		}
+		gGamma.Data()[ch] = float32(sumGX)
+		gBeta.Data()[ch] = float32(sumG)
+
+		g, is := float64(gamma.Data()[ch]), st.invStd(ch, eps)
+		mG, mGX := sumG/cnt, sumGX/cnt
+		for bi := 0; bi < n; bi++ {
+			base := (bi*c + ch) * plane
+			gsrc := gz.Data()[base : base+plane]
+			xsrc := xhat.Data()[base : base+plane]
+			dst := gradX.Data()[base : base+plane]
+			if training {
+				for i, gv := range gsrc {
+					dst[i] = float32(g * is * (float64(gv) - mG - float64(xsrc[i])*mGX))
+				}
+			} else {
+				for i, gv := range gsrc {
+					dst[i] = float32(g * is * float64(gv))
+				}
+			}
+		}
+	}
+	gin[0], gin[1], gin[2] = gradX, gGamma, gBeta
+}

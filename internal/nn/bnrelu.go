@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"splitcnn/internal/tensor"
 )
@@ -20,8 +19,7 @@ type BNReLU struct {
 	// be positive so the activation is invertible.
 	Slope    float64
 	Training bool
-	// cache holds the precast inference statistics for the compiled
-	// execution path (see compiled.go).
+	// cache holds the precast inference statistics.
 	cache bnEvalCache
 }
 
@@ -58,86 +56,41 @@ func (b *BNReLU) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (b *BNReLU) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x, gamma, beta := in[0], in[1], in[2]
-	s := x.Shape()
-	n, c, plane := s.N(), s.C(), s.H()*s.W()
-	cnt := float64(n * plane)
-	mean := make([]float64, c)
-	variance := make([]float64, c)
-	invStd := make([]float64, c)
-	if b.Training {
-		for ch := 0; ch < c; ch++ {
-			var sum, sq float64
-			for bi := 0; bi < n; bi++ {
-				base := (bi*c + ch) * plane
-				for _, v := range x.Data()[base : base+plane] {
-					f := float64(v)
-					sum += f
-					sq += f * f
-				}
-			}
-			m := sum / cnt
-			v := max(sq/cnt-m*m, 0)
-			mean[ch] = m
-			variance[ch] = v
-			invStd[ch] = 1 / math.Sqrt(v+b.Eps)
-		}
-		b.State.Update(mean, variance)
-	} else {
-		for ch := 0; ch < c; ch++ {
-			mean[ch] = b.State.RunningMean[ch]
-			invStd[ch] = 1 / math.Sqrt(b.State.RunningVar[ch]+b.Eps)
-		}
-	}
-	out := tensor.New(s...)
-	slope := float32(b.Slope)
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * plane
-			g, bt := gamma.Data()[ch], beta.Data()[ch]
-			m, is := float32(mean[ch]), float32(invStd[ch])
-			src := x.Data()[base : base+plane]
-			dst := out.Data()[base : base+plane]
-			for i, v := range src {
-				z := (v-m)*is*g + bt
-				if z < 0 {
-					z *= slope
-				}
-				dst[i] = z
-			}
-		}
-	}
-	return out, &bnStash{mean: mean, invStd: invStd}
+// ForwardInto implements graph.Op.
+func (b *BNReLU) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	return bnForward(a, dst, in, b.State, b.Eps, b.Training, &b.cache, float32(b.Slope))
+}
+
+// CanRunInplace implements graph.InplaceOp (see BatchNorm.CanRunInplace).
+func (b *BNReLU) CanRunInplace() bool { return !b.Training }
+
+// ForwardInplace implements graph.InplaceOp.
+func (b *BNReLU) ForwardInplace(x *tensor.Tensor, in []*tensor.Tensor) {
+	bnForward(nil, x, in, b.State, b.Eps, b.Training, &b.cache, float32(b.Slope))
 }
 
 // Backward implements graph.Op: everything is reconstructed from the
 // stashed output (x̂ = (inv-leaky(y) − β)/γ), so in[0] is nil.
-func (b *BNReLU) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor {
-	st := stash.(*bnStash)
-	gamma := in[1]
+func (b *BNReLU) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+	gamma, beta := in[1], in[2]
 	s := gradOut.Shape()
 	n, c, plane := s.N(), s.C(), s.H()*s.W()
-	cnt := float64(n * plane)
 	slope := float32(b.Slope)
+	blk, st := bnSaved(a, stash, c, b.State, b.Eps)
 
 	// Reconstruct x̂ and the gradient flowing into the BN affine output.
-	xhat := tensor.New(s...)
-	gz := tensor.New(s...)
+	xhat, gz := a.GetRaw(s...), a.GetRaw(s...)
 	for bi := 0; bi < n; bi++ {
 		for ch := 0; ch < c; ch++ {
 			base := (bi*c + ch) * plane
-			g := gamma.Data()[ch]
+			g, bt := gamma.Data()[ch], beta.Data()[ch]
 			if g == 0 {
 				g = 1e-12
 			}
-			bt := in[2].Data()[ch]
-			ysrc := out.Data()[base : base+plane]
 			gsrc := gradOut.Data()[base : base+plane]
 			xd := xhat.Data()[base : base+plane]
 			gzd := gz.Data()[base : base+plane]
-			for i, y := range ysrc {
+			for i, y := range out.Data()[base : base+plane] {
 				z := y
 				gv := gsrc[i]
 				if y < 0 {
@@ -149,52 +102,10 @@ func (b *BNReLU) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tens
 			}
 		}
 	}
-
-	gGamma := tensor.New(c)
-	gBeta := tensor.New(c)
-	sumG := make([]float64, c)
-	sumGX := make([]float64, c)
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * plane
-			gsrc := gz.Data()[base : base+plane]
-			xsrc := xhat.Data()[base : base+plane]
-			var sg, sgx float64
-			for i, g := range gsrc {
-				sg += float64(g)
-				sgx += float64(g) * float64(xsrc[i])
-			}
-			sumG[ch] += sg
-			sumGX[ch] += sgx
-		}
-	}
-	for ch := 0; ch < c; ch++ {
-		gGamma.Data()[ch] = float32(sumGX[ch])
-		gBeta.Data()[ch] = float32(sumG[ch])
-	}
-
-	gradX := tensor.New(s...)
-	for bi := 0; bi < n; bi++ {
-		for ch := 0; ch < c; ch++ {
-			base := (bi*c + ch) * plane
-			g := float64(gamma.Data()[ch])
-			is := st.invStd[ch]
-			gsrc := gz.Data()[base : base+plane]
-			xsrc := xhat.Data()[base : base+plane]
-			dst := gradX.Data()[base : base+plane]
-			if b.Training {
-				mG, mGX := sumG[ch]/cnt, sumGX[ch]/cnt
-				for i, gv := range gsrc {
-					dst[i] = float32(g * is * (float64(gv) - mG - float64(xsrc[i])*mGX))
-				}
-			} else {
-				for i, gv := range gsrc {
-					dst[i] = float32(g * is * float64(gv))
-				}
-			}
-		}
-	}
-	return []*tensor.Tensor{gradX, gGamma, gBeta}
+	bnBackward(a, gz, xhat, gamma, st, b.Eps, b.Training, gin)
+	a.Put(xhat)
+	a.Put(gz)
+	a.Put(blk)
 }
 
 // NeedsInput implements graph.Op: only gamma and beta are re-read.

@@ -17,13 +17,8 @@ func TestBNReLUForwardMatchesUnfused(t *testing.T) {
 	gamma.RandUniform(rng, 0.5, 2)
 	beta := tensor.New(3)
 	beta.RandNormal(rng, 0.3)
-	in := []*tensor.Tensor{x, gamma, beta}
-
-	fused := nn.NewBNReLU(nn.NewBNState("a", 3))
-	fusedOut, _ := fused.Forward(in)
-
-	bn := nn.NewBatchNorm(nn.NewBNState("b", 3))
-	bnOut, _ := bn.Forward(in)
+	fusedOut := forward(t, nil, nn.NewBNReLU(nn.NewBNState("a", 3)), x, gamma, beta).out
+	bnOut := forward(t, nil, nn.NewBatchNorm(nn.NewBNState("b", 3)), x, gamma, beta).out
 	// Leaky ReLU with the same slope.
 	want := bnOut.Clone()
 	for i, v := range want.Data() {

@@ -20,6 +20,26 @@ import (
 	"splitcnn/internal/tensor"
 )
 
+// Every op runs through the one graph.Op contract; the elementwise
+// family additionally lets the compiler fuse or elide it.
+var (
+	_ graph.Op = (*Conv)(nil)
+	_ graph.Op = (*MaxPool)(nil)
+	_ graph.Op = (*AvgPool)(nil)
+	_ graph.Op = GlobalAvgPool{}
+	_ graph.Op = Linear{}
+	_ graph.Op = (*Add)(nil)
+	_ graph.Op = SoftmaxCrossEntropy{}
+	_ graph.Op = (*ExtractPatch)(nil)
+	_ graph.Op = (*ConcatPatches)(nil)
+
+	_ graph.InplaceOp = ReLU{}
+	_ graph.InplaceOp = (*BatchNorm)(nil)
+	_ graph.InplaceOp = (*BNReLU)(nil)
+	_ graph.NoopOp    = (*Dropout)(nil)
+	_ graph.ReshapeOp = Flatten{}
+)
+
 // Conv is a 2-D convolution op. Graph inputs: x, weight[, bias].
 type Conv struct {
 	Params  tensor.ConvParams
@@ -83,63 +103,32 @@ func (c *Conv) algo(x, weight *tensor.Tensor) autotune.Algo {
 	return autotune.Default.Choose(c.Params, x.Shape(), weight.Shape()[0])
 }
 
-// Forward implements graph.Op. The backend is chosen per shape by the
-// autotuner; the untuned default is the Winograd F(2x2, 3x3) fast path
-// for 3x3 stride-1 convolutions — the very algorithm whose adoption
+// ForwardInto implements graph.Op. The backend is chosen per shape by
+// the autotuner; the untuned default is the Winograd F(2x2, 3x3) fast
+// path for 3x3 stride-1 convolutions — the very algorithm whose adoption
 // §2.2.1 blames for making layers memory-bound — and im2col otherwise.
-func (c *Conv) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Every backend takes scratch from a pool or the arena only, so a
+// warmed forward allocates nothing.
+func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
 	var bias *tensor.Tensor
 	if c.HasBias {
 		bias = in[2]
 	}
 	switch c.algo(in[0], in[1]) {
 	case autotune.Winograd:
-		return tensor.Conv2DWinograd(in[0], in[1], bias, c.Params), nil
+		tensor.Conv2DWinogradInto(dst, in[0], in[1], bias, c.Params)
 	case autotune.Direct:
-		return tensor.Conv2DDirect(in[0], in[1], bias, c.Params), nil
+		tensor.Conv2DDirectInto(dst, in[0], in[1], bias, c.Params)
 	case autotune.FFT:
-		return tensor.Conv2DFFT(in[0], in[1], bias, c.Params), nil
+		tensor.Conv2DFFTInto(dst, in[0], in[1], bias, c.Params)
 	default:
-		return tensor.Conv2D(in[0], in[1], bias, c.Params), nil
+		tensor.Conv2DInto(a, dst, in[0], in[1], bias, c.Params)
 	}
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (c *Conv) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	var bias *tensor.Tensor
-	if c.HasBias {
-		bias = in[2]
-	}
-	switch c.algo(in[0], in[1]) {
-	case autotune.Winograd:
-		return tensor.Conv2DWinogradArena(a, in[0], in[1], bias, c.Params), nil
-	case autotune.Direct:
-		return tensor.Conv2DDirectArena(a, in[0], in[1], bias, c.Params), nil
-	case autotune.FFT:
-		return tensor.Conv2DFFTArena(a, in[0], in[1], bias, c.Params), nil
-	default:
-		return tensor.Conv2DArena(a, in[0], in[1], bias, c.Params), nil
-	}
+	return nil
 }
 
 // Backward implements graph.Op.
-func (c *Conv) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	x, w := in[0], in[1]
-	gw := tensor.New(w.Shape()...)
-	var gb *tensor.Tensor
-	if c.HasBias {
-		gb = tensor.New(w.Shape()[0])
-	}
-	gx := tensor.Conv2DBackward(x, w, gradOut, c.Params, gw, gb, true)
-	out := []*tensor.Tensor{gx, gw}
-	if c.HasBias {
-		out = append(out, gb)
-	}
-	return out
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (c *Conv) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (c *Conv) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	x, w := in[0], in[1]
 	gw := a.Get(w.Shape()...) // zeroed: the weight-gradient GEMM accumulates
 	var gb *tensor.Tensor

@@ -20,29 +20,18 @@ func (Flatten) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in[0][0], in[0].Elems() / in[0][0]}, nil
 }
 
-// Forward implements graph.Op.
-func (Flatten) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	s := in[0].Shape()
-	return in[0].Clone().Reshape(s[0], in[0].Elems()/s[0]), s
+// IsReshape implements graph.ReshapeOp: the compiler replaces flatten
+// with a view of the producer's storage.
+func (Flatten) IsReshape() bool { return true }
+
+// ForwardInto implements graph.Op.
+func (Flatten) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	dst.CopyFrom(in[0])
+	return nil
 }
 
 // Backward implements graph.Op.
-func (Flatten) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
-	return []*tensor.Tensor{gradOut.Clone().Reshape(s...)}
-}
-
-// ForwardArena implements graph.ArenaForwardOp. No stash: the backward
-// pass recovers the input shape from the executor's static shape table.
-func (Flatten) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	s := in[0].Shape()
-	out := a.GetRaw(s[0], in[0].Elems()/s[0])
-	out.CopyFrom(in[0])
-	return out, nil
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (Flatten) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (Flatten) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(inShapes[0]...)
 	gi.CopyFrom(gradOut)
 	gin[0] = gi
@@ -83,57 +72,22 @@ func (Linear) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{x[0], w[0]}, nil
 }
 
-// Forward implements graph.Op.
-func (Linear) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
+// ForwardInto implements graph.Op.
+func (Linear) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
 	x, w, b := in[0], in[1], in[2]
 	n, k := x.Shape()[0], w.Shape()[0]
-	out := tensor.New(n, k)
-	tensor.MatMulBT(out, x, w)
+	tensor.MatMulBT(dst, x, w)
 	for r := 0; r < n; r++ {
-		row := out.Data()[r*k : (r+1)*k]
+		row := dst.Data()[r*k : (r+1)*k]
 		for i := range row {
 			row[i] += b.Data()[i]
 		}
 	}
-	return out, nil
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (Linear) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x, w, b := in[0], in[1], in[2]
-	n, k := x.Shape()[0], w.Shape()[0]
-	out := a.GetRaw(n, k)
-	tensor.MatMulBT(out, x, w)
-	for r := 0; r < n; r++ {
-		row := out.Data()[r*k : (r+1)*k]
-		for i := range row {
-			row[i] += b.Data()[i]
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // Backward implements graph.Op.
-func (Linear) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	x, w := in[0], in[1]
-	n, k := gradOut.Shape()[0], gradOut.Shape()[1]
-	d := x.Shape()[1]
-	gx := tensor.New(n, d)
-	tensor.MatMul(gx, gradOut, w) // [N,K]@[K,D]
-	gw := tensor.New(k, d)
-	tensor.MatMulAT(gw, gradOut, x) // gradOutᵀ@x
-	gb := tensor.New(k)
-	for r := 0; r < n; r++ {
-		row := gradOut.Data()[r*k : (r+1)*k]
-		for i, v := range row {
-			gb.Data()[i] += v
-		}
-	}
-	return []*tensor.Tensor{gx, gw, gb}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (Linear) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (Linear) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	x, w := in[0], in[1]
 	n, k := gradOut.Shape()[0], gradOut.Shape()[1]
 	d := x.Shape()[1]

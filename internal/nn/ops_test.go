@@ -116,12 +116,7 @@ func TestBatchNormRecomputeMatchesStandard(t *testing.T) {
 	run := func(recompute bool) []*tensor.Tensor {
 		bn := nn.NewBatchNorm(nn.NewBNState("bn", 3))
 		bn.Recompute = recompute
-		in := []*tensor.Tensor{x, gamma, beta}
-		out, stash := bn.Forward(in)
-		if recompute {
-			return bn.Backward(gradOut, []*tensor.Tensor{nil, gamma, beta}, out, stash)
-		}
-		return bn.Backward(gradOut, in, nil, stash)
+		return forward(t, nil, bn, x, gamma, beta).backward(nil, gradOut)
 	}
 	std := run(false)
 	rec := run(true)
@@ -157,13 +152,11 @@ func TestSoftmaxXentGradient(t *testing.T) {
 	op := nn.SoftmaxCrossEntropy{}
 
 	loss := func() float64 {
-		out, _ := op.Forward([]*tensor.Tensor{logits, labels})
-		return float64(out.Data()[0])
+		return float64(forward(t, nil, op, logits, labels).out.Data()[0])
 	}
-	_, stash := op.Forward([]*tensor.Tensor{logits, labels})
 	seed := tensor.New(1)
 	seed.Fill(1)
-	grads := op.Backward(seed, []*tensor.Tensor{nil, labels}, nil, stash)
+	grads := forward(t, nil, op, logits, labels).backward(nil, seed)
 	gl := grads[0]
 	if grads[1] != nil {
 		t.Fatal("labels must not receive a gradient")
@@ -218,12 +211,12 @@ func TestAddSharedErrorAliases(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2}, 2)
 	b := tensor.FromSlice([]float32{3, 4}, 2)
 	c := tensor.FromSlice([]float32{5, 6}, 2)
-	out, _ := op.Forward([]*tensor.Tensor{a, b, c})
-	if out.Data()[0] != 9 || out.Data()[1] != 12 {
+	r := forward(t, nil, op, a, b, c)
+	if out := r.out; out.Data()[0] != 9 || out.Data()[1] != 12 {
 		t.Fatalf("add output %v", out.Data())
 	}
 	g := tensor.FromSlice([]float32{7, 8}, 2)
-	grads := op.Backward(g, nil, nil, nil)
+	grads := r.backward(nil, g)
 	if len(grads) != 3 {
 		t.Fatalf("want 3 grads, got %d", len(grads))
 	}
@@ -246,15 +239,14 @@ func TestExtractConcatRoundTrip(t *testing.T) {
 	patches := make([]*tensor.Tensor, 4)
 	for i, b := range bounds {
 		op := &nn.ExtractPatch{H0: b.h0, H1: b.h1, W0: b.w0, W1: b.w1}
-		patches[i], _ = op.Forward([]*tensor.Tensor{x})
+		patches[i] = forward(t, nil, op, x).out
 	}
-	cat := &nn.ConcatPatches{NH: 2, NW: 2}
-	out, stash := cat.Forward(patches)
-	if d := tensor.MaxAbsDiff(out, x); d != 0 {
+	cat := forward(t, nil, &nn.ConcatPatches{NH: 2, NW: 2}, patches...)
+	if d := tensor.MaxAbsDiff(cat.out, x); d != 0 {
 		t.Fatalf("extract+concat is not the identity: diff %v", d)
 	}
 	// Backward of concat must give back exactly the patch gradients.
-	grads := cat.Backward(x, nil, nil, stash)
+	grads := cat.backward(nil, x)
 	for i := range grads {
 		if d := tensor.MaxAbsDiff(grads[i], patches[i]); d != 0 {
 			t.Fatalf("concat backward patch %d diff %v", i, d)
@@ -262,8 +254,8 @@ func TestExtractConcatRoundTrip(t *testing.T) {
 	}
 	// Backward of extract scatters into the right window.
 	op := &nn.ExtractPatch{H0: 2, H1: 6, W0: 5, W1: 8}
-	p, st := op.Forward([]*tensor.Tensor{x})
-	gi := op.Backward(p, nil, nil, st)[0]
+	r := forward(t, nil, op, x)
+	gi := r.backward(nil, r.out)[0]
 	if gi.At(0, 0, 0, 0) != 0 {
 		t.Fatal("extract backward leaked outside window")
 	}
@@ -277,7 +269,8 @@ func TestDropoutMask(t *testing.T) {
 	op := &nn.Dropout{P: 0.5, Training: true, Rng: rng}
 	x := tensor.New(1, 1000)
 	x.Fill(1)
-	out, stash := op.Forward([]*tensor.Tensor{x})
+	r := forward(t, nil, op, x)
+	out := r.out
 	kept := 0
 	for _, v := range out.Data() {
 		if v != 0 {
@@ -292,7 +285,7 @@ func TestDropoutMask(t *testing.T) {
 	}
 	g := tensor.New(1, 1000)
 	g.Fill(1)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := r.backward(nil, g)[0]
 	for i, v := range gi.Data() {
 		wantZero := out.Data()[i] == 0
 		if wantZero && v != 0 || !wantZero && v != 2 {
@@ -301,8 +294,7 @@ func TestDropoutMask(t *testing.T) {
 	}
 	// Eval mode: identity.
 	op.Training = false
-	out2, _ := op.Forward([]*tensor.Tensor{x})
-	if d := tensor.MaxAbsDiff(out2, x); d != 0 {
+	if d := tensor.MaxAbsDiff(forward(t, nil, op, x).out, x); d != 0 {
 		t.Fatalf("eval-mode dropout not identity: %v", d)
 	}
 }
@@ -310,12 +302,11 @@ func TestDropoutMask(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	op := nn.Flatten{}
 	x := tensor.New(2, 3, 4, 5)
-	out, stash := op.Forward([]*tensor.Tensor{x})
-	if !out.Shape().Equal(tensor.Shape{2, 60}) {
-		t.Fatalf("flatten shape %v", out.Shape())
+	r := forward(t, nil, op, x)
+	if !r.out.Shape().Equal(tensor.Shape{2, 60}) {
+		t.Fatalf("flatten shape %v", r.out.Shape())
 	}
-	g := tensor.New(2, 60)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := r.backward(nil, tensor.New(2, 60))[0]
 	if !gi.Shape().Equal(x.Shape()) {
 		t.Fatalf("flatten backward shape %v", gi.Shape())
 	}
@@ -324,12 +315,11 @@ func TestFlattenRoundTrip(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	op := nn.GlobalAvgPool{}
-	out, stash := op.Forward([]*tensor.Tensor{x})
-	if out.At(0, 0, 0, 0) != 2.5 || out.At(0, 1, 0, 0) != 25 {
+	r := forward(t, nil, op, x)
+	if out := r.out; out.At(0, 0, 0, 0) != 2.5 || out.At(0, 1, 0, 0) != 25 {
 		t.Fatalf("gap output %v", out.Data())
 	}
-	g := tensor.FromSlice([]float32{4, 8}, 1, 2, 1, 1)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := r.backward(nil, tensor.FromSlice([]float32{4, 8}, 1, 2, 1, 1))[0]
 	if gi.At(0, 0, 1, 1) != 1 || gi.At(0, 1, 0, 0) != 2 {
 		t.Fatalf("gap backward %v", gi.Data())
 	}

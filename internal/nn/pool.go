@@ -39,34 +39,18 @@ func (m *MaxPool) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return poolOutShape("maxpool", m.Params, in)
 }
 
-// Forward implements graph.Op.
-func (m *MaxPool) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out, _ := tensor.MaxPool2D(in[0], m.Params)
-	return out, nil
+// ForwardInto implements graph.Op. The stash is the argmax tensor, so
+// the backward pass scatters directly instead of re-running the window
+// search.
+func (m *MaxPool) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	arg := a.GetRaw(dst.Shape()...)
+	tensor.MaxPool2DInto(dst, arg, in[0], m.Params)
+	return arg
 }
 
 // Backward implements graph.Op.
-func (m *MaxPool) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	x := in[0]
-	_, arg := tensor.MaxPool2D(x, m.Params)
-	s := x.Shape()
-	return []*tensor.Tensor{tensor.MaxPool2DBackward(gradOut, arg, m.Params, s.N(), s.C(), s.H(), s.W())}
-}
-
-// ForwardArena implements graph.ArenaForwardOp. Unlike the plain path,
-// it stashes the argmax tensor so the backward pass scatters directly
-// instead of re-running the pooling window search.
-func (m *MaxPool) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out, arg := tensor.MaxPool2DArena(a, in[0], m.Params)
-	return out, arg
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (m *MaxPool) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
-	arg, _ := stash.(*tensor.Tensor)
-	if arg == nil {
-		_, arg = tensor.MaxPool2DArena(a, in[0], m.Params)
-	}
+func (m *MaxPool) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+	arg := stash.(*tensor.Tensor)
 	s := inShapes[0]
 	gin[0] = tensor.MaxPool2DBackwardArena(a, gradOut, arg, m.Params, s.N(), s.C(), s.H(), s.W())
 	a.Put(arg)
@@ -114,27 +98,15 @@ func (a *AvgPool) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return poolOutShape("avgpool", a.Params, in)
 }
 
-// Forward implements graph.Op. The stash records the input shape, which
-// the linear adjoint needs.
-func (a *AvgPool) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	return tensor.AvgPool2D(in[0], a.Params), in[0].Shape()
+// ForwardInto implements graph.Op.
+func (ap *AvgPool) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	tensor.AvgPool2DInto(dst, in[0], ap.Params)
+	return nil
 }
 
 // Backward implements graph.Op. Average pooling is linear, so its
-// adjoint needs neither input nor output.
-func (a *AvgPool) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
-	return []*tensor.Tensor{tensor.AvgPool2DBackward(gradOut, a.Params, s.N(), s.C(), s.H(), s.W())}
-}
-
-// ForwardArena implements graph.ArenaForwardOp. No stash: the adjoint
-// recovers the input shape from the executor's static shape table.
-func (ap *AvgPool) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	return tensor.AvgPool2DArena(a, in[0], ap.Params), nil
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (ap *AvgPool) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+// adjoint needs neither input nor output — only the input's shape.
+func (ap *AvgPool) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	s := inShapes[0]
 	gin[0] = tensor.AvgPool2DBackwardArena(a, gradOut, ap.Params, s.N(), s.C(), s.H(), s.W())
 }
@@ -168,31 +140,16 @@ func (GlobalAvgPool) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in[0].N(), in[0].C(), 1, 1}, nil
 }
 
-// Forward implements graph.Op.
-func (GlobalAvgPool) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x := in[0]
-	s := x.Shape()
+// ForwardInto implements graph.Op.
+func (GlobalAvgPool) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	s := in[0].Shape()
 	p := tensor.ConvParams{KH: s.H(), KW: s.W(), SH: s.H(), SW: s.W()}
-	return tensor.AvgPool2D(x, p), s
+	tensor.AvgPool2DInto(dst, in[0], p)
+	return nil
 }
 
 // Backward implements graph.Op.
-func (GlobalAvgPool) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
-	p := tensor.ConvParams{KH: s.H(), KW: s.W(), SH: s.H(), SW: s.W()}
-	return []*tensor.Tensor{tensor.AvgPool2DBackward(gradOut, p, s.N(), s.C(), s.H(), s.W())}
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (GlobalAvgPool) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x := in[0]
-	s := x.Shape()
-	p := tensor.ConvParams{KH: s.H(), KW: s.W(), SH: s.H(), SW: s.W()}
-	return tensor.AvgPool2DArena(a, x, p), nil
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (GlobalAvgPool) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (GlobalAvgPool) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	s := inShapes[0]
 	p := tensor.ConvParams{KH: s.H(), KW: s.W(), SH: s.H(), SW: s.W()}
 	gin[0] = tensor.AvgPool2DBackwardArena(a, gradOut, p, s.N(), s.C(), s.H(), s.W())

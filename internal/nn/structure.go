@@ -35,39 +35,19 @@ func (a *Add) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (a *Add) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := in[0].Clone()
+// ForwardInto implements graph.Op.
+func (a *Add) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	dst.CopyFrom(in[0])
 	for _, x := range in[1:] {
-		tensor.AXPY(out, 1, x)
+		tensor.AXPY(dst, 1, x)
 	}
-	return out, nil
+	return nil
 }
 
 // Backward implements graph.Op: the same error flows to every addend.
-// All returned gradients alias one tensor, matching the storage-sharing
-// optimization.
-func (a *Add) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, a.N)
-	for i := range out {
-		out[i] = gradOut
-	}
-	return out
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (a *Add) ForwardArena(ar *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := ar.GetRaw(in[0].Shape()...)
-	out.CopyFrom(in[0])
-	for _, x := range in[1:] {
-		tensor.AXPY(out, 1, x)
-	}
-	return out, nil
-}
-
-// BackwardArena implements graph.ArenaBackwardOp: every gin entry
-// aliases gradOut; the executor copies the aliases it cannot adopt.
-func (a *Add) BackwardArena(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+// Every gin entry aliases gradOut, matching the storage-sharing
+// optimization; the executor copies the aliases it cannot adopt.
+func (a *Add) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	for i := range gin {
 		gin[i] = gradOut
 	}
@@ -110,37 +90,38 @@ func (e *ExtractPatch) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{s.N(), s.C(), e.H1 - e.H0, e.W1 - e.W0}, nil
 }
 
-// Forward implements graph.Op.
-func (e *ExtractPatch) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x := in[0]
-	s := x.Shape()
-	n, c, h, w := s.N(), s.C(), s.H(), s.W()
-	ph, pw := e.H1-e.H0, e.W1-e.W0
-	out := tensor.New(n, c, ph, pw)
-	for nc := 0; nc < n*c; nc++ {
-		src := x.Data()[nc*h*w : (nc+1)*h*w]
-		dst := out.Data()[nc*ph*pw : (nc+1)*ph*pw]
+// copyWindow copies between a dense NCHW patch and the equally sized
+// window of canvas whose top-left corner is (h0, w0); toCanvas selects
+// the direction.
+func copyWindow(patch, canvas *tensor.Tensor, h0, w0 int, toCanvas bool) {
+	ps, cs := patch.Shape(), canvas.Shape()
+	ph, pw, h, w := ps.H(), ps.W(), cs.H(), cs.W()
+	pd, cd := patch.Data(), canvas.Data()
+	for nc := 0; nc < ps.N()*ps.C(); nc++ {
 		for y := 0; y < ph; y++ {
-			copy(dst[y*pw:(y+1)*pw], src[(y+e.H0)*w+e.W0:(y+e.H0)*w+e.W1])
+			p := pd[(nc*ph+y)*pw : (nc*ph+y+1)*pw]
+			c := cd[(nc*h+h0+y)*w+w0 : (nc*h+h0+y)*w+w0+pw]
+			if toCanvas {
+				copy(c, p)
+			} else {
+				copy(p, c)
+			}
 		}
 	}
-	return out, s
 }
 
-// Backward implements graph.Op.
-func (e *ExtractPatch) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
-	n, c, h, w := s.N(), s.C(), s.H(), s.W()
-	ph, pw := e.H1-e.H0, e.W1-e.W0
-	gi := tensor.New(n, c, h, w)
-	for nc := 0; nc < n*c; nc++ {
-		src := gradOut.Data()[nc*ph*pw : (nc+1)*ph*pw]
-		dst := gi.Data()[nc*h*w : (nc+1)*h*w]
-		for y := 0; y < ph; y++ {
-			copy(dst[(y+e.H0)*w+e.W0:(y+e.H0)*w+e.W1], src[y*pw:(y+1)*pw])
-		}
-	}
-	return []*tensor.Tensor{gi}
+// ForwardInto implements graph.Op.
+func (e *ExtractPatch) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	copyWindow(dst, in[0], e.H0, e.W0, false)
+	return nil
+}
+
+// Backward implements graph.Op: the patch gradient lands in a zero
+// canvas of the input's shape.
+func (e *ExtractPatch) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+	gi := a.Get(inShapes[0]...)
+	copyWindow(gradOut, gi, e.H0, e.W0, true)
+	gin[0] = gi
 }
 
 // NeedsInput implements graph.Op.
@@ -199,39 +180,32 @@ func (c *ConcatPatches) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{n, ch, totalH, totalW}, nil
 }
 
-type concatStash struct {
-	hStarts, wStarts []int
+// ForwardInto implements graph.Op: every patch is copied once, straight
+// to its place in dst.
+func (c *ConcatPatches) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
+	for i, h0 := 0, 0; i < c.NH; i++ {
+		for j, w0 := 0, 0; j < c.NW; j++ {
+			p := in[i*c.NW+j]
+			copyWindow(p, dst, h0, w0, true)
+			w0 += p.Shape().W()
+		}
+		h0 += in[i*c.NW].Shape().H()
+	}
+	return nil
 }
 
-// Forward implements graph.Op. The stash records where the patch
-// boundaries fell so the backward pass can split the gradient.
-func (c *ConcatPatches) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	st := &concatStash{hStarts: make([]int, c.NH), wStarts: make([]int, c.NW)}
-	for i, off := 0, 0; i < c.NH; i++ {
-		st.hStarts[i] = off
-		off += in[i*c.NW].Shape().H()
+// Backward implements graph.Op: split the gradient back into patches
+// along the boundaries the input shapes record.
+func (c *ConcatPatches) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+	for i, h0 := 0, 0; i < c.NH; i++ {
+		for j, w0 := 0, 0; j < c.NW; j++ {
+			k := i*c.NW + j
+			gin[k] = a.GetRaw(inShapes[k]...)
+			copyWindow(gin[k], gradOut, h0, w0, false)
+			w0 += inShapes[k].W()
+		}
+		h0 += inShapes[i*c.NW].H()
 	}
-	for j, off := 0, 0; j < c.NW; j++ {
-		st.wStarts[j] = off
-		off += in[j].Shape().W()
-	}
-	rows := make([]*tensor.Tensor, c.NH)
-	for i := 0; i < c.NH; i++ {
-		rows[i] = tensor.ConcatSpatial(in[i*c.NW:(i+1)*c.NW], tensor.DimW)
-	}
-	return tensor.ConcatSpatial(rows, tensor.DimH), st
-}
-
-// Backward implements graph.Op: split the gradient back into patches.
-func (c *ConcatPatches) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	st := stash.(*concatStash)
-	hStarts, wStarts := st.hStarts, st.wStarts
-	rows := tensor.SplitSpatial(gradOut, tensor.DimH, hStarts)
-	out := make([]*tensor.Tensor, 0, c.NH*c.NW)
-	for _, r := range rows {
-		out = append(out, tensor.SplitSpatial(r, tensor.DimW, wStarts)...)
-	}
-	return out
 }
 
 // NeedsInput implements graph.Op.

@@ -62,7 +62,7 @@ func relErrData(got, want []float32) float64 {
 // TestTunedDispatchOnSplitGraphShapes is the satellite property test:
 // for every convolution site of a split graph (per-patch shapes with
 // asymmetric halo padding) and every algorithm the tuner may install,
-// dispatching through nn.Conv.Forward matches tensor.Conv2D —
+// dispatching through nn.Conv.ForwardInto matches tensor.Conv2DInto —
 // bit-identically for the im2col plan, within fp32 noise for
 // Winograd/direct, and within the pinned FFTConvTolerance for FFT.
 func TestTunedDispatchOnSplitGraphShapes(t *testing.T) {
@@ -80,14 +80,19 @@ func TestTunedDispatchOnSplitGraphShapes(t *testing.T) {
 		x.RandNormal(rng, 1)
 		w.RandNormal(rng, 0.5)
 		b.RandNormal(rng, 0.1)
-		want := tensor.Conv2D(x, w, b, s.Params)
 		op := &nn.Conv{Params: s.Params, HasBias: true}
+		shape, err := op.OutShape([]tensor.Shape{x.Shape(), w.Shape(), b.Shape()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.New(shape...)
+		tensor.Conv2DInto(nil, want, x, w, b, s.Params)
 		for a := autotune.Algo(0); a < 4; a++ {
 			if !autotune.Applicable(a, s.Params, s.In, s.Cout) {
 				continue
 			}
 			autotune.Default.SetPlan(s.Key(), autotune.Decision{Algo: a})
-			got, _ := op.Forward([]*tensor.Tensor{x, w, b})
+			got := forward(t, nil, op, x, w, b).out
 			tol := 1e-5
 			switch a {
 			case autotune.Im2col:

@@ -44,7 +44,7 @@ func DefaultOptions() Options {
 }
 
 // Timer returns an hmms.Timer that measures each op by running its real
-// Forward implementation Repeats times on synthetic inputs.
+// ForwardInto implementation Repeats times on synthetic inputs.
 func Timer(opt Options) hmms.Timer {
 	if opt.Repeats <= 0 {
 		opt.Repeats = 20
@@ -69,12 +69,13 @@ func Timer(opt Options) hmms.Timer {
 			}
 			ins[i] = t
 		}
+		dst := tensor.New(n.Shape...)
 		// Warm-up once (allocation paths, caches), then time Repeats
 		// executions and divide — §4.3 verbatim.
-		n.Op.Forward(ins)
+		n.Op.ForwardInto(nil, dst, ins)
 		start := time.Now()
 		for r := 0; r < opt.Repeats; r++ {
-			n.Op.Forward(ins)
+			n.Op.ForwardInto(nil, dst, ins)
 		}
 		fwd := time.Since(start).Seconds() / float64(opt.Repeats) * opt.Scale
 		factor := 1.0

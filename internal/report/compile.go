@@ -73,7 +73,6 @@ func CompileReport(title string, prog *graph.CompiledProgram) (*Data, int64, err
 			{"no-reuse baseline", HumanBytes(float64(st.NoReuseBytes))},
 			{"reuse saving", fmt.Sprintf("%.1f%%", 100*(1-float64(st.SlabBytes)/float64(max64(st.NoReuseBytes, 1))))},
 			{"storages", fmt.Sprint(len(storages))},
-			{"fallback steps", fmt.Sprint(st.Fallbacks)},
 		},
 		Charts: []Chart{{
 			Title: "activation slab",

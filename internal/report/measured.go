@@ -57,7 +57,7 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 			{Name: "scratch", Points: scratchPts},
 		},
 	}
-	subtitle := fmt.Sprintf("%d steps · %d passes · interpreted path (no static plan)",
+	subtitle := fmt.Sprintf("%d steps · %d passes · no static plan",
 		len(tl.Samples), tl.Passes)
 	if tl.PlannedSlabBytes > 0 {
 		if err := tl.CheckAgainstPlan(); err != nil {

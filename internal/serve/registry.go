@@ -1,11 +1,11 @@
 // Package serve is the inference-serving subsystem: a model registry
-// that instantiates architectures behind warmed arena executors, a
+// that instantiates architectures behind warmed compiled programs, a
 // dynamic micro-batching scheduler that coalesces concurrent
 // single-image requests, and an HTTP front end with admission control,
 // per-request deadlines, graceful draining and a metrics surface.
 //
-// The serving path runs the graph executor in inference mode
-// (graph.SetTraining(false)): dropout is the identity and batch
+// The serving path runs graph.Compile's static program in inference
+// mode (graph.SetTraining(false)): dropout is the identity and batch
 // normalization uses the running statistics restored from a weight
 // snapshot. Because every op is then per-sample independent and the
 // kernels reduce in a batch-position-invariant order, a request's
@@ -51,14 +51,9 @@ type Spec struct {
 	// MaxBatch is the executor batch size and the batcher's coalescing
 	// cap (default 8).
 	MaxBatch int
-	// Compiled serves through graph.Compile's static program instead of
-	// the interpreted arena executor: inference rewrites (fused
-	// conv+bias+ReLU passes, elided dropout) plus a fixed-offset memory
-	// plan in one pre-sized slab. Logits are bit-identical either way.
-	Compiled bool
 	// Tune runs the convolution autotuner over the model's conv sites
-	// before the executor is built, so every serving forward dispatches
-	// to the measured-fastest backend per shape and the (compiled)
+	// before the program is compiled, so every serving forward
+	// dispatches to the measured-fastest backend per shape and the
 	// memory plan is sized for the algorithms that actually run.
 	// Concurrent loads of the same geometry share one measurement
 	// (the tuner singleflights per shape).
@@ -70,7 +65,9 @@ type Spec struct {
 }
 
 // Instance is one servable model: an inference-mode graph at the
-// serving batch size, its parameters, and a warmed arena executor.
+// serving batch size lowered to a compiled program (inference rewrites
+// plus a fixed-offset memory plan in one pre-sized slab), and its
+// parameters.
 // Run is not safe for concurrent use — the batcher's dispatcher is the
 // sole caller.
 type Instance struct {
@@ -79,37 +76,24 @@ type Instance struct {
 	C, H, W  int
 	MaxBatch int
 
-	ex     *graph.Executor
-	prog   *graph.CompiledProgram // non-nil when Spec.Compiled
-	logits *graph.Node
+	prog   *graph.CompiledProgram
 	batchX *tensor.Tensor
 	labels *tensor.Tensor
 	feeds  graph.Feeds
 	out    [][]float32 // reused per-slot output buffers
 
-	// Mem collects the measured memory timeline: per-step slab/arena
-	// occupancy on the compiled path, per-op arena occupancy on the
-	// interpreted one.
+	// Mem collects the measured memory timeline: per-step slab and
+	// scratch-arena occupancy.
 	Mem *memobs.Collector
 }
 
 // ImageLen returns the expected flattened image length (C*H*W).
 func (in *Instance) ImageLen() int { return in.C * in.H * in.W }
 
-// ArenaStats snapshots the instance's executor arena counters, for the
-// server's aggregate arena.* occupancy gauges. A compiled instance
-// reports its kernel-scratch arena — activations live in the static
-// slab and never touch an arena.
-func (in *Instance) ArenaStats() tensor.ArenaStats {
-	if in.prog != nil {
-		return in.prog.Arena().Stats()
-	}
-	return in.ex.Arena().Stats()
-}
-
-// Compiled reports whether the instance serves through the compiled
-// static program.
-func (in *Instance) Compiled() bool { return in.prog != nil }
+// ArenaStats snapshots the instance's kernel-scratch arena counters,
+// for the server's aggregate arena.* occupancy gauges — activations
+// live in the static slab and never touch an arena.
+func (in *Instance) ArenaStats() tensor.ArenaStats { return in.prog.Arena().Stats() }
 
 // Materialize builds the inference-mode model described by spec —
 // graph construction, weight initialization (or snapshot restore),
@@ -159,7 +143,7 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 	m.Graph.SetTraining(false)
 	m.Graph.SetOutput(m.Logits)
 
-	// Autotune before the executor/compile step: graph.Compile sizes
+	// Autotune before the compile step: graph.Compile sizes
 	// each conv's workspace from the plan that will actually dispatch,
 	// and the warmup forward below then runs the tuned kernels.
 	if spec.Tune {
@@ -179,9 +163,9 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 }
 
 // Load builds the instance described by spec: construct the graph,
-// initialize (or restore) the weights, flip to inference mode, and warm
-// the arena with one full-batch forward pass so steady-state serving
-// allocates nothing.
+// initialize (or restore) the weights, flip to inference mode, compile,
+// and warm the scratch arena with one forward pass so steady-state
+// serving allocates nothing.
 func Load(spec Spec) (*Instance, error) {
 	maxBatch := spec.MaxBatch
 	if maxBatch <= 0 {
@@ -192,16 +176,7 @@ func Load(spec Spec) (*Instance, error) {
 		return nil, err
 	}
 
-	var ex *graph.Executor
-	var prog *graph.CompiledProgram
-	if spec.Compiled {
-		prog, err = graph.Compile(m.Graph, store, graph.CompileOptions{})
-	} else {
-		ex, err = graph.NewExecutor(m.Graph, store)
-		if err == nil {
-			ex.UseArena(tensor.NewArena())
-		}
-	}
+	prog, err := graph.Compile(m.Graph, store, graph.CompileOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("serve: load %q: %w", spec.Name, err)
 	}
@@ -214,24 +189,18 @@ func Load(spec Spec) (*Instance, error) {
 		H:        s.H(),
 		W:        s.W(),
 		MaxBatch: maxBatch,
-		ex:       ex,
 		prog:     prog,
-		logits:   m.Graph.Outputs[0],
+		Mem:      memobs.AttachCompiled(prog),
 		batchX:   tensor.New(maxBatch, s.C(), s.H(), s.W()),
 		labels:   tensor.New(maxBatch),
 		out:      make([][]float32, maxBatch),
 	}
 	inst.feeds = graph.Feeds{"image": inst.batchX, "labels": inst.labels}
-	if prog != nil {
-		inst.Mem = memobs.AttachCompiled(prog)
-	} else {
-		inst.Mem = memobs.AttachExecutor(ex)
-	}
 	for i := range inst.out {
 		inst.out[i] = make([]float32, m.Classes)
 	}
-	// Warm the arena: the first forward populates the pool; every later
-	// batch recycles through it.
+	// Warm the scratch arena: the first forward populates the pool;
+	// every later batch recycles through it.
 	if _, err := inst.Run(make([][]float32, 1)); err != nil {
 		return nil, fmt.Errorf("serve: warmup %q: %w", spec.Name, err)
 	}
@@ -259,20 +228,9 @@ func (in *Instance) Run(imgs [][]float32) ([][]float32, error) {
 			clear(dst)
 		}
 	}
-	var outs []*tensor.Tensor
-	var err error
-	if in.prog != nil {
-		outs, err = in.prog.Forward(in.feeds)
-	} else {
-		outs, err = in.ex.Forward(in.feeds)
-	}
+	outs, err := in.prog.Forward(in.feeds)
 	if err != nil {
 		return nil, err
-	}
-	if in.prog == nil && in.Mem != nil {
-		// The compiled collector closes its pass on the final step hook;
-		// the interpreted one has no step count and is flushed here.
-		in.Mem.FlushPass()
 	}
 	ld := outs[0].Data()
 	res := in.out[:len(imgs)]

@@ -1,121 +1,71 @@
 package serve_test
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"sync"
 	"testing"
-	"time"
 
+	"splitcnn/internal/graph"
+	"splitcnn/internal/models"
 	"splitcnn/internal/serve"
-	"splitcnn/internal/trace"
+	"splitcnn/internal/tensor"
 )
 
-// TestServeCompiledEndToEnd serves through the compiled static program
-// (Spec.Compiled) under 64 concurrent clients and checks every response
-// is bit-identical to a single-request forward of the *interpreted*
-// reference instance restored from the same snapshot — the compiled
-// path must be invisible to callers. Runs under -race in `make race`,
-// which also exercises the dispatcher/program handoff.
-func TestServeCompiledEndToEnd(t *testing.T) {
-	snap := writeFixtureSnapshot(t)
-	reg, err := serve.NewRegistry(serve.Spec{
-		Name: "tiny", ModelText: modelText, Snapshot: snap, MaxBatch: 8, Compiled: true,
-	})
-	if err != nil {
-		t.Fatalf("registry: %v", err)
-	}
-	if inst, _ := reg.Lookup("tiny"); !inst.Compiled() {
-		t.Fatal("instance did not take the compiled path")
-	}
-	srv := serve.NewServer(reg, serve.Options{
-		MaxDelay:       20 * time.Millisecond,
-		QueueDepth:     128,
-		RequestTimeout: 30 * time.Second,
-		Metrics:        trace.NewMetrics(),
-	})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	base := "http://" + addr.String()
-
-	// The reference deliberately stays on the interpreted executor:
-	// matching it bit for bit is the whole point of the test.
-	ref, err := serve.Load(serve.Spec{
-		Name: "ref", ModelText: modelText, Snapshot: snap, MaxBatch: 1,
-	})
-	if err != nil {
-		t.Fatalf("reference instance: %v", err)
-	}
-	imageLen := ref.ImageLen()
-
-	const n = 64
-	got := make([]serve.PredictResponse, n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(serve.PredictRequest{Model: "tiny", Image: testImage(i, imageLen)})
-			<-start
-			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+// TestInstanceMatchesExecutor pins the one serving route — the compiled
+// static program behind Instance.Run — to the reference: for every
+// bundled architecture, at batch 1 and at MaxBatch, the logits equal
+// graph.Executor.Forward over the same materialized model bit for bit.
+// (TestServeEndToEnd then ties the HTTP/batching surface to
+// Instance.Run.)
+func TestInstanceMatchesExecutor(t *testing.T) {
+	for _, arch := range models.Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			hw := 32
+			if arch == "alexnet" {
+				hw = 64 // alexnet's pool stack needs a larger input
+			}
+			spec := serve.Spec{
+				Name: arch, Arch: arch, MaxBatch: 4,
+				Model: models.Config{Classes: 10, InputC: 3, InputH: hw, InputW: hw, WidthDiv: 16, BatchNorm: true},
+			}
+			inst, err := serve.Load(spec)
 			if err != nil {
-				errs <- fmt.Errorf("request %d: %w", i, err)
-				return
+				t.Fatalf("load: %v", err)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d", i, resp.StatusCode)
-				return
+			m, store, err := serve.Materialize(spec)
+			if err != nil {
+				t.Fatalf("materialize: %v", err)
 			}
-			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
-				errs <- fmt.Errorf("request %d: decode: %w", i, err)
+			ex, err := graph.NewExecutor(m.Graph, store)
+			if err != nil {
+				t.Fatalf("executor: %v", err)
 			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	coalesced := 0
-	for i := 0; i < n; i++ {
-		want, err := ref.Run([][]float32{testImage(i, imageLen)})
-		if err != nil {
-			t.Fatalf("reference forward %d: %v", i, err)
-		}
-		if len(got[i].Logits) != len(want[0]) {
-			t.Fatalf("request %d: %d logits, want %d", i, len(got[i].Logits), len(want[0]))
-		}
-		for j := range want[0] {
-			if got[i].Logits[j] != want[0][j] {
-				t.Errorf("request %d logit %d = %v, want interpreted-identical %v (batch size %d)",
-					i, j, got[i].Logits[j], want[0][j], got[i].BatchSize)
+			x := tensor.New(spec.MaxBatch, 3, hw, hw)
+			feeds := graph.Feeds{"image": x, "labels": tensor.New(spec.MaxBatch)}
+			for _, n := range []int{1, spec.MaxBatch} {
+				// Run zero-pads a short batch to MaxBatch; feed the
+				// executor the same padded batch.
+				x.Zero()
+				imgs := make([][]float32, n)
+				for i := range imgs {
+					imgs[i] = testImage(i, inst.ImageLen())
+					copy(x.Data()[i*inst.ImageLen():], imgs[i])
+				}
+				got, err := inst.Run(imgs)
+				if err != nil {
+					t.Fatalf("run batch %d: %v", n, err)
+				}
+				outs, err := ex.Forward(feeds)
+				if err != nil {
+					t.Fatalf("executor batch %d: %v", n, err)
+				}
+				want := outs[0].Data()
+				for i := range got {
+					for j, v := range got[i] {
+						if w := want[i*inst.Classes+j]; v != w {
+							t.Fatalf("batch %d image %d logit %d = %v, want executor-identical %v", n, i, j, v, w)
+						}
+					}
+				}
 			}
-		}
-		if got[i].BatchSize > 1 {
-			coalesced++
-		}
-	}
-	if coalesced == 0 {
-		t.Error("no request was coalesced into a batch > 1 across 64 concurrent requests")
-	}
-
-	// The burst can leave a spare pooled connection that never carried a
-	// request; the server sees it in StateNew and Shutdown only reaps
-	// idle conns. Close the client side so the drain is deterministic.
-	http.DefaultClient.CloseIdleConnections()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
+		})
 	}
 }

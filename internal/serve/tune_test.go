@@ -45,7 +45,6 @@ func TestConcurrentTunedLoads(t *testing.T) {
 			spec := serve.Spec{
 				Name: "tuned", ModelText: modelText, Snapshot: snap,
 				MaxBatch: 2, Tune: true, TuneCache: cache,
-				Compiled: i%2 == 1, // mix compiled and interpreted loads
 			}
 			insts[i], errs[i] = serve.Load(spec)
 		}(i)

@@ -61,13 +61,10 @@ func (p ConvParams) oxRange(kx, w, ow int) (oxLo, oxHi int) {
 	return oxLo, oxHi
 }
 
-// Im2Col lowers the convolution windows of x into a matrix of shape
-// [C*KH*KW, N*OH*OW] so that convolution becomes a matrix multiply.
+// Im2ColArena lowers the convolution windows of x into a matrix of
+// shape [C*KH*KW, N*OH*OW], drawn from the arena (nil falls back to
+// plain allocation), so that convolution becomes a matrix multiply.
 // Out-of-bounds (padding) positions contribute zeros.
-func Im2Col(x *Tensor, p ConvParams) *Tensor { return Im2ColArena(nil, x, p) }
-
-// Im2ColArena is Im2Col with the output drawn from an arena (nil falls
-// back to plain allocation).
 func Im2ColArena(a *Arena, x *Tensor, p ConvParams) *Tensor {
 	n, c, h, w, oh, ow := p.check(x)
 	col := a.GetRaw(c*p.KH*p.KW, n*oh*ow)
@@ -123,13 +120,9 @@ func im2colRows(t im2colArgs, lo, hi int) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters (accumulates) a
-// [C*KH*KW, N*OH*OW] matrix back into an [N,C,H,W] tensor.
-func Col2Im(col *Tensor, p ConvParams, n, c, h, w int) *Tensor {
-	return Col2ImArena(nil, col, p, n, c, h, w)
-}
-
-// Col2ImArena is Col2Im with the output drawn from an arena.
+// Col2ImArena is the adjoint of Im2ColArena: it scatters (accumulates)
+// a [C*KH*KW, N*OH*OW] matrix back into an [N,C,H,W] tensor drawn from
+// the arena.
 func Col2ImArena(a *Arena, col *Tensor, p ConvParams, n, c, h, w int) *Tensor {
 	oh, ow := p.OutSize(h, w)
 	cols := n * oh * ow
@@ -192,34 +185,17 @@ func col2imChans(t col2imArgs, lo, hi int) {
 	}
 }
 
-// Conv2D computes a 2-D convolution. x is [N,Cin,H,W], weight is
-// [Cout,Cin,KH,KW], bias (may be nil) is [Cout]; the result is
-// [N,Cout,OH,OW]. Internally it lowers to Im2Col + MatMul, the same
-// algorithmic shape cuDNN's IMPLICIT_GEMM uses.
-func Conv2D(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	return Conv2DArena(nil, x, weight, bias, p)
-}
-
-// Conv2DArena is Conv2D with every intermediate (im2col matrix, GEMM
-// product) and the output drawn from an arena, so repeated calls reuse
-// one warm working set.
-func Conv2DArena(a *Arena, x, weight, bias *Tensor, p ConvParams) *Tensor {
-	n, _, _, _, oh, ow := p.check(x)
-	out := a.GetRaw(n, weight.shape[0], oh, ow)
-	Conv2DInto(a, out, x, weight, bias, p)
-	return out
-}
-
-// Conv2DInto computes the convolution into a caller-supplied dst of
-// shape [N,Cout,OH,OW] — the entry point of the compiled executor,
-// whose static memory plan fixes every output's address ahead of time.
-// Scratch (the im2col matrix and the GEMM product) still cycles through
-// the arena. dst must not alias x.
+// Conv2DInto computes a 2-D convolution into a caller-supplied dst. x
+// is [N,Cin,H,W], weight is [Cout,Cin,KH,KW], bias (may be nil) is
+// [Cout]; dst is [N,Cout,OH,OW]. Internally it lowers to im2col + GEMM,
+// the same algorithmic shape cuDNN's IMPLICIT_GEMM uses; that scratch
+// (the im2col matrix and the GEMM product) cycles through the arena.
+// dst must not alias x.
 func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	n, cin, _, _, oh, ow := p.check(x)
 	cout := weight.shape[0]
 	if !weight.shape.Equal(Shape{cout, cin, p.KH, p.KW}) {
-		panic(fmt.Sprintf("tensor.Conv2D: weight %v incompatible with input %v and %+v", weight.shape, x.shape, p))
+		panic(fmt.Sprintf("tensor.Conv2DInto: weight %v incompatible with input %v and %+v", weight.shape, x.shape, p))
 	}
 	if len(dst.data) != n*cout*oh*ow {
 		panic(fmt.Sprintf("tensor.Conv2DInto: dst %v, want %d elements", dst.shape, n*cout*oh*ow))
@@ -263,16 +239,11 @@ func convToNCHW(t convNCHWArgs, lo, hi int) {
 	}
 }
 
-// Conv2DBackward computes the gradients of a Conv2D call. gradOut is
-// [N,Cout,OH,OW]. It returns gradX ([N,Cin,H,W]) and accumulates into
-// gradW and gradB (gradB may be nil when the convolution has no bias).
-// needGradX can be false for the first layer to skip the col2im pass.
-func Conv2DBackward(x, weight *Tensor, gradOut *Tensor, p ConvParams, gradW, gradB *Tensor, needGradX bool) *Tensor {
-	return Conv2DBackwardArena(nil, x, weight, gradOut, p, gradW, gradB, needGradX)
-}
-
-// Conv2DBackwardArena is Conv2DBackward with all scratch and the
-// returned gradient drawn from an arena.
+// Conv2DBackwardArena computes the gradients of a convolution. gradOut
+// is [N,Cout,OH,OW]. It returns gradX ([N,Cin,H,W]) and accumulates
+// into gradW and gradB (gradB may be nil when the convolution has no
+// bias). needGradX can be false for the first layer to skip the col2im
+// pass. All scratch and the returned gradient come from the arena.
 func Conv2DBackwardArena(a *Arena, x, weight *Tensor, gradOut *Tensor, p ConvParams, gradW, gradB *Tensor, needGradX bool) *Tensor {
 	n, cin, h, w, oh, ow := p.check(x)
 	cout := weight.shape[0]

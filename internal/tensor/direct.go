@@ -13,25 +13,11 @@ import "fmt"
 //   - tiny problems where the im2col matrix + product traffic costs
 //     more than the naive loop nest (deep split patches).
 
-// Conv2DDirect computes the same result as Conv2D by direct
-// accumulation over the kernel window.
-func Conv2DDirect(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	return Conv2DDirectArena(nil, x, weight, bias, p)
-}
-
-// Conv2DDirectArena is Conv2DDirect with the output drawn from an
-// arena.
-func Conv2DDirectArena(a *Arena, x, weight, bias *Tensor, p ConvParams) *Tensor {
-	n, _, _, _, oh, ow := p.check(x)
-	out := a.GetRaw(n, weight.shape[0], oh, ow)
-	Conv2DDirectInto(out, x, weight, bias, p)
-	return out
-}
-
-// Conv2DDirectInto computes the direct convolution into a
-// caller-supplied dst of shape [N,Cout,OH,OW]. dst must not alias x.
+// Conv2DDirectInto computes the convolution by direct accumulation over
+// the kernel window into a caller-supplied dst of shape
+// [N,Cout,OH,OW]. dst must not alias x.
 // Bit-exactness: the 1x1 stride-1 unpadded case runs through the same
-// blocked GEMM as Conv2D and matches it bit-for-bit; the general loop
+// blocked GEMM as Conv2DInto and matches it bit-for-bit; the general loop
 // nest accumulates in the same (ci, ky, kx) order as im2col+GEMM's
 // k-dimension, so it also matches bit-for-bit at GEMM's blocking
 // granularity — the autotune property test asserts this empirically.

@@ -33,7 +33,7 @@ import (
 )
 
 // FFTConvTolerance is the pinned accuracy contract of the FFT backend:
-// the maximum |Conv2DFFT − Conv2D| over any layer, relative to the
+// the maximum |Conv2DFFTInto − Conv2DInto| over any layer, relative to the
 // largest output magnitude of that layer. Exactness tests in this
 // package and the autotune property sweep assert it; observed error on
 // randomized sweeps is ~25x below this bound (forward + inverse
@@ -215,27 +215,11 @@ func irfft2(tile, f []float32, ph, pw, pwh int, rowPlan, colPlan *fftPlan, z []f
 	}
 }
 
-// Conv2DFFT computes the same result as Conv2D (within
-// FFTConvTolerance) for a stride-1 convolution via frequency-domain
-// cross-correlation.
-func Conv2DFFT(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	return Conv2DFFTArena(nil, x, weight, bias, p)
-}
-
-// Conv2DFFTArena is Conv2DFFT with the output drawn from an arena; the
-// spectra and per-worker tiles come from the kernel-internal scratch
-// pool either way.
-func Conv2DFFTArena(a *Arena, x, weight, bias *Tensor, p ConvParams) *Tensor {
-	n, _, _, _, oh, ow := p.check(x)
-	out := a.GetRaw(n, weight.shape[0], oh, ow)
-	Conv2DFFTInto(out, x, weight, bias, p)
-	return out
-}
-
-// Conv2DFFTInto computes the FFT convolution into a caller-supplied
-// dst of shape [N,Cout,OH,OW] (the compiled executor's fixed-offset
-// entry point). All workspace cycles through the scratch pool, so a
-// warmed-up loop allocates nothing. dst must not alias x.
+// Conv2DFFTInto computes a stride-1 convolution via frequency-domain
+// cross-correlation into a caller-supplied dst of shape [N,Cout,OH,OW];
+// the result equals Conv2DInto's within FFTConvTolerance. All workspace
+// cycles through the scratch pool, so a warmed-up loop allocates
+// nothing. dst must not alias x.
 func Conv2DFFTInto(dst, x, weight, bias *Tensor, p ConvParams) {
 	if !FFTConvApplies(p) {
 		panic("tensor.Conv2DFFT: geometry not supported (stride must be 1)")

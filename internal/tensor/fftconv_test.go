@@ -33,7 +33,7 @@ func TestConv2DFFTPanicsOnStride(t *testing.T) {
 		}
 	}()
 	p := ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: Symmetric(1)}
-	Conv2DFFT(New(1, 1, 8, 8), New(1, 1, 3, 3), nil, p)
+	conv2DFFT(New(1, 1, 8, 8), New(1, 1, 3, 3), nil, p)
 }
 
 // TestRFFT2RoundTrip checks the real 2-D transform pair directly:
@@ -105,8 +105,8 @@ func TestFFTConvMatchesIm2Col(t *testing.T) {
 		x.RandNormal(rng, 1)
 		w.RandNormal(rng, 0.5)
 		bias.RandNormal(rng, 0.1)
-		want := Conv2D(x, w, bias, p)
-		got := Conv2DFFT(x, w, bias, p)
+		want := conv2D(x, w, bias, p)
+		got := conv2DFFT(x, w, bias, p)
 		if !got.Shape().Equal(want.Shape()) {
 			t.Fatalf("case %d: shape %v vs %v", i, got.Shape(), want.Shape())
 		}
@@ -134,8 +134,8 @@ func TestFFTConvQuickEquivalence(t *testing.T) {
 		wt := New(cout, cin, kh, kw)
 		x.RandNormal(rng, 1)
 		wt.RandNormal(rng, 0.5)
-		want := Conv2D(x, wt, nil, p)
-		got := Conv2DFFT(x, wt, nil, p)
+		want := conv2D(x, wt, nil, p)
+		got := conv2DFFT(x, wt, nil, p)
 		if e := relErr(got, want); e > FFTConvTolerance {
 			t.Fatalf("seed %d (%dx%dx%dx%d k%dx%d pad%+v): error %v > %v",
 				seed, n, cin, h, w, kh, kw, pad, e, FFTConvTolerance)
@@ -163,8 +163,8 @@ func TestDirectConvMatchesIm2Col(t *testing.T) {
 		x.RandNormal(rng, 1)
 		w.RandNormal(rng, 0.5)
 		bias.RandNormal(rng, 0.1)
-		want := Conv2D(x, w, bias, p)
-		got := Conv2DDirect(x, w, bias, p)
+		want := conv2D(x, w, bias, p)
+		got := conv2DDirect(x, w, bias, p)
 		if !got.Shape().Equal(want.Shape()) {
 			t.Fatalf("case %d: shape %v vs %v", i, got.Shape(), want.Shape())
 		}

@@ -2,37 +2,14 @@ package tensor
 
 import "math"
 
-// MaxPool2D computes a max pooling over x with the given window
-// parameters. Padded positions are treated as -inf (they never win),
-// matching the convention of cuDNN and the major frameworks. It returns
-// the pooled tensor and the flat argmax index (into each input plane) of
-// every output element, which the backward pass consumes.
-func MaxPool2D(x *Tensor, p ConvParams) (*Tensor, []int32) {
-	out, arg := MaxPool2DArena(nil, x, p)
-	idx := make([]int32, arg.Elems())
-	for i, v := range arg.data {
-		idx[i] = int32(v)
-	}
-	return out, idx
-}
-
-// MaxPool2DArena is the arena-backed max pooling. The argmax indices
-// are returned as a float32 tensor (exact for plane sizes below 2^24,
-// far above any model here) so the executor can stash them without
-// boxing and recycle them like any other activation; -1 marks windows
-// that were entirely padding.
-func MaxPool2DArena(a *Arena, x *Tensor, p ConvParams) (out, arg *Tensor) {
-	n, c, _, _, oh, ow := p.check(x)
-	out = a.GetRaw(n, c, oh, ow)
-	arg = a.GetRaw(n, c, oh, ow)
-	MaxPool2DInto(out, arg, x, p)
-	return out, arg
-}
-
-// MaxPool2DInto computes the max pooling into a caller-supplied out
-// (shape [N,C,OH,OW]). arg, when non-nil, receives the argmax indices
-// exactly as in MaxPool2DArena; the compiled forward-only path passes
-// nil and skips them.
+// MaxPool2DInto computes a max pooling over x into a caller-supplied
+// out of shape [N,C,OH,OW]. Padded positions are treated as -inf (they
+// never win), matching the convention of cuDNN and the major
+// frameworks. arg, when non-nil, receives the flat argmax index (into
+// each input plane) of every output element, which the backward pass
+// consumes; indices are stored as float32 (exact for plane sizes below
+// 2^24, far above any model here) so they recycle through an arena like
+// any activation, and -1 marks windows that were entirely padding.
 func MaxPool2DInto(out, arg, x *Tensor, p ConvParams) {
 	n, c, h, w, oh, ow := p.check(x)
 	if len(out.data) != n*c*oh*ow {
@@ -96,29 +73,8 @@ func maxPoolPlanes(t maxPoolArgs, lo, hi int) {
 	}
 }
 
-// MaxPool2DBackward scatters gradOut back to the argmax positions
-// recorded by MaxPool2D.
-func MaxPool2DBackward(gradOut *Tensor, arg []int32, p ConvParams, n, c, h, w int) *Tensor {
-	oh, ow := p.OutSize(h, w)
-	gradIn := New(n, c, h, w)
-	gd, gid := gradOut.data, gradIn.data
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := gd[nc*oh*ow : (nc+1)*oh*ow]
-			asrc := arg[nc*oh*ow : (nc+1)*oh*ow]
-			dst := gid[nc*h*w : (nc+1)*h*w]
-			for i, g := range src {
-				if ai := asrc[i]; ai >= 0 {
-					dst[ai] += g
-				}
-			}
-		}
-	})
-	return gradIn
-}
-
 // MaxPool2DBackwardArena scatters gradOut back to the argmax positions
-// recorded by MaxPool2DArena.
+// recorded by MaxPool2DInto.
 func MaxPool2DBackwardArena(a *Arena, gradOut, arg *Tensor, p ConvParams, n, c, h, w int) *Tensor {
 	oh, ow := p.OutSize(h, w)
 	gradIn := a.Get(n, c, h, w) // zeroed: scatter target
@@ -146,22 +102,10 @@ func maxPoolBwdPlanes(t maxPoolBwdArgs, lo, hi int) {
 	}
 }
 
-// AvgPool2D computes average pooling. Padded positions count as zeros
-// and the divisor is the full window size (count_include_pad), keeping
-// the operation linear, which simplifies its adjoint.
-func AvgPool2D(x *Tensor, p ConvParams) *Tensor { return AvgPool2DArena(nil, x, p) }
-
-// AvgPool2DArena is AvgPool2D with the output drawn from an arena.
-func AvgPool2DArena(a *Arena, x *Tensor, p ConvParams) *Tensor {
-	n, c, _, _, oh, ow := p.check(x)
-	out := a.GetRaw(n, c, oh, ow)
-	AvgPool2DInto(out, x, p)
-	return out
-}
-
-// AvgPool2DInto computes the average pooling into a caller-supplied
-// out of shape [N,C,OH,OW] (the compiled executor's fixed-offset entry
-// point).
+// AvgPool2DInto computes average pooling into a caller-supplied out of
+// shape [N,C,OH,OW]. Padded positions count as zeros and the divisor is
+// the full window size (count_include_pad), keeping the operation
+// linear, which simplifies its adjoint.
 func AvgPool2DInto(out, x *Tensor, p ConvParams) {
 	n, c, h, w, oh, ow := p.check(x)
 	if len(out.data) != n*c*oh*ow {
@@ -208,13 +152,8 @@ func avgPoolPlanes(t avgPoolArgs, lo, hi int) {
 	}
 }
 
-// AvgPool2DBackward computes the adjoint of AvgPool2D.
-func AvgPool2DBackward(gradOut *Tensor, p ConvParams, n, c, h, w int) *Tensor {
-	return AvgPool2DBackwardArena(nil, gradOut, p, n, c, h, w)
-}
-
-// AvgPool2DBackwardArena is AvgPool2DBackward with the output drawn
-// from an arena.
+// AvgPool2DBackwardArena computes the adjoint of AvgPool2DInto, drawn
+// from the arena.
 func AvgPool2DBackwardArena(a *Arena, gradOut *Tensor, p ConvParams, n, c, h, w int) *Tensor {
 	oh, ow := p.OutSize(h, w)
 	gradIn := a.Get(n, c, h, w) // zeroed: scatter target

@@ -70,7 +70,7 @@ func TestQuickConvOutputSize(t *testing.T) {
 		x.RandNormal(rng, 1)
 		wt := New(3, 2, k, k)
 		wt.RandNormal(rng, 1)
-		out := Conv2D(x, wt, nil, p)
+		out := conv2D(x, wt, nil, p)
 		return out.Shape().Equal(Shape{1, 3, oh, ow})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -88,10 +88,10 @@ func TestNegativeCropConvMatchesManualCrop(t *testing.T) {
 	w.RandNormal(rng, 1)
 	// Crop one row at top via Pad.Top = -1.
 	p := ConvParams{KH: 1, KW: 1, SH: 1, SW: 1, Pad: Pad2D{Top: -1}}
-	got := Conv2D(x, w, nil, p)
+	got := conv2D(x, w, nil, p)
 	// Manual: slice rows 1..8 then conv without padding.
 	parts := SplitSpatial(x, DimH, []int{0, 1})
-	want := Conv2D(parts[1], w, nil, ConvParams{KH: 1, KW: 1, SH: 1, SW: 1})
+	want := conv2D(parts[1], w, nil, ConvParams{KH: 1, KW: 1, SH: 1, SW: 1})
 	if !got.Shape().Equal(want.Shape()) {
 		t.Fatalf("shape %v vs %v", got.Shape(), want.Shape())
 	}
@@ -138,11 +138,11 @@ func TestQuickPoolGradientMassConservation(t *testing.T) {
 		x := New(2, 2, h, w)
 		x.RandNormal(rng, 1)
 		p := ConvParams{KH: k, KW: k, SH: k, SW: k}
-		_, arg := MaxPool2D(x, p)
+		_, arg := maxPool2D(x, p)
 		oh, ow := p.OutSize(h, w)
 		g := New(2, 2, oh, ow)
 		g.RandNormal(rng, 1)
-		gi := MaxPool2DBackward(g, arg, p, 2, 2, h, w)
+		gi := MaxPool2DBackwardArena(nil, g, arg, p, 2, 2, h, w)
 		diff := gi.Sum() - g.Sum()
 		return diff < 1e-3 && diff > -1e-3
 	}

@@ -289,7 +289,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		w.RandNormal(rng, 0.5)
 		bias.RandNormal(rng, 0.1)
 		want := conv2DNaive(x, w, bias, c.p)
-		got := Conv2D(x, w, bias, c.p)
+		got := conv2D(x, w, bias, c.p)
 		if !got.Shape().Equal(want.Shape()) {
 			t.Fatalf("case %d: shape %v want %v", i, got.Shape(), want.Shape())
 		}
@@ -311,14 +311,14 @@ func TestConv2DBackwardNumeric(t *testing.T) {
 	w.RandNormal(rng, 0.5)
 	b.RandNormal(rng, 0.1)
 
-	out := Conv2D(x, w, b, p)
+	out := conv2D(x, w, b, p)
 	gradOut := New(out.Shape()...)
 	gradOut.Fill(1) // loss = sum(out)
 	gw := New(w.Shape()...)
 	gb := New(b.Shape()...)
-	gx := Conv2DBackward(x, w, gradOut, p, gw, gb, true)
+	gx := Conv2DBackwardArena(nil, x, w, gradOut, p, gw, gb, true)
 
-	lossAt := func() float64 { return Conv2D(x, w, b, p).Sum() }
+	lossAt := func() float64 { return conv2D(x, w, b, p).Sum() }
 	const eps = 1e-2
 	check := func(name string, param, grad *Tensor, probes int) {
 		for i := 0; i < probes; i++ {
@@ -349,7 +349,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	p := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-	y, arg := MaxPool2D(x, p)
+	y, arg := maxPool2D(x, p)
 	want := []float32{6, 8, 14, 16}
 	for i, w := range want {
 		if y.Data()[i] != w {
@@ -357,7 +357,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 		}
 	}
 	g := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	gi := MaxPool2DBackward(g, arg, p, 1, 1, 4, 4)
+	gi := MaxPool2DBackwardArena(nil, g, arg, p, 1, 1, 4, 4)
 	if gi.At(0, 0, 1, 1) != 1 || gi.At(0, 0, 1, 3) != 2 || gi.At(0, 0, 3, 1) != 3 || gi.At(0, 0, 3, 3) != 4 {
 		t.Fatalf("maxpool backward wrong: %v", gi.Data())
 	}
@@ -369,7 +369,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 func TestMaxPoolPaddingIgnored(t *testing.T) {
 	x := FromSlice([]float32{-5, -6, -7, -8}, 1, 1, 2, 2)
 	p := ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: Symmetric(1)}
-	y, _ := MaxPool2D(x, p)
+	y, _ := maxPool2D(x, p)
 	// With -inf padding the max of all-negative input stays negative.
 	if y.At(0, 0, 0, 0) != -5 {
 		t.Fatalf("padding leaked into max: %v", y.Data())
@@ -382,12 +382,12 @@ func TestAvgPoolAndBackward(t *testing.T) {
 		3, 4,
 	}, 1, 1, 2, 2)
 	p := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-	y := AvgPool2D(x, p)
+	y := avgPool2D(x, p)
 	if y.At(0, 0, 0, 0) != 2.5 {
 		t.Fatalf("avgpool = %v", y.At(0, 0, 0, 0))
 	}
 	g := FromSlice([]float32{4}, 1, 1, 1, 1)
-	gi := AvgPool2DBackward(g, p, 1, 1, 2, 2)
+	gi := AvgPool2DBackwardArena(nil, g, p, 1, 1, 2, 2)
 	for i := 0; i < 4; i++ {
 		if gi.Data()[i] != 1 {
 			t.Fatalf("avgpool backward = %v", gi.Data())
@@ -448,14 +448,14 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	p := ConvParams{KH: 3, KW: 2, SH: 2, SW: 1, Pad: Pad2D{Top: 1, Bottom: 0, Left: 0, Right: 1}}
 	x := New(2, 2, 5, 4)
 	x.RandNormal(rng, 1)
-	cx := Im2Col(x, p)
+	cx := Im2ColArena(nil, x, p)
 	u := New(cx.Shape()...)
 	u.RandNormal(rng, 1)
 	lhs := 0.0
 	for i, v := range cx.Data() {
 		lhs += float64(v) * float64(u.Data()[i])
 	}
-	back := Col2Im(u, p, 2, 2, 5, 4)
+	back := Col2ImArena(nil, u, p, 2, 2, 5, 4)
 	rhs := 0.0
 	for i, v := range back.Data() {
 		rhs += float64(v) * float64(x.Data()[i])

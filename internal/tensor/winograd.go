@@ -22,25 +22,9 @@ func WinogradApplies(p ConvParams) bool {
 	return p.KH == 3 && p.KW == 3 && p.SH == 1 && p.SW == 1
 }
 
-// Conv2DWinograd computes the same result as Conv2D for a 3x3 stride-1
-// convolution using the F(2x2, 3x3) Winograd algorithm.
-func Conv2DWinograd(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	return Conv2DWinogradArena(nil, x, weight, bias, p)
-}
-
-// Conv2DWinogradArena is Conv2DWinograd with the output drawn from an
-// arena; the transformed-tile workspaces (U, V, M) come from the
-// kernel-internal scratch pool either way.
-func Conv2DWinogradArena(a *Arena, x, weight, bias *Tensor, p ConvParams) *Tensor {
-	n, _, _, _, oh, ow := p.check(x)
-	out := a.GetRaw(n, weight.shape[0], oh, ow)
-	Conv2DWinogradInto(out, x, weight, bias, p)
-	return out
-}
-
-// Conv2DWinogradInto computes the Winograd convolution into a
-// caller-supplied dst of shape [N,Cout,OH,OW] (the compiled executor's
-// fixed-offset entry point). The transformed-tile workspaces come from
+// Conv2DWinogradInto computes a 3x3 stride-1 convolution with the
+// F(2x2, 3x3) Winograd algorithm into a caller-supplied dst of shape
+// [N,Cout,OH,OW]. The transformed-tile workspaces (U, V, M) come from
 // the kernel-internal scratch pool. dst must not alias x.
 func Conv2DWinogradInto(dst, x, weight, bias *Tensor, p ConvParams) {
 	if !WinogradApplies(p) {

@@ -41,8 +41,8 @@ func TestWinogradMatchesIm2Col(t *testing.T) {
 		x.RandNormal(rng, 1)
 		w.RandNormal(rng, 0.5)
 		bias.RandNormal(rng, 0.1)
-		want := Conv2D(x, w, bias, p)
-		got := Conv2DWinograd(x, w, bias, p)
+		want := conv2D(x, w, bias, p)
+		got := conv2DWinograd(x, w, bias, p)
 		if !got.Shape().Equal(want.Shape()) {
 			t.Fatalf("case %d: shape %v vs %v", i, got.Shape(), want.Shape())
 		}
@@ -68,8 +68,8 @@ func TestWinogradQuickEquivalence(t *testing.T) {
 		wt := New(cout, cin, 3, 3)
 		x.RandNormal(rng, 1)
 		wt.RandNormal(rng, 0.5)
-		want := Conv2D(x, wt, nil, p)
-		got := Conv2DWinograd(x, wt, nil, p)
+		want := conv2D(x, wt, nil, p)
+		got := conv2DWinograd(x, wt, nil, p)
 		return MaxAbsDiff(got, want) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -101,7 +101,7 @@ func BenchmarkConvIm2Col3x3(b *testing.B) {
 	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: Symmetric(1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, nil, p)
+		conv2D(x, w, nil, p)
 	}
 }
 
@@ -114,6 +114,6 @@ func BenchmarkConvWinograd3x3(b *testing.B) {
 	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: Symmetric(1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DWinograd(x, w, nil, p)
+		conv2DWinograd(x, w, nil, p)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"splitcnn/internal/core"
 	"splitcnn/internal/graph"
+	"splitcnn/internal/models"
 	"splitcnn/internal/nn"
 	"splitcnn/internal/tensor"
 	"splitcnn/internal/train"
@@ -45,19 +47,58 @@ func buildAllocNet(batch int, rng, dropRng *rand.Rand) (*graph.Graph, *graph.Par
 	return g, store
 }
 
+// buildSplitVGG builds the paper's own training path, the train_sscnn
+// benchmark configuration: a mini VGG-19 with BatchNorm under a 2x2,
+// depth-0.5 core.Split — BatchNorm, ExtractPatch and ConcatPatches on
+// top of everything buildAllocNet touches. Dropout seeds derive from
+// graph positions, so two builds draw the same random stream.
+func buildSplitVGG(t *testing.T, batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore) {
+	t.Helper()
+	m, err := models.Build("vgg19", models.Config{
+		BatchSize: batch, Classes: 10, InputC: 3, InputH: 32, InputW: 32,
+		WidthDiv: 16, BatchNorm: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.Split(m.Graph, core.Config{Depth: 0.5, NH: 2, NW: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := graph.NewParamStore()
+	store.InitFromGraph(sr.Graph, rng, nn.KaimingInit)
+	return sr.Graph, store
+}
+
+// allocNets are the graphs the arena tests train.
+var allocNets = []struct {
+	name  string
+	build func(t *testing.T, batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore)
+}{
+	{"handbuilt", func(_ *testing.T, batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore) {
+		return buildAllocNet(batch, rng, rng)
+	}},
+	{"split-vgg19-bn", buildSplitVGG},
+}
+
 // TestTrainStepZeroAlloc is the regression guard for the workspace
 // arena: a warmed-up training step — batch assembly, zero-grads,
 // forward, backward, optimizer — must not allocate. Parallelism is
 // pinned to 1 because the parallel dispatch path allocates its small
 // task closure; the serial engine is the zero-alloc contract.
 func TestTrainStepZeroAlloc(t *testing.T) {
+	for _, net := range allocNets {
+		t.Run(net.name, func(t *testing.T) { testTrainStepZeroAlloc(t, net.build) })
+	}
+}
+
+func testTrainStepZeroAlloc(t *testing.T, build func(*testing.T, int, *rand.Rand) (*graph.Graph, *graph.ParamStore)) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
 
 	const batch = 8
 	ds := tinyDataset(t)
-	rng := rand.New(rand.NewSource(11))
-	g, store := buildAllocNet(batch, rng, rng)
+	g, store := build(t, batch, rand.New(rand.NewSource(11)))
 	ex, err := graph.NewExecutor(g, store)
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +141,22 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestArenaTrainingMatchesPlain pins the arena executor's numerics to
-// the plain one: identical graphs, parameters, and batches must produce
-// bit-identical losses and parameter values with and without an arena.
+// TestArenaTrainingMatchesPlain pins warmed-arena training to nil-arena
+// (heap) training: identical graphs, parameters, and batches must
+// produce bit-identical losses and parameter values whether the
+// executor's buffers are fresh or recycled.
 func TestArenaTrainingMatchesPlain(t *testing.T) {
+	for _, net := range allocNets {
+		t.Run(net.name, func(t *testing.T) { testArenaTrainingMatchesPlain(t, net.build) })
+	}
+}
+
+func testArenaTrainingMatchesPlain(t *testing.T, build func(*testing.T, int, *rand.Rand) (*graph.Graph, *graph.ParamStore)) {
 	const batch, steps = 4, 3
 	ds := tinyDataset(t)
 	run := func(useArena bool) (losses []float64, store *graph.ParamStore) {
 		// Dropout must draw the same random stream in both runs.
-		rng := rand.New(rand.NewSource(23))
-		g, st := buildAllocNet(batch, rng, rng)
+		g, st := build(t, batch, rand.New(rand.NewSource(23)))
 		ex, err := graph.NewExecutor(g, st)
 		if err != nil {
 			t.Fatal(err)

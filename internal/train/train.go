@@ -81,11 +81,6 @@ type Config struct {
 	// under a different execution scheme) removes that artifact.
 	// Defaults on when EvalUnsplit is set.
 	RecalibrateBN *bool
-	// CompiledEval runs the per-epoch test evaluation through
-	// graph.Compile's static program (fused inference rewrites plus a
-	// fixed-offset memory plan) instead of the interpreted arena
-	// executor. Results are bit-identical either way.
-	CompiledEval bool
 	// Tune autotunes the convolution backends on the training and
 	// evaluation graphs' shapes before the first step, so every forward
 	// dispatches to the measured-fastest kernel. With stochastic
@@ -434,11 +429,7 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 				return nil, err
 			}
 		}
-		evaluate := Evaluate
-		if cfg.CompiledEval {
-			evaluate = EvaluateCompiled
-		}
-		testErr, err := evaluate(evalGraph, evalModel, store, ds)
+		testErr, err := Evaluate(evalGraph, evalModel, store, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -488,6 +479,8 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 
 // Evaluate computes classification error of the model graph (whose
 // logits node must be named like evalModel.Logits) over the test split.
+// The graph is lowered once through graph.Compile (inference rewrites +
+// fixed-offset memory plan) and every test batch replays the program.
 func Evaluate(g *graph.Graph, m *models.Model, store *graph.ParamStore, ds *data.Dataset) (float64, error) {
 	batch := m.Input.Shape.N()
 	logitsName := m.Logits.Name
@@ -498,70 +491,8 @@ func Evaluate(g *graph.Graph, m *models.Model, store *graph.ParamStore, ds *data
 			return 0, fmt.Errorf("train: logits node %q not found", logitsName)
 		}
 	}
-	// Keep the logits alive past the forward pass: graph outputs are
-	// never released by the executor.
-	keep := false
-	for _, o := range g.Outputs {
-		if o == logitsNode {
-			keep = true
-		}
-	}
-	if !keep {
-		g.SetOutput(append(g.Outputs, logitsNode)...)
-	}
-	// One executor and one arena serve every test batch; logits are graph
-	// outputs, so they stay readable until the next Forward recycles them.
-	ex, err := graph.NewExecutor(g, store)
-	if err != nil {
-		return 0, err
-	}
-	ex.UseArena(tensor.NewArena())
-	x := tensor.New(batch, ds.Cfg.C, ds.Cfg.H, ds.Cfg.W)
-	labels := tensor.New(batch)
-	feeds := graph.Feeds{"image": x, "labels": labels}
-	idx := make([]int, batch)
-	wrong, total := 0, 0
-	for off := 0; off+batch <= ds.Cfg.TestN; off += batch {
-		for i := range idx {
-			idx[i] = off + i
-		}
-		ds.BatchInto(x, labels, false, idx)
-		if _, err := ex.Forward(feeds); err != nil {
-			return 0, err
-		}
-		logits := ex.Value(logitsNode)
-		if logits == nil {
-			return 0, fmt.Errorf("train: logits released before evaluation")
-		}
-		pred := tensor.ArgmaxRow(logits)
-		for i, p := range pred {
-			if p != int(labels.Data()[i]) {
-				wrong++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("train: empty test set")
-	}
-	return float64(wrong) / float64(total), nil
-}
-
-// EvaluateCompiled is Evaluate over graph.Compile's static program: the
-// eval graph is lowered once (inference rewrites + fixed-offset memory
-// plan) and every test batch replays it. Logits — and therefore the
-// reported error — are bit-identical to Evaluate's.
-func EvaluateCompiled(g *graph.Graph, m *models.Model, store *graph.ParamStore, ds *data.Dataset) (float64, error) {
-	batch := m.Input.Shape.N()
-	logitsName := m.Logits.Name
-	logitsNode := g.FindNode(logitsName)
-	if logitsNode == nil {
-		if logitsNode = g.FindNode(logitsName + ".join"); logitsNode == nil {
-			return 0, fmt.Errorf("train: logits node %q not found", logitsName)
-		}
-	}
-	// The compiled program copies out exactly the graph outputs; make
-	// sure the logits are one of them and remember which.
+	// The compiled program returns exactly the graph outputs; make sure
+	// the logits are one of them and remember which.
 	logitsIdx := -1
 	for i, o := range g.Outputs {
 		if o == logitsNode {

@@ -1,12 +1,16 @@
 package train_test
 
 import (
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"splitcnn/internal/core"
 	"splitcnn/internal/data"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/models"
+	"splitcnn/internal/nn"
+	"splitcnn/internal/snapshot"
 	"splitcnn/internal/tensor"
 	"splitcnn/internal/train"
 )
@@ -179,32 +183,82 @@ func TestTrainDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainCompiledEvalMatches: since training is deterministic and the
-// compiled program is bit-identical to the interpreted executor, a run
-// whose per-epoch validation goes through Config.CompiledEval must
-// report exactly the same curves — on the plain baseline and through a
-// split evaluation graph (whose patch-extract/concat ops take the
-// compiler's fallback path).
-func TestTrainCompiledEvalMatches(t *testing.T) {
+// TestEvaluateMatchesExecutor pins Evaluate — which replays the eval
+// graph's compiled program — to the reference executor: after a training
+// epoch, the error Run reported, the error Evaluate computes from the
+// saved weights, and the error a graph.Executor computes over the same
+// graph, weights and test split must all be equal — on the plain
+// baseline and through a split evaluation graph (patch extract/concat
+// steps in the compiled program).
+func TestEvaluateMatchesExecutor(t *testing.T) {
 	ds := tinyDataset(t)
 	for _, split := range []bool{false, true} {
 		cfg := baseCfg()
 		cfg.Epochs = 1
+		cfg.SavePath = filepath.Join(t.TempDir(), "w.snap")
 		if split {
 			cfg.Split = core.Config{Depth: 0.5, NH: 2, NW: 2}
 		}
-		ref, err := train.Run(cfg, ds)
+		res, err := train.Run(cfg, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.CompiledEval = true
-		got, err := train.Run(cfg, ds)
+
+		batch := min(cfg.BatchSize, ds.Cfg.TestN)
+		mcfg := cfg.Model
+		mcfg.BatchSize, mcfg.Classes, mcfg.Eval = batch, ds.Cfg.Classes, true
+		mcfg.InputC, mcfg.InputH, mcfg.InputW = ds.Cfg.C, ds.Cfg.H, ds.Cfg.W
+		m, err := models.Build(cfg.Arch, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.TrainLoss[0] != got.TrainLoss[0] || ref.TestErr[0] != got.TestErr[0] {
-			t.Fatalf("split=%v: compiled eval diverged: %v/%v vs %v/%v",
-				split, got.TrainLoss[0], got.TestErr[0], ref.TrainLoss[0], ref.TestErr[0])
+		g := m.Graph
+		if split {
+			sr, err := core.Split(g, cfg.Split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = sr.Graph
+		}
+		store := graph.NewParamStore()
+		store.InitFromGraph(g, rand.New(rand.NewSource(1)), nn.KaimingInit)
+		if err := snapshot.LoadFile(cfg.SavePath, store, m.BNStates); err != nil {
+			t.Fatal(err)
+		}
+		got, err := train.Evaluate(g, m, store, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Reference: the interpreted executor over the same graph
+		// (Evaluate left the logits among its outputs).
+		ex, err := graph.NewExecutor(g, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logits := g.Outputs[len(g.Outputs)-1]
+		x := tensor.New(batch, ds.Cfg.C, ds.Cfg.H, ds.Cfg.W)
+		labels := tensor.New(batch)
+		idx := make([]int, batch)
+		wrong, total := 0, 0
+		for off := 0; off+batch <= ds.Cfg.TestN; off += batch {
+			for i := range idx {
+				idx[i] = off + i
+			}
+			ds.BatchInto(x, labels, false, idx)
+			if _, err := ex.Forward(graph.Feeds{"image": x, "labels": labels}); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range tensor.ArgmaxRow(ex.Value(logits)) {
+				if p != int(labels.Data()[i]) {
+					wrong++
+				}
+				total++
+			}
+		}
+		want := float64(wrong) / float64(total)
+		if got != want || got != res.FinalTestErr {
+			t.Fatalf("split=%v: Evaluate %v, executor %v, Run reported %v", split, got, want, res.FinalTestErr)
 		}
 	}
 }
