@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt ci golden trace report-smoke bench-kernels bench-smoke bench-check serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate
+.PHONY: build test race dist-race vet fmt ci golden trace report-smoke bench-kernels bench-smoke bench-check serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate
 
 # Kernel micro-benchmarks: the CPU execution engine's hot paths
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
@@ -19,6 +19,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# dist-race reruns the distributed plane (counted exchange cells,
+# drain-to-zero, early rejection, worker death) under the race detector
+# uncached and twice over: its failures are schedule-dependent, and
+# `race` above tries each schedule once.
+dist-race:
+	$(GO) test -race -count=2 ./internal/dist ./internal/distserve
+
 vet:
 	$(GO) vet ./...
 
@@ -29,7 +36,7 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race bench-smoke bench-check serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate
+ci: vet fmt build race dist-race bench-smoke bench-check serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate
 
 # bench-kernels measures the kernel micro-benchmarks and appends the
 # run to BENCH_kernels.json (the committed perf trajectory). Label the
@@ -81,7 +88,9 @@ bench-dist: build
 # dist-smoke is the distributed-serving CI gate: a race-enabled
 # four-worker loopback fleet answers over real TCP RPC + HTTP, logits
 # must be bit-identical to single-process serve — including after one
-# worker is killed mid-fleet (ejection + gang retry).
+# worker is killed mid-fleet (ejection + gang retry) — and /clusterz
+# must show every live worker's halo exchange empty (0 requests, 0
+# resident bytes) once the load has drained, before and after the kill.
 dist-smoke:
 	$(GO) run -race ./cmd/splitcnn router -smoke -spawn 4
 

@@ -246,6 +246,16 @@ func routerSmoke(rt *distserve.Router, spec serve.Spec, base string, workers []*
 	if err := check(pr, "degraded fleet"); err != nil {
 		return err
 	}
+	// The failed attempt left tombstones on the survivors; they expire
+	// within 5s plus one 500ms janitor tick, and nothing else may stay.
+	for limit := time.Now().Add(7 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		if err = smokeExchangeDrained(base, len(workers)-1); err == nil {
+			break
+		}
+		if time.Now().After(limit) {
+			return fmt.Errorf("smoke after worker kill: %w", err)
+		}
+	}
 
 	// Introspection surfaces.
 	for _, path := range []string{"/healthz", "/v1/models", "/v1/workers", "/metricsz", "/tracez"} {
@@ -270,6 +280,34 @@ func routerSmoke(rt *distserve.Router, spec serve.Spec, base string, workers []*
 	}
 	fmt.Printf("dist smoke ok: %d workers, %d shards/request, argmax %d, bit-identical to single-process serve (incl. after 1 worker kill)\n",
 		len(workers), pr.BatchSize, pr.Argmax)
+	return nil
+}
+
+// smokeExchangeDrained checks, from /clusterz alone, that the halo plane
+// of a drained fleet retains nothing: every one of the live workers
+// reports zero resident exchange requests and zero resident halo bytes.
+func smokeExchangeDrained(base string, live int) error {
+	resp, err := http.Get(base + "/clusterz?format=json")
+	if err != nil {
+		return fmt.Errorf("/clusterz json: %w", err)
+	}
+	defer resp.Body.Close()
+	var view struct {
+		Workers map[string]trace.Snapshot `json:"workers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		return fmt.Errorf("/clusterz json decode: %w", err)
+	}
+	if len(view.Workers) != live {
+		return fmt.Errorf("/clusterz reached %d workers, want %d live", len(view.Workers), live)
+	}
+	for addr, snap := range view.Workers {
+		for _, name := range []string{"dist.worker.exchange_requests", "dist.worker.exchange_resident_bytes"} {
+			if v, ok := snap.Gauges[name]; !ok || v != 0 {
+				return fmt.Errorf("drained worker %s reports %s = %v (present %v), want 0", addr, name, v, ok)
+			}
+		}
+	}
 	return nil
 }
 
@@ -351,6 +389,13 @@ func smokeObservability(rt *distserve.Router, base string, workers []*distserve.
 	if sumReq != total || total != dispatched || view.Cluster.Gauges["cluster.requests_consistent"] != 1 {
 		return fmt.Errorf("smoke: rollup inconsistency: sum(worker requests)=%d, cluster total=%d, router dispatched=%d",
 			sumReq, total, dispatched)
+	}
+	// ... and the halo plane holds nothing once the last response is out.
+	if err := smokeExchangeDrained(base, len(workers)); err != nil {
+		return fmt.Errorf("smoke: %w", err)
+	}
+	if _, ok := view.Cluster.Gauges["cluster.mem.exchange_bytes_total"]; !ok {
+		return fmt.Errorf("smoke: /clusterz missing the cluster.mem.exchange_bytes_total rollup")
 	}
 
 	// Cross-process stitching: /tracez must carry one unified timeline —

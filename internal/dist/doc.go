@@ -11,7 +11,10 @@
 //     caching and invalidation-on-error, and an in-memory rendezvous
 //     (Exchange) that lets asynchronous producers and consumers meet on
 //     (request, stage) keys — the mechanism shard workers use to trade
-//     halo rows in internal/distserve.
+//     halo rows in internal/distserve. A value published for n readers
+//     is dropped by its n-th read and a request by its producer's Close
+//     once nothing is owed; deadlines only sweep what a dead reader
+//     never fetched.
 //
 // The split keeps the paper's projection model quotable and testable on
 // its own while the serving stack builds actual multi-process inference

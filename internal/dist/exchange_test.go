@@ -2,8 +2,10 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -163,4 +165,255 @@ func TestExchangeConcurrentPublishersAndWaiters(t *testing.T) {
 	}
 	wg.Wait()
 	e.Release("r1")
+}
+
+// TestExchangeCountedDropsOnLastRead: a value published for n readers
+// reaches each of them and is gone with the n-th Wait.
+func TestExchangeCountedDropsOnLastRead(t *testing.T) {
+	e := NewExchange()
+	e.Open("r1", time.Now().Add(time.Minute))
+	drops := 0
+	e.PublishCounted("r1", 2, "rows", 3, func() { drops++ })
+	for i := 0; i < 3; i++ {
+		if drops != 0 {
+			t.Fatalf("dropped after %d of 3 reads", i)
+		}
+		if v, err := e.Wait("r1", 2, time.Second); err != nil || v != "rows" {
+			t.Fatalf("read %d: %v, %v", i, v, err)
+		}
+	}
+	if drops != 1 {
+		t.Fatalf("drop notification ran %d times after the last read, want 1", drops)
+	}
+	// Gone: a fourth Wait finds no value and times out on a fresh cell.
+	if v, err := e.Wait("r1", 2, 10*time.Millisecond); err == nil {
+		t.Fatalf("over-read got %v", v)
+	}
+	// An open request stays (its producer may publish more) ...
+	if e.Len() != 1 {
+		t.Fatalf("Len = %d before Close", e.Len())
+	}
+	// ... and a closed one with nothing owed goes at once.
+	e.Close("r1")
+	if e.Len() != 0 {
+		t.Fatalf("Len = %d after Close with nothing pending", e.Len())
+	}
+	// Zero readers: nothing is stored, the notification is immediate.
+	e.PublishCounted("r2", 0, "unread", 0, func() { drops++ })
+	if drops != 2 {
+		t.Fatalf("readers=0 publish: %d notifications, want 2", drops)
+	}
+	if _, err := e.Wait("r2", 0, 10*time.Millisecond); err == nil {
+		t.Fatal("readers=0 publish was stored")
+	}
+}
+
+// TestExchangeCloseKeepsOwedValues: closing before the last read keeps
+// the value until it is read and the request exactly that long; values
+// nobody is owed and waiters on never-published cells go at Close.
+func TestExchangeCloseKeepsOwedValues(t *testing.T) {
+	e := NewExchange()
+	e.Open("r1", time.Now().Add(time.Minute))
+	drops := 0
+	e.PublishCounted("r1", 0, "edge", 2, func() { drops++ })
+	e.Publish("r1", 1, "plain")
+	parked := make(chan error, 1)
+	go func() {
+		_, err := e.Wait("r1", 9, 10*time.Second)
+		parked <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if v, err := e.Wait("r1", 0, time.Second); err != nil || v != "edge" {
+		t.Fatalf("first read: %v, %v", v, err)
+	}
+	e.Close("r1")
+	select {
+	case err := <-parked:
+		if err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("waiter on a never-published cell: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close left a waiter parked on a cell that cannot be published")
+	}
+	if e.Len() != 1 || drops != 0 {
+		t.Fatalf("Close dropped an owed value: Len %d, drops %d", e.Len(), drops)
+	}
+	start := time.Now()
+	if _, err := e.Wait("r1", 1, 10*time.Second); err == nil {
+		t.Fatal("plain value survived Close")
+	}
+	if _, err := e.Wait("r1", 5, 10*time.Second); err == nil {
+		t.Fatal("Wait on a closed request parked for a cell it will never get")
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("Waits on a closed request parked instead of failing fast")
+	}
+	e.Publish("r1", 5, "late") // ignored: the producer said it was done
+	if v, err := e.Wait("r1", 0, time.Second); err != nil || v != "edge" {
+		t.Fatalf("owed read after Close: %v, %v", v, err)
+	}
+	if e.Len() != 0 || drops != 1 {
+		t.Fatalf("after the last owed read: Len %d, drops %d, want 0 and 1", e.Len(), drops)
+	}
+}
+
+// TestExchangeFailAfterPartialReads: a tombstone fails the remaining
+// readers of a counted value and lets go of it.
+func TestExchangeFailAfterPartialReads(t *testing.T) {
+	e := NewExchange()
+	e.Open("r1", time.Now().Add(time.Minute))
+	boom := errors.New("producer aborted")
+	drops := 0
+	e.PublishCounted("r1", 0, "rows", 3, func() { drops++ })
+	if _, err := e.Wait("r1", 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	e.Fail("r1", boom, time.Now().Add(time.Minute))
+	if drops != 1 {
+		t.Fatalf("Fail kept a published value: %d drops", drops)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := e.Wait("r1", 0, 10*time.Second); !errors.Is(err, boom) {
+			t.Fatalf("reader after Fail: %v", err)
+		}
+	}
+	e.Close("r1") // a tombstone outlives its producer's Close
+	if e.Len() != 1 {
+		t.Fatalf("Close removed a tombstone: Len %d", e.Len())
+	}
+	e.PublishCounted("r1", 1, "stale", 1, func() { drops++ })
+	if drops != 2 {
+		t.Fatalf("publish into a failed request: %d drops, want 2", drops)
+	}
+}
+
+// TestExchangeExpireSweepsUnreadCounted: the deadline backstop — a
+// counted value its reader never fetches goes with the request, closed
+// or not.
+func TestExchangeExpireSweepsUnreadCounted(t *testing.T) {
+	e := NewExchange()
+	drops := 0
+	e.Open("r1", time.Now().Add(10*time.Millisecond))
+	e.PublishCounted("r1", 0, "rows", 1, func() { drops++ })
+	e.Close("r1")
+	e.Open("r2", time.Now().Add(10*time.Millisecond))
+	e.PublishCounted("r2", 0, "rows", 2, func() { drops++ })
+	if e.Len() != 2 || drops != 0 {
+		t.Fatalf("before expiry: Len %d, drops %d", e.Len(), drops)
+	}
+	if n := e.Expire(time.Now().Add(time.Second)); n != 2 {
+		t.Fatalf("Expire dropped %d requests, want 2", n)
+	}
+	if e.Len() != 0 || drops != 2 {
+		t.Fatalf("after expiry: Len %d, drops %d", e.Len(), drops)
+	}
+}
+
+// TestExchangePlainPublishRereadable: Publish is not counted.
+func TestExchangePlainPublishRereadable(t *testing.T) {
+	e := NewExchange()
+	e.Publish("r1", 0, 7)
+	for i := 0; i < 50; i++ {
+		if v, err := e.Wait("r1", 0, time.Second); err != nil || v.(int) != 7 {
+			t.Fatalf("read %d: %v, %v", i, v, err)
+		}
+	}
+	e.Release("r1")
+	if e.Len() != 0 {
+		t.Fatalf("Len = %d after Release", e.Len())
+	}
+}
+
+// TestExchangeLifecycleHammer drives counted publishes, their exact
+// readers, Close and a concurrent Expire sweep over shared request IDs.
+// Under -race it checks the locking; everywhere it checks that every
+// value's drop notification runs exactly once and nothing stays behind.
+func TestExchangeLifecycleHammer(t *testing.T) {
+	const reqs, stages, readers = 32, 4, 3
+	e := NewExchange()
+	var published, dropped atomic.Int64
+	stop := make(chan struct{})
+	var sweeper sync.WaitGroup
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Expire(time.Now()) // nothing is stale: must drop nothing
+				e.Len()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < reqs; r++ {
+		id := fmt.Sprintf("r%d", r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Open(id, time.Now().Add(time.Minute))
+			for s := 0; s < stages; s++ {
+				published.Add(1)
+				e.PublishCounted(id, s, s, readers, func() { dropped.Add(1) })
+			}
+			e.Close(id)
+		}()
+		for k := 0; k < readers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for s := 0; s < stages; s++ {
+					if v, err := e.Wait(id, s, 10*time.Second); err != nil || v.(int) != s {
+						t.Errorf("%s stage %d: %v, %v", id, s, v, err)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(stop)
+	sweeper.Wait()
+	if e.Len() != 0 {
+		t.Fatalf("Len = %d after every value was read and every request closed", e.Len())
+	}
+	if p, d := published.Load(), dropped.Load(); p != d {
+		t.Fatalf("%d values published, %d drop notifications", p, d)
+	}
+}
+
+// BenchmarkExchangePublishWait is the local guard for the bench
+// metric dist.exchange_roundtrip_us: the same publish → wait → release
+// sequence, plus the counted lifecycle the workers use.
+func BenchmarkExchangePublishWait(b *testing.B) {
+	ids := make([]string, 1024)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%d", i)
+	}
+	b.Run("plain", func(b *testing.B) {
+		e := NewExchange()
+		for i := 0; b.Loop(); i++ {
+			id := ids[i%len(ids)]
+			e.Publish(id, 0, i)
+			if _, err := e.Wait(id, 0, time.Second); err != nil {
+				b.Fatal(err)
+			}
+			e.Release(id)
+		}
+	})
+	b.Run("counted", func(b *testing.B) {
+		e := NewExchange()
+		for i := 0; b.Loop(); i++ {
+			id := ids[i%len(ids)]
+			e.PublishCounted(id, 0, i, 1, nil)
+			if _, err := e.Wait(id, 0, time.Second); err != nil {
+				b.Fatal(err)
+			}
+			e.Close(id)
+		}
+		if e.Len() != 0 {
+			b.Fatalf("Len = %d", e.Len())
+		}
+	})
 }

@@ -82,7 +82,7 @@ func (rt *Router) collectCluster() clusterView {
 	haloWait := trace.HistogramSnapshot{}
 	stageSecs := trace.HistogramSnapshot{}
 	reqMem := trace.HistogramSnapshot{}
-	var sumHeap, maxHeap, sumHeapSys float64
+	var sumHeap, maxHeap, sumHeapSys, sumExch, maxExch float64
 	for i, t := range targets {
 		sumInflight += t.inflight
 		sumPods += int64(t.maxPods)
@@ -120,6 +120,11 @@ func (rt *Router) collectCluster() clusterView {
 			maxHeap = heap
 		}
 		sumHeapSys += snaps[i].Gauges["runtime.heap_sys_bytes"]
+		// Halo rows parked on the worker's exchange: the retention that
+		// heap gauges only show after the fact.
+		exch := snaps[i].Gauges["dist.worker.exchange_resident_bytes"]
+		sumExch += exch
+		maxExch = max(maxExch, exch)
 		// In-flight dispatches are counted on the router side the
 		// moment the reply lands, but on the worker side when the eval
 		// *starts* — so mid-load the worker side may run ahead, never
@@ -145,11 +150,13 @@ func (rt *Router) collectCluster() clusterView {
 	roll.Gauge("cluster.stage_p50_seconds").Set(stageSecs.Quantile(0.5))
 	roll.Gauge("cluster.stage_p99_seconds").Set(stageSecs.Quantile(0.99))
 	// Fleet-wide memory: total and hottest-worker heap (from each
-	// worker's runtime sampler) plus the merged per-request transfer
-	// footprint distribution.
+	// worker's runtime sampler), halo bytes resident on the exchanges,
+	// plus the merged per-request transfer footprint distribution.
 	roll.Gauge("cluster.mem.heap_alloc_bytes_total").Set(sumHeap)
 	roll.Gauge("cluster.mem.heap_alloc_bytes_max_worker").Set(maxHeap)
 	roll.Gauge("cluster.mem.heap_sys_bytes_total").Set(sumHeapSys)
+	roll.Gauge("cluster.mem.exchange_bytes_total").Set(sumExch)
+	roll.Gauge("cluster.mem.exchange_bytes_max_worker").Set(maxExch)
 	roll.Gauge("cluster.mem.request_bytes_p50").Set(reqMem.Quantile(0.5))
 	roll.Gauge("cluster.mem.request_bytes_p99").Set(reqMem.Quantile(0.99))
 	fwd := rt.met.Histogram("dist.shard_forward_seconds", trace.LatencyBuckets)

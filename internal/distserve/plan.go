@@ -21,6 +21,7 @@ package distserve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -113,6 +114,7 @@ type Plan struct {
 
 	mu     sync.Mutex
 	owners map[int][][]Range // cached Owners tables per shard count
+	halos  map[int]*HaloTable
 }
 
 // NewPlan extracts the shardable prefix from a materialized model: walk
@@ -134,6 +136,7 @@ func NewPlan(m *models.Model) (*Plan, error) {
 		InC: in.Shape.C(), InH: in.Shape.H(), InW: in.Shape.W(),
 		Classes: m.Classes,
 		owners:  make(map[int][][]Range),
+		halos:   make(map[int]*HaloTable),
 	}
 	cons := m.Graph.Consumers()
 	cur := in
@@ -236,6 +239,91 @@ func (p *Plan) ImageRange(owners [][]Range, s int) Range {
 	return st.ClipInput(st.InputRange(owners[0][s]))
 }
 
+// HaloBand is one (stage, shard) entry of a HaloTable: what becomes of
+// the band of stage output rows the shard owns.
+type HaloBand struct {
+	// Rows is the hull of the rows other shards' next-stage inputs
+	// intersect — all the owner has to publish — and Readers how many
+	// shards read from it, i.e. the fetches the owner must expect.
+	// Both are zero when the band has no reader (always for the last
+	// stage, and for most stages of a pyramid that rarely crosses a cut).
+	Rows    Range
+	Readers int
+	// Fetch lists what the shard's own next stage reads from other
+	// shards' bands, in owner order.
+	Fetch []HaloSeg
+	// Own reports that the shard's next stage needs exactly the band it
+	// already owns: no fetch, no assembly, the tensor passes through.
+	Own bool
+}
+
+// HaloSeg is one fetch: rows Rows of the previous stage's output, held
+// by shard Owner.
+type HaloSeg struct {
+	Owner int
+	Rows  Range
+}
+
+// HaloTable is the halo plan of one owners table, indexed
+// [stage][shard]. It is the single source for what RunShard publishes
+// and fetches, how many reads an exchange cell is published for, and
+// which stage inputs need no assembly.
+type HaloTable struct {
+	Bands  [][]HaloBand
+	owners [][]Range
+}
+
+func newHaloTable(stages []*Stage, owners [][]Range) *HaloTable {
+	t := &HaloTable{Bands: make([][]HaloBand, len(stages)), owners: owners}
+	for i := range stages {
+		t.Bands[i] = make([]HaloBand, len(owners[i]))
+	}
+	for i := 1; i < len(stages); i++ {
+		st, prev := stages[i], t.Bands[i-1]
+		for s, out := range owners[i] {
+			need := st.ClipInput(st.InputRange(out))
+			prev[s].Own = !need.Empty() && need == owners[i-1][s]
+			for o, band := range owners[i-1] {
+				seg := intersect(band, need)
+				if o == s || seg.Empty() {
+					continue
+				}
+				prev[s].Fetch = append(prev[s].Fetch, HaloSeg{Owner: o, Rows: seg})
+				if prev[o].Readers == 0 {
+					prev[o].Rows = seg
+				} else {
+					prev[o].Rows = Range{min(prev[o].Rows.Lo, seg.Lo), max(prev[o].Rows.Hi, seg.Hi)}
+				}
+				prev[o].Readers++
+			}
+		}
+	}
+	return t
+}
+
+// Halo returns the halo table of Owners(n), cached per n like it.
+func (p *Plan) Halo(n int) *HaloTable {
+	owners := p.Owners(n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.halos[n]
+	if t == nil {
+		t = newHaloTable(p.Stages, owners)
+		p.halos[n] = t
+	}
+	return t
+}
+
+// haloFor resolves the table for an owners table handed to RunShard:
+// the cached one when it is the plan's own partition, a fresh one for
+// a caller's custom geometry.
+func (p *Plan) haloFor(owners [][]Range) *HaloTable {
+	if t := p.Halo(len(owners[0])); slices.EqualFunc(t.owners, owners, func(a, b []Range) bool { return slices.Equal(a, b) }) {
+		return t
+	}
+	return newHaloTable(p.Stages, owners)
+}
+
 // Signature summarizes everything two processes must agree on before
 // exchanging rows: image geometry, the stage chain with window
 // parameters, the classifier width, and the weight-snapshot
@@ -255,11 +343,16 @@ func (p *Plan) Signature(snapshotFP string) string {
 
 // ShardEval evaluates plan stages for one shard. It resolves each
 // stage's parameter tensors once at construction and is safe for
-// concurrent use (stage ops are stateless in eval mode; see the BN
-// running-stats read path).
+// concurrent use: stage ops are stateless in eval mode (see the BN
+// running-stats read path), and each RunShard works out of an arena of
+// its own, taken from a free list for the duration of the call.
 type ShardEval struct {
 	p      *Plan
 	params [][]*tensor.Tensor
+
+	mu     sync.Mutex
+	arenas []*tensor.Arena // every arena made, for ArenaStats
+	idle   []*tensor.Arena
 }
 
 // NewShardEval binds a plan to the parameter store it was materialized
@@ -281,12 +374,50 @@ func NewShardEval(p *Plan, store *graph.ParamStore) (*ShardEval, error) {
 // Plan returns the evaluation's sharding geometry.
 func (se *ShardEval) Plan() *Plan { return se.p }
 
+func (se *ShardEval) getArena() *tensor.Arena {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	if n := len(se.idle); n > 0 {
+		a := se.idle[n-1]
+		se.idle = se.idle[:n-1]
+		return a
+	}
+	a := tensor.NewArena()
+	se.arenas = append(se.arenas, a)
+	return a
+}
+
+func (se *ShardEval) putArena(a *tensor.Arena) {
+	se.mu.Lock()
+	se.idle = append(se.idle, a)
+	se.mu.Unlock()
+}
+
+// ArenaStats sums the RunShard arenas' counters: one arena per
+// concurrent RunShard at the high-water mark, InUseBytes zero whenever
+// none is running.
+func (se *ShardEval) ArenaStats() tensor.ArenaStats {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	var st tensor.ArenaStats
+	for _, a := range se.arenas {
+		st = st.Add(a.Stats())
+	}
+	return st
+}
+
 // EvalStage computes output rows out of stage i from x, which must hold
 // exactly the clipped input rows ClipInput(InputRange(out)). Overhang
 // beyond the real input becomes local asymmetric zero-padding via the
 // op's WithPad — identical values to the unsplit op's own padding.
-// Empty out returns (nil, nil).
+// Empty out returns (nil, nil). The result is a plain heap tensor.
 func (se *ShardEval) EvalStage(i int, x *tensor.Tensor, out Range) (*tensor.Tensor, error) {
+	return se.evalStage(nil, nil, i, x, out)
+}
+
+// evalStage is EvalStage with the output drawn from dst and the op's
+// scratch and stash from scratch (nil = heap, for either).
+func (se *ShardEval) evalStage(dst, scratch *tensor.Arena, i int, x *tensor.Tensor, out Range) (*tensor.Tensor, error) {
 	st := se.p.Stages[i]
 	if out.Empty() {
 		return nil, nil
@@ -320,8 +451,10 @@ func (se *ShardEval) EvalStage(i int, x *tensor.Tensor, out Range) (*tensor.Tens
 	if shape.H() != out.Len() {
 		return nil, fmt.Errorf("distserve: stage %s: produces %d rows for %v", st.Name, shape.H(), out)
 	}
-	y := tensor.New(shape...)
-	op.ForwardInto(nil, y, in) // heap scratch: a dropped stash is just garbage
+	y := dst.GetRaw(shape...)
+	if stash, ok := op.ForwardInto(scratch, y, in).(*tensor.Tensor); ok {
+		scratch.Put(stash) // inference never runs backward
+	}
 	return y, nil
 }
 
@@ -337,8 +470,9 @@ func heightOf(t *tensor.Tensor) int {
 // tests implement it over a local dist.Exchange.
 type HaloFetch func(stage, owner int, rows Range) (*tensor.Tensor, error)
 
-// HaloPublish announces this shard's freshly computed stage output so
-// neighbor Halo requests can be answered.
+// HaloPublish announces the rows of this shard's freshly computed stage
+// output that other shards will fetch (the HaloTable's hull), as a
+// tensor the callee owns, so neighbor Halo requests can be answered.
 type HaloPublish func(stage int, rows Range, t *tensor.Tensor)
 
 // StageObserver is invoked after each stage completes (trace spans).
@@ -349,83 +483,99 @@ type StageObserver func(stage int, name string, start, end time.Time)
 // returned tensor is the shard's band of the final stage's output
 // (nil when the band is empty) together with that band.
 //
+// What crosses shards is the HaloTable's and nothing more: a stage's
+// output is published only if another shard reads it, as a fresh copy
+// of just the rows read, and a stage whose input is exactly the band
+// the shard already owns takes it as is. The returned band and every
+// published tensor are plain heap tensors the caller may keep;
+// everything else — assembled inputs, intermediate bands, op scratch —
+// lives in one arena for the duration of the call.
+//
 // Deadlock freedom of the gang: stage i's assembly only fetches rows of
 // stage i−1, which every owner publishes before starting its own stage
 // i — so any Wait is for a value strictly earlier in its producer's
 // program order, and the dependency graph across workers is acyclic.
 func (se *ShardEval) RunShard(image *tensor.Tensor, shard int, owners [][]Range, fetch HaloFetch, publish HaloPublish, obs StageObserver) (*tensor.Tensor, Range, error) {
-	var prev *tensor.Tensor
-	var prevOwn Range
+	halo := se.p.haloFor(owners)
+	a := se.getArena()
+	// prev is the previous stage's band and x the current stage's input;
+	// Put ignores whatever the arena did not vend (the image, the final
+	// band) and anything already returned, so every exit can hand both
+	// back unconditionally.
+	var prev, x *tensor.Tensor
+	defer func() {
+		a.Put(x)
+		a.Put(prev)
+		se.putArena(a)
+	}()
+	last := len(se.p.Stages) - 1
 	for i := range se.p.Stages {
 		out := owners[i][shard]
-		var x *tensor.Tensor
-		var err error
-		if i == 0 {
+		switch {
+		case out.Empty(): // nothing to compute: evalStage yields nil
+		case i == 0:
 			x = image
-			if out.Empty() {
-				x = nil
-			}
-		} else {
-			x, err = se.assemble(i, shard, prev, prevOwn, owners, fetch)
-			if err != nil {
-				return nil, Range{}, err
+		case halo.Bands[i-1][shard].Own:
+			x = prev
+		default:
+			st := se.p.Stages[i]
+			if need := st.ClipInput(st.InputRange(out)); !need.Empty() {
+				x = a.GetRaw(1, st.InC, need.Len(), st.InW)
+				if err := se.assemble(x, need, i, prev, owners[i-1][shard], halo.Bands[i-1][shard].Fetch, fetch); err != nil {
+					return nil, Range{}, err
+				}
 			}
 		}
+		dst := a
+		if i == last {
+			dst = nil
+		}
 		start := time.Now()
-		y, err := se.EvalStage(i, x, out)
+		y, err := se.evalStage(dst, a, i, x, out)
 		if err != nil {
 			return nil, Range{}, err
 		}
 		if obs != nil {
 			obs(i, se.p.Stages[i].Name, start, time.Now())
 		}
-		if publish != nil && y != nil {
-			publish(i, out, y)
+		if b := halo.Bands[i][shard]; b.Readers > 0 && publish != nil {
+			publish(i, b.Rows, SliceRows(y, out.Lo, b.Rows))
 		}
-		prev, prevOwn = y, out
+		a.Put(x)
+		a.Put(prev)
+		prev, x = y, nil
 	}
-	return prev, owners[len(se.p.Stages)-1][shard], nil
+	return prev, owners[last][shard], nil
 }
 
-// assemble builds stage i's input band for shard: the clipped input
-// rows, stitched from this shard's own previous-stage output plus halo
-// rows fetched from every other owner whose band intersects the need.
-func (se *ShardEval) assemble(i, shard int, prev *tensor.Tensor, prevOwn Range, owners [][]Range, fetch HaloFetch) (*tensor.Tensor, error) {
+// assemble fills x, stage i's input rows need, for a shard: its own
+// previous-stage band prev (rows prevOwn) where that intersects need,
+// plus the halo segments the table lists, fetched from their owners.
+func (se *ShardEval) assemble(x *tensor.Tensor, need Range, i int, prev *tensor.Tensor, prevOwn Range, segs []HaloSeg, fetch HaloFetch) error {
 	st := se.p.Stages[i]
-	out := owners[i][shard]
-	if out.Empty() {
-		return nil, nil
-	}
-	need := st.ClipInput(st.InputRange(out))
-	if need.Empty() {
-		return nil, nil
-	}
-	x := tensor.New(1, st.InC, need.Len(), st.InW)
 	covered := 0
-	for o, band := range owners[i-1] {
-		seg := intersect(band, need)
-		if seg.Empty() {
-			continue
+	if own := intersect(prevOwn, need); !own.Empty() {
+		if prev == nil {
+			return fmt.Errorf("distserve: stage %s: shard owns %v but produced nothing", st.Name, prevOwn)
 		}
-		src, srcBase := prev, prevOwn.Lo
-		if o != shard {
-			var err error
-			src, err = fetch(i-1, o, seg)
-			if err != nil {
-				return nil, fmt.Errorf("distserve: stage %s: halo %v from shard %d: %w", st.Name, seg, o, err)
-			}
-			srcBase = seg.Lo
+		copyRows(x, own.Lo-need.Lo, prev, own.Lo-prevOwn.Lo, own.Len())
+		covered = own.Len()
+	}
+	for _, seg := range segs {
+		src, err := fetch(i-1, seg.Owner, seg.Rows)
+		if err != nil {
+			return fmt.Errorf("distserve: stage %s: halo %v from shard %d: %w", st.Name, seg.Rows, seg.Owner, err)
 		}
 		if src == nil {
-			return nil, fmt.Errorf("distserve: stage %s: shard %d owns %v but produced nothing", st.Name, o, band)
+			return fmt.Errorf("distserve: stage %s: shard %d owns %v but produced nothing", st.Name, seg.Owner, seg.Rows)
 		}
-		copyRows(x, seg.Lo-need.Lo, src, seg.Lo-srcBase, seg.Len())
-		covered += seg.Len()
+		copyRows(x, seg.Rows.Lo-need.Lo, src, 0, seg.Rows.Len())
+		covered += seg.Rows.Len()
 	}
 	if covered != need.Len() {
-		return nil, fmt.Errorf("distserve: stage %s: assembled %d of %d input rows %v", st.Name, covered, need.Len(), need)
+		return fmt.Errorf("distserve: stage %s: assembled %d of %d input rows %v", st.Name, covered, need.Len(), need)
 	}
-	return x, nil
+	return nil
 }
 
 // copyRows copies `rows` H-rows between two batch-1 NCHW tensors that

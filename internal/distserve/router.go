@@ -568,8 +568,10 @@ func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang
 		var se rpc.ServerError
 		if errors.As(err, &se) {
 			// The worker handled the call and said no (capacity, model
-			// mismatch, internal error): not a liveness signal.
-			if !strings.Contains(err.Error(), capacityPrefix) {
+			// mismatch, internal error): not a liveness signal. Only the
+			// worker's own refusal leads with the prefix; a partner's
+			// refusal relayed through a failed halo fetch does not.
+			if !strings.HasPrefix(string(se), capacityPrefix) {
 				// Non-capacity handled errors passed the worker's
 				// capacity gate and were counted there too.
 				gang[i].dispatched.Add(1)

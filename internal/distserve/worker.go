@@ -81,7 +81,15 @@ type Worker struct {
 	haloReqs atomic.Uint64
 	haloBts  atomic.Uint64
 
-	met     *trace.Metrics
+	met *trace.Metrics
+	// Exchange occupancy gauges, kept current at every change rather
+	// than sampled: gaugeMu orders each read-and-set, so the last
+	// change always wins. resident counts the bytes of halo rows the
+	// exchange holds for readers that have not fetched them yet.
+	gaugeMu                          sync.Mutex
+	resident                         int64
+	exchReqs, exchBytes, exchBytesHW *trace.Gauge
+
 	log     *slog.Logger
 	tracer  *trace.WallTracer
 	delay   time.Duration
@@ -100,7 +108,8 @@ type Worker struct {
 	conns map[net.Conn]struct{}
 }
 
-// haloRows is the value type published on the exchange per stage.
+// haloRows is the value type published on the exchange per stage: the
+// rows of the stage's output that other shards fetch, and only those.
 type haloRows struct {
 	rows Range
 	t    *tensor.Tensor
@@ -149,6 +158,9 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		maxPods: maxPods, met: met, log: logger,
 		delay: cfg.StageDelay, started: time.Now(),
 		stop: make(chan struct{}), conns: make(map[net.Conn]struct{}),
+		exchReqs:    met.Gauge("dist.worker.exchange_requests"),
+		exchBytes:   met.Gauge("dist.worker.exchange_resident_bytes"),
+		exchBytesHW: met.Gauge("dist.worker.exchange_resident_bytes_high_water"),
 	}
 	if cfg.TraceSample > 0 {
 		w.tracer = trace.NewWallTracer(cfg.TraceSample, 1)
@@ -244,6 +256,7 @@ func (w *Worker) Close() error {
 	w.mu.Unlock()
 	w.pool.Close()
 	w.exch.Expire(time.Now().Add(24 * time.Hour)) // everything
+	w.exchChanged()
 	w.log.Info("dist.worker.stop", "requests", w.requests.Load())
 	return err
 }
@@ -267,8 +280,36 @@ func (w *Worker) acceptLoop() {
 	}
 }
 
+// exchChanged republishes dist.worker.exchange_requests; called after
+// every exchange operation that can add or remove a request.
+func (w *Worker) exchChanged() {
+	w.gaugeMu.Lock()
+	w.exchReqs.Set(float64(w.exch.Len()))
+	w.gaugeMu.Unlock()
+}
+
+// residentAdd accounts halo bytes entering (publish) or leaving (drop)
+// the exchange.
+func (w *Worker) residentAdd(delta int64) {
+	w.gaugeMu.Lock()
+	w.resident += delta
+	w.exchBytes.Set(float64(w.resident))
+	w.exchBytesHW.SetMax(float64(w.resident))
+	w.gaugeMu.Unlock()
+}
+
+// failExchange tombstones an attempt on this worker's exchange: its
+// published rows are dropped, and gang partners parked on — or racing
+// toward — stages it will never publish fail at once instead of riding
+// out their halo timeouts.
+func (w *Worker) failExchange(reqID string, err error, deadline time.Time) {
+	w.exch.Fail(reqID, err, minTime(deadline, time.Now().Add(5*time.Second)))
+	w.exchChanged()
+}
+
 // janitor sweeps expired exchange requests — the backstop that bounds
-// memory when a gang partner dies and its halos go unconsumed.
+// memory when a gang partner dies and the rows published for it go
+// unconsumed.
 func (w *Worker) janitor() {
 	t := time.NewTicker(500 * time.Millisecond)
 	defer t.Stop()
@@ -283,7 +324,7 @@ func (w *Worker) janitor() {
 			if n := w.bank.sweep(now); n > 0 {
 				w.met.Counter("dist.worker.span_bank_expired").Add(int64(n))
 			}
-			w.met.Gauge("dist.worker.exchange_requests").Set(float64(w.exch.Len()))
+			w.exchChanged()
 			w.met.Gauge("dist.worker.span_bank_requests").Set(float64(w.bank.len()))
 			if w.tracer != nil {
 				w.met.Gauge("trace.dropped_spans").Set(float64(w.tracer.DroppedSpans()))
@@ -342,41 +383,55 @@ func (s *shardService) Metrics(_ *MetricsArgs, reply *MetricsReply) error {
 }
 
 func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
+	deadline := time.Now().Add(time.Duration(args.TimeoutMs) * time.Millisecond)
+	// A rejected attempt must still fail on the exchange: a partner that
+	// was admitted may already be parked in Shard.Halo here, and without
+	// a tombstone it — and the router gathering the gang — would wait
+	// out the whole request deadline instead of retrying.
+	reject := func(err error) error {
+		w.failExchange(args.ReqID, err, deadline)
+		return err
+	}
 	if n := w.inflight.Add(1); n > int64(w.maxPods) {
 		w.inflight.Add(-1)
 		w.met.Counter("dist.worker.capacity_rejects").Add(1)
-		return fmt.Errorf("%s%w (%d in flight, max %d)", capacityPrefix, ErrCapacity, n-1, w.maxPods)
+		return reject(fmt.Errorf("%s%w (%d in flight, max %d)", capacityPrefix, ErrCapacity, n-1, w.maxPods))
 	}
 	defer w.inflight.Add(-1)
 	w.requests.Add(1)
 	w.met.Counter("dist.worker.requests").Add(1)
 
 	if args.Model != w.sig {
-		return fmt.Errorf("distserve: model signature mismatch (worker %q)", w.sig)
+		return reject(fmt.Errorf("distserve: model signature mismatch (worker %q)", w.sig))
 	}
 	if args.Shard < 0 || args.Shard >= len(args.Gang) {
-		return fmt.Errorf("distserve: shard %d of gang %d", args.Shard, len(args.Gang))
+		return reject(fmt.Errorf("distserve: shard %d of gang %d", args.Shard, len(args.Gang)))
 	}
-	deadline := time.Now().Add(time.Duration(args.TimeoutMs) * time.Millisecond)
 	owners := w.plan.Owners(len(args.Gang))
+	halo := w.plan.Halo(len(args.Gang))
 	imgR := w.plan.ImageRange(owners, args.Shard)
 	if args.RowLo != imgR.Lo || args.RowHi != imgR.Hi {
-		return fmt.Errorf("distserve: shard %d sent image rows [%d,%d), plan wants %v",
-			args.Shard, args.RowLo, args.RowHi, imgR)
+		return reject(fmt.Errorf("distserve: shard %d sent image rows [%d,%d), plan wants %v",
+			args.Shard, args.RowLo, args.RowHi, imgR))
 	}
 	var image *tensor.Tensor
 	if !imgR.Empty() {
 		if len(args.Rows) != bandLen(w.plan.InC, imgR.Len(), w.plan.InW) {
-			return fmt.Errorf("distserve: image band has %d floats, want %d", len(args.Rows), bandLen(w.plan.InC, imgR.Len(), w.plan.InW))
+			return reject(fmt.Errorf("distserve: image band has %d floats, want %d", len(args.Rows), bandLen(w.plan.InC, imgR.Len(), w.plan.InW)))
 		}
 		image = tensor.New(1, w.plan.InC, imgR.Len(), w.plan.InW)
 		copy(image.Data(), args.Rows)
 	}
 
-	// The exchange entry lives until the deadline, then a short grace
-	// after completion — neighbors may still be consuming our rows.
+	// The request deadline is only the backstop. Returning closes the
+	// entry: rows a neighbor has yet to fetch stay exactly until that
+	// fetch, and the entry goes with the last of them.
 	w.exch.Open(args.ReqID, deadline)
-	defer w.exch.SetExpiry(args.ReqID, minTime(deadline, time.Now().Add(5*time.Second)))
+	w.exchChanged()
+	defer func() {
+		w.exch.Close(args.ReqID)
+		w.exchChanged()
+	}()
 
 	sc := w.tracer.Request(fmt.Sprintf("%s/s%d", args.ReqID, args.Shard))
 	// Harvest expiry: spans must outlive the request deadline long
@@ -411,7 +466,10 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 		return t, nil
 	}
 	publish := func(stage int, rows Range, t *tensor.Tensor) {
-		w.exch.Publish(args.ReqID, stage, &haloRows{rows: rows, t: t})
+		bytes := int64(len(t.Data())) * 4
+		w.residentAdd(bytes)
+		w.exch.PublishCounted(args.ReqID, stage, &haloRows{rows: rows, t: t},
+			halo.Bands[stage][args.Shard].Readers, func() { w.residentAdd(-bytes) })
 	}
 	obs := func(stage int, name string, s0, s1 time.Time) {
 		if w.delay > 0 {
@@ -430,11 +488,7 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 	if err != nil {
 		// A failed attempt is never harvested; don't hold its spans.
 		w.bank.drop(args.ReqID)
-		// Tombstone the exchange entry: our published rows are part of a
-		// failed attempt, and gang partners parked on — or racing toward —
-		// our unpublished stages must fail immediately rather than ride
-		// out the grace period or their own halo timeouts.
-		w.exch.Fail(args.ReqID, err, minTime(deadline, time.Now().Add(5*time.Second)))
+		w.failExchange(args.ReqID, err, deadline)
 		w.met.Counter("dist.worker.errors").Add(1)
 		w.log.Warn("dist.worker.eval_error", "req", args.ReqID, "shard", args.Shard, "err", err)
 		return err
@@ -476,6 +530,7 @@ func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
 	}
 	h0 := time.Now()
 	v, err := w.exch.Wait(args.ReqID, args.Stage, timeout)
+	w.exchChanged()
 	h1 := time.Now()
 	w.met.Histogram("dist.worker.halo_serve_seconds", trace.LatencyBuckets).Observe(h1.Sub(h0).Seconds())
 	if args.Sampled && err == nil {
