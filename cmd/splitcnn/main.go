@@ -11,6 +11,8 @@
 //	    -tuned plans with autotuned (measured) convolution times
 //	splitcnn transform -arch vgg19 -depth 0.5 -nh 2 -nw 2
 //	    show what the Split-CNN graph transformation does to a model
+//	splitcnn maxbatch  -arch vgg19 [-split -depth 0.75] [-device v100]
+//	    search the largest batch that trains within the device memory
 //	splitcnn train     -arch vgg19 -epochs 6 [-depth 0.5 -splits 4
 //	    -stochastic] [-steplog run.jsonl -guards -listen :8080
 //	    -calibrate]
@@ -43,12 +45,6 @@
 //	    federates worker metrics on /clusterz, stitches cross-process
 //	    request traces on /tracez, and publishes SLO burn-rate gauges
 //	    (-slo "p99=50ms,err=0.1%")
-//	splitcnn loadtest  -spawn -c 16 -n 512 [-target URL] [-spawnworkers 4]
-//	    closed-loop concurrent load test against a serve or router
-//	    endpoint
-//	splitcnn benchdiff -files BENCH_kernels.json,BENCH_serve.json
-//	    performance-regression gate: compare the latest benchmark run
-//	    against the previous one and exit non-zero past the thresholds
 //	splitcnn version
 //	    print the binary's build provenance
 package main
@@ -56,8 +52,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"splitcnn/internal/modelfile"
 
@@ -74,50 +72,75 @@ import (
 	"splitcnn/internal/train"
 )
 
+// subcommands is the dispatch table; usage lists it in this order.
+var subcommands = []struct {
+	name string
+	run  func(args []string) error
+	help string
+}{
+	{"experiment", cmdExperiment, "regenerate a paper table/figure (%v)"},
+	{"profile", cmdProfile, "Figure 1-style layer profile of a model"},
+	{"plan", cmdPlan, "run the HMMS pipeline on a model"},
+	{"transform", cmdTransform, "inspect the Split-CNN graph transformation"},
+	{"maxbatch", cmdMaxBatch, "search the largest trainable batch on a device"},
+	{"train", cmdTrain, `train a scaled-down model on synthetic data
+(-steplog for per-step telemetry JSONL, -guards for
+NaN/Inf + explosion guards with a flight recorder,
+-listen for a live dashboard, -calibrate for
+plan-vs-actual op-time drift)`},
+	{"trace", cmdTrace, `export a run's stream timeline (Chrome trace_event
+JSON for chrome://tracing) plus a metrics JSON`},
+	{"report", cmdReport, `render a self-contained HTML/SVG memory-occupancy
+report, one chart per HMMS memory pool (-measured
+to time real kernels via internal/profile), the
+training page from a steplog (-train run.jsonl), or
+the distributed gang timeline for one stitched
+request (-dist trace.json or -dist http://router)`},
+	{"compile", cmdCompile, `lower a model through graph.Compile and dump the
+rewrite stats + static memory plan (-plan for the
+per-node table, -o for the HTML slab timeline);
+self-verifies plotted peak == mapped slab`},
+	{"tune", cmdTune, `micro-benchmark the convolution backends (im2col,
+Winograd, direct, FFT) on every distinct layer shape
+and persist the winning per-shape plans
+(-tunecache for the cache file, "off" to disable)`},
+	{"serve", cmdServe, `HTTP inference server with dynamic micro-batching
+over the compiled static program (-smoke for a CI
+self-test)`},
+	{"worker", cmdWorker, `shard-evaluation worker for distributed
+split-inference: owns a band of feature-map rows per
+stage and serves Shard.{Eval,Halo,Health} over RPC`},
+	{"router", cmdRouter, `health-checked front end over shard workers: spatial
+scatter/gather with halo exchange, least-loaded gang
+dispatch, whole-gang retry on worker failure;
+observability plane federates worker metrics on
+/clusterz, stitches skew-corrected cross-process
+traces on /tracez and publishes -slo burn-rate
+gauges (-spawn N for a loopback fleet, -smoke for
+the CI bit-identity + crash-recovery +
+observability self-test)`},
+	{"version", cmdVersion, "print the binary's build provenance"},
+}
+
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
+	name, args := os.Args[1], os.Args[2:]
 	var err error
-	switch os.Args[1] {
-	case "experiment":
-		err = cmdExperiment(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "plan":
-		err = cmdPlan(os.Args[2:])
-	case "transform":
-		err = cmdTransform(os.Args[2:])
-	case "train":
-		err = cmdTrain(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "report":
-		err = cmdReport(os.Args[2:])
-	case "maxbatch":
-		err = cmdMaxBatch(os.Args[2:])
-	case "compile":
-		err = cmdCompile(os.Args[2:])
-	case "tune":
-		err = cmdTune(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "worker":
-		err = cmdWorker(os.Args[2:])
-	case "router":
-		err = cmdRouter(os.Args[2:])
-	case "loadtest":
-		err = cmdLoadtest(os.Args[2:])
-	case "benchdiff":
-		err = cmdBenchdiff(os.Args[2:])
-	case "version", "-version", "--version":
-		fmt.Println(buildinfo.Get())
+	switch name {
+	case "-version", "--version":
+		err = cmdVersion(args)
 	case "help", "-h", "--help":
-		usage()
+		usage(os.Stderr)
 	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
+		if run := lookup(name); run != nil {
+			err = run(args)
+		} else {
+			usage(os.Stderr)
+			err = fmt.Errorf("unknown subcommand %q", name)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitcnn:", err)
@@ -125,61 +148,35 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: splitcnn <subcommand> [flags]
+// lookup returns the subcommand called name, or nil.
+func lookup(name string) func(args []string) error {
+	for _, c := range subcommands {
+		if c.name == name {
+			return c.run
+		}
+	}
+	return nil
+}
 
-subcommands:
-  experiment <id>   regenerate a paper table/figure (%v)
-  profile           Figure 1-style layer profile of a model
-  plan              run the HMMS pipeline on a model
-  transform         inspect the Split-CNN graph transformation
-  maxbatch          search the largest trainable batch on a device
-  train             train a scaled-down model on synthetic data
-                    (-steplog for per-step telemetry JSONL, -guards for
-                    NaN/Inf + explosion guards with a flight recorder,
-                    -listen for a live dashboard, -calibrate for
-                    plan-vs-actual op-time drift)
-  trace             export a run's stream timeline (Chrome trace_event
-                    JSON for chrome://tracing) plus a metrics JSON
-  report            render a self-contained HTML/SVG memory-occupancy
-                    report, one chart per HMMS memory pool (-measured
-                    to time real kernels via internal/profile), the
-                    training page from a steplog (-train run.jsonl), or
-                    the distributed gang timeline for one stitched
-                    request (-dist trace.json or -dist http://router)
-  compile           lower a model through graph.Compile and dump the
-                    rewrite stats + static memory plan (-plan for the
-                    per-node table, -o for the HTML slab timeline);
-                    self-verifies plotted peak == mapped slab
-  tune              micro-benchmark the convolution backends (im2col,
-                    Winograd, direct, FFT) on every distinct layer shape
-                    and persist the winning per-shape plans
-                    (-tunecache for the cache file, "off" to disable)
-  serve             HTTP inference server with dynamic micro-batching
-                    over the compiled static program (-smoke for a CI
-                    self-test)
-  worker            shard-evaluation worker for distributed
-                    split-inference: owns a band of feature-map rows per
-                    stage and serves Shard.{Eval,Halo,Health} over RPC
-  router            health-checked front end over shard workers: spatial
-                    scatter/gather with halo exchange, least-loaded gang
-                    dispatch, whole-gang retry on worker failure;
-                    observability plane federates worker metrics on
-                    /clusterz, stitches skew-corrected cross-process
-                    traces on /tracez and publishes -slo burn-rate
-                    gauges (-spawn N for a loopback fleet, -smoke for
-                    the CI bit-identity + crash-recovery +
-                    observability self-test)
-  loadtest          closed-loop concurrent client for a serve or router
-                    endpoint (-spawn to self-host, -spawnworkers N for a
-                    loopback distributed fleet, -target URL for a remote
-                    endpoint; emits a Benchmark line for
-                    cmd/benchjson -o BENCH_serve.json)
-  benchdiff         perf-regression gate over the BENCH_*.json logs:
-                    latest run vs baseline, per-unit direction-aware
-                    thresholds, non-zero exit on regression
-  version           print the binary's build provenance
-`, experiments.IDs())
+func cmdVersion([]string) error {
+	fmt.Println(buildinfo.Get())
+	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, "usage: splitcnn <subcommand> [flags]\n\nsubcommands:\n")
+	for _, c := range subcommands {
+		name, help := c.name, c.help
+		if name == "experiment" {
+			name, help = "experiment <id>", fmt.Sprintf(help, experiments.IDs())
+		}
+		for i, line := range strings.Split(help, "\n") {
+			fmt.Fprintf(w, "  %-16s  %s\n", name, line)
+			if i == 0 {
+				name = ""
+			}
+		}
+	}
 }
 
 func deviceFlag(fs *flag.FlagSet) *string {

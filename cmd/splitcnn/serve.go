@@ -12,20 +12,17 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"splitcnn/internal/distserve"
 	"splitcnn/internal/models"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/trace"
 )
 
-// specFlags are the model-selection flags shared by `serve` and
-// `loadtest -spawn`.
+// specFlags are the model-selection flags shared by `serve`, `worker`
+// and `router`.
 type specFlags struct {
 	model    *string
 	arch     *string
@@ -282,264 +279,4 @@ func serveSmoke(srv *serve.Server, base string, inst *serve.Instance) error {
 	fmt.Printf("serve smoke ok: argmax %d, batch %d, latency %d us\n",
 		pr.Argmax, pr.BatchSize, pr.LatencyUs)
 	return nil
-}
-
-func cmdLoadtest(args []string) error {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "server address (host:port)")
-	targetURL := fs.String("target", "", "base URL of the endpoint to test, e.g. http://10.0.0.2:8080 (overrides -addr; scheme optional)")
-	spawn := fs.Bool("spawn", false, "serve in-process on a random port and loadtest that")
-	spawnWorkers := fs.Int("spawnworkers", 0, "spawn a distributed fleet (router over N in-process shard workers) and loadtest that")
-	sf := addSpecFlags(fs)
-	maxDelay := fs.Duration("maxdelay", 2*time.Millisecond, "batching delay (with -spawn)")
-	conc := fs.Int("c", 8, "concurrent closed-loop clients")
-	total := fs.Int("n", 256, "total requests")
-	benchName := fs.String("bench", "ServeLoadtest", "name for the emitted Benchmark result line")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	target := *addr
-	if *spawnWorkers > 0 {
-		spec, err := sf.spec()
-		if err != nil {
-			return err
-		}
-		var addrs []string
-		for i := 0; i < *spawnWorkers; i++ {
-			w, err := distserve.StartWorker("127.0.0.1:0", distserve.WorkerConfig{
-				Spec: spec, MaxPods: 2 * *conc, // loadtest measures latency, not admission control
-			})
-			if err != nil {
-				return fmt.Errorf("loadtest: spawn worker %d: %w", i, err)
-			}
-			defer w.Close()
-			addrs = append(addrs, w.Addr())
-		}
-		rt, err := distserve.NewRouter(distserve.RouterOptions{
-			Spec: spec, Workers: addrs,
-			TailExecutors:          *conc,
-			RequestTimeout:         60 * time.Second,
-			RuntimeMetricsInterval: 100 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		bound, err := rt.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		target = bound.String()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			rt.Shutdown(ctx)
-		}()
-	} else if *spawn {
-		spec, err := sf.spec()
-		if err != nil {
-			return err
-		}
-		reg, err := serve.NewRegistry(spec)
-		if err != nil {
-			return err
-		}
-		srv := serve.NewServer(reg, serve.Options{
-			MaxDelay:               *maxDelay,
-			QueueDepth:             2 * *total, // loadtest measures latency, not admission control
-			RequestTimeout:         60 * time.Second,
-			RuntimeMetricsInterval: 100 * time.Millisecond,
-		})
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		target = bound.String()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-	}
-	base := "http://" + target
-	if *targetURL != "" {
-		if *spawn || *spawnWorkers > 0 {
-			return fmt.Errorf("loadtest: -target is mutually exclusive with -spawn/-spawnworkers")
-		}
-		base = *targetURL
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		base = strings.TrimSuffix(base, "/")
-	}
-
-	// Discover the default model's input geometry from the server.
-	resp, err := http.Get(base + "/v1/models")
-	if err != nil {
-		return fmt.Errorf("loadtest: %s unreachable: %w", base, err)
-	}
-	var infos []serve.ModelInfo
-	err = json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
-	if err != nil || len(infos) == 0 {
-		return fmt.Errorf("loadtest: bad /v1/models response (err=%v)", err)
-	}
-	info := infos[0]
-	imageLen := info.Input[0] * info.Input[1] * info.Input[2]
-	body, _ := json.Marshal(serve.PredictRequest{
-		Model: info.Name, Image: make([]float32, imageLen),
-	})
-
-	type stats struct {
-		lat     []time.Duration
-		batches int64
-		errs    int
-	}
-	per := make([]stats, *conc)
-
-	// Memory footprint of the run, scraped from the target's own
-	// /metricsz: peak heap is polled while the load runs (it rises and
-	// falls with GC), the arena high water is monotone and read once at
-	// the end.
-	var peakHeap float64
-	memStop := make(chan struct{})
-	memDone := make(chan struct{})
-	go func() {
-		defer close(memDone)
-		t := time.NewTicker(100 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-memStop:
-				return
-			case <-t.C:
-				if g, err := scrapeGauges(base); err == nil {
-					if v := g["runtime.heap_alloc_bytes"]; v > peakHeap {
-						peakHeap = v
-					}
-				}
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < *conc; w++ {
-		n := *total / *conc
-		if w < *total%*conc {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			st := &per[w]
-			for i := 0; i < n; i++ {
-				t0 := time.Now()
-				resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
-				if err != nil {
-					st.errs++
-					continue
-				}
-				var pr serve.PredictResponse
-				derr := json.NewDecoder(resp.Body).Decode(&pr)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || derr != nil {
-					st.errs++
-					continue
-				}
-				st.lat = append(st.lat, time.Since(t0))
-				st.batches += int64(pr.BatchSize)
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	close(memStop)
-	<-memDone
-	var arenaHW float64
-	if g, err := scrapeGauges(base); err == nil {
-		if v := g["runtime.heap_alloc_bytes"]; v > peakHeap {
-			peakHeap = v
-		}
-		arenaHW = g["arena.high_water_bytes"]
-	}
-
-	var lat []time.Duration
-	var batches int64
-	errs := 0
-	for i := range per {
-		lat = append(lat, per[i].lat...)
-		batches += per[i].batches
-		errs += per[i].errs
-	}
-	if len(lat) == 0 {
-		return fmt.Errorf("loadtest: all %d requests failed", *total)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, l := range lat {
-		sum += l
-	}
-	mean := sum / time.Duration(len(lat))
-	p50 := lat[len(lat)/2]
-	p99 := lat[len(lat)*99/100]
-	throughput := float64(len(lat)) / wall.Seconds()
-	avgBatch := float64(batches) / float64(len(lat))
-
-	fmt.Printf("loadtest %s: %d ok, %d errors, %d clients, %.2fs wall\n",
-		base, len(lat), errs, *conc, wall.Seconds())
-	fmt.Printf("throughput %.1f img/s, latency mean %.2fms p50 %.2fms p99 %.2fms, mean batch %.2f\n",
-		throughput, ms(mean), ms(p50), ms(p99), avgBatch)
-	// When the target is a distributed router, record the fleet shape in
-	// the benchmark metadata: worker count from its /v1/workers and the
-	// gang size (mean shards answering per request — the response
-	// BatchSize on the distributed path). Single-process servers have no
-	// /v1/workers and emit the classic line.
-	fleet := ""
-	if resp, err := http.Get(base + "/v1/workers"); err == nil {
-		var ws []json.RawMessage
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&ws) == nil && len(ws) > 0 {
-			fleet = fmt.Sprintf(" %8d workers %8.2f gang-size", len(ws), avgBatch)
-		}
-		resp.Body.Close()
-	}
-	// Memory metrics ride on the same line when the target's runtime
-	// sampler exposed them, so the committed BENCH_serve.json trajectory
-	// (and the benchdiff gate) covers footprint as well as latency.
-	mem := ""
-	if peakHeap > 0 {
-		mem = fmt.Sprintf(" %10.2f peak-heap-MiB", peakHeap/(1<<20))
-	}
-	if arenaHW > 0 {
-		mem += fmt.Sprintf(" %10.2f arena-hw-MiB", arenaHW/(1<<20))
-	}
-	// A `go test -bench`-shaped line, so the run can be appended to the
-	// benchmark log: splitcnn loadtest ... | benchjson -o BENCH_serve.json
-	fmt.Printf("Benchmark%s %8d %12.0f ns/op %12.1f img/s %10.3f p99-ms %8.2f avg-batch%s%s\n",
-		*benchName, len(lat), float64(mean.Nanoseconds()), throughput, ms(p99), avgBatch, fleet, mem)
-	if errs > 0 {
-		return fmt.Errorf("loadtest: %d of %d requests failed", errs, *total)
-	}
-	return nil
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// scrapeGauges fetches the target's /metricsz JSON and returns its
-// gauge map.
-func scrapeGauges(base string) (map[string]float64, error) {
-	resp, err := http.Get(base + "/metricsz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metricsz status %d", resp.StatusCode)
-	}
-	var snap struct {
-		Gauges map[string]float64 `json:"gauges"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return snap.Gauges, nil
 }

@@ -128,8 +128,8 @@ type WorkerInfo struct {
 // feature-map row bands, whole-gang retry on worker failure, and local
 // evaluation of the model's non-shardable tail. It serves the same
 // /v1/predict surface as the single-process server, so clients (and
-// loadtest) cannot tell which one they talk to — except that answers
-// are computed by a gang.
+// the bench load generator) cannot tell which one they talk to — except
+// that answers are computed by a gang.
 type Router struct {
 	plan *Plan
 	sig  string

@@ -142,23 +142,3 @@ func (s *ParamStore) InitFromGraph(g *Graph, rng *rand.Rand, init Initializer) {
 		}
 	}
 }
-
-// GetChecked is Get with shape conflicts reported as errors instead of
-// panics, for shapes that come from external data (checkpoint and
-// weight-snapshot files).
-func (s *ParamStore) GetChecked(name string, shape tensor.Shape) (*Param, error) {
-	return s.getChecked(name, shape)
-}
-
-// getChecked is Get with shape conflicts reported as errors instead of
-// panics (used when the shape comes from external data, e.g. a
-// checkpoint file).
-func (s *ParamStore) getChecked(name string, shape tensor.Shape) (*Param, error) {
-	if p, ok := s.params[name]; ok {
-		if !p.Value.Shape().Equal(shape) {
-			return nil, fmt.Errorf("param %q: stored shape %v conflicts with existing %v", name, shape, p.Value.Shape())
-		}
-		return p, nil
-	}
-	return s.Get(name, shape), nil
-}

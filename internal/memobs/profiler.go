@@ -12,9 +12,9 @@ import (
 )
 
 // cpuProfileMu serializes CPU capture windows process-wide: the Go
-// runtime supports one CPU profile at a time, and a loadtest -spawn
-// fleet runs several routers/workers/servers — each with its own
-// Profiler — in one process. A profiler that loses the race skips its
+// runtime supports one CPU profile at a time, and a loopback fleet
+// (`router -spawn`, the memory smoke) runs several routers/workers/
+// servers — each with its own Profiler — in one process. A profiler that loses the race skips its
 // window (counted, not queued) rather than blocking its loop.
 var cpuProfileMu sync.Mutex
 

@@ -40,7 +40,7 @@ func (s *BNState) update(st bnStats) {
 }
 
 // Version returns the number of running-statistic updates so far. Callers that
-// mutate RunningMean/RunningVar directly (checkpoint restore) should
+// mutate RunningMean/RunningVar directly (snapshot restore) should
 // call Invalidate instead of tracking versions themselves.
 func (s *BNState) Version() uint64 {
 	s.mu.Lock()

@@ -1,9 +1,9 @@
 // Package snapshot reads and writes weight snapshots: the self-contained
 // binary artifact that carries a trained model from `splitcnn train
-// -save` to the inference server. A snapshot extends the parameter-only
-// checkpoint of internal/graph with the batch-normalization running
-// statistics — without them an eval-mode forward pass would normalize
-// with the initial (0, 1) estimates and serve garbage.
+// -save` to the inference server. A snapshot carries the parameters
+// together with the batch-normalization running statistics — without
+// them an eval-mode forward pass would normalize with the initial
+// (0, 1) estimates and serve garbage.
 //
 // Format (little-endian throughout):
 //
@@ -17,10 +17,11 @@
 //	  uint16 nameLen | name | uint32 channels
 //	  float64 momentum | float64 runningMean... | float64 runningVar...
 //
-// Loading is shape-checked: a parameter whose stored shape conflicts
-// with one the target store already holds, or a BN state whose channel
-// count disagrees with the model's, is an error rather than silent
-// corruption.
+// Loading is name- and shape-checked against the target model: a
+// parameter or BN state the model lacks, a parameter whose stored shape
+// differs from the model's, or a BN state whose channel count differs,
+// is an error rather than silent corruption. Loading never allocates
+// from the file's dimensions, so a hostile header cannot exhaust memory.
 package snapshot
 
 import (
@@ -34,14 +35,16 @@ import (
 
 	"splitcnn/internal/graph"
 	"splitcnn/internal/nn"
+	"splitcnn/internal/tensor"
 )
 
 var magic = [8]byte{'S', 'C', 'N', 'N', 'S', 'N', 'A', 'P'}
 
 const version = 1
 
-// maxDim bounds any single tensor dimension read from a snapshot, so a
-// corrupt file fails fast instead of attempting a huge allocation.
+// maxDim bounds any single tensor dimension or channel count read from
+// a snapshot; the values are compared against the model, never
+// allocated.
 const maxDim = 1 << 31
 
 func writeString(w *bufio.Writer, s string) error {
@@ -141,14 +144,14 @@ func Save(w io.Writer, store *graph.ParamStore, bn map[string]*nn.BNState) error
 	return bw.Flush()
 }
 
-// Load restores a snapshot from r into store and bn. Parameters are
-// created in the store when missing and shape-checked when present. BN
-// states are matched by name against bn (built by the model
-// constructor); a state present in the file but absent from bn is an
-// error, as is a channel-count mismatch — both mean the snapshot belongs
-// to a different architecture. States in bn that the file lacks are left
-// at their initial (0, 1) estimates, so parameter-only snapshots of
-// BN-free models load into any registry.
+// Load restores a snapshot from r into store and bn, which the caller
+// has already built for the target model (ParamStore.InitFromGraph and
+// the model constructor's BN registry). Parameters and BN states are
+// matched by name; one present in the file but absent from the model is
+// an error, as is a shape or channel-count mismatch — each means the
+// snapshot belongs to a different architecture. Parameters and states
+// the file lacks keep their initial values, so parameter-only snapshots
+// of BN-free models load into any registry.
 func Load(r io.Reader, store *graph.ParamStore, bn map[string]*nn.BNState) error {
 	br := bufio.NewReader(r)
 	var m [8]byte
@@ -184,7 +187,7 @@ func Load(r io.Reader, store *graph.ParamStore, bn map[string]*nn.BNState) error
 		if rank == 0 || rank > 8 {
 			return fmt.Errorf("snapshot: parameter %q has rank %d", name, rank)
 		}
-		dims := make([]int, rank)
+		dims := make(tensor.Shape, rank)
 		for d := range dims {
 			var v int64
 			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
@@ -195,9 +198,13 @@ func Load(r io.Reader, store *graph.ParamStore, bn map[string]*nn.BNState) error
 			}
 			dims[d] = int(v)
 		}
-		p, err := store.GetChecked(name, dims)
-		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
+		p := store.Lookup(name)
+		if p == nil {
+			return fmt.Errorf("snapshot: parameter %q not in the target model", name)
+		}
+		if !p.Value.Shape().Equal(dims) {
+			return fmt.Errorf("snapshot: parameter %q has shape %v, model wants %v",
+				name, dims, p.Value.Shape())
 		}
 		if err := binary.Read(br, binary.LittleEndian, p.Value.Data()); err != nil {
 			return err

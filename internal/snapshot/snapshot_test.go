@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -19,20 +20,27 @@ func fillRandom(rng *rand.Rand, store *graph.ParamStore) {
 	}
 }
 
-func makeFixture(rng *rand.Rand) (*graph.ParamStore, map[string]*nn.BNState) {
+// newModel returns the fixture model's parameter store and BN registry
+// at their initial values, as a model constructor would build them.
+func newModel() (*graph.ParamStore, map[string]*nn.BNState) {
 	store := graph.NewParamStore()
 	store.Get("conv1.w", tensor.Shape{8, 3, 3, 3})
 	store.Get("fc.w", tensor.Shape{10, 32})
-	b := store.Get("fc.b", tensor.Shape{10})
-	b.NoDecay = true
+	store.Get("fc.b", tensor.Shape{10})
+	return store, map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 8)}
+}
+
+func makeFixture(rng *rand.Rand) (*graph.ParamStore, map[string]*nn.BNState) {
+	store, bn := newModel()
+	store.Lookup("fc.b").NoDecay = true
 	fillRandom(rng, store)
-	st := nn.NewBNState("bn1", 8)
+	st := bn["bn1"]
 	for i := range st.RunningMean {
 		st.RunningMean[i] = rng.NormFloat64()
 		st.RunningVar[i] = rng.Float64() + 0.5
 	}
 	st.Momentum = 0.05
-	return store, map[string]*nn.BNState{"bn1": st}
+	return store, bn
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -44,9 +52,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Load into a fresh, empty store plus a model-constructed BN registry.
-	store2 := graph.NewParamStore()
-	bn2 := map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 8)}
+	// Load into a freshly constructed model.
+	store2, bn2 := newModel()
 	if err := LoadFile(path, store2, bn2); err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +95,29 @@ func TestLoadShapeMismatch(t *testing.T) {
 
 	conflicting := graph.NewParamStore()
 	conflicting.Get("conv1.w", tensor.Shape{4, 3, 3, 3}) // wrong shape
+	conflicting.Get("fc.w", tensor.Shape{10, 32})
+	conflicting.Get("fc.b", tensor.Shape{10})
 	if err := Load(bytes.NewReader(buf.Bytes()), conflicting, map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 8)}); err == nil {
 		t.Fatal("loading a conflicting parameter shape did not fail")
 	}
 
+	missing := graph.NewParamStore()
+	missing.Get("conv1.w", tensor.Shape{8, 3, 3, 3}) // no fc.*
+	if err := Load(bytes.NewReader(buf.Bytes()), missing, map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 8)}); err == nil {
+		t.Fatal("loading a parameter the model lacks did not fail")
+	}
+	if missing.Len() != 1 {
+		t.Fatalf("Load added parameters to the store: %d, want 1", missing.Len())
+	}
+
+	store2, _ := newModel()
 	wrongBN := map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 4)} // wrong channels
-	if err := Load(bytes.NewReader(buf.Bytes()), graph.NewParamStore(), wrongBN); err == nil {
+	if err := Load(bytes.NewReader(buf.Bytes()), store2, wrongBN); err == nil {
 		t.Fatal("loading a conflicting BN channel count did not fail")
 	}
 
-	if err := Load(bytes.NewReader(buf.Bytes()), graph.NewParamStore(), nil); err == nil {
+	store3, _ := newModel()
+	if err := Load(bytes.NewReader(buf.Bytes()), store3, nil); err == nil {
 		t.Fatal("loading BN stats into a model without that state did not fail")
 	}
 }
@@ -117,8 +137,81 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	}
 
 	truncated := buf.Bytes()[:buf.Len()/2]
-	bn2 := map[string]*nn.BNState{"bn1": nn.NewBNState("bn1", 8)}
-	if err := Load(bytes.NewReader(truncated), graph.NewParamStore(), bn2); err == nil {
+	store2, bn2 := newModel()
+	if err := Load(bytes.NewReader(truncated), store2, bn2); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
+}
+
+// hostileHeader is a snapshot declaring one parameter of the given
+// dimensions and carrying no values.
+func hostileHeader(name string, dims ...int64) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	binary.Write(&buf, binary.LittleEndian, uint32(version))
+	binary.Write(&buf, binary.LittleEndian, uint32(1))
+	binary.Write(&buf, binary.LittleEndian, uint16(len(name)))
+	buf.WriteString(name)
+	buf.WriteByte(0) // flags
+	buf.WriteByte(uint8(len(dims)))
+	binary.Write(&buf, binary.LittleEndian, dims)
+	return buf.Bytes()
+}
+
+// TestLoadRejectsHostileHeader: a few dozen bytes declaring a huge
+// parameter must be an error, not a panic or a multi-GiB allocation,
+// whether or not the model has a parameter of that name.
+func TestLoadRejectsHostileHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"rank2", hostileHeader("w.x", maxDim, maxDim)},
+		{"rank1", hostileHeader("w.x", maxDim)},
+		{"known_rank2", hostileHeader("fc.w", maxDim, maxDim)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, bn := newModel()
+			if err := Load(bytes.NewReader(tc.data), store, bn); err == nil {
+				t.Fatalf("%d-byte hostile header accepted", len(tc.data))
+			}
+		})
+	}
+}
+
+// FuzzLoad: Load never panics on arbitrary bytes, and whenever it
+// succeeds every parameter and BN state keeps the model's shape. The
+// seed corpus is a valid snapshot plus each of its truncations, so
+// plain `go test` walks every field boundary of the format.
+func FuzzLoad(f *testing.F) {
+	store, bn := makeFixture(rand.New(rand.NewSource(4)))
+	var buf bytes.Buffer
+	if err := Save(&buf, store, bn); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	for n := 0; n <= len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store, bn := newModel()
+		if err := Load(bytes.NewReader(data), store, bn); err != nil {
+			return
+		}
+		want, wantBN := newModel()
+		if store.Len() != want.Len() {
+			t.Fatalf("store has %d parameters after load, model has %d", store.Len(), want.Len())
+		}
+		for _, p := range want.All() {
+			if got := store.Lookup(p.Name).Value.Shape(); !got.Equal(p.Value.Shape()) {
+				t.Fatalf("parameter %q shape %v after load, model has %v", p.Name, got, p.Value.Shape())
+			}
+		}
+		for name, st := range wantBN {
+			got := bn[name]
+			if len(got.RunningMean) != len(st.RunningMean) || len(got.RunningVar) != len(st.RunningVar) {
+				t.Fatalf("BN state %q resized by load", name)
+			}
+		}
+	})
 }

@@ -6,47 +6,6 @@ import (
 	"testing/quick"
 )
 
-// TestQuickSplitConcatRoundTrip: for any valid random split of a random
-// tensor along either spatial dimension, concatenation restores it.
-func TestQuickSplitConcatRoundTrip(t *testing.T) {
-	f := func(seed int64, dimRaw bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, c := 1+rng.Intn(3), 1+rng.Intn(4)
-		h, w := 2+rng.Intn(12), 2+rng.Intn(12)
-		x := New(n, c, h, w)
-		x.RandNormal(rng, 1)
-		dim := DimH
-		size := h
-		if dimRaw {
-			dim = DimW
-			size = w
-		}
-		parts := 1 + rng.Intn(min(size, 4))
-		starts := make([]int, 0, parts)
-		used := map[int]bool{0: true}
-		starts = append(starts, 0)
-		for len(starts) < parts {
-			s := rng.Intn(size)
-			if !used[s] {
-				used[s] = true
-				starts = append(starts, s)
-			}
-		}
-		// sort
-		for i := 1; i < len(starts); i++ {
-			for j := i; j > 0 && starts[j] < starts[j-1]; j-- {
-				starts[j], starts[j-1] = starts[j-1], starts[j]
-			}
-		}
-		pieces := SplitSpatial(x, dim, starts)
-		back := ConcatSpatial(pieces, dim)
-		return MaxAbsDiff(back, x) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickConvOutputSize: OutSize must agree with the actual tensor
 // produced by Conv2D for random geometries, including negative padding
 // (cropping).
@@ -89,9 +48,12 @@ func TestNegativeCropConvMatchesManualCrop(t *testing.T) {
 	// Crop one row at top via Pad.Top = -1.
 	p := ConvParams{KH: 1, KW: 1, SH: 1, SW: 1, Pad: Pad2D{Top: -1}}
 	got := conv2D(x, w, nil, p)
-	// Manual: slice rows 1..8 then conv without padding.
-	parts := SplitSpatial(x, DimH, []int{0, 1})
-	want := conv2D(parts[1], w, nil, ConvParams{KH: 1, KW: 1, SH: 1, SW: 1})
+	// Manual: copy rows 1..8 of each channel, then conv without padding.
+	crop := New(1, 2, 7, 8)
+	for c := 0; c < 2; c++ {
+		copy(crop.Data()[c*7*8:(c+1)*7*8], x.Data()[c*8*8+8:(c+1)*8*8])
+	}
+	want := conv2D(crop, w, nil, ConvParams{KH: 1, KW: 1, SH: 1, SW: 1})
 	if !got.Shape().Equal(want.Shape()) {
 		t.Fatalf("shape %v vs %v", got.Shape(), want.Shape())
 	}

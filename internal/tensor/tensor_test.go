@@ -395,44 +395,6 @@ func TestAvgPoolAndBackward(t *testing.T) {
 	}
 }
 
-func TestSplitConcatRoundTripW(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := New(2, 3, 4, 9)
-	x.RandNormal(rng, 1)
-	parts := SplitSpatial(x, DimW, []int{0, 3, 7})
-	if !parts[0].Shape().Equal(Shape{2, 3, 4, 3}) ||
-		!parts[1].Shape().Equal(Shape{2, 3, 4, 4}) ||
-		!parts[2].Shape().Equal(Shape{2, 3, 4, 2}) {
-		t.Fatalf("split shapes: %v %v %v", parts[0].Shape(), parts[1].Shape(), parts[2].Shape())
-	}
-	back := ConcatSpatial(parts, DimW)
-	if d := MaxAbsDiff(back, x); d != 0 {
-		t.Fatalf("round trip diff %v", d)
-	}
-}
-
-func TestSplitConcatRoundTripH(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x := New(1, 2, 10, 3)
-	x.RandNormal(rng, 1)
-	parts := SplitSpatial(x, DimH, []int{0, 2, 5, 9})
-	back := ConcatSpatial(parts, DimH)
-	if d := MaxAbsDiff(back, x); d != 0 {
-		t.Fatalf("round trip diff %v", d)
-	}
-}
-
-func TestValidateStarts(t *testing.T) {
-	for _, bad := range [][]int{{}, {1}, {0, 0}, {0, 3, 2}, {0, 10}} {
-		if err := ValidateStarts(bad, 10); err == nil {
-			t.Fatalf("starts %v accepted", bad)
-		}
-	}
-	if err := ValidateStarts([]int{0, 4, 9}, 10); err != nil {
-		t.Fatalf("valid starts rejected: %v", err)
-	}
-}
-
 func TestArgmaxRow(t *testing.T) {
 	x := FromSlice([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
 	got := ArgmaxRow(x)
