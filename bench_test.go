@@ -615,3 +615,25 @@ func BenchmarkHMMSPipeline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeviceReplay measures the discrete-event replay of one
+// planned step (sim.Replay) on split ResNet-50 b32 (2×2 patches over the
+// first 75 % of convolutions, HMMS plan): the reference configuration of
+// the plan_imagenet workload, whose sim.replay_ms it guards locally.
+func BenchmarkDeviceReplay(b *testing.B) {
+	sr, err := core.Split(models.ResNet50ImageNet(32).Graph, core.Config{Depth: 0.75, NH: 2, NW: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := costmodel.P100()
+	prog, plan, mem, err := sim.Plan(sr.Graph, dev, sim.MethodHMMS, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sim.Replay(prog, plan, mem, dev.MemCapacity); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,8 +16,9 @@
 package device
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"splitcnn/internal/trace"
 )
@@ -48,6 +49,9 @@ type workItem struct {
 	duration float64 // kernels
 	bytes    int64   // copies
 	event    EventID // record / wait
+	// alloc and free are device-memory deltas applied when the item
+	// starts and completes (kernels and copies).
+	alloc, free int64
 }
 
 // Device is a discrete-event accelerator model. Create one with New,
@@ -65,49 +69,35 @@ type Device struct {
 	// streams to "mem<id>", one trace lane per CUDA-style stream.
 	Recorder trace.Recorder
 
-	streams   map[StreamID][]workItem
-	streamIDs []StreamID
+	// streams[s] is stream s's FIFO queue. Events are numbered in
+	// Record order, so every recorded EventID is below nextEvent.
+	streams   [][]workItem
 	nextEvent EventID
-	// memory occupancy deltas keyed by (stream, item index): applied
-	// when that item completes (frees) or starts (allocations).
-	allocAt map[int64]int64
-	freeAt  map[int64]int64
 }
 
 // New returns a device with the given link bandwidth.
 func New(linkBandwidth float64) *Device {
-	return &Device{
-		LinkBandwidth: linkBandwidth,
-		streams:       map[StreamID][]workItem{ComputeStream: nil},
-		streamIDs:     []StreamID{ComputeStream},
-		allocAt:       map[int64]int64{},
-		freeAt:        map[int64]int64{},
-	}
+	return &Device{LinkBandwidth: linkBandwidth, streams: make([][]workItem, 1)}
 }
 
 // NewStream adds a memory stream and returns its ID.
 func (d *Device) NewStream() StreamID {
-	id := StreamID(len(d.streamIDs))
-	d.streamIDs = append(d.streamIDs, id)
-	d.streams[id] = nil
-	return id
+	d.streams = append(d.streams, nil)
+	return StreamID(len(d.streams) - 1)
 }
 
-func (d *Device) push(s StreamID, it workItem) (StreamID, int) {
-	if _, ok := d.streams[s]; !ok {
+func (d *Device) push(s StreamID, it workItem) Handle {
+	if s < 0 || int(s) >= len(d.streams) {
 		panic(fmt.Sprintf("device: unknown stream %d", s))
 	}
 	d.streams[s] = append(d.streams[s], it)
-	return s, len(d.streams[s]) - 1
+	return Handle{s, len(d.streams[s]) - 1}
 }
-
-func key(s StreamID, idx int) int64 { return int64(s)<<32 | int64(idx) }
 
 // Launch enqueues a kernel of the given duration on the compute stream.
 // It returns a handle usable with AllocAt/FreeAt.
 func (d *Device) Launch(label string, duration float64) Handle {
-	s, i := d.push(ComputeStream, workItem{kind: kindKernel, label: label, duration: duration})
-	return Handle{s, i}
+	return d.push(ComputeStream, workItem{kind: kindKernel, label: label, duration: duration})
 }
 
 // Copy enqueues a host-link transfer on a memory stream.
@@ -115,8 +105,7 @@ func (d *Device) Copy(s StreamID, label string, bytes int64) Handle {
 	if s == ComputeStream {
 		panic("device: copies go to memory streams")
 	}
-	h, i := d.push(s, workItem{kind: kindCopy, label: label, bytes: bytes})
-	return Handle{h, i}
+	return d.push(s, workItem{kind: kindCopy, label: label, bytes: bytes})
 }
 
 // Record enqueues an event-record marker on a stream and returns the
@@ -142,11 +131,11 @@ type Handle struct {
 
 // AllocAt registers a device-memory allocation of n bytes taking effect
 // when the item starts.
-func (d *Device) AllocAt(h Handle, n int64) { d.allocAt[key(h.stream, h.index)] += n }
+func (d *Device) AllocAt(h Handle, n int64) { d.streams[h.stream][h.index].alloc += n }
 
 // FreeAt registers a device-memory release of n bytes taking effect when
 // the item completes.
-func (d *Device) FreeAt(h Handle, n int64) { d.freeAt[key(h.stream, h.index)] += n }
+func (d *Device) FreeAt(h Handle, n int64) { d.streams[h.stream][h.index].free += n }
 
 // StreamName renders a stream ID as a trace lane name: "compute" for
 // the compute stream, "mem<id>" for memory streams.
@@ -187,23 +176,105 @@ func (t *Trace) Emit(rec trace.Recorder) {
 	}
 }
 
-// Run executes the event calendar and returns the trace. The algorithm
-// is iterative list scheduling: repeatedly pick, among the head items of
-// all streams, one whose dependencies (prior item on the same stream,
-// awaited events, link availability for copies) are satisfied, and
-// retire it. Deadlocks (circular waits) are reported as errors.
-func (d *Device) Run() (*Trace, error) {
-	heads := map[StreamID]int{}
-	streamFree := map[StreamID]float64{}
-	eventDone := map[EventID]float64{}
-	eventKnown := map[EventID]bool{}
-	var linkFree float64
-	tr := &Trace{}
-	var mem, peak int64
-	remaining := 0
-	for _, s := range d.streamIDs {
-		remaining += len(d.streams[s])
+// linkRequest is a stream whose head item is a copy, ready to start at
+// ready once the link is granted to it.
+type linkRequest struct {
+	ready  float64
+	stream StreamID
+}
+
+func (r linkRequest) before(o linkRequest) bool {
+	return r.ready < o.ready || r.ready == o.ready && r.stream < o.stream
+}
+
+// linkQueue is a binary min-heap of link requests: earliest ready
+// first, lowest stream ID on ties. It is not a container/heap.Interface
+// because that boxes every request pushed or popped into an allocation.
+type linkQueue []linkRequest
+
+func (q *linkQueue) push(r linkRequest) {
+	h := append(*q, r)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
+	*q = h
+}
+
+func (q *linkQueue) pop() linkRequest {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
+}
+
+// Run executes the event calendar and returns the trace. Each stream
+// retires its items in order until it blocks: on a wait for an event
+// not yet recorded, where it parks until that event's Record retires
+// and wakes it, or on a copy, which needs the shared host link. When no
+// stream can advance, the link goes to the blocked copy that becomes
+// ready earliest (the lowest stream ID on ties); the copies wait in a
+// min-heap on (ready time, stream ID), so a run costs
+// O((items + streams) · log streams). Work left over once no stream can
+// advance and no copy waits for the link is a deadlock — a circular
+// wait, or a wait on an event that is never recorded — and is reported
+// as an error.
+func (d *Device) Run() (*Trace, error) {
+	n := len(d.streams)
+	head := make([]int, n)     // index of each stream's next item
+	free := make([]float64, n) // when each stream's last retired item completed
+	recordedAt := make([]float64, d.nextEvent)
+	recorded := make([]bool, d.nextEvent)
+	// The streams blocked on an unrecorded event form a list: parked[ev]
+	// is its first stream (-1 for none), nextParked[s] the one after s.
+	// A stream is in at most one place at a time: one such list, the
+	// runnable stack, or the link queue.
+	parked := make([]StreamID, d.nextEvent)
+	for ev := range parked {
+		parked[ev] = -1
+	}
+	nextParked := make([]StreamID, n)
+	runnable := make([]StreamID, n)
+	remaining, spans, deltas := 0, 0, 0
+	for s, q := range d.streams {
+		runnable[s] = StreamID(s)
+		remaining += len(q)
+		for _, it := range q {
+			if it.kind == kindKernel || it.kind == kindCopy {
+				spans++
+			}
+			if it.alloc != 0 {
+				deltas++
+			}
+			if it.free != 0 {
+				deltas++
+			}
+		}
+	}
+	var link linkQueue
+	var linkFree float64
+	tr := &Trace{Spans: make([]Span, 0, spans)}
+	var mem, peak int64
 
 	// memEvents accumulates (time, delta) pairs; applied in time order
 	// at the end for the peak computation.
@@ -211,83 +282,79 @@ func (d *Device) Run() (*Trace, error) {
 		t     float64
 		delta int64
 	}
-	var memEvents []memEvent
+	memEvents := make([]memEvent, 0, deltas)
 
-	retire := func(s StreamID, start, end float64, it workItem, idx int) {
+	retire := func(s StreamID, it *workItem, start, end float64) {
 		if it.kind == kindKernel || it.kind == kindCopy {
 			tr.Spans = append(tr.Spans, Span{Stream: s, Label: it.label, Start: start, End: end})
 			if d.Recorder != nil {
 				d.Recorder.Span(StreamName(s), it.label, start, end)
 			}
-			if a := d.allocAt[key(s, idx)]; a != 0 {
-				memEvents = append(memEvents, memEvent{start, a})
+			if it.alloc != 0 {
+				memEvents = append(memEvents, memEvent{start, it.alloc})
 			}
-			if f := d.freeAt[key(s, idx)]; f != 0 {
-				memEvents = append(memEvents, memEvent{end, -f})
+			if it.free != 0 {
+				memEvents = append(memEvents, memEvent{end, -it.free})
 			}
 		}
-		streamFree[s] = end
-		heads[s]++
+		free[s] = end
+		head[s]++
 		remaining--
 	}
 
-	for remaining > 0 {
-		// Phase 1: retire every head item that does not contend for the
-		// link (kernels, records, satisfiable waits), to a fixpoint.
-		progressed := true
-		for progressed {
-			progressed = false
-			for _, s := range d.streamIDs {
-				idx := heads[s]
-				q := d.streams[s]
-				if idx >= len(q) {
-					continue
+	// advance retires stream s's items until it blocks or runs dry.
+	advance := func(s StreamID) {
+		for q := d.streams[s]; head[s] < len(q); {
+			it := &q[head[s]]
+			ready := free[s]
+			switch it.kind {
+			case kindKernel:
+				retire(s, it, ready, ready+it.duration)
+			case kindRecord:
+				recordedAt[it.event], recorded[it.event] = ready, true
+				for w := parked[it.event]; w >= 0; w = nextParked[w] {
+					runnable = append(runnable, w)
 				}
-				it := q[idx]
-				ready := streamFree[s]
-				switch it.kind {
-				case kindWait:
-					if eventKnown[it.event] {
-						retire(s, ready, max(ready, eventDone[it.event]), it, idx)
-						progressed = true
-					}
-				case kindRecord:
-					eventDone[it.event] = ready
-					eventKnown[it.event] = true
-					retire(s, ready, ready, it, idx)
-					progressed = true
-				case kindKernel:
-					retire(s, ready, ready+it.duration, it, idx)
-					progressed = true
+				parked[it.event] = -1
+				retire(s, it, ready, ready)
+			case kindWait:
+				ev := it.event
+				if ev < 0 || ev >= d.nextEvent {
+					return // never recorded: blocked for good
 				}
+				if !recorded[ev] {
+					parked[ev], nextParked[s] = s, parked[ev]
+					return
+				}
+				retire(s, it, ready, max(ready, recordedAt[ev]))
+			case kindCopy:
+				link.push(linkRequest{ready, s})
+				return
 			}
 		}
-		if remaining == 0 {
+	}
+
+	for {
+		for len(runnable) > 0 {
+			s := runnable[len(runnable)-1]
+			runnable = runnable[:len(runnable)-1]
+			advance(s)
+		}
+		if len(link) == 0 {
 			break
 		}
-		// Phase 2: the link is a shared FIFO resource — grant it to the
-		// head copy that becomes ready earliest.
-		bestStream := StreamID(-1)
-		bestReady := 0.0
-		for _, s := range d.streamIDs {
-			idx := heads[s]
-			q := d.streams[s]
-			if idx >= len(q) || q[idx].kind != kindCopy {
-				continue
-			}
-			if bestStream < 0 || streamFree[s] < bestReady {
-				bestStream, bestReady = s, streamFree[s]
-			}
-		}
-		if bestStream < 0 {
-			return nil, fmt.Errorf("device: deadlock — circular event waits among streams")
-		}
-		idx := heads[bestStream]
-		it := d.streams[bestStream][idx]
-		start := max(bestReady, linkFree)
+		// The link is a shared FIFO resource: grant it to the head copy
+		// that becomes ready earliest.
+		r := link.pop()
+		it := &d.streams[r.stream][head[r.stream]]
+		start := max(r.ready, linkFree)
 		end := start + float64(it.bytes)/d.LinkBandwidth
 		linkFree = end
-		retire(bestStream, start, end, it, idx)
+		retire(r.stream, it, start, end)
+		runnable = append(runnable, r.stream)
+	}
+	if remaining > 0 {
+		return nil, fmt.Errorf("device: deadlock — %d items wait on events that are never recorded or form a cycle", remaining)
 	}
 	var busy float64
 	for _, sp := range tr.Spans {
@@ -301,12 +368,9 @@ func (d *Device) Run() (*Trace, error) {
 	if tr.Total > 0 {
 		tr.ComputeBusy = busy / tr.Total
 	}
-	sort.SliceStable(memEvents, func(i, j int) bool {
-		if memEvents[i].t != memEvents[j].t {
-			return memEvents[i].t < memEvents[j].t
-		}
+	slices.SortStableFunc(memEvents, func(a, b memEvent) int {
 		// frees before allocations at equal times
-		return memEvents[i].delta < memEvents[j].delta
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.delta, b.delta))
 	})
 	for _, e := range memEvents {
 		mem += e.delta
@@ -318,6 +382,6 @@ func (d *Device) Run() (*Trace, error) {
 	if d.MemCapacity > 0 && peak > d.MemCapacity {
 		return tr, fmt.Errorf("device: peak memory %d exceeds capacity %d", peak, d.MemCapacity)
 	}
-	sort.SliceStable(tr.Spans, func(i, j int) bool { return tr.Spans[i].Start < tr.Spans[j].Start })
+	slices.SortStableFunc(tr.Spans, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	return tr, nil
 }

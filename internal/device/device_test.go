@@ -1,6 +1,7 @@
 package device_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -152,38 +153,37 @@ func TestCapacityEnforced(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetected: a genuine cycle of waits and a wait on an event
+// no stream records are errors, never a panic or a trace.
 func TestDeadlockDetected(t *testing.T) {
-	d := device.New(1e9)
-	m := d.NewStream()
-	// The compute stream waits on an event only recorded after a copy
-	// that itself waits on an event the compute stream records later:
-	// a genuine cycle.
-	evA := device.EventID(0)
-	_ = evA
-	// Build cycle manually: m waits on ev1 (recorded on compute after
-	// compute waits on ev2, recorded on m after the wait).
-	// compute: Wait(ev2) ... Record(ev1)
-	// m:       Wait(ev1) ... Record(ev2)
-	// Use Record to allocate IDs first on scratch streams is not
-	// possible, so emulate with the public API:
-	ev1 := d.Record(device.ComputeStream) // compute: record ev1 first...
-	_ = ev1
-	// A real cycle needs waits before records on both streams; the API
-	// orders them, so craft: compute waits on an event recorded on m
-	// *after* m waits on an event recorded on compute *after* compute's
-	// wait. That is: compute [Wait(evm)], m [Wait(evc)], and neither
-	// record ever enqueued -> also a deadlock (wait on never-recorded).
-	d2 := device.New(1e9)
-	m2 := d2.NewStream()
-	evc := d2.Record(device.ComputeStream)
-	_ = evc
-	// Wait on an event id that is never recorded.
-	d2.Wait(m2, device.EventID(41))
-	d2.Copy(m2, "c", 10)
-	if _, err := d2.Run(); err == nil {
-		t.Fatal("wait on unrecorded event not detected")
+	t.Run("cycle", func(t *testing.T) {
+		d := device.New(1e9)
+		m := d.NewStream()
+		// Event IDs are handed out in Record order, so the compute
+		// stream can wait on event 1 before anything records it.
+		d.Wait(device.ComputeStream, device.EventID(1))
+		e0 := d.Record(device.ComputeStream)
+		d.Wait(m, e0)
+		if e1 := d.Record(m); e1 != 1 {
+			t.Fatalf("second event is %d, want 1", e1)
+		}
+		d.Launch("k", 1)
+		if tr, err := d.Run(); err == nil {
+			t.Fatalf("cycle not detected: %+v", tr)
+		}
+	})
+	for _, ev := range []device.EventID{41, -1} {
+		t.Run(fmt.Sprintf("unrecorded event %d", ev), func(t *testing.T) {
+			d := device.New(1e9)
+			m := d.NewStream()
+			d.Record(device.ComputeStream)
+			d.Wait(m, ev)
+			d.Copy(m, "c", 10)
+			if tr, err := d.Run(); err == nil {
+				t.Fatalf("wait on unrecorded event %d not detected: %+v", ev, tr)
+			}
+		})
 	}
-	_ = m
 }
 
 func TestComputeBusyFraction(t *testing.T) {

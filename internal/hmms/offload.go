@@ -45,6 +45,31 @@ func (o *OffloadPlan) ByTSO(id TSOID) *OffloadEntry {
 	return nil
 }
 
+// Check reports the first entry that cannot be replayed on p: both
+// transfers must be issued no later than their synchronization, at ops
+// of p (0 ≤ OffloadAtOp ≤ SyncAtOp < len(p.Ops), 0 ≤ PrefetchAtOp ≤
+// SyncBeforeOp < len(p.Ops)), every entry must move bytes, and no TSO
+// may be planned twice. Both simulators check a plan with it before
+// running it.
+func (o *OffloadPlan) Check(p *Program) error {
+	n := len(p.Ops)
+	seen := make(map[TSOID]bool, len(o.Entries))
+	for _, e := range o.Entries {
+		switch {
+		case e.OffloadAtOp < 0 || e.SyncAtOp < e.OffloadAtOp || e.SyncAtOp >= n:
+			return fmt.Errorf("hmms: malformed offload entry %+v: want 0 ≤ OffloadAtOp ≤ SyncAtOp < %d", *e, n)
+		case e.PrefetchAtOp < 0 || e.SyncBeforeOp < e.PrefetchAtOp || e.SyncBeforeOp >= n:
+			return fmt.Errorf("hmms: malformed offload entry %+v: want 0 ≤ PrefetchAtOp ≤ SyncBeforeOp < %d", *e, n)
+		case e.Bytes <= 0:
+			return fmt.Errorf("hmms: malformed offload entry %+v: moves no bytes", *e)
+		case seen[e.TSO]:
+			return fmt.Errorf("hmms: TSO %d planned twice", e.TSO)
+		}
+		seen[e.TSO] = true
+	}
+	return nil
+}
+
 // Fraction returns offloaded/candidate bytes.
 func (o *OffloadPlan) Fraction() float64 {
 	if o.CandidateBytes == 0 {

@@ -19,29 +19,19 @@ func buildVGG(t *testing.T, batch int) (*hmms.Program, *hmms.Assignment) {
 }
 
 // checkPlanInvariants verifies the four critical moments of §4.3 are
-// ordered correctly for every entry.
+// ordered correctly for every entry: Check's ranges, with the offload
+// inside the forward pass and the prefetch inside the backward pass.
 func checkPlanInvariants(t *testing.T, p *hmms.Program, plan *hmms.OffloadPlan) {
 	t.Helper()
-	seen := map[hmms.TSOID]bool{}
+	if err := plan.Check(p); err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range plan.Entries {
-		if seen[e.TSO] {
-			t.Fatalf("TSO %d planned twice", e.TSO)
+		if e.SyncAtOp >= p.NumForward {
+			t.Fatalf("sync op %d outside forward", e.SyncAtOp)
 		}
-		seen[e.TSO] = true
-		if e.OffloadAtOp < 0 || e.OffloadAtOp >= p.NumForward {
-			t.Fatalf("offload op %d outside forward pass", e.OffloadAtOp)
-		}
-		if e.SyncAtOp < e.OffloadAtOp || e.SyncAtOp >= p.NumForward {
-			t.Fatalf("sync op %d before offload %d or outside forward", e.SyncAtOp, e.OffloadAtOp)
-		}
-		if e.PrefetchAtOp < p.NumForward || e.PrefetchAtOp > e.SyncBeforeOp {
-			t.Fatalf("prefetch op %d outside [start of backward, need op %d]", e.PrefetchAtOp, e.SyncBeforeOp)
-		}
-		if e.SyncBeforeOp >= len(p.Ops) {
-			t.Fatalf("sync-before op %d out of range", e.SyncBeforeOp)
-		}
-		if e.Bytes <= 0 {
-			t.Fatalf("entry with %d bytes", e.Bytes)
+		if e.PrefetchAtOp < p.NumForward {
+			t.Fatalf("prefetch op %d before the start of backward", e.PrefetchAtOp)
 		}
 	}
 }

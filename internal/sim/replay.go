@@ -29,20 +29,19 @@ func Replay(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan, capac
 // memory stream — the closest analogue of the paper's nvprof capture.
 // rec may be nil.
 func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan, capacity int64, rec trace.Recorder) (*device.Trace, error) {
+	if err := plan.Check(p); err != nil {
+		return nil, fmt.Errorf("sim.Replay: %w", err)
+	}
 	d := device.New(p.Device.LinkBandwidth)
 	d.MemCapacity = capacity
 	d.Recorder = rec
 
-	offloadAt := map[int][]*hmms.OffloadEntry{}
-	syncAfter := map[int][]*hmms.OffloadEntry{}
-	prefetchAt := map[int][]*hmms.OffloadEntry{}
-	syncBefore := map[int][]*hmms.OffloadEntry{}
-	offStream := map[hmms.TSOID]device.StreamID{}
-	pfStream := map[hmms.TSOID]device.StreamID{}
+	// Entries by the op each of their four moments falls at.
+	offloadAt := make([][]*hmms.OffloadEntry, len(p.Ops))
+	syncAfter := make([][]*hmms.OffloadEntry, len(p.Ops))
+	prefetchAt := make([][]*hmms.OffloadEntry, len(p.Ops))
+	syncBefore := make([][]*hmms.OffloadEntry, len(p.Ops))
 	for _, e := range plan.Entries {
-		if e.OffloadAtOp < 0 || e.OffloadAtOp >= len(p.Ops) || e.SyncAtOp < e.OffloadAtOp {
-			return nil, fmt.Errorf("sim.Replay: malformed entry %+v", e)
-		}
 		offloadAt[e.OffloadAtOp] = append(offloadAt[e.OffloadAtOp], e)
 		syncAfter[e.SyncAtOp] = append(syncAfter[e.SyncAtOp], e)
 		prefetchAt[e.PrefetchAtOp] = append(prefetchAt[e.PrefetchAtOp], e)
@@ -51,14 +50,16 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 	// Same-op transfers go out most-urgent-first, exactly as in Run;
 	// memory streams are created lazily in issue order so that FIFO
 	// tie-breaking on the link matches the issue sequence.
-	for _, m := range []map[int][]*hmms.OffloadEntry{offloadAt, prefetchAt} {
-		for _, es := range m {
-			sort.Slice(es, func(a, b int) bool { return es[a].SyncBeforeOp < es[b].SyncBeforeOp })
+	for _, byOp := range [][][]*hmms.OffloadEntry{offloadAt, prefetchAt} {
+		for _, es := range byOp {
+			if len(es) > 1 {
+				sort.Slice(es, func(a, b int) bool { return es[a].SyncBeforeOp < es[b].SyncBeforeOp })
+			}
 		}
 	}
 
-	offloadEv := map[hmms.TSOID]device.EventID{}
-	prefetchEv := map[hmms.TSOID]device.EventID{}
+	offloadEv := make(map[hmms.TSOID]device.EventID, len(plan.Entries))
+	prefetchEv := make(map[hmms.TSOID]device.EventID, len(plan.Entries))
 	kernels := make([]device.Handle, len(p.Ops))
 
 	for i := range p.Ops {
@@ -75,7 +76,6 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 		// copy's source was fully written before op i).
 		for _, e := range offloadAt[i] {
 			s := d.NewStream()
-			offStream[e.TSO] = s
 			d.Wait(s, gate)
 			d.Copy(s, fmt.Sprintf("offload-tso%d", e.TSO), e.Bytes)
 			offloadEv[e.TSO] = d.Record(s)
@@ -83,18 +83,14 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 		// Start of the prefetch.
 		for _, e := range prefetchAt[i] {
 			s := d.NewStream()
-			pfStream[e.TSO] = s
 			d.Wait(s, gate)
 			d.Copy(s, fmt.Sprintf("prefetch-tso%d", e.TSO), e.Bytes)
 			prefetchEv[e.TSO] = d.Record(s)
 		}
 		// End of the prefetch: compute waits before the consuming op.
+		// Check put the prefetch at or before this op, so it is issued.
 		for _, e := range syncBefore[i] {
-			ev, ok := prefetchEv[e.TSO]
-			if !ok {
-				return nil, fmt.Errorf("sim.Replay: prefetch of TSO %d synchronized before it was issued", e.TSO)
-			}
-			d.Wait(device.ComputeStream, ev)
+			d.Wait(device.ComputeStream, prefetchEv[e.TSO])
 		}
 		kernels[i] = d.Launch(op.Name, op.Time)
 		// End of the offload: compute synchronizes right after op i and

@@ -2,9 +2,13 @@ package sim_test
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
+	"splitcnn/internal/core"
 	"splitcnn/internal/costmodel"
+	"splitcnn/internal/device"
 	"splitcnn/internal/hmms"
 	"splitcnn/internal/models"
 	"splitcnn/internal/sim"
@@ -49,6 +53,87 @@ func TestReplayMatchesAnalyticRun(t *testing.T) {
 					m.Name, plan.Method, trace.Total, analytic.TotalTime, rel)
 			}
 		}
+	}
+}
+
+// TestReplayPaperScalePinned pins the device replay of two split
+// paper-scale HMMS plans bit for bit, and requires it to equal the
+// analytic step time exactly.
+func TestReplayPaperScalePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model *models.Model
+		total float64
+		peak  int64
+		spans int
+	}{
+		{"resnet50/b32/split", models.ResNet50ImageNet(32), 0.1324671276196365, 1415988416, 1662},
+		{"vgg19/b64/split", models.VGG19ImageNet(64), 0.5239079228479069, 2623308096, 420},
+	} {
+		sr, err := core.Split(tc.model.Graph, core.Config{Depth: 0.75, NH: 2, NW: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := costmodel.P100()
+		prog, plan, mem, err := sim.Plan(sr.Graph, dev, sim.MethodHMMS, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(prog, plan, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := sim.Replay(prog, plan, mem, dev.MemCapacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Total != tc.total || tr.PeakMemory != tc.peak || len(tr.Spans) != tc.spans {
+			t.Errorf("%s: replay total %v, peak %d B, %d spans; want %v, %d B, %d spans",
+				tc.name, tr.Total, tr.PeakMemory, len(tr.Spans), tc.total, tc.peak, tc.spans)
+		}
+		if tr.Total != res.TotalTime {
+			t.Errorf("%s: replay total %v != analytic %v", tc.name, tr.Total, res.TotalTime)
+		}
+	}
+}
+
+// spanLog is a trace.Recorder that keeps every span it receives.
+type spanLog []loggedSpan
+
+type loggedSpan struct {
+	stream, name string
+	start, end   float64
+}
+
+func (l *spanLog) Span(stream, name string, start, end float64) {
+	*l = append(*l, loggedSpan{stream, name, start, end})
+}
+
+// TestReplayTracedFeedsRecorder: the recorder behind `splitcnn trace
+// -replay` receives exactly the returned trace's spans, one lane per
+// stream — in execution order, which the trace's stable sort by start
+// time reproduces.
+func TestReplayTracedFeedsRecorder(t *testing.T) {
+	m := models.VGG19ImageNet(32)
+	prog, plan, mem, err := sim.Plan(m.Graph, costmodel.P100(), sim.MethodHMMS, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got spanLog
+	tr, err := sim.ReplayTraced(prog, plan, mem, 0, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(got, func(i, j int) bool { return got[i].start < got[j].start })
+	want := make(spanLog, len(tr.Spans))
+	for i, sp := range tr.Spans {
+		want[i] = loggedSpan{device.StreamName(sp.Stream), sp.Label, sp.Start, sp.End}
+	}
+	if len(want) <= len(prog.Ops) {
+		t.Fatalf("%d spans for %d ops: no copies replayed", len(want), len(prog.Ops))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("recorder received %d spans, trace has %d, or they differ", len(got), len(want))
 	}
 }
 

@@ -104,6 +104,9 @@ func (r *Result) RecordMetrics(m *trace.Metrics) {
 // Run simulates one training step of program p under the given offload
 // plan and memory plan (mem may be nil to skip footprint accounting).
 func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result, error) {
+	if err := plan.Check(p); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	res := &Result{Method: plan.Method, ComputeTime: p.ComputeTime(), OffloadedBytes: plan.OffloadedBytes}
 	if mem != nil {
 		res.PeakDeviceBytes = mem.DeviceBytes()
@@ -115,10 +118,6 @@ func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result
 	prefetchAt := make(map[int][]*hmms.OffloadEntry)
 	syncBefore := make(map[int][]*hmms.OffloadEntry)
 	for _, e := range plan.Entries {
-		if e.OffloadAtOp < 0 || e.OffloadAtOp >= len(p.Ops) || e.SyncAtOp < e.OffloadAtOp ||
-			e.PrefetchAtOp < 0 || e.SyncBeforeOp < e.PrefetchAtOp {
-			return nil, fmt.Errorf("sim: malformed offload entry %+v", e)
-		}
 		offloadAt[e.OffloadAtOp] = append(offloadAt[e.OffloadAtOp], e)
 		syncAfter[e.SyncAtOp] = append(syncAfter[e.SyncAtOp], e)
 		prefetchAt[e.PrefetchAtOp] = append(prefetchAt[e.PrefetchAtOp], e)

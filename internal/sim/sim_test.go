@@ -141,17 +141,58 @@ func TestSplitReducesDeviceMemory(t *testing.T) {
 	_ = base
 }
 
+// TestRunRejectsMalformedEntries: both simulators reject, through
+// hmms.(*OffloadPlan).Check, an HMMS plan whose first entry is edited
+// out of shape — including prefetches issued after the last op or
+// synchronized past it, which would otherwise be dropped silently.
 func TestRunRejectsMalformedEntries(t *testing.T) {
-	m := models.VGG19ImageNet(4)
+	m := models.VGG19ImageNet(32)
 	prog, err := hmms.BuildProgram(m.Graph, costmodel.P100())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &hmms.OffloadPlan{Method: "bad", Entries: []*hmms.OffloadEntry{
-		{TSO: 0, OffloadAtOp: 5, SyncAtOp: 2, PrefetchAtOp: 10, SyncBeforeOp: 12, Bytes: 4},
-	}}
-	if _, err := sim.Run(prog, bad, nil); err == nil {
-		t.Fatal("malformed plan accepted")
+	plan, err := hmms.PlanOffload(prog, hmms.AssignStorage(prog, hmms.DefaultStorageOpts()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(prog, plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Replay(prog, plan, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	// withFirst is plan with its first entry replaced by entries.
+	withFirst := func(entries ...*hmms.OffloadEntry) *hmms.OffloadPlan {
+		p := *plan
+		p.Entries = append(entries, plan.Entries[1:]...)
+		return &p
+	}
+	edit := func(f func(e *hmms.OffloadEntry)) *hmms.OffloadPlan {
+		e := *plan.Entries[0]
+		f(&e)
+		return withFirst(&e)
+	}
+	n := len(prog.Ops) // 92
+	for name, bad := range map[string]*hmms.OffloadPlan{
+		"sync before offload":   edit(func(e *hmms.OffloadEntry) { e.OffloadAtOp, e.SyncAtOp = 5, 2 }),
+		"negative offload":      edit(func(e *hmms.OffloadEntry) { e.OffloadAtOp = -1 }),
+		"sync past the last op": edit(func(e *hmms.OffloadEntry) { e.SyncAtOp = n }),
+		"negative prefetch":     edit(func(e *hmms.OffloadEntry) { e.PrefetchAtOp, e.SyncBeforeOp = -2, -1 }),
+		"prefetch past the last op": edit(func(e *hmms.OffloadEntry) {
+			e.PrefetchAtOp, e.SyncBeforeOp = n+3, n+4
+		}),
+		"prefetch synchronized past the last op": edit(func(e *hmms.OffloadEntry) {
+			e.PrefetchAtOp, e.SyncBeforeOp = 5, n+7
+		}),
+		"prefetch synchronized before issue": edit(func(e *hmms.OffloadEntry) { e.SyncBeforeOp = e.PrefetchAtOp - 1 }),
+		"no bytes":                           edit(func(e *hmms.OffloadEntry) { e.Bytes = 0 }),
+		"TSO planned twice":                  withFirst(plan.Entries[0], plan.Entries[0]),
+	} {
+		_, runErr := sim.Run(prog, bad, nil)
+		_, replayErr := sim.Replay(prog, bad, nil, 0)
+		if runErr == nil || replayErr == nil {
+			t.Errorf("%s (%+v): Run error %v, Replay error %v", name, *bad.Entries[0], runErr, replayErr)
+		}
 	}
 }
 
