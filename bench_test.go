@@ -23,6 +23,7 @@ import (
 	"splitcnn/internal/hmms"
 	"splitcnn/internal/models"
 	"splitcnn/internal/nn"
+	"splitcnn/internal/serve"
 	"splitcnn/internal/sim"
 	"splitcnn/internal/tensor"
 	"splitcnn/internal/trace"
@@ -587,6 +588,42 @@ func BenchmarkCompiledForward(b *testing.B) {
 		}
 	}
 }
+
+// benchInstanceRun measures serve.Instance.Run at a live batch of n
+// images on the serving workloads' model (mini VGG-19, width÷16, BN,
+// 3×32×32, MaxBatch 8): the local guard for serve.instance_run_b1_ms and
+// _b8_ms. A batch computes only its n images, so b1 costs a fraction of
+// b8.
+func benchInstanceRun(b *testing.B, n int) {
+	inst, err := serve.Load(serve.Spec{
+		Name: "vgg19", Arch: "vgg19", MaxBatch: 8,
+		Model: models.Config{Classes: 10, InputC: 3, InputH: 32, InputW: 32, WidthDiv: 16, BatchNorm: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	imgs := make([][]float32, n)
+	for i := range imgs {
+		imgs[i] = make([]float32, inst.ImageLen())
+		for j := range imgs[i] {
+			imgs[i][j] = float32(rng.NormFloat64())
+		}
+	}
+	if _, err := inst.Run(imgs); err != nil { // warm this live batch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := inst.Run(imgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkInstanceRunB1(b *testing.B) { benchInstanceRun(b, 1) }
+
+func BenchmarkInstanceRunB8(b *testing.B) { benchInstanceRun(b, 8) }
 
 // BenchmarkSplitTransform measures the graph rewriter itself on the
 // full-size ResNet-50 — the cost stochastic splitting pays per

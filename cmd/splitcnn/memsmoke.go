@@ -66,7 +66,6 @@ func memSmokeServe() error {
 	}
 	met := trace.NewMetrics()
 	srv := serve.NewServer(reg, serve.Options{
-		MaxDelay:               time.Millisecond,
 		QueueDepth:             1024,
 		RequestTimeout:         30 * time.Second,
 		Metrics:                met,

@@ -85,7 +85,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	sf := addSpecFlags(fs)
-	maxDelay := fs.Duration("maxdelay", 2*time.Millisecond, "max wait for a batch to fill")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = 4x maxbatch)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request deadline (queue wait + execution)")
 	logJSON := fs.Bool("logjson", false, "emit request/lifecycle logs as JSON instead of text")
@@ -122,7 +121,6 @@ func cmdServe(args []string) error {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	srv := serve.NewServer(reg, serve.Options{
-		MaxDelay:               *maxDelay,
 		QueueDepth:             *queue,
 		RequestTimeout:         *timeout,
 		Metrics:                trace.NewMetrics(),

@@ -41,6 +41,14 @@ import (
 // outputs to the end. memlayout.FirstFit packs the lifetimes into one
 // slab whose size IS the plan's peak — the executor maps exactly
 // SlabBytes() and nothing else on the activation path.
+//
+// The program is planned at its declared batch B but runs any live
+// batch 1 ≤ n ≤ B that its feeds carry: every batch-major value (one
+// whose declared leading dim is B) is NCHW, batch outermost, so its
+// first n samples are a contiguous prefix of its slab window. A prefix
+// pass is the same step list over those prefix views at the same
+// offsets — one graph, one plan, one slab, and compute proportional to
+// the samples actually present.
 
 // InplaceOp is implemented by ops that can overwrite their first input
 // with their output (same shape, elementwise). CanRunInplace reports
@@ -173,7 +181,9 @@ type step struct {
 	// references: its output window plus every distinct slab storage
 	// among its inputs. Concurrently-live storages occupy disjoint
 	// windows (first-fit invariant), so the sum never double counts.
-	slabRef int64
+	// batchRef is the part of slabRef held by batch-major storages, the
+	// part a prefix pass scales by n/B.
+	slabRef, batchRef int64
 	// extent is the end of the step's output window (offset+bytes) —
 	// the written high-water contribution of this step.
 	extent int64
@@ -182,7 +192,8 @@ type step struct {
 // StepEvent describes one executed step of a compiled program, fired by
 // the Hook after the step's kernel and its fused epilogues complete.
 // SlabRefBytes/SlabWrittenBytes are runtime observations of the bound
-// slab windows; Scratch is a live snapshot of the scratch arena.
+// slab windows — on a prefix pass, of the prefix views that pass
+// touched; Scratch is a live snapshot of the scratch arena.
 type StepEvent struct {
 	Step  int
 	Name  string
@@ -201,21 +212,36 @@ type StepEvent struct {
 // StepHook receives one StepEvent per executed compiled step.
 type StepHook func(StepEvent)
 
+// pass is the step list and output views that run the first n samples
+// of the batch over the slab.
+type pass struct {
+	steps    []step
+	outViews []*tensor.Tensor
+}
+
 // CompiledProgram is a graph lowered to a fixed step list over one
 // pre-sized slab. It is NOT safe for concurrent use: the slab windows
 // are reused across calls (clone outputs before the next Forward, or
 // give each goroutine its own program).
 type CompiledProgram struct {
-	g        *Graph
-	steps    []step
-	bindings []feedBinding
-	outViews []*tensor.Tensor
-	outFeeds []outFeedBinding
-	outsBuf  []*tensor.Tensor
-	slab     []float32
-	scratch  *tensor.Arena
-	plan     []PlanEntry
-	stats    CompileStats
+	g *Graph
+	// batch is B, the leading dim of the graph's first input; a value
+	// whose declared leading dim is B is batch-major. 0 when the graph
+	// has no input with a leading dim.
+	batch int
+	// passes[n] runs the first n samples. passes[batch] is the full
+	// program; the shorter ones are built on first use.
+	passes []*pass
+	// batchViews holds the batch-major slab views, the ones a prefix
+	// pass narrows to their first n samples.
+	batchViews map[*tensor.Tensor]bool
+	bindings   []feedBinding
+	outFeeds   []outFeedBinding
+	outsBuf    []*tensor.Tensor
+	slab       []float32
+	scratch    *tensor.Arena
+	plan       []PlanEntry
+	stats      CompileStats
 
 	// Hook, when non-nil, receives a StepEvent after every executed
 	// step. Installing a hook costs one arena-stats snapshot per step;
@@ -390,16 +416,25 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 	stats.SlabBytes = slabBytes
 	stats.Steps = len(steps)
 
+	full := &pass{outViews: make([]*tensor.Tensor, len(g.Outputs))}
 	p := &CompiledProgram{
-		g:        g,
-		slab:     make([]float32, slabBytes/4),
-		scratch:  opts.Scratch,
-		outViews: make([]*tensor.Tensor, len(g.Outputs)),
-		outsBuf:  make([]*tensor.Tensor, len(g.Outputs)),
+		g:          g,
+		batchViews: make(map[*tensor.Tensor]bool),
+		slab:       make([]float32, slabBytes/4),
+		scratch:    opts.Scratch,
+		outsBuf:    make([]*tensor.Tensor, len(g.Outputs)),
 	}
 	if p.scratch == nil {
 		p.scratch = tensor.NewArena()
 	}
+	for _, n := range g.Nodes {
+		if n.Kind == KindInput && len(n.Shape) > 0 {
+			p.batch = n.Shape[0]
+			break
+		}
+	}
+	p.passes = make([]*pass, p.batch+1)
+	p.passes[p.batch] = full
 
 	// Per-node slab views (each member of a storage gets a view with its
 	// own declared shape over the shared window).
@@ -412,6 +447,9 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 		s := storages[v.storage]
 		off := int(s.offset / 4)
 		views[n.ID] = tensor.Wrap(p.slab[off:off+n.Shape.Elems()], n.Shape...)
+		if p.batchMajor(n.Shape) {
+			p.batchViews[views[n.ID]] = true
+		}
 	}
 
 	// Bind steps.
@@ -443,11 +481,18 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 		outSym := storages[vals[n.ID].storage]
 		st.slabRef = int64(n.Shape.Elems()) * 4
 		st.extent = outSym.offset + st.slabRef
+		if p.batchMajor(n.Shape) {
+			st.batchRef = st.slabRef
+		}
 		seenStorage := map[int]bool{vals[n.ID].storage: true}
 		for _, src := range n.Inputs {
 			if v := vals[src.ID]; v.kind == vSlab && !seenStorage[v.storage] {
 				seenStorage[v.storage] = true
-				st.slabRef += int64(storages[v.storage].elems) * 4
+				bytes := int64(storages[v.storage].elems) * 4
+				st.slabRef += bytes
+				if p.batchMajor(src.Shape) {
+					st.batchRef += bytes
+				}
 			}
 		}
 		stepIdx[n.ID] = si
@@ -464,7 +509,7 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 			st.post = append(st.post, ep)
 			stepIdx[fn.ID] = si
 		}
-		p.steps = append(p.steps, st)
+		full.steps = append(full.steps, st)
 	}
 
 	// Bind outputs.
@@ -474,9 +519,9 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 		case vExternal:
 			p.outFeeds = append(p.outFeeds, outFeedBinding{idx: i, name: v.feed, shape: o.Shape})
 		case vParam:
-			p.outViews[i] = v.param.Value
+			full.outViews[i] = v.param.Value
 		case vSlab:
-			p.outViews[i] = views[o.ID]
+			full.outViews[i] = views[o.ID]
 		}
 	}
 
@@ -537,25 +582,109 @@ func fuseLegal(n *Node, s *storageSym, cons [][]*Node, isOutput []bool) bool {
 	return true
 }
 
+// batchMajor reports whether a value of declared shape s carries the
+// batch as its leading dim.
+func (p *CompiledProgram) batchMajor(s tensor.Shape) bool {
+	return p.batch > 0 && len(s) > 0 && s[0] == p.batch
+}
+
+// liveBatch validates the feeds and returns the live batch n: the
+// leading dim every batch-major feed shares, 1 ≤ n ≤ B (B itself when
+// the program has no batch-major feed). All other dims must be exact.
+func (p *CompiledProgram) liveBatch(feeds Feeds) (int, error) {
+	n, from := 0, ""
+	for _, b := range p.bindings {
+		t := feeds[b.name]
+		if t == nil {
+			return 0, fmt.Errorf("compiled: no feed for input %q", b.name)
+		}
+		s := t.Shape()
+		if !p.batchMajor(b.shape) {
+			if !s.Equal(b.shape) {
+				return 0, fmt.Errorf("compiled: feed %q has shape %v, program wants %v", b.name, s, b.shape)
+			}
+			continue
+		}
+		if len(s) != len(b.shape) || !s[1:].Equal(b.shape[1:]) || s[0] < 1 || s[0] > p.batch {
+			return 0, fmt.Errorf("compiled: feed %q has shape %v, program wants %v with a live batch in [1, %d]", b.name, s, b.shape, p.batch)
+		}
+		switch {
+		case n == 0:
+			n, from = s[0], b.name
+		case s[0] != n:
+			return 0, fmt.Errorf("compiled: feeds disagree on the live batch: %q has %d, %q has %d", from, n, b.name, s[0])
+		}
+	}
+	if n == 0 {
+		n = p.batch
+	}
+	return n, nil
+}
+
+// pass returns the pass over the first n samples, building it on first
+// use: each batch-major view becomes the view of its first n samples at
+// the same offset, and everything else keeps its view.
+func (p *CompiledProgram) pass(n int) *pass {
+	if ps := p.passes[n]; ps != nil {
+		return ps
+	}
+	full := p.passes[p.batch]
+	prefix := make(map[*tensor.Tensor]*tensor.Tensor)
+	view := func(t *tensor.Tensor) *tensor.Tensor {
+		if !p.batchViews[t] {
+			return t
+		}
+		v, ok := prefix[t]
+		if !ok {
+			s := t.Shape()
+			v = tensor.Wrap(t.Data()[:t.Elems()/p.batch*n], append([]int{n}, s[1:]...)...)
+			prefix[t] = v
+		}
+		return v
+	}
+	views := func(ts []*tensor.Tensor) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(ts))
+		for i, t := range ts {
+			out[i] = view(t)
+		}
+		return out
+	}
+	ps := &pass{steps: make([]step, len(full.steps)), outViews: views(full.outViews)}
+	for i, st := range full.steps {
+		q := st
+		q.in, q.out = views(st.in), view(st.out)
+		q.post = make([]epilogue, len(st.post))
+		for j, ep := range st.post {
+			q.post[j] = epilogue{node: ep.node, op: ep.op, x: view(ep.x), in: views(ep.in)}
+		}
+		q.batchRef = st.batchRef / int64(p.batch) * int64(n)
+		q.slabRef = st.slabRef - st.batchRef + q.batchRef
+		q.extent = st.extent - st.out.Bytes() + q.out.Bytes()
+		ps.steps[i] = q
+	}
+	p.passes[n] = ps
+	return ps
+}
+
 // Forward replays the compiled program against feeds and returns the
 // graph outputs as views into the slab (or the feed tensors themselves
-// for outputs elided back to inputs). The returned tensors are
-// overwritten by the next Forward call. A warmed program performs zero
-// heap allocations.
+// for outputs elided back to inputs). The feeds' shared leading dim is
+// the live batch n, 1 ≤ n ≤ B: Forward then runs only the first n
+// samples, and batch-major outputs hold n rows. The returned tensors
+// are overwritten by the next Forward call. A program warmed at n
+// performs zero heap allocations at n.
 func (p *CompiledProgram) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
+	n, err := p.liveBatch(feeds)
+	if err != nil {
+		return nil, err
+	}
+	ps := p.pass(n)
 	for _, b := range p.bindings {
-		t, ok := feeds[b.name]
-		if !ok {
-			return nil, fmt.Errorf("compiled: no feed for input %q", b.name)
-		}
-		if !t.Shape().Equal(b.shape) {
-			return nil, fmt.Errorf("compiled: feed %q has shape %v, program wants %v", b.name, t.Shape(), b.shape)
-		}
-		p.steps[b.step].in[b.slot] = t
+		ps.steps[b.step].in[b.slot] = feeds[b.name]
 	}
 	var extent int64
-	for i := range p.steps {
-		st := &p.steps[i]
+	for i := range ps.steps {
+		st := &ps.steps[i]
 		if opLabelsOn() {
 			labelOp(st.node.Name, func() { p.runStep(st) })
 		} else {
@@ -574,7 +703,7 @@ func (p *CompiledProgram) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
 		}
 	}
 	outs := p.outsBuf
-	copy(outs, p.outViews)
+	copy(outs, ps.outViews)
 	for _, b := range p.outFeeds {
 		t, ok := feeds[b.name]
 		if !ok {
@@ -614,7 +743,7 @@ func (p *CompiledProgram) PlanEntries() []PlanEntry {
 }
 
 // Steps returns the number of kernel steps in the program.
-func (p *CompiledProgram) Steps() int { return len(p.steps) }
+func (p *CompiledProgram) Steps() int { return len(p.passes[p.batch].steps) }
 
 // Arena returns the scratch arena kernels draw transient workspace
 // from; its high-water mark bounds the compiled path's scratch usage.

@@ -266,32 +266,120 @@ func TestInPlaceEligibleVeto(t *testing.T) {
 	assertBitIdentical(t, "veto", a, b)
 }
 
+// prefixFeeds returns feeds holding the first n samples of full's
+// batch-major tensors, as views of the same data.
+func prefixFeeds(full graph.Feeds, n int) graph.Feeds {
+	out := graph.Feeds{}
+	for name, t := range full {
+		s := t.Shape()
+		out[name] = tensor.Wrap(t.Data()[:t.Elems()/s[0]*n], append([]int{n}, s[1:]...)...)
+	}
+	return out
+}
+
 // TestCompiledForwardZeroAlloc: a warmed compiled forward performs zero
-// heap allocations — activations live in the pre-planned slab, kernel
-// scratch hits the warm arena pool, and the BN family's precast
-// statistics are cached.
+// heap allocations at every live batch — activations live in the
+// pre-planned slab, kernel scratch hits the warm arena pool, the BN
+// family's precast statistics are cached, and a prefix pass's step list
+// is built once.
 func TestCompiledForwardZeroAlloc(t *testing.T) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
 
-	g, store := buildCompileNet(2, false) // eval mode
+	const batch = 3
+	g, store := buildCompileNet(batch, false) // eval mode
 	prog, err := graph.Compile(g, store, graph.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feeds := compileFeeds(t, g, 13)
-	for i := 0; i < 5; i++ {
-		if _, err := prog.Forward(feeds); err != nil {
-			t.Fatal(err)
+	full := compileFeeds(t, g, 13)
+	for n := 1; n <= batch; n++ {
+		feeds := prefixFeeds(full, n)
+		for i := 0; i < 5; i++ {
+			if _, err := prog.Forward(feeds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := prog.Forward(feeds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: warmed compiled forward allocates %.1f objects per run, want 0", n, allocs)
 		}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := prog.Forward(feeds); err != nil {
-			t.Fatal(err)
+}
+
+// TestCompiledPrefixRows: a prefix forward over the first n samples
+// yields exactly the first n rows of the full-batch forward, and leaves
+// the slab plan untouched.
+func TestCompiledPrefixRows(t *testing.T) {
+	const batch = 4
+	g, store := buildCompileNet(batch, false)
+	prog, err := graph.Compile(g, store, graph.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := prog.SlabBytes()
+	full := compileFeeds(t, g, 21)
+	outs, err := prog.Forward(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := append([]float32(nil), outs[1].Data()...) // logits
+	classes := outs[1].Shape()[1]
+	for n := 1; n < batch; n++ {
+		outs, err := prog.Forward(prefixFeeds(full, n))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed compiled forward allocates %.1f objects per run, want 0", allocs)
+		if got := outs[1].Shape(); !got.Equal(tensor.Shape{n, classes}) {
+			t.Fatalf("n=%d: logits shape %v", n, got)
+		}
+		if got := outs[0].Shape(); !got.Equal(tensor.Shape{1}) {
+			t.Fatalf("n=%d: loss shape %v, want [1]", n, got)
+		}
+		for i, v := range outs[1].Data() {
+			if v != ref[i] {
+				t.Fatalf("n=%d: logit %d = %x, want full-batch %x", n, i, v, ref[i])
+			}
+		}
+	}
+	if prog.SlabBytes() != slab {
+		t.Fatalf("slab %d changed to %d", slab, prog.SlabBytes())
+	}
+}
+
+// TestCompiledForwardRejectsBadBatch: a live batch outside [1, B],
+// feeds that disagree on it, or a wrong non-batch dim is an error, never
+// a panic.
+func TestCompiledForwardRejectsBadBatch(t *testing.T) {
+	const batch = 3
+	g, store := buildCompileNet(batch, false)
+	prog, err := graph.Compile(g, store, graph.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := compileFeeds(t, g, 3)
+	cases := map[string]graph.Feeds{
+		// No constructor builds a zero dim; an empty tensor is the n = 0
+		// a caller can hand over.
+		"n=0":       {"image": new(tensor.Tensor), "labels": new(tensor.Tensor)},
+		"nil":       {"image": nil, "labels": full["labels"]},
+		"n>B":       {"image": tensor.New(batch+1, 3, 16, 16), "labels": tensor.New(batch + 1)},
+		"disagree":  {"image": prefixFeeds(full, 2)["image"], "labels": prefixFeeds(full, 1)["labels"]},
+		"wrong dim": {"image": tensor.New(2, 3, 16, 8), "labels": tensor.New(2)},
+		"rank":      {"image": tensor.New(2, 3*16*16), "labels": tensor.New(2)},
+	}
+	for name, feeds := range cases {
+		if _, err := prog.Forward(feeds); err == nil {
+			t.Errorf("%s: Forward accepted the feeds", name)
+		}
+	}
+	// The program still answers correctly afterwards.
+	if _, err := prog.Forward(full); err != nil {
+		t.Fatal(err)
 	}
 }
 

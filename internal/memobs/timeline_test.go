@@ -14,11 +14,12 @@ import (
 )
 
 // compileArch lowers a scaled-down bundled architecture through
-// graph.Compile in inference mode, the way the serving path does.
+// graph.Compile in inference mode, the way the serving path does, at
+// batch archBatch.
 func compileArch(t *testing.T, arch string, hw int) (*graph.CompiledProgram, graph.Feeds) {
 	t.Helper()
 	m, err := models.Build(arch, models.Config{
-		BatchSize: 2, Classes: 10, InputC: 3, InputH: hw, InputW: hw,
+		BatchSize: archBatch, Classes: 10, InputC: 3, InputH: hw, InputW: hw,
 		WidthDiv: 16, BatchNorm: true,
 	})
 	if err != nil {
@@ -33,15 +34,19 @@ func compileArch(t *testing.T, arch string, hw int) (*graph.CompiledProgram, gra
 		t.Fatalf("compile %s: %v", arch, err)
 	}
 	return prog, graph.Feeds{
-		"image":  tensor.New(2, 3, hw, hw),
-		"labels": tensor.New(2),
+		"image":  tensor.New(archBatch, 3, hw, hw),
+		"labels": tensor.New(archBatch),
 	}
 }
 
+const archBatch = 3
+
 // TestMeasuredNeverExceedsPlan pins the hard invariant for every
-// bundled architecture: under compiled inference, the slab bytes each
-// step actually references never exceed the plan's live bytes, nothing
-// is written past the planned slab, and the drift ratio is finite.
+// bundled architecture and every live batch n ≤ B: under compiled
+// inference, the slab bytes each step actually references never exceed
+// the plan's live bytes, nothing is written past the planned slab, and
+// the drift ratio is finite. A prefix pass reports the bytes it touched,
+// so a larger live batch references strictly more of the slab.
 func TestMeasuredNeverExceedsPlan(t *testing.T) {
 	for _, arch := range models.Architectures() {
 		t.Run(arch, func(t *testing.T) {
@@ -49,35 +54,50 @@ func TestMeasuredNeverExceedsPlan(t *testing.T) {
 			if arch == "alexnet" {
 				hw = 64 // alexnet's pool stack needs a larger input
 			}
-			prog, feeds := compileArch(t, arch, hw)
+			prog, full := compileArch(t, arch, hw)
 			c := AttachCompiled(prog)
-			for pass := 0; pass < 3; pass++ {
-				if _, err := prog.Forward(feeds); err != nil {
-					t.Fatalf("forward pass %d: %v", pass, err)
+			var prevRef int64
+			for n := 1; n <= archBatch; n++ {
+				feeds := graph.Feeds{
+					"image":  tensor.Wrap(full["image"].Data()[:n*3*hw*hw], n, 3, hw, hw),
+					"labels": tensor.Wrap(full["labels"].Data()[:n], n),
 				}
-			}
-			tl := c.Timeline()
-			if tl.Source != "compiled" {
-				t.Fatalf("source = %q, want compiled", tl.Source)
-			}
-			if got, want := int(tl.Passes), 3; got != want {
-				t.Fatalf("passes = %d, want %d", got, want)
-			}
-			if len(tl.Samples) != prog.Steps() {
-				t.Fatalf("samples = %d, want %d steps", len(tl.Samples), prog.Steps())
-			}
-			if err := tl.Verify(); err != nil {
-				t.Fatalf("Verify: %v", err)
-			}
-			if err := tl.CheckAgainstPlan(); err != nil {
-				t.Fatalf("CheckAgainstPlan: %v", err)
-			}
-			max, at := tl.DriftMax()
-			if max <= 0 || math.IsInf(max, 0) || math.IsNaN(max) {
-				t.Fatalf("drift max = %g at %q, want finite > 0", max, at)
-			}
-			if gm := tl.DriftGeomean(); gm <= 0 || math.IsInf(gm, 0) || math.IsNaN(gm) {
-				t.Fatalf("drift geomean = %g, want finite > 0", gm)
+				for pass := 0; pass < 3; pass++ {
+					if _, err := prog.Forward(feeds); err != nil {
+						t.Fatalf("n=%d forward pass %d: %v", n, pass, err)
+					}
+				}
+				tl := c.Timeline()
+				if tl.Source != "compiled" {
+					t.Fatalf("source = %q, want compiled", tl.Source)
+				}
+				if got, want := int(tl.Passes), 3*n; got != want {
+					t.Fatalf("passes = %d, want %d", got, want)
+				}
+				if len(tl.Samples) != prog.Steps() {
+					t.Fatalf("samples = %d, want %d steps", len(tl.Samples), prog.Steps())
+				}
+				if err := tl.Verify(); err != nil {
+					t.Fatalf("n=%d Verify: %v", n, err)
+				}
+				if err := tl.CheckAgainstPlan(); err != nil {
+					t.Fatalf("n=%d CheckAgainstPlan: %v", n, err)
+				}
+				max, at := tl.DriftMax()
+				if max <= 0 || math.IsInf(max, 0) || math.IsNaN(max) {
+					t.Fatalf("n=%d drift max = %g at %q, want finite > 0", n, max, at)
+				}
+				if gm := tl.DriftGeomean(); gm <= 0 || math.IsInf(gm, 0) || math.IsNaN(gm) {
+					t.Fatalf("n=%d drift geomean = %g, want finite > 0", n, gm)
+				}
+				var ref int64
+				for _, s := range tl.Samples {
+					ref += s.SlabRefBytes
+				}
+				if ref <= prevRef {
+					t.Fatalf("n=%d references %d slab bytes over the pass, no more than n=%d's %d", n, ref, n-1, prevRef)
+				}
+				prevRef = ref
 			}
 		})
 	}

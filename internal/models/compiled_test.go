@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"splitcnn/internal/core"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/models"
 	"splitcnn/internal/nn"
@@ -157,6 +158,64 @@ func TestCompiledBitIdentityMatrix(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestCompiledPrefixMatchesFullBatch pins the property prefix execution
+// rests on: for every bundled architecture, unsplit and 2×2-split at
+// depth 0.5, an eval-mode program planned at B = 5 and run on the first
+// n samples (n = 1…4) yields exactly the first n logit rows of the
+// full-batch run.
+func TestCompiledPrefixMatchesFullBatch(t *testing.T) {
+	const batch = 5
+	for _, arch := range models.Architectures() {
+		for _, split := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/split=%v", arch, split), func(t *testing.T) {
+				m := buildCompiledCase(t, arch, batch, true, false, nil)
+				perturbBNStats(m.BNStates, 3)
+				store := graph.NewParamStore()
+				store.InitFromGraph(m.Graph, rand.New(rand.NewSource(3)), nn.KaimingInit)
+				g := m.Graph
+				if split {
+					res, err := core.Split(g, core.Config{Depth: 0.5, NH: 2, NW: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					g = res.Graph
+				}
+				prog, err := graph.Compile(g, store, graph.CompileOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feeds := modelFeeds(m, 4)
+				outs, err := prog.Forward(feeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := append([]float32(nil), outs[1].Data()...)
+				x, y := feeds["image"], feeds["labels"]
+				img := x.Elems() / batch
+				for n := 1; n < batch; n++ {
+					s := x.Shape()
+					outs, err := prog.Forward(graph.Feeds{
+						"image":  tensor.Wrap(x.Data()[:n*img], n, s[1], s[2], s[3]),
+						"labels": tensor.Wrap(y.Data()[:n], n),
+					})
+					if err != nil {
+						t.Fatalf("n=%d: %v", n, err)
+					}
+					got := outs[1].Data()
+					if len(got) != n*m.Classes {
+						t.Fatalf("n=%d: %d logits, want %d", n, len(got), n*m.Classes)
+					}
+					for i, v := range got {
+						if v != ref[i] {
+							t.Fatalf("n=%d: logit %d = %x, want full-batch %x", n, i, v, ref[i])
+						}
+					}
+				}
+			})
 		}
 	}
 }

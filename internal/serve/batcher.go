@@ -54,9 +54,6 @@ type BatcherOptions struct {
 	// MaxBatch caps a coalesced batch; it must not exceed the
 	// instance's executor batch size. Default: the instance's MaxBatch.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a forming batch
-	// waits for company before a partial batch launches (default 2ms).
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrQueueFull (default 4 * MaxBatch).
 	QueueDepth int
@@ -73,10 +70,11 @@ type BatcherOptions struct {
 }
 
 // Batcher coalesces concurrent single-image requests into executor
-// batches: a batch launches as soon as MaxBatch requests are waiting or
-// MaxDelay after its first request, whichever comes first. A single
-// dispatcher goroutine owns the instance's executor, so the arena and
-// the graph values are never shared across goroutines.
+// batches. It is work-conserving: an idle executor runs whatever is
+// queued at once, and requests that arrive during a forward form the
+// next batch (up to MaxBatch). A single dispatcher goroutine owns the
+// instance's executor, so the arena and the graph values are never
+// shared across goroutines.
 type Batcher struct {
 	run  func(imgs [][]float32) ([][]float32, error)
 	opts BatcherOptions
@@ -106,9 +104,6 @@ func NewBatcher(inst *Instance, opts BatcherOptions) *Batcher {
 func newBatcher(run func([][]float32) ([][]float32, error), opts BatcherOptions) *Batcher {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 8
-	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 2 * time.Millisecond
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 4 * opts.MaxBatch
@@ -170,9 +165,9 @@ func (b *Batcher) count(name string) {
 	}
 }
 
-// dispatch is the scheduler loop: block for the first request, then
-// coalesce until the batch is full, the delay expires, or the queue is
-// drained for shutdown.
+// dispatch is the scheduler loop: block for the first request, take
+// whatever else is already queued (up to MaxBatch) without waiting, and
+// run it.
 func (b *Batcher) dispatch() {
 	defer close(b.done)
 	batch := make([]*Request, 0, b.opts.MaxBatch)
@@ -183,7 +178,6 @@ func (b *Batcher) dispatch() {
 			return // drained: queue closed and emptied
 		}
 		batch = append(batch[:0], r)
-		timer := time.NewTimer(b.opts.MaxDelay)
 	fill:
 		for len(batch) < b.opts.MaxBatch {
 			select {
@@ -192,11 +186,10 @@ func (b *Batcher) dispatch() {
 					break fill // shutdown: run what we have
 				}
 				batch = append(batch, r2)
-			case <-timer.C:
+			default:
 				break fill
 			}
 		}
-		timer.Stop()
 		if m := b.opts.Metrics; m != nil {
 			m.Gauge("serve.queue_depth").Set(float64(len(b.queue)))
 		}

@@ -38,7 +38,6 @@ func TestBatcherEveryRequestAnswered(t *testing.T) {
 	var maxSeen int64
 	b := newBatcher(echoRun(&maxSeen), BatcherOptions{
 		MaxBatch:   maxBatch,
-		MaxDelay:   time.Millisecond,
 		QueueDepth: n,
 		Metrics:    trace.NewMetrics(),
 	})
@@ -106,7 +105,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		}
 		return out, nil
 	}
-	b := newBatcher(run, BatcherOptions{MaxBatch: 4, MaxDelay: 10 * time.Millisecond, QueueDepth: 16})
+	b := newBatcher(run, BatcherOptions{MaxBatch: 4, QueueDepth: 16})
 	ch0, err := b.Submit(&Request{Image: []float32{0}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -132,6 +131,32 @@ func TestBatcherCoalesces(t *testing.T) {
 	b.Shutdown()
 }
 
+// TestBatcherDispatchesLoneRequestAtOnce: with the executor idle, a
+// lone request runs immediately instead of waiting for company.
+func TestBatcherDispatchesLoneRequestAtOnce(t *testing.T) {
+	var maxSeen int64
+	b := newBatcher(echoRun(&maxSeen), BatcherOptions{MaxBatch: 8})
+	defer b.Shutdown()
+	// The smallest of a few waits: one scheduler hiccup on a loaded
+	// machine must not fail the test, while a fill delay would show in
+	// every request.
+	least := time.Hour
+	for i := 0; i < 5; i++ {
+		ch, err := b.Submit(&Request{Image: []float32{float32(i)}})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		resp := <-ch
+		if resp.Err != nil || resp.BatchSize != 1 || resp.Logits[0] != float32(i) {
+			t.Fatalf("request %d: %+v", i, resp)
+		}
+		least = min(least, resp.QueueWait)
+	}
+	if least >= time.Millisecond {
+		t.Errorf("a lone request waited at least %v in the queue of an idle batcher, want < 1ms", least)
+	}
+}
+
 // TestBatcherQueueFullRejects verifies admission control: with the
 // dispatcher wedged and the bounded queue full, Submit fails fast with
 // ErrQueueFull, and every accepted request is still answered.
@@ -151,7 +176,7 @@ func TestBatcherQueueFullRejects(t *testing.T) {
 		return out, nil
 	}
 	met := trace.NewMetrics()
-	b := newBatcher(run, BatcherOptions{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 2, Metrics: met})
+	b := newBatcher(run, BatcherOptions{MaxBatch: 1, QueueDepth: 2, Metrics: met})
 	var accepted []<-chan Response
 	ch, err := b.Submit(&Request{Image: []float32{0}})
 	if err != nil {
@@ -194,7 +219,7 @@ func TestBatcherQueueFullRejects(t *testing.T) {
 // post-shutdown submissions fail with ErrDraining.
 func TestBatcherShutdownDrains(t *testing.T) {
 	var maxSeen int64
-	b := newBatcher(echoRun(&maxSeen), BatcherOptions{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 64})
+	b := newBatcher(echoRun(&maxSeen), BatcherOptions{MaxBatch: 4, QueueDepth: 64})
 	const n = 32
 	chans := make([]<-chan Response, 0, n)
 	for i := 0; i < n; i++ {
@@ -237,7 +262,7 @@ func TestBatcherExpiresDeadlines(t *testing.T) {
 		return out, nil
 	}
 	met := trace.NewMetrics()
-	b := newBatcher(run, BatcherOptions{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 8, Metrics: met})
+	b := newBatcher(run, BatcherOptions{MaxBatch: 4, QueueDepth: 8, Metrics: met})
 	ch, err := b.Submit(&Request{Image: []float32{0}, Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatalf("submit: %v", err)

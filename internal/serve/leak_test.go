@@ -27,7 +27,6 @@ func TestArenaLeakCanary(t *testing.T) {
 		t.Fatalf("registry: %v", err)
 	}
 	srv := serve.NewServer(reg, serve.Options{
-		MaxDelay:               time.Millisecond,
 		QueueDepth:             256,
 		RequestTimeout:         30 * time.Second,
 		Metrics:                met,

@@ -7,11 +7,11 @@
 // The serving path runs graph.Compile's static program in inference
 // mode (graph.SetTraining(false)): dropout is the identity and batch
 // normalization uses the running statistics restored from a weight
-// snapshot. Because every op is then per-sample independent and the
-// kernels reduce in a batch-position-invariant order, a request's
-// logits are bit-identical whether it runs alone or coalesced into a
-// larger batch — the property that makes transparent dynamic batching
-// sound.
+// snapshot; a batch of n runs the first n samples of the MaxBatch plan.
+// Every op is then per-sample independent and the kernels reduce in a
+// batch-position-invariant order, so a request's logits are bit-identical
+// whether it runs alone or coalesced into a larger batch — the property
+// that makes transparent dynamic batching sound.
 package serve
 
 import (
@@ -78,9 +78,8 @@ type Instance struct {
 
 	prog   *graph.CompiledProgram
 	batchX *tensor.Tensor
-	labels *tensor.Tensor
-	feeds  graph.Feeds
-	out    [][]float32 // reused per-slot output buffers
+	feeds  []graph.Feeds // feeds[n]: the first n images of batchX
+	out    [][]float32   // reused per-slot output buffers
 
 	// Mem collects the measured memory timeline: per-step slab and
 	// scratch-arena occupancy.
@@ -152,10 +151,18 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 				return nil, nil, fmt.Errorf("serve: load %q: tune cache: %w", spec.Name, err)
 			}
 		}
-		autotune.Default.TuneGraph(m.Graph)
+		tuned := autotune.Default.TuneGraph(m.Graph)
 		if spec.TuneCache != "" {
 			if err := autotune.Default.Save(); err != nil {
 				return nil, nil, fmt.Errorf("serve: load %q: tune cache: %w", spec.Name, err)
+			}
+		}
+		// Keys include N and a batch runs at its live size: pin each site's
+		// MaxBatch algorithm (not its timings) onto every smaller N.
+		for _, r := range tuned {
+			k := r.Site.Key()
+			for k.N = 1; k.N < maxBatch; k.N++ {
+				autotune.Default.SetPlan(k, autotune.Decision{Algo: r.Decision.Algo})
 			}
 		}
 	}
@@ -164,8 +171,7 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 
 // Load builds the instance described by spec: construct the graph,
 // initialize (or restore) the weights, flip to inference mode, compile,
-// and warm the scratch arena with one forward pass so steady-state
-// serving allocates nothing.
+// and warm the scratch arena with one single-image forward.
 func Load(spec Spec) (*Instance, error) {
 	maxBatch := spec.MaxBatch
 	if maxBatch <= 0 {
@@ -192,43 +198,46 @@ func Load(spec Spec) (*Instance, error) {
 		prog:     prog,
 		Mem:      memobs.AttachCompiled(prog),
 		batchX:   tensor.New(maxBatch, s.C(), s.H(), s.W()),
-		labels:   tensor.New(maxBatch),
+		feeds:    make([]graph.Feeds, maxBatch+1),
 		out:      make([][]float32, maxBatch),
 	}
-	inst.feeds = graph.Feeds{"image": inst.batchX, "labels": inst.labels}
-	for i := range inst.out {
-		inst.out[i] = make([]float32, m.Classes)
+	for n := 1; n <= maxBatch; n++ {
+		inst.feeds[n] = graph.Feeds{
+			"image":  tensor.Wrap(inst.batchX.Data()[:n*inst.ImageLen()], n, s.C(), s.H(), s.W()),
+			"labels": tensor.New(n),
+		}
+		inst.out[n-1] = make([]float32, m.Classes)
 	}
 	// Warm the scratch arena: the first forward populates the pool;
-	// every later batch recycles through it.
+	// later batches of a size already seen recycle through it.
 	if _, err := inst.Run(make([][]float32, 1)); err != nil {
 		return nil, fmt.Errorf("serve: warmup %q: %w", spec.Name, err)
 	}
 	return inst, nil
 }
 
-// Run executes one coalesced batch: imgs holds up to MaxBatch flattened
-// C*H*W images (nil entries are treated as zero images). It returns one
-// logits slice per input image; the slices are owned by the instance
-// and valid until the next Run call.
+// Run executes one coalesced batch of up to MaxBatch flattened C*H*W
+// images (nil entries are zero images), computing only those. It returns
+// one logits slice per image, owned by the instance and valid until the
+// next Run call.
 func (in *Instance) Run(imgs [][]float32) ([][]float32, error) {
 	if len(imgs) == 0 || len(imgs) > in.MaxBatch {
 		return nil, fmt.Errorf("serve: batch size %d out of range [1, %d]", len(imgs), in.MaxBatch)
 	}
 	want := in.ImageLen()
 	xd := in.batchX.Data()
-	for i := 0; i < in.MaxBatch; i++ {
+	for i, img := range imgs {
 		dst := xd[i*want : (i+1)*want]
-		if i < len(imgs) && imgs[i] != nil {
-			if len(imgs[i]) != want {
-				return nil, fmt.Errorf("serve: image %d has %d values, want %d", i, len(imgs[i]), want)
-			}
-			copy(dst, imgs[i])
-		} else {
+		switch {
+		case img == nil:
 			clear(dst)
+		case len(img) != want:
+			return nil, fmt.Errorf("serve: image %d has %d values, want %d", i, len(img), want)
+		default:
+			copy(dst, img)
 		}
 	}
-	outs, err := in.prog.Forward(in.feeds)
+	outs, err := in.prog.Forward(in.feeds[len(imgs)])
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,6 @@ func postPredict(t *testing.T, base string, img []float32) serve.PredictResponse
 // forward spans must link the batch membership through their args.
 func TestServeRequestTracing(t *testing.T) {
 	srv, base, imageLen := startObsServer(t, serve.Options{
-		MaxDelay:       10 * time.Millisecond,
 		RequestTimeout: 30 * time.Second,
 		TraceSample:    1.0,
 	})

@@ -34,13 +34,36 @@ dropout 0.3
 linear 5
 `
 
+// coalesceModelText is modelText with two wide 3×3 convolutions added:
+// a forward long enough (≈ 5 MFLOP per image) that concurrent requests
+// queue behind it. The batcher never waits for company, so a model
+// whose forward is shorter than the gap between arrivals is never
+// coalesced at all.
+const coalesceModelText = `
+input 3 6 6
+conv 64 k3 s1 p1
+bn
+relu
+conv 64 k3 s1 p1
+relu
+conv 64 k3 s1 p1
+relu
+pool max k2 s2
+flatten
+dropout 0.3
+linear 5
+`
+
 // writeFixtureSnapshot builds the test model once, gives it non-trivial
 // weights and BN running statistics, and saves them. Serving instances
 // and the reference instance all restore from this one file, which is
 // what makes bit-identity assertions meaningful.
-func writeFixtureSnapshot(t *testing.T) string {
+func writeFixtureSnapshot(t *testing.T) string { return writeSnapshot(t, modelText) }
+
+// writeSnapshot is writeFixtureSnapshot for any model text.
+func writeSnapshot(t *testing.T, text string) string {
 	t.Helper()
-	m, err := modelfile.ParseString(modelText, 1)
+	m, err := modelfile.ParseString(text, 1)
 	if err != nil {
 		t.Fatalf("parse fixture model: %v", err)
 	}
@@ -74,15 +97,14 @@ func testImage(i, n int) []float32 {
 // bit-identical to a single-request eval-mode forward of the same
 // image, and at least one batch coalesced more than one request.
 func TestServeEndToEnd(t *testing.T) {
-	snap := writeFixtureSnapshot(t)
+	snap := writeSnapshot(t, coalesceModelText)
 	reg, err := serve.NewRegistry(serve.Spec{
-		Name: "tiny", ModelText: modelText, Snapshot: snap, MaxBatch: 8,
+		Name: "tiny", ModelText: coalesceModelText, Snapshot: snap, MaxBatch: 8,
 	})
 	if err != nil {
 		t.Fatalf("registry: %v", err)
 	}
 	srv := serve.NewServer(reg, serve.Options{
-		MaxDelay:       20 * time.Millisecond,
 		QueueDepth:     128,
 		RequestTimeout: 30 * time.Second,
 		Metrics:        trace.NewMetrics(),
@@ -97,7 +119,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// snapshot. Its Run is the "single-request eval-mode forward" the
 	// server's coalesced outputs must match bit for bit.
 	ref, err := serve.Load(serve.Spec{
-		Name: "ref", ModelText: modelText, Snapshot: snap, MaxBatch: 1,
+		Name: "ref", ModelText: coalesceModelText, Snapshot: snap, MaxBatch: 1,
 	})
 	if err != nil {
 		t.Fatalf("reference instance: %v", err)

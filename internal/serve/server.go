@@ -21,8 +21,7 @@ import (
 
 // Options tune the HTTP serving layer; zero values select defaults.
 type Options struct {
-	// MaxDelay, QueueDepth: see BatcherOptions (applied per model).
-	MaxDelay   time.Duration
+	// QueueDepth: see BatcherOptions (applied per model).
 	QueueDepth int
 	// RequestTimeout is the default per-request deadline covering queue
 	// wait and execution (default 2s). A request's timeout_ms field may
@@ -106,7 +105,6 @@ func NewServer(reg *Registry, opts Options) *Server {
 	for _, name := range reg.Names() {
 		inst, _ := reg.Lookup(name)
 		s.batchers[name] = NewBatcher(inst, BatcherOptions{
-			MaxDelay:   opts.MaxDelay,
 			QueueDepth: opts.QueueDepth,
 			Metrics:    met,
 			Tracer:     s.tracer,

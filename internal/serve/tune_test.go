@@ -79,3 +79,58 @@ func TestConcurrentTunedLoads(t *testing.T) {
 		t.Fatalf("tune cache not persisted: %v", err)
 	}
 }
+
+// TestTunedLiveBatchBitIdentity: a tuned instance runs each site with
+// its MaxBatch decision at every live batch, so image i alone equals
+// image i at any position j of a full batch, bit for bit. The MaxBatch
+// plans are forced to FFT, whose rounding differs from the GEMM family's:
+// a live batch that fell back to the untuned heuristic would show.
+func TestTunedLiveBatchBitIdentity(t *testing.T) {
+	defer autotune.Default.Reset()
+	const maxBatch = 4
+	m, _, err := serve.Materialize(serve.Spec{Name: "probe", ModelText: modelText, MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := 0
+	for _, s := range autotune.Sites(m.Graph) {
+		if autotune.Applicable(autotune.FFT, s.Params, s.In, s.Cout) {
+			autotune.Default.SetPlan(s.Key(), autotune.Decision{Algo: autotune.FFT})
+			forced++
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no conv site admits FFT")
+	}
+	inst, err := serve.Load(serve.Spec{
+		Name: "tuned", ModelText: modelText, Snapshot: writeFixtureSnapshot(t),
+		MaxBatch: maxBatch, Tune: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxBatch; i++ {
+		img := testImage(i, inst.ImageLen())
+		out, err := inst.Run([][]float32{img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := append([]float32(nil), out[0]...)
+		for j := 0; j < maxBatch; j++ {
+			batch := make([][]float32, maxBatch)
+			for k := range batch {
+				batch[k] = testImage(100+k, inst.ImageLen())
+			}
+			batch[j] = img
+			outs, err := inst.Run(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, v := range outs[j] {
+				if v != alone[c] {
+					t.Fatalf("image %d at position %d: logit %d = %v, alone %v", i, j, c, v, alone[c])
+				}
+			}
+		}
+	}
+}

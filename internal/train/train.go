@@ -478,9 +478,10 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 }
 
 // Evaluate computes classification error of the model graph (whose
-// logits node must be named like evalModel.Logits) over the test split.
-// The graph is lowered once through graph.Compile (inference rewrites +
-// fixed-offset memory plan) and every test batch replays the program.
+// logits node must be named like evalModel.Logits) over the whole test
+// split. The graph is lowered once through graph.Compile (inference
+// rewrites + fixed-offset memory plan) and every test batch replays the
+// program; a short last batch runs as a prefix of the program's batch.
 func Evaluate(g *graph.Graph, m *models.Model, store *graph.ParamStore, ds *data.Dataset) (float64, error) {
 	batch := m.Input.Shape.N()
 	logitsName := m.Logits.Name
@@ -512,11 +513,18 @@ func Evaluate(g *graph.Graph, m *models.Model, store *graph.ParamStore, ds *data
 	feeds := graph.Feeds{"image": x, "labels": labels}
 	idx := make([]int, batch)
 	wrong, total := 0, 0
-	for off := 0; off+batch <= ds.Cfg.TestN; off += batch {
-		for i := range idx {
+	for off := 0; off < ds.Cfg.TestN; off += batch {
+		n := min(batch, ds.Cfg.TestN-off)
+		for i := range idx[:n] {
 			idx[i] = off + i
 		}
-		ds.BatchInto(x, labels, false, idx)
+		ds.BatchInto(x, labels, false, idx[:n])
+		if n < batch {
+			feeds = graph.Feeds{
+				"image":  tensor.Wrap(x.Data()[:x.Elems()/batch*n], n, ds.Cfg.C, ds.Cfg.H, ds.Cfg.W),
+				"labels": tensor.Wrap(labels.Data()[:n], n),
+			}
+		}
 		outs, err := prog.Forward(feeds)
 		if err != nil {
 			return 0, err

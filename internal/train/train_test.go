@@ -262,3 +262,54 @@ func TestEvaluateMatchesExecutor(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateScoresTail: a test split that is not a multiple of the
+// batch is scored whole — 100 samples at batch 32 count all 100, the
+// last 4 through a prefix forward — and the error equals a one-sample-
+// at-a-time executor count over the same weights.
+func TestEvaluateScoresTail(t *testing.T) {
+	const testN, batch = 100, 32
+	ds, err := data.Synthetic(data.CIFARLike(16, testN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(n int) *models.Model {
+		m, err := models.Build("vgg19", models.Config{
+			BatchSize: n, Classes: ds.Cfg.Classes, InputC: ds.Cfg.C, InputH: ds.Cfg.H, InputW: ds.Cfg.W,
+			WidthDiv: 16, BatchNorm: true, Eval: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := build(batch)
+	store := graph.NewParamStore()
+	store.InitFromGraph(m.Graph, rand.New(rand.NewSource(9)), nn.KaimingInit)
+	got, err := train.Evaluate(m.Graph, m, store, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	one := build(1)
+	one.Graph.SetOutput(one.Logits)
+	ex, err := graph.NewExecutor(one.Graph, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, labels := tensor.New(1, ds.Cfg.C, ds.Cfg.H, ds.Cfg.W), tensor.New(1)
+	wrong := 0
+	for j := 0; j < testN; j++ {
+		ds.BatchInto(x, labels, false, []int{j})
+		outs, err := ex.Forward(graph.Feeds{"image": x, "labels": labels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tensor.ArgmaxRow(outs[0])[0] != int(labels.Data()[0]) {
+			wrong++
+		}
+	}
+	if want := float64(wrong) / testN; got != want {
+		t.Fatalf("Evaluate = %v, want %d/%d = %v", got, wrong, testN, want)
+	}
+}
