@@ -646,6 +646,7 @@ func BenchmarkSplitTransform(b *testing.B) {
 // overhead the paper contrasts with vDNN's trial-and-error.
 func BenchmarkHMMSPipeline(b *testing.B) {
 	m := models.ResNet50ImageNet(64)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := sim.PlanAndRun(m.Graph, costmodel.P100(), sim.MethodHMMS, -1); err != nil {
 			b.Fatal(err)
@@ -653,17 +654,58 @@ func BenchmarkHMMSPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkDeviceReplay measures the discrete-event replay of one
-// planned step (sim.Replay) on split ResNet-50 b32 (2×2 patches over the
-// first 75 % of convolutions, HMMS plan): the reference configuration of
-// the plan_imagenet workload, whose sim.replay_ms it guards locally.
-func BenchmarkDeviceReplay(b *testing.B) {
+// planRefGraph is split ResNet-50 b32 (2×2 patches over the first 75 %
+// of convolutions): the reference configuration of the plan_imagenet
+// workload, on which its per-stage timings are taken.
+func planRefGraph(b *testing.B) *graph.Graph {
+	b.Helper()
 	sr, err := core.Split(models.ResNet50ImageNet(32).Graph, core.Config{Depth: 0.75, NH: 2, NW: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sr.Graph
+}
+
+// BenchmarkBuildProgram measures serializing the plan_imagenet
+// reference graph into a forward+backward program (hmms.BuildProgram),
+// the workload's hmms.build_program_ms stage.
+func BenchmarkBuildProgram(b *testing.B) {
+	g := planRefGraph(b)
 	dev := costmodel.P100()
-	prog, plan, mem, err := sim.Plan(sr.Graph, dev, sim.MethodHMMS, -1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := hmms.BuildProgram(g, dev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanMemory measures static memory planning (hmms.PlanMemory:
+// lifetimes plus first-fit layout of every pool) of the plan_imagenet
+// reference graph under its HMMS offload plan, the workload's
+// hmms.plan_memory_ms stage.
+func BenchmarkPlanMemory(b *testing.B) {
+	prog, err := hmms.BuildProgram(planRefGraph(b), costmodel.P100())
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := hmms.AssignStorage(prog, hmms.DefaultStorageOpts())
+	plan, err := hmms.PlanOffload(prog, assign, prog.TheoreticalOffloadLimit())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		hmms.PlanMemory(prog, assign, plan, hmms.FirstFit)
+	}
+}
+
+// BenchmarkDeviceReplay measures the discrete-event replay of one
+// planned step (sim.Replay) on the plan_imagenet reference graph, whose
+// sim.replay_ms it guards locally.
+func BenchmarkDeviceReplay(b *testing.B) {
+	dev := costmodel.P100()
+	prog, plan, mem, err := sim.Plan(planRefGraph(b), dev, sim.MethodHMMS, -1)
 	if err != nil {
 		b.Fatal(err)
 	}

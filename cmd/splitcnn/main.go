@@ -388,16 +388,11 @@ func cmdMaxBatch(args []string) error {
 		}
 		return mem.DeviceBytes(), nil
 	}
-	lo, hi := 1, 8192
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if b, err := eval(mid); err == nil && b <= d.MemCapacity {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	batch, err := sim.MaxBatch(d.MemCapacity, 8192, eval)
+	if err != nil {
+		return err
 	}
-	bytes, err := eval(lo)
+	bytes, err := eval(batch)
 	if err != nil {
 		return err
 	}
@@ -406,7 +401,7 @@ func cmdMaxBatch(args []string) error {
 		mode = fmt.Sprintf("split(%dx%d, depth %.0f%%)+hmms", *nh, *nw, *depth*100)
 	}
 	fmt.Printf("%s %s on %s (%.0f GiB): max batch %d (planned %.2f GiB)\n",
-		*arch, mode, d.Name, float64(d.MemCapacity)/(1<<30), lo, float64(bytes)/(1<<30))
+		*arch, mode, d.Name, float64(d.MemCapacity)/(1<<30), batch, float64(bytes)/(1<<30))
 	return nil
 }
 

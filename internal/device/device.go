@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"splitcnn/internal/trace"
 )
@@ -80,9 +81,13 @@ func New(linkBandwidth float64) *Device {
 	return &Device{LinkBandwidth: linkBandwidth, streams: make([][]workItem, 1)}
 }
 
+// memStreamCap is the starting capacity of a memory stream's queue:
+// room for one transfer's wait, copy and record without growing.
+const memStreamCap = 4
+
 // NewStream adds a memory stream and returns its ID.
 func (d *Device) NewStream() StreamID {
-	d.streams = append(d.streams, nil)
+	d.streams = append(d.streams, make([]workItem, 0, memStreamCap))
 	return StreamID(len(d.streams) - 1)
 }
 
@@ -143,7 +148,8 @@ func StreamName(s StreamID) string {
 	if s == ComputeStream {
 		return "compute"
 	}
-	return fmt.Sprintf("mem%d", int(s))
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "mem"...), int64(s), 10))
 }
 
 // Span is one completed item on the timeline.

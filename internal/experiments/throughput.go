@@ -196,26 +196,23 @@ func Fig10(opt Options) ([]Fig10Row, error) {
 			}
 			return mem.DeviceBytes(), res.Throughput(batch), nil
 		}
-		search := func(doSplit bool) int {
-			lo, hi := 1, 8192
-			for lo < hi {
-				mid := (lo + hi + 1) / 2
-				bytes, _, err := evalOne(doSplit, mid)
-				if err == nil && bytes <= capacity {
-					lo = mid
-				} else {
-					hi = mid - 1
-				}
+		// search returns the largest batch that fits and its throughput.
+		search := func(doSplit bool) (int, float64, error) {
+			batch, err := sim.MaxBatch(capacity, 8192, func(n int) (int64, error) {
+				bytes, _, err := evalOne(doSplit, n)
+				return bytes, err
+			})
+			if err != nil {
+				return 0, 0, fmt.Errorf("fig10 %s: %w", b.name, err)
 			}
-			return lo
+			_, throughput, err := evalOne(doSplit, batch)
+			return batch, throughput, err
 		}
-		b0 := search(false)
-		_, t0, err := evalOne(false, b0)
+		b0, t0, err := search(false)
 		if err != nil {
 			return nil, err
 		}
-		b1 := search(true)
-		_, t1, err := evalOne(true, b1)
+		b1, t1, err := search(true)
 		if err != nil {
 			return nil, err
 		}

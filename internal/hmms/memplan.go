@@ -86,13 +86,35 @@ const (
 // during their op.
 func PlanMemory(p *Program, a *Assignment, plan *OffloadPlan, alloc Allocator) *MemoryPlan {
 	lastOp := len(p.Ops) - 1
-	var blocks []*Block
+	// offloaded[id] is TSO id's offload entry (the first, if a plan
+	// names it twice), or nil.
+	offloaded := make([]*OffloadEntry, len(a.TSOs))
+	for _, e := range plan.Entries {
+		if id := int(e.TSO); id >= 0 && id < len(offloaded) && offloaded[id] == nil {
+			offloaded[id] = e
+		}
+	}
+	// Blocks are collected by value, in an array sized for one block per
+	// TSO, two more per offloaded TSO and one per op with a workspace,
+	// and handed out as pointers into it.
+	n := len(a.TSOs)
+	for _, e := range offloaded {
+		if e != nil {
+			n += 2
+		}
+	}
+	for i := range p.Ops {
+		if p.Ops[i].Workspace > 0 {
+			n++
+		}
+	}
+	blocks := make([]Block, 0, n)
 
 	for _, tso := range a.TSOs {
 		name := p.Tensors[tso.Tensors[0]].Name
 		switch tso.Kind {
 		case KParam, KParamGrad:
-			blocks = append(blocks, &Block{Name: name, Pool: PoolDeviceParam, Start: 0, End: lastOp, Bytes: tso.Bytes})
+			blocks = append(blocks, Block{Name: name, Pool: PoolDeviceParam, Start: 0, End: lastOp, Bytes: tso.Bytes})
 			continue
 		}
 		// Lifetime bounds over member tensors.
@@ -113,29 +135,33 @@ func PlanMemory(p *Program, a *Assignment, plan *OffloadPlan, alloc Allocator) *
 		if end < 0 {
 			continue // dead tensor: never used
 		}
-		if e := plan.ByTSO(tso.ID); e != nil {
+		if e := offloaded[tso.ID]; e != nil {
 			// Device residency splits in two: [start, SyncAtOp] and
 			// [PrefetchAtOp, end]; the host copy spans the middle.
 			blocks = append(blocks,
-				&Block{Name: name, Pool: PoolDeviceGeneral, Start: start, End: e.SyncAtOp, Bytes: tso.Bytes},
-				&Block{Name: name + ".pf", Pool: PoolDeviceGeneral, Start: e.PrefetchAtOp, End: end, Bytes: tso.Bytes},
-				&Block{Name: name + ".host", Pool: PoolHost, Start: e.OffloadAtOp, End: end, Bytes: tso.Bytes},
+				Block{Name: name, Pool: PoolDeviceGeneral, Start: start, End: e.SyncAtOp, Bytes: tso.Bytes},
+				Block{Name: name + ".pf", Pool: PoolDeviceGeneral, Start: e.PrefetchAtOp, End: end, Bytes: tso.Bytes},
+				Block{Name: name + ".host", Pool: PoolHost, Start: e.OffloadAtOp, End: end, Bytes: tso.Bytes},
 			)
 			continue
 		}
-		blocks = append(blocks, &Block{Name: name, Pool: PoolDeviceGeneral, Start: start, End: end, Bytes: tso.Bytes})
+		blocks = append(blocks, Block{Name: name, Pool: PoolDeviceGeneral, Start: start, End: end, Bytes: tso.Bytes})
 	}
 	// Workspace: alive only during its op (cuDNN workspace analogue).
-	for _, op := range p.Ops {
-		if op.Workspace > 0 {
-			blocks = append(blocks, &Block{Name: op.Name + ".ws", Pool: PoolDeviceGeneral, Start: op.Index, End: op.Index, Bytes: op.Workspace})
+	for i := range p.Ops {
+		if op := &p.Ops[i]; op.Workspace > 0 {
+			blocks = append(blocks, Block{Name: op.Name + ".ws", Pool: PoolDeviceGeneral, Start: op.Index, End: op.Index, Bytes: op.Workspace})
 		}
 	}
 
-	m := &MemoryPlan{Blocks: blocks, PoolBytes: make(map[Pool]int64)}
+	m := &MemoryPlan{Blocks: make([]*Block, len(blocks)), PoolBytes: make(map[Pool]int64)}
+	for i := range blocks {
+		m.Blocks[i] = &blocks[i]
+	}
+	sel := make([]*Block, 0, len(blocks))
 	for _, pool := range []Pool{PoolHost, PoolDeviceParam, PoolDeviceGeneral} {
-		var sel []*Block
-		for _, b := range blocks {
+		sel = sel[:0]
+		for _, b := range m.Blocks {
 			if b.Pool == pool {
 				sel = append(sel, b)
 			}
@@ -155,12 +181,14 @@ func PlanMemory(p *Program, a *Assignment, plan *OffloadPlan, alloc Allocator) *
 // layout assigns offsets with the chosen allocator and returns the pool
 // size (peak offset + size). The packing algorithms live in
 // internal/memlayout, shared with the compiled-execution slab planner;
-// this wrapper maps hmms pool blocks onto layout blocks and copies the
-// offsets back.
+// this wrapper maps hmms pool blocks onto layout blocks, all in one
+// backing array, and copies the offsets back.
 func layout(blocks []*Block, alloc Allocator) int64 {
+	backing := make([]memlayout.Block, len(blocks))
 	ml := make([]*memlayout.Block, len(blocks))
 	for i, b := range blocks {
-		ml[i] = &memlayout.Block{Start: b.Start, End: b.End, Bytes: b.Bytes}
+		backing[i] = memlayout.Block{Start: b.Start, End: b.End, Bytes: b.Bytes}
+		ml[i] = &backing[i]
 	}
 	var peak int64
 	if alloc == NoReuse {
@@ -168,10 +196,8 @@ func layout(blocks []*Block, alloc Allocator) int64 {
 	} else {
 		peak = memlayout.FirstFit(ml)
 	}
-	// memlayout reorders its own slice but writes offsets through the
-	// pointers, so index i still pairs ml[i] with blocks[i].
 	for i, b := range blocks {
-		b.Offset = ml[i].Offset
+		b.Offset = backing[i].Offset
 	}
 	return peak
 }

@@ -1,7 +1,7 @@
 package hmms
 
 import (
-	"sort"
+	"math"
 
 	"splitcnn/internal/trace"
 )
@@ -12,26 +12,29 @@ import (
 // static size; the difference is fragmentation.
 func (m *MemoryPlan) MaxLiveBytes(pool Pool) int64 {
 	// Sweep lifetimes: a block occupies [Start, End] inclusive, so it
-	// contributes from Start and stops after End.
-	deltas := map[int]int64{}
+	// contributes from Start and stops after End. The deltas are indexed
+	// by op, offset by the lowest index touched.
+	lo, hi := math.MaxInt, math.MinInt
 	for _, b := range m.Blocks {
-		if b.Pool != pool {
-			continue
+		if b.Pool == pool {
+			lo = min(lo, b.Start, b.End+1)
+			hi = max(hi, b.Start, b.End+1)
 		}
-		deltas[b.Start] += b.Bytes
-		deltas[b.End+1] -= b.Bytes
 	}
-	points := make([]int, 0, len(deltas))
-	for op := range deltas {
-		points = append(points, op)
+	if lo > hi {
+		return 0
 	}
-	sort.Ints(points)
+	deltas := make([]int64, hi-lo+1)
+	for _, b := range m.Blocks {
+		if b.Pool == pool {
+			deltas[b.Start-lo] += b.Bytes
+			deltas[b.End+1-lo] -= b.Bytes
+		}
+	}
 	var live, peak int64
-	for _, op := range points {
-		live += deltas[op]
-		if live > peak {
-			peak = live
-		}
+	for _, d := range deltas {
+		live += d
+		peak = max(peak, live)
 	}
 	return peak
 }

@@ -35,27 +35,23 @@ type OffloadPlan struct {
 	OffloadedBytes, CandidateBytes int64
 }
 
-// ByTSO returns the entry for a TSO, or nil.
-func (o *OffloadPlan) ByTSO(id TSOID) *OffloadEntry {
-	for _, e := range o.Entries {
-		if e.TSO == id {
-			return e
-		}
-	}
-	return nil
-}
-
 // Check reports the first entry that cannot be replayed on p: both
 // transfers must be issued no later than their synchronization, at ops
 // of p (0 ≤ OffloadAtOp ≤ SyncAtOp < len(p.Ops), 0 ≤ PrefetchAtOp ≤
-// SyncBeforeOp < len(p.Ops)), every entry must move bytes, and no TSO
-// may be planned twice. Both simulators check a plan with it before
-// running it.
+// SyncBeforeOp < len(p.Ops)), every entry must name a TSO (a
+// non-negative ID) and move bytes, and no TSO may be planned twice.
+// Both simulators check a plan with it before running it.
 func (o *OffloadPlan) Check(p *Program) error {
 	n := len(p.Ops)
-	seen := make(map[TSOID]bool, len(o.Entries))
+	maxTSO := TSOID(-1)
+	for _, e := range o.Entries {
+		maxTSO = max(maxTSO, e.TSO)
+	}
+	seen := make([]bool, maxTSO+1)
 	for _, e := range o.Entries {
 		switch {
+		case e.TSO < 0:
+			return fmt.Errorf("hmms: malformed offload entry %+v: negative TSO", *e)
 		case e.OffloadAtOp < 0 || e.SyncAtOp < e.OffloadAtOp || e.SyncAtOp >= n:
 			return fmt.Errorf("hmms: malformed offload entry %+v: want 0 ≤ OffloadAtOp ≤ SyncAtOp < %d", *e, n)
 		case e.PrefetchAtOp < 0 || e.SyncBeforeOp < e.PrefetchAtOp || e.SyncBeforeOp >= n:

@@ -238,38 +238,61 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Device: dev}
+	for _, o := range g.Outputs {
+		if o.ID < 0 || o.ID >= len(topo) || topo[o.ID] != o {
+			return nil, fmt.Errorf("hmms: output %s is not a node of the graph", o)
+		}
+	}
+	// Topo verified that node IDs are dense indices into topo, so every
+	// per-node table below is a slice indexed by node ID.
+	opNodes := g.OpNodes()
+	params := 0
+	for _, n := range topo {
+		if n.Kind == graph.KindParam {
+			params++
+		}
+	}
+	// One value per node, one gradient per parameter and at most one per
+	// op node: the tensors live in one backing array sized for that
+	// bound, which therefore never moves.
+	infos := make([]TensorInfo, 0, len(topo)+params+len(opNodes))
+	p := &Program{
+		Device:  dev,
+		Ops:     make([]OpExec, 0, 2*len(opNodes)),
+		Tensors: make([]*TensorInfo, 0, cap(infos)),
+	}
 
 	newTensor := func(name string, kind TensorKind, bytes int64) TensorID {
 		id := TensorID(len(p.Tensors))
-		p.Tensors = append(p.Tensors, &TensorInfo{ID: id, Name: name, Kind: kind, Bytes: bytes, Producer: -1, LastWrite: -1})
+		infos = append(infos, TensorInfo{ID: id, Name: name, Kind: kind, Bytes: bytes, Producer: -1, LastWrite: -1})
+		p.Tensors = append(p.Tensors, &infos[len(infos)-1])
 		return id
 	}
 
 	// Conceptual tensors: one value per node; grad tensors created on
-	// demand for op nodes and params.
-	val := make(map[int]TensorID)  // node ID -> value tensor
-	grad := make(map[int]TensorID) // node ID -> gradient tensor
+	// demand for op nodes and params (noGrad marks the nodes without).
+	const noGrad = TensorID(-1)
+	val := make([]TensorID, len(topo))
+	grad := make([]TensorID, len(topo))
 	for _, n := range topo {
+		grad[n.ID] = noGrad
 		switch n.Kind {
 		case graph.KindInput:
 			val[n.ID] = newTensor(n.Name, KInput, n.Shape.Bytes())
 		case graph.KindParam:
-			if _, ok := val[n.ID]; !ok {
-				val[n.ID] = newTensor(n.Name, KParam, n.Shape.Bytes())
-				grad[n.ID] = newTensor(n.Name+".grad", KParamGrad, n.Shape.Bytes())
-			}
+			val[n.ID] = newTensor(n.Name, KParam, n.Shape.Bytes())
+			grad[n.ID] = newTensor(n.Name+".grad", KParamGrad, n.Shape.Bytes())
 		case graph.KindOp:
 			val[n.ID] = newTensor(n.Name, KActivation, n.Shape.Bytes())
 		}
 	}
 
-	addOp := func(op OpExec) int {
+	addOp := func(op OpExec) {
 		op.Index = len(p.Ops)
-		for _, r := range op.Reads {
-			p.Tensors[r].Reads = append(p.Tensors[r].Reads, op.Index)
-			if op.Phase == Backward {
-				p.Tensors[r].Stashed = p.Tensors[r].Stashed || p.Tensors[r].Kind == KActivation || p.Tensors[r].Kind == KInput
+		if op.Phase == Backward {
+			for _, r := range op.Reads {
+				t := p.Tensors[r]
+				t.Stashed = t.Stashed || t.Kind == KActivation || t.Kind == KInput
 			}
 		}
 		for _, w := range op.Writes {
@@ -279,26 +302,38 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 			p.Tensors[w].LastWrite = op.Index
 		}
 		p.Ops = append(p.Ops, op)
-		return op.Index
 	}
 
-	inShapes := func(n *graph.Node) []tensor.Shape {
-		out := make([]tensor.Shape, len(n.Inputs))
-		for i, in := range n.Inputs {
-			out[i] = in.Shape
-		}
-		return out
+	// Every op's read and write lists are cut from one shared array (one
+	// entry per input and one per output forward, at most twice the
+	// inputs plus two backward); list caps each at its length, so the
+	// next list appended never touches it.
+	inputs := 0
+	for _, n := range opNodes {
+		inputs += len(n.Inputs)
 	}
+	ids := make([]TensorID, 0, 3*inputs+3*len(opNodes))
+	list := func(from int) []TensorID { return ids[from:len(ids):len(ids)] }
+
+	// Each op node's input shapes, kept for its backward op, are cut
+	// from one array too.
+	shapeBacking := make([]tensor.Shape, inputs)
+	inShapes := make([][]tensor.Shape, len(topo))
 
 	// Forward pass.
-	opNodes := g.OpNodes()
-	bwdTimes := make(map[int]float64)
+	bwdTimes := make([]float64, len(topo))
 	for _, n := range opNodes {
-		reads := make([]TensorID, len(n.Inputs))
+		shapes := shapeBacking[:len(n.Inputs):len(n.Inputs)]
+		shapeBacking = shapeBacking[len(n.Inputs):]
+		from := len(ids)
 		for i, in := range n.Inputs {
-			reads[i] = val[in.ID]
+			ids = append(ids, val[in.ID])
+			shapes[i] = in.Shape
 		}
-		shapes := inShapes(n)
+		inShapes[n.ID] = shapes
+		reads := list(from)
+		ids = append(ids, val[n.ID])
+		writes := list(len(ids) - 1)
 		fwdT, bwdT := timer(n, shapes)
 		bwdTimes[n.ID] = bwdT
 		_, inPlace := n.Op.(interface{ InPlaceEligible() bool })
@@ -309,7 +344,7 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 			Phase:              Forward,
 			NodeID:             n.ID,
 			Reads:              reads,
-			Writes:             []TensorID{val[n.ID]},
+			Writes:             writes,
 			Time:               fwdT,
 			Workspace:          n.Op.WorkspaceBytes(shapes, n.Shape),
 			InPlaceEligible:    inPlace,
@@ -319,7 +354,7 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 	p.NumForward = len(p.Ops)
 
 	// Gradient tensors for op nodes that influence an output.
-	influences := make(map[int]bool)
+	influences := make([]bool, len(topo))
 	for _, o := range g.Outputs {
 		influences[o.ID] = true
 	}
@@ -340,7 +375,7 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 	// Seed gradients of outputs have no producer op; mark them written
 	// "at" the start of the backward pass.
 	for _, o := range g.Outputs {
-		if gid, ok := grad[o.ID]; ok {
+		if gid := grad[o.ID]; gid != noGrad {
 			p.Tensors[gid].Producer = p.NumForward
 			p.Tensors[gid].LastWrite = p.NumForward
 		}
@@ -351,26 +386,29 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 	// serialized forward order").
 	for i := len(opNodes) - 1; i >= 0; i-- {
 		n := opNodes[i]
-		gid, ok := grad[n.ID]
-		if !ok {
+		gid := grad[n.ID]
+		if gid == noGrad {
 			continue
 		}
-		reads := []TensorID{gid}
+		from := len(ids)
+		ids = append(ids, gid)
 		for j, in := range n.Inputs {
 			if n.Op.NeedsInput(j) {
-				reads = append(reads, val[in.ID])
+				ids = append(ids, val[in.ID])
 			}
 		}
 		if n.Op.NeedsOutput() {
-			reads = append(reads, val[n.ID])
+			ids = append(ids, val[n.ID])
 		}
-		var writes []TensorID
+		reads := list(from)
+		from = len(ids)
 		for _, in := range n.Inputs {
-			if g, ok := grad[in.ID]; ok {
-				writes = append(writes, g)
+			if g := grad[in.ID]; g != noGrad {
+				ids = append(ids, g)
 			}
 		}
-		shapes := inShapes(n)
+		writes := list(from)
+		shapes := inShapes[n.ID]
 		_, sharedErr := n.Op.(interface{ SharedErrorStorage() bool })
 		addOp(OpExec{
 			Name:               n.Name + ".bwd",
@@ -383,6 +421,29 @@ func BuildProgramTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer Timer) (*
 			Workspace:          n.Op.WorkspaceBytes(shapes, n.Shape),
 			SharedErrorStorage: sharedErr,
 		})
+	}
+
+	// Each tensor's reads, in program order, cut from one array: a
+	// counting pass sizes every list, a second fills them.
+	count := make([]int, len(p.Tensors))
+	total := 0
+	for i := range p.Ops {
+		for _, r := range p.Ops[i].Reads {
+			count[r]++
+			total++
+		}
+	}
+	backing := make([]int, total)
+	for id, t := range p.Tensors {
+		if c := count[id]; c > 0 {
+			t.Reads, backing = backing[:0:c], backing[c:]
+		}
+	}
+	for i := range p.Ops {
+		for _, r := range p.Ops[i].Reads {
+			t := p.Tensors[r]
+			t.Reads = append(t.Reads, i)
+		}
 	}
 	return p, nil
 }

@@ -61,6 +61,21 @@ func TestBuildProgramStructure(t *testing.T) {
 	}
 }
 
+// TestBuildProgramRejectsForeignOutput: an output node that belongs to
+// another graph is an error, not an index into this graph's tables.
+func TestBuildProgramRejectsForeignOutput(t *testing.T) {
+	g := tinyGraph()
+	g.SetOutput(tinyGraph().Nodes[len(g.Nodes)-1])
+	if _, err := hmms.BuildProgram(g, costmodel.P100()); err == nil {
+		t.Fatal("output from another graph accepted")
+	}
+	big := models.VGG19ImageNet(1).Graph
+	g.SetOutput(big.Nodes[len(big.Nodes)-1])
+	if _, err := hmms.BuildProgram(g, costmodel.P100()); err == nil {
+		t.Fatal("output with an ID past the graph accepted")
+	}
+}
+
 func TestProgramStashSemantics(t *testing.T) {
 	g := tinyGraph()
 	p, err := hmms.BuildProgram(g, costmodel.P100())

@@ -129,16 +129,36 @@ func AssignStorage(p *Program, opts StorageOpts) *Assignment {
 		}
 	}
 
-	groups := make(map[int]TSOID)
-	for i, t := range p.Tensors {
+	// Every union-find root becomes one TSO, numbered in order of its
+	// first member tensor. The TSOs and their member lists are cut from
+	// two arrays sized by this counting pass.
+	tsoOf := make([]TSOID, len(p.Tensors)) // by root; -1 until numbered
+	for i := range tsoOf {
+		tsoOf[i] = -1
+	}
+	var sizes []int
+	for i := range p.Tensors {
 		root := find(i)
-		id, ok := groups[root]
-		if !ok {
-			id = TSOID(len(a.TSOs))
-			groups[root] = id
-			a.TSOs = append(a.TSOs, &TSOInfo{ID: id, Kind: t.Kind})
+		if tsoOf[root] < 0 {
+			tsoOf[root] = TSOID(len(sizes))
+			sizes = append(sizes, 0)
 		}
-		tso := a.TSOs[id]
+		a.TensorTSO[i] = tsoOf[root]
+		sizes[tsoOf[root]]++
+	}
+	infos := make([]TSOInfo, len(sizes))
+	a.TSOs = make([]*TSOInfo, len(sizes))
+	backing := make([]TensorID, len(p.Tensors))
+	for id, n := range sizes {
+		infos[id] = TSOInfo{ID: TSOID(id), Tensors: backing[:0:n]}
+		backing = backing[n:]
+		a.TSOs[id] = &infos[id]
+	}
+	for i, t := range p.Tensors {
+		tso := a.TSOs[a.TensorTSO[i]]
+		if len(tso.Tensors) == 0 {
+			tso.Kind = t.Kind
+		}
 		tso.Tensors = append(tso.Tensors, t.ID)
 		if t.Bytes > tso.Bytes {
 			tso.Bytes = t.Bytes
@@ -147,7 +167,6 @@ func AssignStorage(p *Program, opts StorageOpts) *Assignment {
 		if t.Kind == KParam || t.Kind == KParamGrad {
 			tso.Kind = t.Kind
 		}
-		a.TensorTSO[i] = id
 	}
 	return a
 }

@@ -11,7 +11,10 @@
 // both clients can depend on it without cycles.
 package memlayout
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Block is one allocation request: Bytes of storage live from the start
 // of step Start through the end of step End (inclusive). FirstFit and
@@ -26,65 +29,99 @@ type Block struct {
 // FirstFit places each block at the lowest offset where it fits among
 // blocks still live at its birth — the paper's allocation strategy.
 // Blocks are considered in order of Start (FIFO through the serialized
-// program), breaking ties by larger size for tighter packing; the sort
-// is stable so equal blocks keep their submission order, which makes
-// the layout deterministic. It returns the pool size (peak offset +
-// size). The caller's slice order is preserved; offsets are written in
-// place.
+// program), breaking ties by larger size for tighter packing and then
+// by submission order, which makes the layout deterministic. It
+// returns the pool size (peak offset + size). The caller's slice order
+// is preserved; offsets are written in place.
+//
+// The live set is kept in offset order across placements, so each
+// placement is one pass over it that drops the blocks which ended
+// before the new one starts, finds the first gap the new block fits,
+// and inserts it there: O(N·L) for N blocks with at most L live at any
+// birth, plus the O(N log N) ordering, with no per-block sort.
 func FirstFit(blocks []*Block) int64 {
-	blocks = sortedCopy(blocks)
 	var peak int64
-	var live []*Block
-	for _, b := range blocks {
-		// Expire blocks that ended strictly before this one starts.
-		kept := live[:0]
-		for _, l := range live {
-			if l.End >= b.Start {
-				kept = append(kept, l)
-			}
-		}
-		live = kept
-		sort.Slice(live, func(i, j int) bool { return live[i].Offset < live[j].Offset })
+	var live []liveBlock
+	for _, i := range allocationOrder(blocks) {
+		b := blocks[i]
+		// Walk the live set up to the first gap of b.Bytes, compacting
+		// it into live[:w] and dropping the blocks that ended before b's
+		// birth: their bytes are free again.
 		var off int64
-		for _, l := range live {
-			if off+b.Bytes <= l.Offset {
+		w, j := 0, 0
+		for ; j < len(live); j++ {
+			l := live[j]
+			if l.end < b.Start {
+				continue
+			}
+			if off+b.Bytes <= l.offset {
 				break
 			}
-			if end := l.Offset + l.Bytes; end > off {
-				off = end
+			off = max(off, l.offset+l.bytes)
+			live[w] = l
+			w++
+		}
+		// b goes into the gap and the rest of the set moves up one slot,
+		// still dropping expired blocks: carry holds the block displaced
+		// from the slot just written.
+		carry := liveBlock{b.End, off, b.Bytes}
+		for ; j < len(live); j++ {
+			if l := live[j]; l.end >= b.Start {
+				live[w], carry = carry, l
+				w++
 			}
 		}
+		live = append(live[:w], carry)
 		b.Offset = off
-		live = append(live, b)
-		if top := off + b.Bytes; top > peak {
-			peak = top
-		}
+		peak = max(peak, off+b.Bytes)
 	}
 	return peak
+}
+
+// liveBlock is one entry of FirstFit's live set: a placed block that
+// occupies [offset, offset+bytes) through step end.
+type liveBlock struct {
+	end           int
+	offset, bytes int64
 }
 
 // Sequential gives every block a distinct offset with no lifetime-based
 // reuse — the ablation baseline against FirstFit.
 func Sequential(blocks []*Block) int64 {
-	blocks = sortedCopy(blocks)
 	var off int64
-	for _, b := range blocks {
-		b.Offset = off
-		off += b.Bytes
+	for _, i := range allocationOrder(blocks) {
+		blocks[i].Offset = off
+		off += blocks[i].Bytes
 	}
 	return off
 }
 
-// sortedCopy returns the blocks in allocation order — by Start, larger
-// first among equals — without disturbing the caller's slice.
-func sortedCopy(blocks []*Block) []*Block {
-	ordered := make([]*Block, len(blocks))
-	copy(ordered, blocks)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Start != ordered[j].Start {
-			return ordered[i].Start < ordered[j].Start
+// allocationOrder returns the indices of blocks in allocation order —
+// by Start, larger first among equals, then by index — without
+// disturbing the caller's slice. The order is total, so it is the
+// permutation a stable sort on (Start, larger first) gives.
+func allocationOrder(blocks []*Block) []int {
+	type key struct {
+		start int
+		bytes int64
+		index int
+	}
+	keys := make([]key, len(blocks))
+	for i, b := range blocks {
+		keys[i] = key{b.Start, b.Bytes, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.start != b.start:
+			return cmp.Compare(a.start, b.start)
+		case a.bytes != b.bytes:
+			return cmp.Compare(b.bytes, a.bytes)
 		}
-		return ordered[i].Bytes > ordered[j].Bytes
+		return cmp.Compare(a.index, b.index)
 	})
-	return ordered
+	order := make([]int, len(keys))
+	for i, k := range keys {
+		order[i] = k.index
+	}
+	return order
 }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"splitcnn/internal/device"
 	"splitcnn/internal/hmms"
@@ -36,30 +36,15 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 	d.MemCapacity = capacity
 	d.Recorder = rec
 
-	// Entries by the op each of their four moments falls at.
-	offloadAt := make([][]*hmms.OffloadEntry, len(p.Ops))
-	syncAfter := make([][]*hmms.OffloadEntry, len(p.Ops))
-	prefetchAt := make([][]*hmms.OffloadEntry, len(p.Ops))
-	syncBefore := make([][]*hmms.OffloadEntry, len(p.Ops))
-	for _, e := range plan.Entries {
-		offloadAt[e.OffloadAtOp] = append(offloadAt[e.OffloadAtOp], e)
-		syncAfter[e.SyncAtOp] = append(syncAfter[e.SyncAtOp], e)
-		prefetchAt[e.PrefetchAtOp] = append(prefetchAt[e.PrefetchAtOp], e)
-		syncBefore[e.SyncBeforeOp] = append(syncBefore[e.SyncBeforeOp], e)
-	}
-	// Same-op transfers go out most-urgent-first, exactly as in Run;
-	// memory streams are created lazily in issue order so that FIFO
-	// tie-breaking on the link matches the issue sequence.
-	for _, byOp := range [][][]*hmms.OffloadEntry{offloadAt, prefetchAt} {
-		for _, es := range byOp {
-			if len(es) > 1 {
-				sort.Slice(es, func(a, b int) bool { return es[a].SyncBeforeOp < es[b].SyncBeforeOp })
-			}
-		}
-	}
+	// Entries by the op each of their four moments falls at, same-op
+	// transfers most-urgent-first exactly as in Run; memory streams are
+	// created lazily in issue order so that FIFO tie-breaking on the
+	// link matches the issue sequence.
+	offloadAt, syncAfter, prefetchAt, syncBefore := groupEntries(len(p.Ops), plan.Entries)
 
-	offloadEv := make(map[hmms.TSOID]device.EventID, len(plan.Entries))
-	prefetchEv := make(map[hmms.TSOID]device.EventID, len(plan.Entries))
+	n := numTSOs(plan.Entries)
+	offloadEv := make([]device.EventID, n)
+	prefetchEv := make([]device.EventID, n)
 	kernels := make([]device.Handle, len(p.Ops))
 
 	for i := range p.Ops {
@@ -69,33 +54,33 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 		// on an event recorded on the compute stream just before the
 		// kernel launch.
 		var gate device.EventID
-		if len(offloadAt[i]) > 0 || len(prefetchAt[i]) > 0 {
+		if len(offloadAt.at(i)) > 0 || len(prefetchAt.at(i)) > 0 {
 			gate = d.Record(device.ComputeStream)
 		}
 		// Start of the offload: right as op i starts executing (the
 		// copy's source was fully written before op i).
-		for _, e := range offloadAt[i] {
+		for _, e := range offloadAt.at(i) {
 			s := d.NewStream()
 			d.Wait(s, gate)
-			d.Copy(s, fmt.Sprintf("offload-tso%d", e.TSO), e.Bytes)
+			d.Copy(s, copyLabel("offload-tso", e.TSO), e.Bytes)
 			offloadEv[e.TSO] = d.Record(s)
 		}
 		// Start of the prefetch.
-		for _, e := range prefetchAt[i] {
+		for _, e := range prefetchAt.at(i) {
 			s := d.NewStream()
 			d.Wait(s, gate)
-			d.Copy(s, fmt.Sprintf("prefetch-tso%d", e.TSO), e.Bytes)
+			d.Copy(s, copyLabel("prefetch-tso", e.TSO), e.Bytes)
 			prefetchEv[e.TSO] = d.Record(s)
 		}
 		// End of the prefetch: compute waits before the consuming op.
 		// Check put the prefetch at or before this op, so it is issued.
-		for _, e := range syncBefore[i] {
+		for _, e := range syncBefore.at(i) {
 			d.Wait(device.ComputeStream, prefetchEv[e.TSO])
 		}
 		kernels[i] = d.Launch(op.Name, op.Time)
 		// End of the offload: compute synchronizes right after op i and
 		// the device TSO is freed.
-		for _, e := range syncAfter[i] {
+		for _, e := range syncAfter.at(i) {
 			d.Wait(device.ComputeStream, offloadEv[e.TSO])
 		}
 	}
@@ -114,4 +99,11 @@ func ReplayTraced(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan,
 		}
 	}
 	return d.Run()
+}
+
+// copyLabel renders a transfer's label, the prefix followed by the TSO
+// ID in decimal, in one allocation.
+func copyLabel(prefix string, id hmms.TSOID) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(id), 10))
 }

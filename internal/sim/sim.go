@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"splitcnn/internal/hmms"
 	"splitcnn/internal/trace"
@@ -113,38 +114,22 @@ func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result
 		res.HostBytes = mem.PoolBytes[hmms.PoolHost]
 	}
 
-	offloadAt := make(map[int][]*hmms.OffloadEntry)
-	syncAfter := make(map[int][]*hmms.OffloadEntry)
-	prefetchAt := make(map[int][]*hmms.OffloadEntry)
-	syncBefore := make(map[int][]*hmms.OffloadEntry)
-	for _, e := range plan.Entries {
-		offloadAt[e.OffloadAtOp] = append(offloadAt[e.OffloadAtOp], e)
-		syncAfter[e.SyncAtOp] = append(syncAfter[e.SyncAtOp], e)
-		prefetchAt[e.PrefetchAtOp] = append(prefetchAt[e.PrefetchAtOp], e)
-		syncBefore[e.SyncBeforeOp] = append(syncBefore[e.SyncBeforeOp], e)
-	}
+	offloadAt, syncAfter, prefetchAt, syncBefore := groupEntries(len(p.Ops), plan.Entries)
+	res.Spans = make([]Span, 0, len(p.Ops)+2*len(plan.Entries))
 
 	// The host link is a single FIFO resource: concurrent copies
 	// serialize (streams only provide synchronization granularity).
 	var t, linkFree float64
-	offloadDone := make(map[hmms.TSOID]float64)
-	prefetchDone := make(map[hmms.TSOID]float64)
+	n := numTSOs(plan.Entries)
+	offloadDone := make([]float64, n)
+	prefetchDone := make([]float64, n)
 
-	issue := func(e *hmms.OffloadEntry, stream string, done map[hmms.TSOID]float64) {
+	issue := func(e *hmms.OffloadEntry, stream string, done []float64) {
 		start := max(linkFree, t)
 		end := start + p.Device.CopyTime(e.Bytes)
 		linkFree = end
 		done[e.TSO] = end
-		res.Spans = append(res.Spans, Span{Stream: stream, Name: fmt.Sprint(e.TSO), Start: start, End: end})
-	}
-
-	// Transfers issued at the same op go out most-urgent-first: the
-	// link is FIFO, so a copy needed soonest must not queue behind one
-	// needed later.
-	for _, m := range []map[int][]*hmms.OffloadEntry{offloadAt, prefetchAt} {
-		for _, es := range m {
-			sort.Slice(es, func(a, b int) bool { return es[a].SyncBeforeOp < es[b].SyncBeforeOp })
-		}
+		res.Spans = append(res.Spans, Span{Stream: stream, Name: strconv.Itoa(int(e.TSO)), Start: start, End: end})
 	}
 
 	stall := func(op *hmms.OpExec, d float64) {
@@ -158,14 +143,14 @@ func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		// Issue transfers scheduled at this op's start.
-		for _, e := range offloadAt[i] {
+		for _, e := range offloadAt.at(i) {
 			issue(e, "offload", offloadDone)
 		}
-		for _, e := range prefetchAt[i] {
+		for _, e := range prefetchAt.at(i) {
 			issue(e, "prefetch", prefetchDone)
 		}
 		// End-of-prefetch synchronization gates this op's launch.
-		for _, e := range syncBefore[i] {
+		for _, e := range syncBefore.at(i) {
 			if d := prefetchDone[e.TSO]; d > t {
 				stall(op, d-t)
 				t = d
@@ -175,7 +160,7 @@ func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result
 		t += op.Time
 		res.Spans = append(res.Spans, Span{Stream: "compute", Name: op.Name, Start: start, End: t})
 		// End-of-offload synchronization happens right after the op.
-		for _, e := range syncAfter[i] {
+		for _, e := range syncAfter.at(i) {
 			if d := offloadDone[e.TSO]; d > t {
 				stall(op, d-t)
 				t = d
@@ -184,4 +169,68 @@ func Run(p *hmms.Program, plan *hmms.OffloadPlan, mem *hmms.MemoryPlan) (*Result
 	}
 	res.TotalTime = t
 	return res, nil
+}
+
+// byOp groups a plan's entries by the op one of their four critical
+// moments falls at: the entries at op i are list[start[i]:start[i+1]],
+// in plan order.
+type byOp struct {
+	start []int32
+	list  []*hmms.OffloadEntry
+}
+
+// at returns the entries filed under op i.
+func (g byOp) at(i int) []*hmms.OffloadEntry { return g.list[g.start[i]:g.start[i+1]] }
+
+// groupByOp files every entry under the op moment(e) names, a counting
+// sort that keeps plan order within an op. The plan must have passed
+// Check, so every op index is below numOps.
+func groupByOp(numOps int, entries []*hmms.OffloadEntry, moment func(*hmms.OffloadEntry) int) byOp {
+	g := byOp{start: make([]int32, numOps+1), list: make([]*hmms.OffloadEntry, len(entries))}
+	for _, e := range entries {
+		g.start[moment(e)+1]++
+	}
+	for i := 1; i <= numOps; i++ {
+		g.start[i] += g.start[i-1]
+	}
+	// Fill each op's run, advancing start[i] to the end of run i (the
+	// start of run i+1), then shift the starts back into place.
+	for _, e := range entries {
+		i := moment(e)
+		g.list[g.start[i]] = e
+		g.start[i]++
+	}
+	copy(g.start[1:], g.start[:numOps])
+	g.start[0] = 0
+	return g
+}
+
+// groupEntries groups a plan's entries by each of their four critical
+// moments. Transfers issued at the same op go out most-urgent-first:
+// the link is FIFO, so a copy needed soonest must not queue behind one
+// needed later.
+func groupEntries(numOps int, entries []*hmms.OffloadEntry) (offloadAt, syncAfter, prefetchAt, syncBefore byOp) {
+	offloadAt = groupByOp(numOps, entries, func(e *hmms.OffloadEntry) int { return e.OffloadAtOp })
+	syncAfter = groupByOp(numOps, entries, func(e *hmms.OffloadEntry) int { return e.SyncAtOp })
+	prefetchAt = groupByOp(numOps, entries, func(e *hmms.OffloadEntry) int { return e.PrefetchAtOp })
+	syncBefore = groupByOp(numOps, entries, func(e *hmms.OffloadEntry) int { return e.SyncBeforeOp })
+	for _, g := range []byOp{offloadAt, prefetchAt} {
+		for i := range numOps {
+			if es := g.at(i); len(es) > 1 {
+				sort.Slice(es, func(a, b int) bool { return es[a].SyncBeforeOp < es[b].SyncBeforeOp })
+			}
+		}
+	}
+	return offloadAt, syncAfter, prefetchAt, syncBefore
+}
+
+// numTSOs returns one more than the highest TSO a plan's entries name:
+// the length of a slice indexed by their TSO IDs, which Check keeps
+// non-negative.
+func numTSOs(entries []*hmms.OffloadEntry) int {
+	n := 0
+	for _, e := range entries {
+		n = max(n, int(e.TSO)+1)
+	}
+	return n
 }

@@ -186,6 +186,7 @@ func TestRunRejectsMalformedEntries(t *testing.T) {
 		}),
 		"prefetch synchronized before issue": edit(func(e *hmms.OffloadEntry) { e.SyncBeforeOp = e.PrefetchAtOp - 1 }),
 		"no bytes":                           edit(func(e *hmms.OffloadEntry) { e.Bytes = 0 }),
+		"negative TSO":                       edit(func(e *hmms.OffloadEntry) { e.TSO = -1 }),
 		"TSO planned twice":                  withFirst(plan.Entries[0], plan.Entries[0]),
 	} {
 		_, runErr := sim.Run(prog, bad, nil)
