@@ -283,7 +283,8 @@ func BenchmarkAblationPolicy(b *testing.B) {
 
 // --- Kernel micro-benchmarks ---
 
-// BenchmarkConv2DForward measures the im2col convolution kernel.
+// BenchmarkConv2DForward measures the default (implicit-GEMM im2col)
+// convolution kernel.
 func BenchmarkConv2DForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(8, 64, 32, 32)
@@ -295,6 +296,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 	dst := tensor.New(8, 64, 32, 32)
 	a := tensor.NewArena()
 	flops := 2 * int64(8*64*32*32) * int64(64*9)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Conv2DInto(a, dst, x, w, bias, p)

@@ -13,9 +13,10 @@
 //
 // Contract with the rest of the system:
 //
-//   - With no plan for a key, Choose returns exactly the pre-autotune
-//     heuristic (Winograd if it applies, else im2col), so untuned
-//     behavior — including bit-identity tests — is unchanged.
+//   - With no plan for a key, Choose returns im2col — the implicit-GEMM
+//     kernel, whose bits are the same at every batch size and shard
+//     cut. Winograd, FFT and direct run only where a tuned plan picks
+//     them.
 //   - Choose never panics and never allocates: a corrupt or stale plan
 //     (wrong geometry for Winograd, stride for FFT) is sanitized back
 //     to the default. The panic stays in tensor.Conv2DWinogradInto for
@@ -98,16 +99,12 @@ type Decision struct {
 	Seconds map[Algo]float64
 }
 
-// DefaultAlgo is the pre-autotune heuristic: Winograd when the geometry
-// allows, im2col otherwise. Choose falls back to it whenever no (valid)
-// plan exists, which keeps untuned behavior bit-identical to the
-// previous releases.
-func DefaultAlgo(p tensor.ConvParams) Algo {
-	if tensor.WinogradApplies(p) {
-		return Winograd
-	}
-	return Im2col
-}
+// DefaultAlgo is the untuned algorithm: im2col for every geometry.
+// Choose falls back to it whenever no (valid) plan exists. The kernel
+// is an implicit GEMM that builds no column matrix, and its bits depend
+// on the reduction length only, so untuned batch prefixes, coalesced
+// batches and shard bands are bit-identical to the full computation.
+func DefaultAlgo(tensor.ConvParams) Algo { return Im2col }
 
 // fftWorkspaceCap bounds the FFT backend's scratch footprint, mirroring
 // nn.MaxConvWorkspaceBytes (the cuDNN-style per-algorithm workspace

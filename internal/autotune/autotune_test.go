@@ -16,21 +16,22 @@ func conv3x3() tensor.ConvParams {
 	return tensor.ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: tensor.Symmetric(1)}
 }
 
-// TestChooseDefaultsMatchLegacy pins the untuned contract: with no
-// plan, dispatch must reproduce the pre-autotune heuristic exactly.
-func TestChooseDefaultsMatchLegacy(t *testing.T) {
+// TestChooseDefaultIsIm2col pins the untuned contract: with no plan
+// (or no tuner), every geometry runs the implicit-GEMM im2col kernel;
+// Winograd runs only where a tuned plan picks it.
+func TestChooseDefaultIsIm2col(t *testing.T) {
 	tn := New()
 	shape := tensor.Shape{2, 8, 16, 16}
-	if a := tn.Choose(conv3x3(), shape, 4); a != Winograd {
-		t.Fatalf("3x3/s1 untuned: got %v, want winograd", a)
+	if a := tn.Choose(conv3x3(), shape, 4); a != Im2col {
+		t.Fatalf("3x3/s1 untuned: got %v, want im2col", a)
 	}
 	p5 := tensor.ConvParams{KH: 5, KW: 5, SH: 1, SW: 1, Pad: tensor.Symmetric(2)}
 	if a := tn.Choose(p5, shape, 4); a != Im2col {
 		t.Fatalf("5x5 untuned: got %v, want im2col", a)
 	}
 	var nilT *Tuner
-	if a := nilT.Choose(conv3x3(), shape, 4); a != Winograd {
-		t.Fatalf("nil tuner: got %v, want winograd", a)
+	if a := nilT.Choose(conv3x3(), shape, 4); a != Im2col {
+		t.Fatalf("nil tuner: got %v, want im2col", a)
 	}
 }
 

@@ -105,6 +105,27 @@ func TestSplitResNet18AcrossDownsampleBlocks(t *testing.T) {
 	}
 }
 
+// TestSplitResNet18NarrowPatches cuts the 64x64 ResNet-18 into 4x4,
+// 6x6 and 8x8 patches. The 7x7/2 stem then convolves patches as narrow
+// as one pixel under pad 3, where whole kernel columns read only
+// padding; forward and backward through the executor must still run
+// and produce a finite loss.
+func TestSplitResNet18NarrowPatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := models.ResNet18(models.Config{BatchSize: 2, Classes: 10, InputC: 3, InputH: 64, InputW: 64, WidthDiv: 16})
+	for _, nhw := range []int{4, 6, 8} {
+		res, err := core.Split(m.Graph, core.Config{Depth: 0.5, NH: nhw, NW: nhw})
+		if err != nil {
+			t.Fatalf("%dx%d: %v", nhw, nhw, err)
+		}
+		store := graph.NewParamStore()
+		store.InitFromGraph(res.Graph, rng, nn.KaimingInit)
+		if loss := runModel(t, res.Graph, m, store, rng); !(loss > 0 && loss <= 50) {
+			t.Fatalf("%dx%d: loss %v implausible", nhw, nhw, loss)
+		}
+	}
+}
+
 // TestSplitAlexNetLargeKernels exercises the 11x11/4 and 5x5/1 windows.
 func TestSplitAlexNetLargeKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

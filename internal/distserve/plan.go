@@ -11,12 +11,14 @@
 // halo exchange is exact: every shard convolves over the very rows the
 // unsplit operator would read, so the distributed result is the
 // single-process result. Bit-identity additionally requires the shard
-// algorithm dispatch to match the unsplit run; the one backend whose
-// reduction geometry is position-dependent within a plan is Winograd
-// F(2x2,3x3), whose 2x2 output tile grid must stay aligned across
-// shards — hence Partition rounds every interior cut down to an even
-// row. (The FFT backend is not shard-safe at all; workers run untuned,
-// which is the same im2col/Winograd heuristic the default server uses.)
+// algorithm dispatch to match the unsplit run. Workers run untuned, and
+// the untuned kernel is the implicit-GEMM im2col, whose bits depend on
+// neither the batch nor the band of rows a shard computes, so any cut is
+// exact. The one backend whose reduction geometry is position-dependent
+// is Winograd F(2x2,3x3), a tuned-only candidate: its 2x2 output tile
+// grid must stay aligned across shards, which is why Partition still
+// rounds interior cuts down to an even row. (The FFT backend is not
+// shard-safe at all.)
 package distserve
 
 import (
@@ -185,14 +187,14 @@ func NewPlan(m *models.Model) (*Plan, error) {
 func (p *Plan) Last() *Stage { return p.Stages[len(p.Stages)-1] }
 
 // Partition cuts h rows into n contiguous ranges of near-equal size
-// whose interior cut points are rounded down to even rows. The even
-// alignment pins the Winograd F(2x2,3x3) output tile grid of every
-// shard to the unsplit operator's grid, which is what upgrades the halo
-// exchange from "equal within fp tolerance" to "bit-identical": each
-// 2x2 output tile is computed from the same 4x4 input window with the
-// same reduction order regardless of which shard computes it. Ranges
-// may be empty when h < 2n (deep pyramid stages); empty shards simply
-// fetch everything they need from the owners.
+// whose interior cut points are rounded down to even rows. The untuned
+// kernel is exact at any cut; the even alignment matters only where a
+// tuned plan runs Winograd F(2x2,3x3), whose output tile grid it pins
+// to the unsplit operator's grid: each 2x2 output tile is then computed
+// from the same 4x4 input window with the same reduction order
+// regardless of which shard computes it. Ranges may be empty when
+// h < 2n (deep pyramid stages); empty shards simply fetch everything
+// they need from the owners.
 func Partition(h, n int) []Range {
 	if n < 1 {
 		n = 1

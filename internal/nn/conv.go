@@ -96,17 +96,20 @@ func (c *Conv) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 }
 
 // algo consults the process-wide autotuner for the algorithm to run on
-// this call's shapes. With no tuned plan this is exactly the historic
-// heuristic (Winograd when it applies, else im2col), so every untuned
-// path — and every bit-identity test — behaves as before.
+// this call's shapes. With no tuned plan it is im2col, whose bits do not
+// depend on the batch size or the band of rows computed — what every
+// untuned bit-identity pin (batch prefix, coalescing, shard gangs)
+// rests on.
 func (c *Conv) algo(x, weight *tensor.Tensor) autotune.Algo {
 	return autotune.Default.Choose(c.Params, x.Shape(), weight.Shape()[0])
 }
 
 // ForwardInto implements graph.Op. The backend is chosen per shape by
-// the autotuner; the untuned default is the Winograd F(2x2, 3x3) fast
-// path for 3x3 stride-1 convolutions — the very algorithm whose adoption
-// §2.2.1 blames for making layers memory-bound — and im2col otherwise.
+// the autotuner; the untuned default is im2col for every geometry, an
+// implicit GEMM that packs its panels straight from the input and so
+// needs no workspace beyond its output product. The Winograd F(2x2,
+// 3x3) fast path — the very algorithm whose workspace §2.2.1 blames for
+// making layers memory-bound — runs only where a tuned plan picks it.
 // Every backend takes scratch from a pool or the arena only, so a
 // warmed forward allocates nothing.
 func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
@@ -169,6 +172,9 @@ const MaxConvWorkspaceBytes = 1 << 30
 // lowering capped at twice the input+output footprint and at the
 // framework workspace limit — preserving the property that matters to
 // Split-CNN: workspace scales with the layer and shrinks per patch.
+// That estimate models the paper's GPU workspace for the planner; the
+// CPU im2col kernel packs its panels from the input and builds no
+// column matrix.
 func (c *Conv) WorkspaceBytes(in []tensor.Shape, out tensor.Shape) int64 {
 	x := in[0]
 	if algo, ok := autotune.Default.Plan(c.Params, x, out.C()); ok {

@@ -42,23 +42,19 @@ func (p ConvParams) check(x *Tensor) (n, c, h, w, oh, ow int) {
 }
 
 // oxRange returns the output-x interval [oxLo, oxHi) whose input column
-// ix = ox*SW - Pad.Left + kx lands inside [0, w). Precomputing it per
-// (kx) row lets the im2col/col2im inner loops run without per-pixel
-// bounds checks — and for stride 1 the interior becomes one contiguous
-// copy.
+// ix = ox*SW - Pad.Left + kx lands inside [0, w), clamped to [0, ow].
+// Precomputing it per (kx) row lets the im2col/col2im inner loops run
+// without per-pixel bounds checks — and for stride 1 the interior
+// becomes one contiguous copy. The range may be empty (a kernel column
+// that reads only padding, as on narrow padded patches); callers then
+// touch no source element.
 func (p ConvParams) oxRange(kx, w, ow int) (oxLo, oxHi int) {
-	oxLo = ceilDiv(p.Pad.Left-kx, p.SW)
-	if oxLo < 0 {
-		oxLo = 0
+	oxLo, oxHi = p.Pad.Left-kx, w+p.Pad.Left-kx
+	if p.SW != 1 {
+		oxLo, oxHi = ceilDiv(oxLo, p.SW), ceilDiv(oxHi, p.SW)
 	}
-	oxHi = ceilDiv(w+p.Pad.Left-kx, p.SW)
-	if oxHi > ow {
-		oxHi = ow
-	}
-	if oxHi < oxLo {
-		oxHi = oxLo
-	}
-	return oxLo, oxHi
+	oxLo = min(max(oxLo, 0), ow)
+	return oxLo, max(min(oxHi, ow), oxLo)
 }
 
 // Im2ColArena lowers the convolution windows of x into a matrix of
@@ -106,6 +102,9 @@ func im2colRows(t im2colArgs, lo, hi int) {
 				srow := src[iy*t.w : (iy+1)*t.w]
 				clear(drow[:oxLo])
 				clear(drow[oxHi:])
+				if oxLo == oxHi {
+					continue
+				}
 				if p.SW == 1 {
 					copy(drow[oxLo:oxHi], srow[ixBase:ixBase+oxHi-oxLo])
 				} else {
@@ -154,6 +153,9 @@ func col2imChans(t col2imArgs, lo, hi int) {
 			for kx := 0; kx < p.KW; kx++ {
 				row := (ch*p.KH+ky)*p.KW + kx
 				oxLo, oxHi := p.oxRange(kx, t.w, t.ow)
+				if oxLo == oxHi {
+					continue // this kernel column reads only padding
+				}
 				ixBase := oxLo*p.SW - p.Pad.Left + kx
 				src := t.cd[row*cols : (row+1)*cols]
 				for b := 0; b < t.n; b++ {
@@ -187,12 +189,16 @@ func col2imChans(t col2imArgs, lo, hi int) {
 
 // Conv2DInto computes a 2-D convolution into a caller-supplied dst. x
 // is [N,Cin,H,W], weight is [Cout,Cin,KH,KW], bias (may be nil) is
-// [Cout]; dst is [N,Cout,OH,OW]. Internally it lowers to im2col + GEMM,
-// the same algorithmic shape cuDNN's IMPLICIT_GEMM uses; that scratch
-// (the im2col matrix and the GEMM product) cycles through the arena.
-// dst must not alias x.
+// [Cout]; dst is [N,Cout,OH,OW]. It is an implicit GEMM — the
+// algorithmic shape of cuDNN's IMPLICIT_GEMM: weight-as-[Cout,
+// Cin*KH*KW] times the im2col matrix of x, whose panels the GEMM packs
+// straight from x (packBConv), so no column matrix is ever built. The
+// only scratch drawn from the arena is the [Cout, N*OH*OW] product.
+// The result is bit-identical to Im2ColArena followed by Gemm, and —
+// the GEMM being shape-invariant — to the same convolution over any
+// batch prefix or band of output rows. dst must not alias x.
 func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
-	n, cin, _, _, oh, ow := p.check(x)
+	n, cin, h, w, oh, ow := p.check(x)
 	cout := weight.shape[0]
 	if !weight.shape.Equal(Shape{cout, cin, p.KH, p.KW}) {
 		panic(fmt.Sprintf("tensor.Conv2DInto: weight %v incompatible with input %v and %+v", weight.shape, x.shape, p))
@@ -200,12 +206,9 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	if len(dst.data) != n*cout*oh*ow {
 		panic(fmt.Sprintf("tensor.Conv2DInto: dst %v, want %d elements", dst.shape, n*cout*oh*ow))
 	}
-	col := Im2ColArena(a, x, p)
 	prod := a.GetRaw(cout, n*oh*ow)
-	// prod = weight-as-[Cout, Cin*KH*KW] @ col, via the raw gemm entry:
-	// shapes were validated above and this avoids per-call Reshape views.
-	gemm(prod.data, weight.data, col.data, cout, cin*p.KH*p.KW, n*oh*ow, 1, 0, false, false)
-	a.Put(col)
+	gemm(prod.data, weight.data, gemmB{d: x.data, conv: true, p: p, c: cin, h: h, w: w, oh: oh, ow: ow},
+		cout, cin*p.KH*p.KW, n*oh*ow, 1, 0, false)
 	// prod is [Cout, N*OH*OW]; transpose the leading two logical dims
 	// into NCHW order and add bias.
 	hw := oh * ow
@@ -218,6 +221,101 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	}, convToNCHW)
 	a.Put(prod)
 }
+
+// packBConv packs the NR-column panels [lo, hi) of the kc x nc block at
+// (pc, jc) of the implicit im2col matrix of b.d. Row r is (ci, ky, kx),
+// column c is (img, oy, ox), and the element is
+// x[img][ci][oy·SH−Top+ky][ox·SW−Left+kx], or 0 in the padding: exactly
+// what Im2ColArena places at (r, c). The k-rows are taken in runs that
+// share (ci, ky) — up to packKX consecutive kx — so each run reads one
+// input row per output row and writes adjacent panel rows. The columns
+// are walked incrementally across the panels, one output row at a time.
+// A stretch of a row inside one panel is zeros for the padding around
+// an in-bounds run: a copy at stride 1 (one 16-float move when it fills
+// the panel row), a gather otherwise. The padding runs are a column or
+// two, where a call to clear costs more than it moves, so they are
+// element loops.
+func packBConv(dst []float32, b gemmB, pc, jc, kc, nc, lo, hi int) {
+	p := b.p
+	khkw, hw, ohw := p.KH*p.KW, b.h*b.w, b.oh*b.ow
+	j0, j1 := lo*gemmNR, min(hi*gemmNR, nc)
+	c0 := jc + j0
+	img0, oy0, ox0 := c0/ohw, c0%ohw/b.ow, c0%b.ow
+	stride := kc * gemmNR // from a lane of one panel to the same lane of the next
+	var oxLo, oxHi [packKX]int
+	for r := 0; r < kc; {
+		ci, ky, kx0 := (pc+r)/khkw, (pc+r)%khkw/p.KW, (pc+r)%p.KW
+		g := min(p.KW-kx0, kc-r, packKX) // k-rows [r, r+g) are kx = kx0 … kx0+g−1
+		for t := 0; t < g; t++ {
+			oxLo[t], oxHi[t] = p.oxRange(kx0+t, b.w, b.ow)
+		}
+		img, oy, ox := img0, oy0, ox0
+		o, lane := lo*stride+r*gemmNR, 0 // packed offset of column j in k-row r, and j % NR
+		for j := j0; j < j1; {
+			seg := min(b.ow-ox, j1-j) // columns ox .. ox+seg of output row (img, oy)
+			var src []float32         // that row's input row; nil in the padding
+			if iy := oy*p.SH - p.Pad.Top + ky; iy >= 0 && iy < b.h {
+				base := (img*b.c+ci)*hw + iy*b.w
+				src = b.d[base : base+b.w]
+			}
+			for end := j + seg; j < end; {
+				l := min(end-j, gemmNR-lane)
+				for t := 0; t < g; t++ {
+					out := dst[o+t*gemmNR : o+t*gemmNR+l]
+					// out[i] is column ox+i; [s, e) is its in-bounds part.
+					s, e := 0, 0
+					if src != nil {
+						s = min(max(oxLo[t]-ox, 0), l)
+						e = max(min(oxHi[t]-ox, l), s)
+					}
+					ix := (ox+s)*p.SW - p.Pad.Left + kx0 + t
+					if e-s == gemmNR && p.SW == 1 {
+						v := *(*[gemmNR]float32)(src[ix:])
+						*(*[gemmNR]float32)(out) = v
+						continue
+					}
+					for i := 0; i < s; i++ {
+						out[i] = 0
+					}
+					if p.SW == 1 && s < e {
+						copy(out[s:e], src[ix:ix+e-s])
+					} else {
+						for i := s; i < e; i++ {
+							out[i] = src[ix]
+							ix += p.SW
+						}
+					}
+					for i := e; i < l; i++ {
+						out[i] = 0
+					}
+				}
+				j, ox, o, lane = j+l, ox+l, o+l, lane+l
+				if lane == gemmNR {
+					o, lane = o+stride-gemmNR, 0
+				}
+			}
+			if ox == b.ow {
+				ox = 0
+				if oy++; oy == b.oh {
+					oy = 0
+					img++
+				}
+			}
+		}
+		if j1 == nc && lane != 0 { // the last panel's column tail
+			for t := 0; t < g; t++ {
+				for i := o + t*gemmNR; i < o+t*gemmNR+gemmNR-lane; i++ {
+					dst[i] = 0
+				}
+			}
+		}
+		r += g
+	}
+}
+
+// packKX bounds the kernel columns packBConv packs together, so their
+// output-x ranges fit in a stack array; wider kernels take several runs.
+const packKX = 8
 
 type convNCHWArgs struct {
 	pd, od, bd  []float32
@@ -263,7 +361,7 @@ func Conv2DBackwardArena(a *Arena, x, weight *Tensor, gradOut *Tensor, p ConvPar
 	col := Im2ColArena(a, x, p)
 	// gradW (+)= g @ colᵀ, accumulated in place by the beta=1 GEMM
 	// (dropping the former gw temporary and its extra AXPY pass).
-	gemm(gradW.data, g.data, col.data, cout, n*hw, cin*p.KH*p.KW, 1, 1, false, true)
+	gemm(gradW.data, g.data, denseB(col.data, true), cout, n*hw, cin*p.KH*p.KW, 1, 1, false)
 	if !needGradX {
 		a.Put(col)
 		a.Put(g)
@@ -271,7 +369,7 @@ func Conv2DBackwardArena(a *Arena, x, weight *Tensor, gradOut *Tensor, p ConvPar
 	}
 	// gradCol = weightᵀ @ g, then scatter with Col2Im.
 	gradCol := col // same shape as the im2col matrix: reuse it directly
-	gemm(gradCol.data, weight.data, g.data, cin*p.KH*p.KW, cout, n*hw, 1, 0, true, false)
+	gemm(gradCol.data, weight.data, denseB(g.data, false), cin*p.KH*p.KW, cout, n*hw, 1, 0, true)
 	a.Put(g)
 	gx := Col2ImArena(a, gradCol, p, n, cin, h, w)
 	a.Put(gradCol)

@@ -39,8 +39,8 @@ func Conv2DDirectInto(dst, x, weight, bias *Tensor, p ConvParams) {
 		// dst[b] = weight-as-[Cout,Cin] @ x[b]-as-[Cin,H*W]: the GEMM
 		// im2col would run, minus the input copy.
 		for b := 0; b < n; b++ {
-			gemm(dst.data[b*cout*hw:(b+1)*cout*hw], weight.data, x.data[b*cin*hw:(b+1)*cin*hw],
-				cout, cin, hw, 1, 0, false, false)
+			gemm(dst.data[b*cout*hw:(b+1)*cout*hw], weight.data, denseB(x.data[b*cin*hw:(b+1)*cin*hw], false),
+				cout, cin, hw, 1, 0, false)
 		}
 		if bd != nil {
 			parallelRange(n*cout, 1+parallelThreshold/hw, directBiasArgs{

@@ -196,6 +196,7 @@ func BenchmarkGemmSquare(b *testing.B) {
 			y := randTensor(rng, n, n)
 			dst := New(n, n)
 			b.SetBytes(int64(3 * n * n * 4))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMul(dst, x, y)
@@ -203,5 +204,69 @@ func BenchmarkGemmSquare(b *testing.B) {
 			flops := 2 * float64(n) * float64(n) * float64(n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
+	}
+}
+
+// TestGemmShapeInvariance pins that an output element's bits depend on
+// k and its operands only: the first n' columns (m' rows) of a Gemm
+// equal, bit for bit, a Gemm over just n' columns (m' rows), for every
+// transpose variant and β ∈ {0, 1}, with k > 2·KC so that edge tiles
+// accumulate across KC blocks.
+func TestGemmShapeInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	// leadRows and leadCols copy the first r rows / columns of a stored
+	// rank-2 operand: op(A)'s first m' rows and op(B)'s first n' columns
+	// are one or the other, depending on the transpose flag.
+	leadRows := func(x *Tensor, r int) *Tensor {
+		return FromSlice(x.data[:r*x.shape[1]], r, x.shape[1])
+	}
+	leadCols := func(x *Tensor, r int) *Tensor {
+		rows, cols := x.shape[0], x.shape[1]
+		sub := New(rows, r)
+		for i := 0; i < rows; i++ {
+			copy(sub.data[i*r:(i+1)*r], x.data[i*cols:])
+		}
+		return sub
+	}
+	for trial := 0; trial < 6; trial++ {
+		m, n, k := 1+rng.Intn(40), 1+rng.Intn(70), 2*gemmKC+1+rng.Intn(200)
+		for variant := 0; variant < 8; variant++ {
+			transA, transB, beta := variant&1 != 0, variant&2 != 0, float32(variant>>2)
+			ash, bsh := []int{m, k}, []int{k, n}
+			if transA {
+				ash = []int{k, m}
+			}
+			if transB {
+				bsh = []int{n, k}
+			}
+			a, b := randTensor(rng, ash...), randTensor(rng, bsh...)
+			c0 := randTensor(rng, m, n)
+			full := c0.Clone()
+			Gemm(full, a, b, 1, beta, transA, transB)
+			for np := 1; np < n; np++ {
+				bsub := leadCols(b, np)
+				if transB {
+					bsub = leadRows(b, np)
+				}
+				dst := leadCols(c0, np)
+				Gemm(dst, a, bsub, 1, beta, transA, transB)
+				if MaxAbsDiff(dst, leadCols(full, np)) != 0 {
+					t.Fatalf("m=%d k=%d n=%d tA=%v tB=%v β=%g: an n'=%d product differs from the full one's first columns",
+						m, k, n, transA, transB, beta, np)
+				}
+			}
+			for mp := 1; mp < m; mp++ {
+				asub := leadRows(a, mp)
+				if transA {
+					asub = leadCols(a, mp)
+				}
+				dst := leadRows(c0, mp)
+				Gemm(dst, asub, b, 1, beta, transA, transB)
+				if MaxAbsDiff(dst, leadRows(full, mp)) != 0 {
+					t.Fatalf("m=%d k=%d n=%d tA=%v tB=%v β=%g: an m'=%d product differs from the full one's first rows",
+						m, k, n, transA, transB, beta, mp)
+				}
+			}
+		}
 	}
 }

@@ -7,19 +7,19 @@ import "fmt"
 // packed Gemm engine (gemm.go).
 func MatMul(dst, a, b *Tensor) {
 	m, k, n := checkMatMul("MatMul", dst, a, b, false, false)
-	gemm(dst.data, a.data, b.data, m, k, n, 1, 0, false, false)
+	gemm(dst.data, a.data, denseB(b.data, false), m, k, n, 1, 0, false)
 }
 
 // MatMulAT computes dst = aᵀ @ b: a is [k, m], b is [k, n], dst is [m, n].
 func MatMulAT(dst, a, b *Tensor) {
 	m, k, n := checkMatMul("MatMulAT", dst, a, b, true, false)
-	gemm(dst.data, a.data, b.data, m, k, n, 1, 0, true, false)
+	gemm(dst.data, a.data, denseB(b.data, false), m, k, n, 1, 0, true)
 }
 
 // MatMulBT computes dst = a @ bᵀ: a is [m, k], b is [n, k], dst is [m, n].
 func MatMulBT(dst, a, b *Tensor) {
 	m, k, n := checkMatMul("MatMulBT", dst, a, b, false, true)
-	gemm(dst.data, a.data, b.data, m, k, n, 1, 0, false, true)
+	gemm(dst.data, a.data, denseB(b.data, true), m, k, n, 1, 0, false)
 }
 
 func checkMatMul(op string, dst, a, b *Tensor, transA, transB bool) (m, k, n int) {

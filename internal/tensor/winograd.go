@@ -80,8 +80,8 @@ func Conv2DWinogradInto(dst, x, weight, bias *Tensor, p ConvParams) {
 	for xi := 0; xi < 16; xi++ {
 		gemm(m[xi*cout*tiles:(xi+1)*cout*tiles],
 			u[xi*cout*cin:(xi+1)*cout*cin],
-			v[xi*cin*tiles:(xi+1)*cin*tiles],
-			cout, cin, tiles, 1, 0, false, false)
+			denseB(v[xi*cin*tiles:(xi+1)*cin*tiles], false),
+			cout, cin, tiles, 1, 0, false)
 	}
 	putScratch(u)
 	putScratch(v)

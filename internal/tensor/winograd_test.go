@@ -99,6 +99,7 @@ func BenchmarkConvIm2Col3x3(b *testing.B) {
 	x.RandNormal(rng, 1)
 	w.RandNormal(rng, 0.1)
 	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: Symmetric(1)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv2D(x, w, nil, p)
