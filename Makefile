@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race dist-race vet fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run serve-smoke train-smoke compile-smoke tune-smoke dist-smoke mem-smoke
+.PHONY: build test race dist-race vet fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run serve-smoke train-smoke compile-smoke dist-smoke mem-smoke
 
 # Micro-benchmarks of the hot paths: the CPU execution engine's
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
@@ -11,7 +11,7 @@ GO ?= go
 # and the planner's (the offline HMMS pipeline; program serialization,
 # static memory planning and the discrete-event replay of a planned
 # step on plan_imagenet's reference graph).
-KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|GemmSquare|ConvIm2Col3x3$$|ConvWinograd3x3$$|InterpretedForward$$|CompiledForward$$|Conv2DFFT$$|AutotunedConv$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$
+KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|GemmSquare|ConvIm2Col3x3$$|InterpretedForward$$|CompiledForward$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race dist-race bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-run
+ci: vet fmt build race dist-race bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke dist-smoke mem-smoke bench-run
 
 # bench-kernels measures the kernel micro-benchmarks and prints the
 # results: a local guard for kernel work. The repo benchmark (bench/,
@@ -126,19 +126,6 @@ train-smoke:
 		-guards -flight /tmp/splitcnn-flight.json
 	$(GO) run ./cmd/splitcnn report -train /tmp/splitcnn-steplog.jsonl \
 		-o /tmp/splitcnn-train.html
-
-# tune-smoke runs the convolution autotuner end to end on a small
-# bundled architecture: measure every backend per layer shape, persist
-# the plan cache, reload it, and verify every plan survives the round
-# trip (the subcommand exits non-zero if any step fails). A second run
-# against the same cache must be all cache hits, which it checks by
-# grepping the summary line.
-tune-smoke:
-	$(GO) run ./cmd/splitcnn tune -arch alexnet -inh 64 -inw 64 -batch 4 \
-		-trials 1 -tunecache /tmp/splitcnn-autotune.json
-	$(GO) run ./cmd/splitcnn tune -arch alexnet -inh 64 -inw 64 -batch 4 \
-		-trials 1 -tunecache /tmp/splitcnn-autotune.json \
-		| grep "5 cache hits" > /dev/null
 
 # report-smoke renders the HTML/SVG memory timeline for a split VGG-19
 # HMMS plan; the subcommand itself verifies the plotted device

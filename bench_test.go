@@ -15,7 +15,6 @@ import (
 	"os"
 	"testing"
 
-	"splitcnn/internal/autotune"
 	"splitcnn/internal/core"
 	"splitcnn/internal/costmodel"
 	"splitcnn/internal/experiments"
@@ -300,52 +299,6 @@ func BenchmarkConv2DForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Conv2DInto(a, dst, x, w, bias, p)
-	}
-	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-// BenchmarkConv2DFFT measures the FFT convolution backend on an
-// FFT-favorable geometry: a 5x5 kernel, where the spectral MAC's
-// O(HW log HW) arithmetic amortizes best against im2col's 25x lowering.
-func BenchmarkConv2DFFT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(4, 32, 32, 32)
-	w := tensor.New(32, 32, 5, 5)
-	bias := tensor.New(32)
-	x.RandNormal(rng, 1)
-	w.RandNormal(rng, 0.1)
-	p := tensor.ConvParams{KH: 5, KW: 5, SH: 1, SW: 1, Pad: tensor.Symmetric(2)}
-	dst := tensor.New(4, 32, 32, 32)
-	flops := 2 * int64(4*32*32*32) * int64(32*25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DFFTInto(dst, x, w, bias, p)
-	}
-	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-// BenchmarkAutotunedConv dispatches the BenchmarkConv2DForward geometry
-// through the autotuner's measured winner (tuned once, outside the
-// timer) via the real nn.Conv forward path — the tuned-vs-untuned
-// comparison the perf log records.
-func BenchmarkAutotunedConv(b *testing.B) {
-	defer autotune.Default.Reset()
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(8, 64, 32, 32)
-	w := tensor.New(64, 64, 3, 3)
-	bias := tensor.New(64)
-	x.RandNormal(rng, 1)
-	w.RandNormal(rng, 0.1)
-	p := tensor.ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: tensor.Symmetric(1)}
-	autotune.Default.Tune(p, x.Shape(), 64)
-	op := &nn.Conv{Params: p, HasBias: true}
-	in := []*tensor.Tensor{x, w, bias}
-	dst := tensor.New(8, 64, 32, 32)
-	a := tensor.NewArena()
-	flops := 2 * int64(8*64*32*32) * int64(64*9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.ForwardInto(a, dst, in)
 	}
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }

@@ -34,10 +34,7 @@ func cmdWorker(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := sf.spec()
-	if err != nil {
-		return err
-	}
+	spec := sf.spec()
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
 	if *logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
@@ -95,10 +92,7 @@ func cmdRouter(args []string) error {
 			*slo = "p99=500ms,err=1%"
 		}
 	}
-	spec, err := sf.spec()
-	if err != nil {
-		return err
-	}
+	spec := sf.spec()
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
 	if *logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)

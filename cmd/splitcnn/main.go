@@ -6,9 +6,8 @@
 //	    fig8 fig9 fig10 fig11 table1)
 //	splitcnn profile   -arch vgg19 -batch 64
 //	    print the Figure 1-style layer profile of a model
-//	splitcnn plan      -arch vgg19 -batch 64 -method hmms [-split] [-tuned]
-//	    run the HMMS pipeline and report throughput and memory pools;
-//	    -tuned plans with autotuned (measured) convolution times
+//	splitcnn plan      -arch vgg19 -batch 64 -method hmms [-split]
+//	    run the HMMS pipeline and report throughput and memory pools
 //	splitcnn transform -arch vgg19 -depth 0.5 -nh 2 -nw 2
 //	    show what the Split-CNN graph transformation does to a model
 //	splitcnn maxbatch  -arch vgg19 [-split -depth 0.75] [-device v100]
@@ -32,10 +31,6 @@
 //	splitcnn compile   -arch vgg19 [-plan] [-o plan.html]
 //	    lower a model through graph.Compile (inference fusion + static
 //	    memory plan) and dump the plan; verifies plotted peak == slab
-//	splitcnn tune      -arch alexnet -batch 8 [-split] [-tunecache f]
-//	    micro-benchmark every convolution backend (im2col, Winograd,
-//	    direct, FFT) per layer shape, print the algorithm table with
-//	    measured GFLOP/s, and persist the winning plans
 //	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap
 //	    HTTP inference server with dynamic micro-batching
 //	splitcnn worker    -addr :9090 -arch vgg19 -snapshot w.snap [-maxpods 4]
@@ -59,7 +54,6 @@ import (
 
 	"splitcnn/internal/modelfile"
 
-	"splitcnn/internal/autotune"
 	"splitcnn/internal/buildinfo"
 	"splitcnn/internal/core"
 	"splitcnn/internal/costmodel"
@@ -100,10 +94,6 @@ request (-dist trace.json or -dist http://router)`},
 rewrite stats + static memory plan (-plan for the
 per-node table, -o for the HTML slab timeline);
 self-verifies plotted peak == mapped slab`},
-	{"tune", cmdTune, `micro-benchmark the convolution backends (im2col,
-Winograd, direct, FFT) on every distinct layer shape
-and persist the winning per-shape plans
-(-tunecache for the cache file, "off" to disable)`},
 	{"serve", cmdServe, `HTTP inference server with dynamic micro-batching
 over the compiled static program (-smoke for a CI
 self-test)`},
@@ -283,7 +273,6 @@ func cmdPlan(args []string) error {
 	depth := fs.Float64("depth", 0.75, "splitting depth (with -split)")
 	nh := fs.Int("nh", 2, "patch rows (with -split)")
 	nw := fs.Int("nw", 2, "patch cols (with -split)")
-	tuned := fs.Bool("tuned", false, "autotune the conv layers first and plan with their measured times instead of the roofline model")
 	dev := deviceFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -317,25 +306,8 @@ func cmdPlan(args []string) error {
 	default:
 		return fmt.Errorf("unknown method %q", *method)
 	}
-	var res *sim.Result
-	var prog *hmms.Program
-	var mem *hmms.MemoryPlan
-	if *tuned {
-		// Measure each distinct conv shape once (one timed trial is
-		// enough to rank backends) and feed the winners' times into the
-		// planner through the measured-override timer.
-		autotune.Default.Trials = 1
-		n := len(autotune.Default.TuneGraph(g))
-		fmt.Printf("autotuned %d conv sites; planning with measured conv times\n", n)
-		tp, plan, tm, terr := sim.PlanTimed(g, d, hmms.MeasuredTimer(d, autotune.Default.Overrides), mm, -1)
-		if terr != nil {
-			return terr
-		}
-		prog, mem = tp, tm
-		if res, terr = sim.Run(tp, plan, tm); terr != nil {
-			return terr
-		}
-	} else if res, prog, mem, err = sim.PlanAndRun(g, d, mm, -1); err != nil {
+	res, prog, mem, err := sim.PlanAndRun(g, d, mm, -1)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("method:            %s\n", res.Method)
@@ -476,8 +448,6 @@ func cmdTrain(args []string) error {
 	maxGrad := fs.Float64("maxgradnorm", 0, "gradient-explosion threshold on the global grad L2 norm (with -guards; 0 = 1e6)")
 	flight := fs.String("flight", "", "write the flight-recorder dump (recent steps + op spans) here when a guard trips")
 	calibrate := fs.Bool("calibrate", false, "after the run, report measured-vs-predicted per-op drift against the -device cost model")
-	tune := fs.Bool("tune", false, "autotune the convolution backends on the run's shapes before the first step")
-	tuneCache := fs.String("tunecache", "", `autotune plan cache file (with -tune; "" = ~/.cache/splitcnn/autotune.json, "off" = no persistence)`)
 	dev := deviceFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -513,7 +483,6 @@ func cmdTrain(args []string) error {
 		LRDecayEpochs: []int{*epochs * 2 / 3},
 		Split:         core.Config{Depth: *depth, NH: grid[0], NW: grid[1], Stochastic: *stochastic, Omega: 0.2},
 		EvalUnsplit:   *stochastic,
-		Tune:          *tune,
 		Seed:          *seed,
 		SavePath:      *savePath,
 		LoadPath:      *loadPath,
@@ -527,13 +496,6 @@ func cmdTrain(args []string) error {
 	cfg.Metrics = met
 	if *guards || *flight != "" {
 		cfg.Guard = train.GuardConfig{Enabled: true, MaxGradNorm: *maxGrad, FlightPath: *flight}
-	}
-	if *tune {
-		path, err := tuneCachePath(*tuneCache)
-		if err != nil {
-			return err
-		}
-		cfg.TuneCache = path
 	}
 	if *calibrate {
 		d, err := pickDevice(*dev)

@@ -33,8 +33,6 @@ type specFlags struct {
 	inW      *int
 	snapshot *string
 	maxBatch *int
-	tune     *bool
-	tuneCach *string
 }
 
 func addSpecFlags(fs *flag.FlagSet) *specFlags {
@@ -48,23 +46,13 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 		inW:      fs.Int("inw", 32, "input width (with -arch)"),
 		snapshot: fs.String("snapshot", "", "weight snapshot to restore (from `splitcnn train -save`)"),
 		maxBatch: fs.Int("maxbatch", 8, "program batch size = batching cap"),
-		tune:     fs.Bool("tune", false, "autotune the convolution backends at load (see `splitcnn tune`)"),
-		tuneCach: fs.String("tunecache", "", `autotune plan cache file (with -tune; "" = ~/.cache/splitcnn/autotune.json, "off" = no persistence)`),
 	}
 }
 
-func (sf *specFlags) spec() (serve.Spec, error) {
+func (sf *specFlags) spec() serve.Spec {
 	s := serve.Spec{
 		Snapshot: *sf.snapshot,
 		MaxBatch: *sf.maxBatch,
-		Tune:     *sf.tune,
-	}
-	if s.Tune {
-		path, err := tuneCachePath(*sf.tuneCach)
-		if err != nil {
-			return serve.Spec{}, err
-		}
-		s.TuneCache = path
 	}
 	if *sf.model != "" {
 		s.ModelFile = *sf.model
@@ -78,7 +66,7 @@ func (sf *specFlags) spec() (serve.Spec, error) {
 			WidthDiv: *sf.widthDiv, BatchNorm: true,
 		}
 	}
-	return s, nil
+	return s
 }
 
 func cmdServe(args []string) error {
@@ -108,10 +96,7 @@ func cmdServe(args []string) error {
 		}
 		*runtimeEvery = 50 * time.Millisecond
 	}
-	spec, err := sf.spec()
-	if err != nil {
-		return err
-	}
+	spec := sf.spec()
 	reg, err := serve.NewRegistry(spec)
 	if err != nil {
 		return err

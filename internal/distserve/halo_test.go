@@ -258,7 +258,7 @@ func TestHaloGangMatchesUnsplit(t *testing.T) {
 }
 
 // TestHaloGangRandomGeometries stresses the halo math with arbitrary
-// (odd, uneven, empty-band) partitions. The untuned kernel is the
+// (odd, uneven, empty-band) partitions. The convolution kernel is the
 // shape-invariant implicit GEMM, so every cut — odd ones included — is
 // bit-identical to the unsplit run.
 func TestHaloGangRandomGeometries(t *testing.T) {

@@ -28,7 +28,7 @@ func TestPartitionInvariants(t *testing.T) {
 					t.Fatalf("Partition(%d,%d) gap at %d: %v then %v", h, n, i, parts[i-1], r)
 				}
 				if i > 0 && !r.Empty() && r.Lo%2 != 0 {
-					t.Fatalf("Partition(%d,%d)[%d] interior start %d is odd (Winograd tile misalignment)", h, n, i, r.Lo)
+					t.Fatalf("Partition(%d,%d)[%d] interior start %d is odd (two-row stages would straddle shards and exchange halo rows)", h, n, i, r.Lo)
 				}
 				covered += r.Len()
 			}

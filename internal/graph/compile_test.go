@@ -11,9 +11,9 @@ import (
 )
 
 // buildCompileNet is the deterministic workhorse net for the compile
-// tests: conv+bias with both Winograd (3x3/1) and im2col (5x5) paths,
-// batch norm, in-place-fusable ReLUs, pooling, dropout, flatten, and a
-// dual loss+logits output exactly like train.Evaluate's topology.
+// tests: conv+bias at 3x3/1 and 5x5, batch norm, in-place-fusable
+// ReLUs, pooling, dropout, flatten, and a dual loss+logits output
+// exactly like train.Evaluate's topology.
 // training selects the mode the modal ops are built in.
 func buildCompileNet(batch int, training bool) (*graph.Graph, *graph.ParamStore) {
 	g := graph.New()
@@ -400,7 +400,7 @@ func randomCompiledNet(seed int64, training bool) (*graph.Graph, *graph.ParamSto
 	for i := 0; i < layers; i++ {
 		name := fmt.Sprintf("l%d", i)
 		switch rng.Intn(9) {
-		case 0, 1: // conv (+bias): k=3 exercises Winograd, k=1/5 im2col
+		case 0, 1: // conv (+bias): k=1, 3 or 5
 			out := 4 + rng.Intn(10)
 			k := []int{1, 3, 5}[rng.Intn(3)]
 			w := g.Param(name+".w", tensor.Shape{out, cur.Shape.C(), k, k})

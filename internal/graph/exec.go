@@ -140,8 +140,7 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 
 // UseArena makes the executor draw all activation, gradient, and stash
 // storage from a (nil reverts to plain allocation). The arena should be
-// private to this executor or, at minimum, to one goroutine's executors
-// — the data-parallel trainer gives each worker its own.
+// private to this executor or, at minimum, to one goroutine's executors.
 //
 // With an arena installed, the tensors returned by Forward are only
 // valid until the next Forward call, which reclaims them.

@@ -103,27 +103,6 @@ func (s *ParamStore) ZeroGrads() {
 	}
 }
 
-// Replica returns a worker-local view of the store for data-parallel
-// training: parameter *values* are shared (the same tensors), while
-// gradient accumulators are private per replica so concurrent backward
-// passes do not race; the all-reduce step sums them back into the
-// master. Velocity buffers stay with the master (only the master runs
-// the optimizer).
-func (s *ParamStore) Replica() *ParamStore {
-	r := NewParamStore()
-	for name, p := range s.params {
-		r.params[name] = &Param{
-			Name:     p.Name,
-			Value:    p.Value, // shared
-			Grad:     tensor.New(p.Value.Shape()...),
-			Velocity: p.Velocity, // unused by replicas
-			NoDecay:  p.NoDecay,
-			Frozen:   p.Frozen,
-		}
-	}
-	return r
-}
-
 // Initializer assigns initial values to a freshly created parameter.
 type Initializer func(rng *rand.Rand, p *Param)
 

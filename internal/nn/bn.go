@@ -13,8 +13,8 @@ import (
 // States live outside the op so that independently built graphs (the
 // unsplit network, split variants, per-minibatch stochastic rewrites)
 // share them, exactly like trainable parameters do. The mutex guards
-// running-statistic updates when data-parallel workers execute replicas
-// concurrently (train.DataParallel).
+// running-statistic updates when executors of graphs sharing a state
+// run concurrently.
 type BNState struct {
 	Name        string
 	RunningMean []float64

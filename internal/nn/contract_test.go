@@ -114,7 +114,7 @@ func contractCases() []contractCase {
 		}
 	}
 	return []contractCase{
-		{"conv3x3-winograd", func() graph.Op { return nn.NewConv(3, 1, 1) }, func(rng *rand.Rand) []*tensor.Tensor {
+		{"conv3x3s1-im2col", func() graph.Op { return nn.NewConv(3, 1, 1) }, func(rng *rand.Rand) []*tensor.Tensor {
 			return []*tensor.Tensor{randn(rng, 2, 3, 7, 6), randn(rng, 4, 3, 3, 3), randn(rng, 4)}
 		}},
 		{"conv5x5s2-im2col", func() graph.Op { return nn.NewConv(5, 2, 2) }, func(rng *rand.Rand) []*tensor.Tensor {

@@ -15,7 +15,6 @@ package nn
 import (
 	"fmt"
 
-	"splitcnn/internal/autotune"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/tensor"
 )
@@ -95,38 +94,19 @@ func (c *Conv) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{x.N(), w[0], oh, ow}, nil
 }
 
-// algo consults the process-wide autotuner for the algorithm to run on
-// this call's shapes. With no tuned plan it is im2col, whose bits do not
-// depend on the batch size or the band of rows computed — what every
-// untuned bit-identity pin (batch prefix, coalescing, shard gangs)
-// rests on.
-func (c *Conv) algo(x, weight *tensor.Tensor) autotune.Algo {
-	return autotune.Default.Choose(c.Params, x.Shape(), weight.Shape()[0])
-}
-
-// ForwardInto implements graph.Op. The backend is chosen per shape by
-// the autotuner; the untuned default is im2col for every geometry, an
-// implicit GEMM that packs its panels straight from the input and so
-// needs no workspace beyond its output product. The Winograd F(2x2,
-// 3x3) fast path — the very algorithm whose workspace §2.2.1 blames for
-// making layers memory-bound — runs only where a tuned plan picks it.
-// Every backend takes scratch from a pool or the arena only, so a
-// warmed forward allocates nothing.
+// ForwardInto implements graph.Op. Every geometry runs the one
+// implicit-GEMM im2col kernel, which packs its panels straight from the
+// input and so needs no workspace beyond its output product and no heap
+// allocation once the scratch pool is warm. Its bits depend on the
+// reduction length only, not on the batch size or the band of rows
+// computed: batch prefixes, coalesced batches and shard bands are
+// bit-identical to the full computation.
 func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
 	var bias *tensor.Tensor
 	if c.HasBias {
 		bias = in[2]
 	}
-	switch c.algo(in[0], in[1]) {
-	case autotune.Winograd:
-		tensor.Conv2DWinogradInto(dst, in[0], in[1], bias, c.Params)
-	case autotune.Direct:
-		tensor.Conv2DDirectInto(dst, in[0], in[1], bias, c.Params)
-	case autotune.FFT:
-		tensor.Conv2DFFTInto(dst, in[0], in[1], bias, c.Params)
-	default:
-		tensor.Conv2DInto(a, dst, in[0], in[1], bias, c.Params)
-	}
+	tensor.Conv2DInto(a, dst, in[0], in[1], bias, c.Params)
 	return nil
 }
 
@@ -165,28 +145,15 @@ const MaxConvWorkspaceBytes = 1 << 30
 
 // WorkspaceBytes implements graph.Op: the convolution scratch buffer,
 // this repository's analogue of the cuDNN workspace whose reuse across
-// patches is one of the two memory wins of §6.3. With a tuned plan the
-// declared workspace follows the algorithm that will actually run
-// (Winograd's transformed tiles, the FFT spectra, zero for the direct
-// loop); untuned sites keep the historic estimate — the full im2col
-// lowering capped at twice the input+output footprint and at the
-// framework workspace limit — preserving the property that matters to
-// Split-CNN: workspace scales with the layer and shrinks per patch.
-// That estimate models the paper's GPU workspace for the planner; the
-// CPU im2col kernel packs its panels from the input and builds no
-// column matrix.
+// patches is one of the two memory wins of §6.3. The estimate is the
+// full im2col lowering capped at twice the input+output footprint and
+// at the framework workspace limit, preserving the property that
+// matters to Split-CNN: workspace scales with the layer and shrinks per
+// patch. It models the paper's GPU workspace for the planner; the CPU
+// im2col kernel packs its panels from the input and builds no column
+// matrix.
 func (c *Conv) WorkspaceBytes(in []tensor.Shape, out tensor.Shape) int64 {
 	x := in[0]
-	if algo, ok := autotune.Default.Plan(c.Params, x, out.C()); ok {
-		switch algo {
-		case autotune.Winograd:
-			return min(tensor.WinogradWorkspaceBytes(x, out.C(), c.Params), MaxConvWorkspaceBytes)
-		case autotune.FFT:
-			return min(tensor.FFTConvWorkspaceBytes(x, out.C(), c.Params), MaxConvWorkspaceBytes)
-		case autotune.Direct:
-			return 0
-		}
-	}
 	oh, ow := out.H(), out.W()
 	im2col := int64(x.C()*c.Params.KH*c.Params.KW) * int64(x.N()*oh*ow) * 4
 	return min(im2col, 2*(x.Bytes()+out.Bytes()), MaxConvWorkspaceBytes)

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"splitcnn/internal/autotune"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/memobs"
 	"splitcnn/internal/modelfile"
@@ -51,17 +50,6 @@ type Spec struct {
 	// MaxBatch is the executor batch size and the batcher's coalescing
 	// cap (default 8).
 	MaxBatch int
-	// Tune runs the convolution autotuner over the model's conv sites
-	// before the program is compiled, so every serving forward
-	// dispatches to the measured-fastest backend per shape and the
-	// memory plan is sized for the algorithms that actually run.
-	// Concurrent loads of the same geometry share one measurement
-	// (the tuner singleflights per shape).
-	Tune bool
-	// TuneCache, with Tune, loads previously persisted plans from this
-	// file first (cached shapes skip re-measurement) and saves any newly
-	// measured plans back. Empty means tune in memory only.
-	TuneCache string
 }
 
 // Instance is one servable model: an inference-mode graph at the
@@ -96,7 +84,7 @@ func (in *Instance) ArenaStats() tensor.ArenaStats { return in.prog.Arena().Stat
 
 // Materialize builds the inference-mode model described by spec —
 // graph construction, weight initialization (or snapshot restore),
-// eval-mode flip, logits-only output, optional autotuning — without
+// eval-mode flip, logits-only output — without
 // committing to an execution strategy. Load wraps it in a batching
 // Instance; the distributed serving layer (internal/distserve) calls it
 // directly so router and shard workers materialize the identical model.
@@ -142,30 +130,6 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 	m.Graph.SetTraining(false)
 	m.Graph.SetOutput(m.Logits)
 
-	// Autotune before the compile step: graph.Compile sizes
-	// each conv's workspace from the plan that will actually dispatch,
-	// and the warmup forward below then runs the tuned kernels.
-	if spec.Tune {
-		if spec.TuneCache != "" {
-			if err := autotune.Default.Load(spec.TuneCache); err != nil {
-				return nil, nil, fmt.Errorf("serve: load %q: tune cache: %w", spec.Name, err)
-			}
-		}
-		tuned := autotune.Default.TuneGraph(m.Graph)
-		if spec.TuneCache != "" {
-			if err := autotune.Default.Save(); err != nil {
-				return nil, nil, fmt.Errorf("serve: load %q: tune cache: %w", spec.Name, err)
-			}
-		}
-		// Keys include N and a batch runs at its live size: pin each site's
-		// MaxBatch algorithm (not its timings) onto every smaller N.
-		for _, r := range tuned {
-			k := r.Site.Key()
-			for k.N = 1; k.N < maxBatch; k.N++ {
-				autotune.Default.SetPlan(k, autotune.Decision{Algo: r.Decision.Algo})
-			}
-		}
-	}
 	return m, store, nil
 }
 

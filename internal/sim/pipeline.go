@@ -51,21 +51,6 @@ func Plan(g *graph.Graph, dev costmodel.DeviceSpec, m Method, limit float64) (*h
 	return prog, plan, mem, nil
 }
 
-// PlanTimed is Plan with an explicit per-op timer — the entry point
-// for autotuned graphs, where hmms.MeasuredTimer substitutes measured
-// convolution times for the roofline guesses before planning.
-func PlanTimed(g *graph.Graph, dev costmodel.DeviceSpec, timer hmms.Timer, m Method, limit float64) (*hmms.Program, *hmms.OffloadPlan, *hmms.MemoryPlan, error) {
-	prog, err := hmms.BuildProgramTimed(g, dev, timer)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, mem, err := PlanFromProgram(prog, m, limit)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return prog, plan, mem, nil
-}
-
 // PlanFromProgram is Plan for a program built elsewhere — the entry
 // point for measured programs (internal/profile.BuildProgram), which
 // drive the identical planner pipeline from real layer timings.

@@ -18,8 +18,8 @@ import (
 // Buffers are bucketed by power-of-two element count: a Get for n
 // elements is served by any pooled buffer of the smallest class >= n,
 // which keeps fragmentation bounded (< 2x) without a planning pass.
-// An Arena is safe for concurrent use; the data-parallel trainer gives
-// each worker its own arena so Get/Put stay uncontended.
+// An Arena is safe for concurrent use; giving each executor its own
+// keeps Get/Put uncontended.
 //
 // All methods are nil-receiver safe: a nil *Arena degrades to plain
 // allocation, so kernels can accept an optional arena without branching
@@ -137,7 +137,7 @@ func (s ArenaStats) HitRate() float64 {
 }
 
 // Add accumulates another arena's counters — how a process with one
-// arena per executor (the serving registry, the data-parallel trainer)
+// arena per executor (the serving registry)
 // reports a single aggregate occupancy.
 func (s ArenaStats) Add(o ArenaStats) ArenaStats {
 	return ArenaStats{

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -222,4 +223,36 @@ func FuzzConvGeometry(f *testing.F) {
 		}
 		checkConvGeometry(t, g, seed)
 	})
+}
+
+// relErr returns max|got−want| relative to max|want|.
+func relErr(got, want *Tensor) float64 {
+	var maxAbs, maxDiff float64
+	gd, wd := got.Data(), want.Data()
+	for i := range wd {
+		if a := math.Abs(float64(wd[i])); a > maxAbs {
+			maxAbs = a
+		}
+		if d := math.Abs(float64(gd[i] - wd[i])); d > maxDiff {
+			maxDiff = d
+		}
+	}
+	if maxAbs == 0 {
+		return maxDiff
+	}
+	return maxDiff / maxAbs
+}
+
+func BenchmarkConvIm2Col3x3(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := New(4, 64, 32, 32)
+	w := New(64, 64, 3, 3)
+	x.RandNormal(rng, 1)
+	w.RandNormal(rng, 0.1)
+	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: Symmetric(1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv2D(x, w, nil, p)
+	}
 }

@@ -2,10 +2,9 @@ package tensor
 
 import "runtime"
 
-// CPUFeatures identifies the kernel variant selected at runtime. It is
-// part of the autotune cache key: a conv plan micro-benchmarked with
-// the AVX2+FMA GEMM micro-kernel must not be replayed on a machine
-// (or build) running the portable kernels, and vice versa.
+// CPUFeatures identifies the GEMM micro-kernel selected at runtime:
+// the AVX2+FMA assembly kernel or the portable Go one. Benchmark
+// results record it, since the two run at very different speeds.
 func CPUFeatures() string {
 	if useAsmKernel {
 		return runtime.GOARCH + "+avx2fma"

@@ -14,24 +14,6 @@ func conv2D(x, weight, bias *Tensor, p ConvParams) *Tensor {
 	return out
 }
 
-func conv2DWinograd(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	out := convOut(x, weight, p)
-	Conv2DWinogradInto(out, x, weight, bias, p)
-	return out
-}
-
-func conv2DDirect(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	out := convOut(x, weight, p)
-	Conv2DDirectInto(out, x, weight, bias, p)
-	return out
-}
-
-func conv2DFFT(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	out := convOut(x, weight, p)
-	Conv2DFFTInto(out, x, weight, bias, p)
-	return out
-}
-
 func maxPool2D(x *Tensor, p ConvParams) (out, arg *Tensor) {
 	n, c, _, _, oh, ow := p.check(x)
 	out, arg = New(n, c, oh, ow), New(n, c, oh, ow)

@@ -17,43 +17,3 @@ func Symmetric(p int) Pad2D { return Pad2D{p, p, p, p} }
 func (p Pad2D) String() string {
 	return fmt.Sprintf("(t=%d,b=%d,l=%d,r=%d)", p.Top, p.Bottom, p.Left, p.Right)
 }
-
-// PadSpatial returns a copy of x zero-padded spatially according to p.
-// x must be NCHW.
-func PadSpatial(x *Tensor, p Pad2D) *Tensor {
-	n, c, h, w := x.shape.N(), x.shape.C(), x.shape.H(), x.shape.W()
-	oh, ow := h+p.Top+p.Bottom, w+p.Left+p.Right
-	out := New(n, c, oh, ow)
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := x.data[nc*h*w : (nc+1)*h*w]
-			dst := out.data[nc*oh*ow : (nc+1)*oh*ow]
-			for y := 0; y < h; y++ {
-				copy(dst[(y+p.Top)*ow+p.Left:(y+p.Top)*ow+p.Left+w], src[y*w:(y+1)*w])
-			}
-		}
-	})
-	return out
-}
-
-// UnpadSpatial is the adjoint of PadSpatial: it extracts the interior
-// region of g (shaped like PadSpatial's output) back into an [n,c,h,w]
-// tensor. It is used to back-propagate through padding.
-func UnpadSpatial(g *Tensor, p Pad2D, h, w int) *Tensor {
-	n, c := g.shape.N(), g.shape.C()
-	gh, gw := g.shape.H(), g.shape.W()
-	if gh != h+p.Top+p.Bottom || gw != w+p.Left+p.Right {
-		panic(fmt.Sprintf("tensor.UnpadSpatial: grad shape %v does not match padded (%d,%d)+%v", g.shape, h, w, p))
-	}
-	out := New(n, c, h, w)
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := g.data[nc*gh*gw : (nc+1)*gh*gw]
-			dst := out.data[nc*h*w : (nc+1)*h*w]
-			for y := 0; y < h; y++ {
-				copy(dst[y*w:(y+1)*w], src[(y+p.Top)*gw+p.Left:(y+p.Top)*gw+p.Left+w])
-			}
-		}
-	})
-	return out
-}

@@ -17,8 +17,8 @@ const parallelThreshold = 1 << 12
 // a parallel section enqueues chunk descriptors on one shared channel
 // and the workers (plus the calling goroutine) drain it. A caller
 // waiting for its chunks steals other queued chunks, so nested or
-// concurrent parallel sections (e.g. the data-parallel trainer's
-// worker replicas all hitting GEMM at once) cannot deadlock the pool.
+// concurrent parallel sections (e.g. serving instances all hitting GEMM
+// at once) cannot deadlock the pool.
 type workerPool struct {
 	tasks   chan poolTask
 	spawned atomic.Int64
@@ -63,9 +63,6 @@ func SetParallelism(n int) int {
 	}
 	return prev
 }
-
-// Parallelism returns the current kernel parallelism setting.
-func Parallelism() int { return int(parWorkers.Load()) }
 
 // parallelRange splits [0, n) into contiguous chunks and runs body on
 // each chunk via the worker pool. The arg value is threaded through to
@@ -121,13 +118,6 @@ func parallelRangePar[A any](n, w int, arg A, body func(A, int, int)) {
 			runtime.Gosched()
 		}
 	}
-}
-
-// parallelFor preserves the closure-based API for cold kernels. It is
-// body-compatible with the old spawn-per-call helper but runs on the
-// persistent pool.
-func parallelFor(n int, body func(lo, hi int)) {
-	parallelRange(n, parallelThreshold, body, func(b func(int, int), lo, hi int) { b(lo, hi) })
 }
 
 // scratchPool is a never-shrinking free list of float32 scratch slices

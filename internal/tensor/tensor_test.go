@@ -212,25 +212,6 @@ func TestMatMulVariants(t *testing.T) {
 	}
 }
 
-func TestPadUnpadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := New(2, 3, 5, 7)
-	x.RandNormal(rng, 1)
-	p := Pad2D{Top: 1, Bottom: 2, Left: 3, Right: 0}
-	y := PadSpatial(x, p)
-	if !y.Shape().Equal(Shape{2, 3, 8, 10}) {
-		t.Fatalf("padded shape %v", y.Shape())
-	}
-	// Border must be zero.
-	if y.At(0, 0, 0, 5) != 0 || y.At(1, 2, 7, 2) != 0 || y.At(0, 1, 3, 0) != 0 {
-		t.Fatal("padding region not zero")
-	}
-	back := UnpadSpatial(y, p, 5, 7)
-	if d := MaxAbsDiff(back, x); d != 0 {
-		t.Fatalf("round-trip diff %v", d)
-	}
-}
-
 // conv2DNaive is an O(everything) reference implementation used to
 // validate the im2col path.
 func conv2DNaive(x, w, bias *Tensor, p ConvParams) *Tensor {

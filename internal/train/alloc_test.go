@@ -14,26 +14,24 @@ import (
 )
 
 // buildAllocNet hand-builds a small BN-free CNN on the tiny dataset's
-// 3x32x32 geometry, touching every arena-capable op: Winograd and
-// im2col convolutions, ReLU, residual Add, MaxPool, Dropout,
-// GlobalAvgPool, Flatten, Linear, and the softmax loss.
-// dropRng feeds the dropout op; pass nil to make it the identity (the
-// concurrent test must, because replicas share the op and a rand.Rand
-// is not goroutine-safe).
-func buildAllocNet(batch int, rng, dropRng *rand.Rand) (*graph.Graph, *graph.ParamStore) {
+// 3x32x32 geometry, touching every arena-capable op: 3x3 and 1x1
+// convolutions, ReLU, residual Add, MaxPool, Dropout, GlobalAvgPool,
+// Flatten, Linear, and the softmax loss. rng initializes the weights
+// and feeds the dropout op.
+func buildAllocNet(batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore) {
 	g := graph.New()
 	x := g.Input("image", tensor.Shape{batch, 3, 32, 32})
 	labels := g.Input("labels", tensor.Shape{batch})
 	w1 := g.Param("c1.w", tensor.Shape{8, 3, 3, 3})
 	b1 := g.Param("c1.b", tensor.Shape{8})
-	c1 := g.Add("c1", nn.NewConv(3, 1, 1), x, w1, b1) // Winograd path
+	c1 := g.Add("c1", nn.NewConv(3, 1, 1), x, w1, b1)
 	r1 := g.Add("r1", nn.ReLU{}, c1)
 	w2 := g.Param("c2.w", tensor.Shape{8, 8, 1, 1})
 	b2 := g.Param("c2.b", tensor.Shape{8})
-	c2 := g.Add("c2", nn.NewConv(1, 1, 0), r1, w2, b2) // im2col path
+	c2 := g.Add("c2", nn.NewConv(1, 1, 0), r1, w2, b2)
 	sum := g.Add("res", &nn.Add{N: 2}, r1, c2)
 	mp := g.Add("mp", nn.NewMaxPool(2, 2), sum)
-	do := g.Add("do", &nn.Dropout{P: 0.1, Training: true, Rng: dropRng}, mp)
+	do := g.Add("do", &nn.Dropout{P: 0.1, Training: true, Rng: rng}, mp)
 	gap := g.Add("gap", nn.GlobalAvgPool{}, do)
 	fl := g.Add("fl", nn.Flatten{}, gap)
 	wf := g.Param("fc.w", tensor.Shape{10, 8})
@@ -76,7 +74,7 @@ var allocNets = []struct {
 	build func(t *testing.T, batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore)
 }{
 	{"handbuilt", func(_ *testing.T, batch int, rng *rand.Rand) (*graph.Graph, *graph.ParamStore) {
-		return buildAllocNet(batch, rng, rng)
+		return buildAllocNet(batch, rng)
 	}},
 	{"split-vgg19-bn", buildSplitVGG},
 }
@@ -198,39 +196,5 @@ func testArenaTrainingMatchesPlain(t *testing.T, build func(*testing.T, int, *ra
 		if d := tensor.MaxAbsDiff(p.Value, q.Value); d != 0 {
 			t.Fatalf("param %s diverged by %v between plain and arena training", p.Name, d)
 		}
-	}
-}
-
-// TestDataParallelArenaConcurrency drives the persistent worker pool
-// and per-worker arenas from four concurrent replicas for several
-// steps. Its real assertions run under `go test -race` (the Makefile's
-// race target), where any sharing bug between the pool's stealing
-// waiters or across arenas is a detector error.
-func TestDataParallelArenaConcurrency(t *testing.T) {
-	prev := tensor.SetParallelism(4)
-	defer tensor.SetParallelism(prev)
-
-	const local, workers = 4, 4
-	ds := tinyDataset(t)
-	rng := rand.New(rand.NewSource(31))
-	g, store := buildAllocNet(local, rng, nil)
-	dp, err := train.NewDataParallel(g, store, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := &train.SGD{LR: 0.01, Momentum: 0.9}
-	indices := make([]int, local*workers)
-	for s := 0; s < 4; s++ {
-		for i := range indices {
-			indices[i] = (s*len(indices) + i) % ds.Cfg.TrainN
-		}
-		loss, err := dp.Step(ds, indices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsNaN(loss) || loss <= 0 {
-			t.Fatalf("step %d: loss %v", s, loss)
-		}
-		opt.Step(store)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"time"
 
-	"splitcnn/internal/autotune"
 	"splitcnn/internal/core"
 	"splitcnn/internal/costmodel"
 	"splitcnn/internal/data"
@@ -81,15 +80,7 @@ type Config struct {
 	// under a different execution scheme) removes that artifact.
 	// Defaults on when EvalUnsplit is set.
 	RecalibrateBN *bool
-	// Tune autotunes the convolution backends on the training and
-	// evaluation graphs' shapes before the first step, so every forward
-	// dispatches to the measured-fastest kernel. With stochastic
-	// splitting only the base (unsplit) shapes are tuned — per-minibatch
-	// boundary shapes are transient and fall back to the default
-	// heuristic. TuneCache optionally persists the plans across runs.
-	Tune      bool
-	TuneCache string
-	Seed      int64
+	Seed          int64
 	// Progress, when non-nil, receives one line per epoch.
 	Progress func(epoch int, trainLoss, testErr float64)
 	// Recorder, when non-nil, receives one "compute"-stream span per
@@ -223,29 +214,6 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 		evalGraph = esr.Graph
 	}
 	store.InitFromGraph(evalGraph, rng, nn.KaimingInit)
-
-	// Autotune on the exact shapes the run will execute: the (possibly
-	// split) training graph plus the evaluation graph's batch size.
-	// Stochastic runs tune the base graph — its shapes recur whenever a
-	// layer happens to stay unsplit.
-	if cfg.Tune {
-		if cfg.TuneCache != "" {
-			if err := autotune.Default.Load(cfg.TuneCache); err != nil {
-				return nil, fmt.Errorf("train: tune cache: %w", err)
-			}
-		}
-		tg := trainGraph
-		if tg == nil {
-			tg = base.Graph
-		}
-		autotune.Default.TuneGraph(tg)
-		autotune.Default.TuneGraph(evalGraph)
-		if cfg.TuneCache != "" {
-			if err := autotune.Default.Save(); err != nil {
-				return nil, fmt.Errorf("train: tune cache: %w", err)
-			}
-		}
-	}
 
 	// Observability: one shared hook base keeps the per-step executors'
 	// spans on a single continuous timeline. The same hook feeds the
