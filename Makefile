@@ -3,15 +3,22 @@
 
 GO ?= go
 
-.PHONY: build test race dist-race vet fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run serve-smoke train-smoke compile-smoke dist-smoke mem-smoke
+.PHONY: build test race dist-race vet fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run serve-smoke train-smoke compile-smoke dist-smoke mem-smoke fuzz-smoke
 
 # Micro-benchmarks of the hot paths: the CPU execution engine's
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
 # with and without step telemetry; a serving batch of 1 and of 8 images)
 # and the planner's (the offline HMMS pipeline; program serialization,
 # static memory planning and the discrete-event replay of a planned
-# step on plan_imagenet's reference graph).
-KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|GemmSquare|ConvIm2Col3x3$$|InterpretedForward$$|CompiledForward$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$
+# step on plan_imagenet's reference graph), and the serving plane's
+# /v1/predict body decode (encoding/json vs serve.DecodePredict).
+KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|GemmSquare|ConvIm2Col3x3$$|InterpretedForward$$|CompiledForward$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$|DecodePredict$$
+
+# Every fuzz target, as package:Name. `go test` runs only their seeds;
+# fuzz-smoke fuzzes each for a few seconds.
+FUZZ_TARGETS = internal/serve:FuzzDecodePredict internal/memlayout:FuzzFirstFit \
+	internal/graph:FuzzCompiledPlan internal/snapshot:FuzzLoad \
+	internal/tensor:FuzzConvGeometry internal/device:FuzzRun
 
 build:
 	$(GO) build ./...
@@ -39,19 +46,29 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race dist-race bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke dist-smoke mem-smoke bench-run
+ci: vet fmt build race dist-race fuzz-smoke bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke dist-smoke mem-smoke bench-run
 
 # bench-kernels measures the kernel micro-benchmarks and prints the
 # results: a local guard for kernel work. The repo benchmark (bench/,
 # BENCHMARK.json) is what measures end-to-end performance.
 bench-kernels: build
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 2s . ./internal/tensor
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 2s . ./internal/tensor ./internal/serve
 
 # bench-smoke runs every kernel benchmark exactly once so CI catches
 # benchmarks that no longer compile or crash, without paying for a
 # full measurement.
 bench-smoke:
-	@$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 1x . ./internal/tensor > /dev/null
+	@$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 1x . ./internal/tensor ./internal/serve > /dev/null
+
+# fuzz-smoke fuzzes every target in FUZZ_TARGETS for 5 s on 2 workers.
+# Minimization is cut to one attempt: at its default, a target that
+# keeps finding new coverage (FuzzRun) spends the whole budget
+# minimizing.
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s -fuzzminimizetime 1x \
+			-parallel 2 ./$${t%%:*}; \
+	done
 
 # bench-check vets and smoke-tests the repo benchmark runner. bench/ is
 # a nested module that imports internal/*, and `go build ./...` never

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -336,4 +337,62 @@ func TestWorkerRejectsForeignModel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("router never ejected the foreign-model worker (healthz %q)", hz.Status)
+}
+
+// TestRouterBodyContract holds the router to the single-process
+// server's /v1/predict error contract: it decodes through the same
+// serve.DecodePredict, so the malformed bodies of serve's e2e table are
+// refused with the same statuses and byte-identical error bodies, a
+// wrong image length is 400, and the body bound is MaxPredictBody of
+// the plan's C·H·W.
+func TestRouterBodyContract(t *testing.T) {
+	spec := testSpec("resnet18")
+	_, _, base := startFleet(t, spec, 2, WorkerConfig{}, RouterOptions{RequestTimeout: 10 * time.Second})
+
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(got)
+	}
+	// The rows of serve's malformedBodies, and a wrong image length.
+	for _, tc := range []struct{ name, body, want string }{
+		{"not JSON", `hello`,
+			`{"error":"bad JSON: invalid character 'h' looking for beginning of value"}`},
+		{"truncated array", `{"image":[1,2,`,
+			`{"error":"bad JSON: unexpected EOF"}`},
+		{"string element", `{"image":[1,"2",3]}`,
+			`{"error":"bad JSON: json: cannot unmarshal string into Go struct field PredictRequest.image of type float32"}`},
+		{"float32 overflow", `{"image":[1e39]}`,
+			`{"error":"bad JSON: json: cannot unmarshal number 1e39 into Go struct field PredictRequest.image of type float32"}`},
+		{"fractional timeout", `{"image":[1],"timeout_ms":1.5}`,
+			`{"error":"bad JSON: json: cannot unmarshal number 1.5 into Go struct field PredictRequest.timeout_ms of type int"}`},
+		{"empty body", ``,
+			`{"error":"bad JSON: EOF"}`},
+		{"wrong image length", `{"image":[1,2,3]}`,
+			`{"error":"image has 3 values, model resnet18 wants 3072 (3x32x32)"}`},
+	} {
+		if code, got := post([]byte(tc.body)); code != http.StatusBadRequest || got != tc.want+"\n" {
+			t.Errorf("%s: %d %q, want 400 %q", tc.name, code, got, tc.want+"\n")
+		}
+	}
+
+	imageLen := 3 * spec.Model.InputH * spec.Model.InputW
+	limit := serve.MaxPredictBody(imageLen)
+	body, _ := json.Marshal(serve.PredictRequest{Image: make([]float32, imageLen)})
+	pad := func(n int64) []byte { return append(bytes.Repeat([]byte(" "), int(n)-len(body)), body...) }
+	if code, got := post(pad(limit)); code != http.StatusOK {
+		t.Errorf("body of %d bytes (the bound): %d %s, want 200", limit, code, got)
+	}
+	want := fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`+"\n", limit)
+	if code, got := post(pad(limit + 1)); code != http.StatusRequestEntityTooLarge || got != want {
+		t.Errorf("body of %d bytes: %d %q, want 413 %q", limit+1, code, got, want)
+	}
 }

@@ -741,8 +741,9 @@ type errorResponse struct {
 }
 
 // handlePredict mirrors the single-process server's /v1/predict
-// contract (serve.PredictRequest/PredictResponse): same body, same
-// statuses — 429 when the fleet is saturated, 504 past the deadline.
+// contract (serve.PredictRequest/PredictResponse): the body goes
+// through the same serve.DecodePredict, a wrong image length is 400,
+// 429 when the fleet is saturated, 504 past the deadline.
 // BatchSize reports the gang width that answered.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -769,9 +770,17 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{msg})
 		rt.tracer.Finish(sc)
 	}
-	var req serve.PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad JSON: "+err.Error())
+	p := rt.plan
+	want := bandLen(p.InC, p.InH, p.InW)
+	req, code, err := serve.DecodePredict(w, r, want)
+	if err != nil {
+		fail(code, err.Error())
+		return
+	}
+	if len(req.Image) != want {
+		fail(http.StatusBadRequest, fmt.Sprintf(
+			"image has %d values, model %s wants %d (%dx%dx%d)",
+			len(req.Image), rt.opts.Spec.Name, want, p.InC, p.InH, p.InW))
 		return
 	}
 	timeout := rt.opts.RequestTimeout

@@ -44,21 +44,6 @@ type Assignment struct {
 // TSO returns the storage object of tensor t.
 func (a *Assignment) TSO(t TensorID) *TSOInfo { return a.TSOs[a.TensorTSO[t]] }
 
-// Writers returns the op indices writing any tensor of the TSO, sorted.
-func (a *Assignment) Writers(p *Program, id TSOID) []int {
-	var out []int
-	for _, t := range a.TSOs[id].Tensors {
-		ti := p.Tensors[t]
-		if ti.Producer >= 0 {
-			out = append(out, ti.Producer)
-			if ti.LastWrite != ti.Producer {
-				out = append(out, ti.LastWrite)
-			}
-		}
-	}
-	return out
-}
-
 // LastWrite returns the final op index writing into the TSO.
 func (a *Assignment) LastWrite(p *Program, id TSOID) int {
 	last := -1
@@ -169,14 +154,4 @@ func AssignStorage(p *Program, opts StorageOpts) *Assignment {
 		}
 	}
 	return a
-}
-
-// TotalBytes sums TSO sizes of the given pool kinds; a no-reuse upper
-// bound used by the allocator ablation.
-func (a *Assignment) TotalBytes() int64 {
-	var b int64
-	for _, t := range a.TSOs {
-		b += t.Bytes
-	}
-	return b
 }

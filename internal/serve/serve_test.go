@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"path/filepath"
@@ -81,6 +82,49 @@ func writeSnapshot(t *testing.T, text string) string {
 		t.Fatalf("save fixture snapshot: %v", err)
 	}
 	return path
+}
+
+// badBody is one row of the /v1/predict error contract: a request body
+// and the status and JSON error body (before its newline) it is
+// answered with.
+type badBody struct {
+	name, body string
+	code       int
+	want       string
+}
+
+// malformedBodies are bodies that are not a valid PredictRequest. Each
+// is refused 400 with encoding/json's own wording, whichever decoder
+// path reads it; distserve's e2e tests hold the router to the same rows.
+var malformedBodies = []badBody{
+	{"not JSON", `hello`, http.StatusBadRequest,
+		`{"error":"bad JSON: invalid character 'h' looking for beginning of value"}`},
+	{"truncated array", `{"image":[1,2,`, http.StatusBadRequest,
+		`{"error":"bad JSON: unexpected EOF"}`},
+	{"string element", `{"image":[1,"2",3]}`, http.StatusBadRequest,
+		`{"error":"bad JSON: json: cannot unmarshal string into Go struct field PredictRequest.image of type float32"}`},
+	{"float32 overflow", `{"image":[1e39]}`, http.StatusBadRequest,
+		`{"error":"bad JSON: json: cannot unmarshal number 1e39 into Go struct field PredictRequest.image of type float32"}`},
+	{"fractional timeout", `{"image":[1],"timeout_ms":1.5}`, http.StatusBadRequest,
+		`{"error":"bad JSON: json: cannot unmarshal number 1.5 into Go struct field PredictRequest.timeout_ms of type int"}`},
+	{"empty body", ``, http.StatusBadRequest,
+		`{"error":"bad JSON: EOF"}`},
+}
+
+// postRaw POSTs body to base's /v1/predict and returns the status and
+// the response body.
+func postRaw(t *testing.T, base string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("predict: %v", err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("predict: read response: %v", err)
+	}
+	return resp.StatusCode, string(got)
 }
 
 func testImage(i, n int) []float32 {
@@ -206,22 +250,18 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("serve.latency_seconds count = %d, want %d", v, n)
 	}
 
-	// Error paths: wrong image length and unknown model.
-	for _, tc := range []struct {
-		req  serve.PredictRequest
-		code int
-	}{
-		{serve.PredictRequest{Model: "tiny", Image: []float32{1, 2, 3}}, http.StatusBadRequest},
-		{serve.PredictRequest{Model: "nope", Image: testImage(0, imageLen)}, http.StatusNotFound},
-	} {
-		body, _ := json.Marshal(tc.req)
-		resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("error-path request: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("model=%q len=%d: status %d, want %d", tc.req.Model, len(tc.req.Image), resp.StatusCode, tc.code)
+	// Error paths: the malformed bodies, a wrong image length and an
+	// unknown model, each answered with exactly this status and body.
+	rows := append([]badBody(nil), malformedBodies...)
+	rows = append(rows,
+		badBody{"wrong image length", `{"model":"tiny","image":[1,2,3]}`, http.StatusBadRequest,
+			`{"error":"image has 3 values, model tiny wants 108 (3x6x6)"}`},
+		badBody{"unknown model", `{"model":"nope","image":[1]}`, http.StatusNotFound,
+			`{"error":"unknown model \"nope\" (have tiny)"}`})
+	for _, tc := range rows {
+		code, got := postRaw(t, base, []byte(tc.body))
+		if code != tc.code || got != tc.want+"\n" {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, code, got, tc.code, tc.want+"\n")
 		}
 	}
 
@@ -268,6 +308,18 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("metricsz serve.latency_p99_seconds = %v, want > 0", p99)
 	}
 
+	// The body bound, after the request counts above: MaxPredictBody
+	// bytes decode, one more is 413.
+	limit := serve.MaxPredictBody(imageLen)
+	body, _ := json.Marshal(serve.PredictRequest{Image: testImage(0, imageLen)})
+	if code, got := postRaw(t, base, padBody(body, limit)); code != http.StatusOK {
+		t.Errorf("body of %d bytes (the bound): %d %s, want 200", limit, code, got)
+	}
+	tooLong := fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`+"\n", limit)
+	if code, got := postRaw(t, base, padBody(body, limit+1)); code != http.StatusRequestEntityTooLarge || got != tooLong {
+		t.Errorf("body of %d bytes: %d %q, want 413 %q", limit+1, code, got, tooLong)
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -312,4 +364,9 @@ func TestServeDefaultModel(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+}
+
+// padBody left-pads a JSON body with spaces to n bytes.
+func padBody(body []byte, n int64) []byte {
+	return append(bytes.Repeat([]byte(" "), int(n)-len(body)), body...)
 }

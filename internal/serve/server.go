@@ -68,6 +68,9 @@ type Server struct {
 	log      *slog.Logger
 	tracer   *trace.WallTracer
 	batchers map[string]*Batcher
+	// imageLen is the largest registered model's image length: it
+	// bounds every /v1/predict body (MaxPredictBody).
+	imageLen int
 	reqID    atomic.Uint64
 	started  time.Time
 
@@ -104,6 +107,7 @@ func NewServer(reg *Registry, opts Options) *Server {
 	}
 	for _, name := range reg.Names() {
 		inst, _ := reg.Lookup(name)
+		s.imageLen = max(s.imageLen, inst.ImageLen())
 		s.batchers[name] = NewBatcher(inst, BatcherOptions{
 			QueueDepth: opts.QueueDepth,
 			Metrics:    met,
@@ -252,9 +256,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.tracer.Finish(sc)
 	}
 
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, code, err := DecodePredict(w, r, s.imageLen)
+	if err != nil {
+		fail(code, err.Error())
 		return
 	}
 	inst, err := s.reg.Lookup(req.Model)
@@ -277,8 +281,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := start.Add(timeout)
 
-	// "admit" spans decode, validation and queue admission; the batcher
-	// records "queue"/"assemble"/"forward" on its dispatcher goroutine.
+	// "admit" spans reading and decoding the body, validation and queue
+	// admission; the batcher records "queue"/"assemble"/"forward" on its
+	// dispatcher goroutine.
 	submitReq := &Request{Image: req.Image, Deadline: deadline, Span: sc}
 	respCh, err := s.batchers[inst.Name].Submit(submitReq)
 	sc.Record("admit", start, time.Now())
