@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race dist-race vet fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run serve-smoke train-smoke compile-smoke dist-smoke mem-smoke fuzz-smoke
+.PHONY: build test race dist-race vet cross fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run prof-forward serve-smoke train-smoke compile-smoke dist-smoke mem-smoke fuzz-smoke
 
 # Micro-benchmarks of the hot paths: the CPU execution engine's
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
@@ -39,6 +39,11 @@ dist-race:
 vet:
 	$(GO) vet ./...
 
+# cross vets the module for arm64, so the build-tagged non-amd64
+# fallbacks (the portable micro-kernels' stubs) compile.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+
 # fmt fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -46,13 +51,23 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race dist-race fuzz-smoke bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke dist-smoke mem-smoke bench-run
+ci: vet cross fmt build race dist-race fuzz-smoke bench-smoke bench-check serve-smoke compile-smoke report-smoke trace-smoke train-smoke dist-smoke mem-smoke bench-run
 
 # bench-kernels measures the kernel micro-benchmarks and prints the
 # results: a local guard for kernel work. The repo benchmark (bench/,
 # BENCHMARK.json) is what measures end-to-end performance.
 bench-kernels: build
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 2s . ./internal/tensor ./internal/serve
+
+# prof-forward answers "where does the forward's time go": it
+# CPU-profiles the serving forward (BenchmarkInstanceRunB1 and B8, the
+# serving workloads' model) into PROF_DIR and prints the flat top.
+PROF_DIR ?= /tmp/splitcnn-prof
+prof-forward:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench 'InstanceRunB1$$|InstanceRunB8$$' -benchtime 3s \
+		-cpuprofile $(PROF_DIR)/forward.prof -o $(PROF_DIR)/splitcnn.test .
+	$(GO) tool pprof -top -nodecount 30 $(PROF_DIR)/splitcnn.test $(PROF_DIR)/forward.prof
 
 # bench-smoke runs every kernel benchmark exactly once so CI catches
 # benchmarks that no longer compile or crash, without paying for a

@@ -384,6 +384,17 @@ func TestRouterBodyContract(t *testing.T) {
 		}
 	}
 
+	// A model the router does not serve is serve's 404, checked before
+	// the image; naming the router's own model is the empty name.
+	if code, got := post([]byte(`{"model":"nope","image":[1]}`)); code != http.StatusNotFound ||
+		got != `{"error":"unknown model \"nope\" (have resnet18)"}`+"\n" {
+		t.Errorf("unknown model: %d %q, want 404", code, got)
+	}
+	if code, got := post([]byte(`{"model":"resnet18","image":[1,2,3]}`)); code != http.StatusBadRequest ||
+		got != `{"error":"image has 3 values, model resnet18 wants 3072 (3x32x32)"}`+"\n" {
+		t.Errorf("own model, wrong length: %d %q, want 400", code, got)
+	}
+
 	imageLen := 3 * spec.Model.InputH * spec.Model.InputW
 	limit := serve.MaxPredictBody(imageLen)
 	body, _ := json.Marshal(serve.PredictRequest{Image: make([]float32, imageLen)})

@@ -777,6 +777,12 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		fail(code, err.Error())
 		return
 	}
+	// The router serves one model: an empty name selects it, any other
+	// name is answered as serve answers a model it has not loaded.
+	if req.Model != "" && req.Model != rt.opts.Spec.Name {
+		fail(http.StatusNotFound, fmt.Sprintf("unknown model %q (have %s)", req.Model, rt.opts.Spec.Name))
+		return
+	}
 	if len(req.Image) != want {
 		fail(http.StatusBadRequest, fmt.Sprintf(
 			"image has %d values, model %s wants %d (%dx%dx%d)",

@@ -2,6 +2,7 @@ package models_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -217,5 +218,70 @@ func TestCompiledPrefixMatchesFullBatch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPerImageBitsAcrossBatchAndParallelism pins the per-image half of
+// the bit contract: in eval mode, image i's logits depend only on image
+// i and the weights. For every bundled architecture, a B = 8 program
+// gives bit-identical rows at kernel parallelism 1, 2 and 4, and its row
+// i equals the logits of a B = 1 program fed image i alone.
+func TestPerImageBitsAcrossBatchAndParallelism(t *testing.T) {
+	const batch = 8
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+	for _, arch := range models.Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			m8 := buildCompiledCase(t, arch, batch, true, false, nil)
+			perturbBNStats(m8.BNStates, 5)
+			m1 := buildCompiledCase(t, arch, 1, true, false, m8.BNStates)
+			store := graph.NewParamStore()
+			store.InitFromGraph(m8.Graph, rand.New(rand.NewSource(5)), nn.KaimingInit)
+			p8, err := graph.Compile(m8.Graph, store, graph.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p1, err := graph.Compile(m1.Graph, store, graph.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feeds := modelFeeds(m8, 6)
+			var rows []float32
+			for _, par := range []int{1, 2, 4} {
+				tensor.SetParallelism(par)
+				outs, err := p8.Forward(feeds)
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", par, err)
+				}
+				got := outs[1].Data()
+				if rows == nil {
+					rows = append([]float32(nil), got...)
+					continue
+				}
+				for i, v := range got {
+					if math.Float32bits(v) != math.Float32bits(rows[i]) {
+						t.Fatalf("parallelism %d: logit %d = %x, want %x (parallelism 1)", par, i, v, rows[i])
+					}
+				}
+			}
+			tensor.SetParallelism(1)
+			x, y := feeds["image"], feeds["labels"]
+			s, img := x.Shape(), x.Elems()/batch
+			for i := 0; i < batch; i++ {
+				outs, err := p1.Forward(graph.Feeds{
+					"image":  tensor.Wrap(x.Data()[i*img:(i+1)*img], 1, s[1], s[2], s[3]),
+					"labels": tensor.Wrap(y.Data()[i:i+1], 1),
+				})
+				if err != nil {
+					t.Fatalf("image %d: %v", i, err)
+				}
+				want := rows[i*m8.Classes : (i+1)*m8.Classes]
+				for j, v := range outs[1].Data() {
+					if math.Float32bits(v) != math.Float32bits(want[j]) {
+						t.Fatalf("image %d logit %d: B = 1 program %x, B = 8 row %x", i, j, v, want[j])
+					}
+				}
+			}
+		})
 	}
 }

@@ -189,14 +189,23 @@ func col2imChans(t col2imArgs, lo, hi int) {
 
 // Conv2DInto computes a 2-D convolution into a caller-supplied dst. x
 // is [N,Cin,H,W], weight is [Cout,Cin,KH,KW], bias (may be nil) is
-// [Cout]; dst is [N,Cout,OH,OW]. It is an implicit GEMM — the
-// algorithmic shape of cuDNN's IMPLICIT_GEMM: weight-as-[Cout,
-// Cin*KH*KW] times the im2col matrix of x, whose panels the GEMM packs
-// straight from x (packBConv), so no column matrix is ever built. The
-// only scratch drawn from the arena is the [Cout, N*OH*OW] product.
-// The result is bit-identical to Im2ColArena followed by Gemm, and —
-// the GEMM being shape-invariant — to the same convolution over any
-// batch prefix or band of output rows. dst must not alias x.
+// [Cout]; dst is [N,Cout,OH,OW]. dst must not alias x.
+//
+// It is an implicit GEMM that packs only the weights: they are copied
+// into NR-wide k-major panels over Cout (O(Cout·K), independent of batch
+// and map size), and the register tile reads its MR output pixels' input
+// windows where they lie, in one zero-padded arena copy of x laid out
+// as x is, through a table of window offsets. So every stride, kernel
+// size, map width and batch crossing runs through the same tile with no
+// edge path. Each tile writes its MR pixels × NR channels plus bias
+// straight into NCHW dst, and the tiles of one call are forked once over
+// the worker pool.
+//
+// Every output element is one chain: +0, a fused multiply-add per k in
+// (ci, ky, kx) order, then + bias (0 when nil). That is the chain of
+// Im2ColArena followed by Gemm and a bias add, so the two are
+// bit-identical, and — the chain depending on nothing but K — so is
+// the same convolution over any batch prefix or band of output rows.
 func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	n, cin, h, w, oh, ow := p.check(x)
 	cout := weight.shape[0]
@@ -206,134 +215,161 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	if len(dst.data) != n*cout*oh*ow {
 		panic(fmt.Sprintf("tensor.Conv2DInto: dst %v, want %d elements", dst.shape, n*cout*oh*ow))
 	}
-	prod := a.GetRaw(cout, n*oh*ow)
-	gemm(prod.data, weight.data, gemmB{d: x.data, conv: true, p: p, c: cin, h: h, w: w, oh: oh, ow: ow},
-		cout, cin*p.KH*p.KW, n*oh*ow, 1, 0, false)
-	// prod is [Cout, N*OH*OW]; transpose the leading two logical dims
-	// into NCHW order and add bias.
-	hw := oh * ow
-	var bd []float32
+	// The windows span rows [0, hp) and columns [0, wp) of the padded
+	// input, whose (py, px) is x at (py−Top, px−Left).
+	hp, wp := (oh-1)*p.SH+p.KH, (ow-1)*p.SW+p.KW
+	padded := a.GetRaw(n*cin, hp, wp)
+	padInput(padded.data, x.data, n*cin, h, w, hp, wp, p.Pad)
+	t := convTileArgs{
+		dst: dst.data, src: padded.data, row: wp, image: cin * hp * wp,
+		k: cin * p.KH * p.KW, n: n, cout: cout, oh: oh, ow: ow, sh: p.SH, sw: p.SW,
+	}
+	t.offs = offsetScratch.get(t.k)
+	r := 0
+	for ci := 0; ci < cin; ci++ {
+		for ky := 0; ky < p.KH; ky++ {
+			for kx := 0; kx < p.KW; kx++ {
+				t.offs[r] = ci*hp*wp + ky*wp + kx
+				r++
+			}
+		}
+	}
+	t.panels = (cout + gemmNR - 1) / gemmNR
+	t.w = floatScratch.get(t.panels * t.k * gemmNR)
+	packConvWeights(t.w, weight.data, cout, t.k)
 	if bias != nil {
-		bd = bias.data
+		t.bias = bias.data
 	}
-	parallelRange(n*cout, 1+parallelThreshold/hw, convNCHWArgs{
-		pd: prod.data, od: dst.data, bd: bd, n: n, cout: cout, hw: hw,
-	}, convToNCHW)
-	a.Put(prod)
+	// Fork only when each of two chunks carries about 1 MFLOP.
+	tiles := (n*oh*ow + gemmMR - 1) / gemmMR
+	tileFlops := 2 * gemmMR * gemmNR * t.k * t.panels
+	parallelRange(tiles, 1+(1<<21)/tileFlops, t, convTiles)
+	floatScratch.put(t.w)
+	offsetScratch.put(t.offs)
+	a.Put(padded)
 }
 
-// packBConv packs the NR-column panels [lo, hi) of the kc x nc block at
-// (pc, jc) of the implicit im2col matrix of b.d. Row r is (ci, ky, kx),
-// column c is (img, oy, ox), and the element is
-// x[img][ci][oy·SH−Top+ky][ox·SW−Left+kx], or 0 in the padding: exactly
-// what Im2ColArena places at (r, c). The k-rows are taken in runs that
-// share (ci, ky) — up to packKX consecutive kx — so each run reads one
-// input row per output row and writes adjacent panel rows. The columns
-// are walked incrementally across the panels, one output row at a time.
-// A stretch of a row inside one panel is zeros for the padding around
-// an in-bounds run: a copy at stride 1 (one 16-float move when it fills
-// the panel row), a gather otherwise. The padding runs are a column or
-// two, where a call to clear costs more than it moves, so they are
-// element loops.
-func packBConv(dst []float32, b gemmB, pc, jc, kc, nc, lo, hi int) {
-	p := b.p
-	khkw, hw, ohw := p.KH*p.KW, b.h*b.w, b.oh*b.ow
-	j0, j1 := lo*gemmNR, min(hi*gemmNR, nc)
-	c0 := jc + j0
-	img0, oy0, ox0 := c0/ohw, c0%ohw/b.ow, c0%b.ow
-	stride := kc * gemmNR // from a lane of one panel to the same lane of the next
-	var oxLo, oxHi [packKX]int
-	for r := 0; r < kc; {
-		ci, ky, kx0 := (pc+r)/khkw, (pc+r)%khkw/p.KW, (pc+r)%p.KW
-		g := min(p.KW-kx0, kc-r, packKX) // k-rows [r, r+g) are kx = kx0 … kx0+g−1
-		for t := 0; t < g; t++ {
-			oxLo[t], oxHi[t] = p.oxRange(kx0+t, b.w, b.ow)
+// padInput copies the planes of x ([planes, h, w]) into dst ([planes,
+// hp, wp]) so that dst's (py, px) is x at (py−Top, px−Left), or 0 where
+// that lies outside x. Negative pads crop.
+func padInput(dst, x []float32, planes, h, w, hp, wp int, pad Pad2D) {
+	clear(dst)
+	lo := min(max(pad.Left, 0), wp)    // the first column inside x
+	hi := min(max(w+pad.Left, lo), wp) // one past the last
+	py0, py1 := min(max(pad.Top, 0), hp), min(max(h+pad.Top, 0), hp)
+	if lo == hi {
+		return
+	}
+	for pl := 0; pl < planes; pl++ {
+		src, out := x[pl*h*w:(pl+1)*h*w], dst[pl*hp*wp:(pl+1)*hp*wp]
+		for py := py0; py < py1; py++ {
+			copy(out[py*wp+lo:py*wp+hi], src[(py-pad.Top)*w+lo-pad.Left:])
 		}
-		img, oy, ox := img0, oy0, ox0
-		o, lane := lo*stride+r*gemmNR, 0 // packed offset of column j in k-row r, and j % NR
-		for j := j0; j < j1; {
-			seg := min(b.ow-ox, j1-j) // columns ox .. ox+seg of output row (img, oy)
-			var src []float32         // that row's input row; nil in the padding
-			if iy := oy*p.SH - p.Pad.Top + ky; iy >= 0 && iy < b.h {
-				base := (img*b.c+ci)*hw + iy*b.w
-				src = b.d[base : base+b.w]
-			}
-			for end := j + seg; j < end; {
-				l := min(end-j, gemmNR-lane)
-				for t := 0; t < g; t++ {
-					out := dst[o+t*gemmNR : o+t*gemmNR+l]
-					// out[i] is column ox+i; [s, e) is its in-bounds part.
-					s, e := 0, 0
-					if src != nil {
-						s = min(max(oxLo[t]-ox, 0), l)
-						e = max(min(oxHi[t]-ox, l), s)
-					}
-					ix := (ox+s)*p.SW - p.Pad.Left + kx0 + t
-					if e-s == gemmNR && p.SW == 1 {
-						v := *(*[gemmNR]float32)(src[ix:])
-						*(*[gemmNR]float32)(out) = v
-						continue
-					}
-					for i := 0; i < s; i++ {
-						out[i] = 0
-					}
-					if p.SW == 1 && s < e {
-						copy(out[s:e], src[ix:ix+e-s])
-					} else {
-						for i := s; i < e; i++ {
-							out[i] = src[ix]
-							ix += p.SW
-						}
-					}
-					for i := e; i < l; i++ {
-						out[i] = 0
-					}
-				}
-				j, ox, o, lane = j+l, ox+l, o+l, lane+l
-				if lane == gemmNR {
-					o, lane = o+stride-gemmNR, 0
-				}
-			}
-			if ox == b.ow {
-				ox = 0
-				if oy++; oy == b.oh {
-					oy = 0
-					img++
-				}
-			}
-		}
-		if j1 == nc && lane != 0 { // the last panel's column tail
-			for t := 0; t < g; t++ {
-				for i := o + t*gemmNR; i < o+t*gemmNR+gemmNR-lane; i++ {
-					dst[i] = 0
-				}
-			}
-		}
-		r += g
 	}
 }
 
-// packKX bounds the kernel columns packBConv packs together, so their
-// output-x ranges fit in a stack array; wider kernels take several runs.
-const packKX = 8
-
-type convNCHWArgs struct {
-	pd, od, bd  []float32
-	n, cout, hw int
+// packConvWeights copies weight, read as [cout, k], into NR-wide
+// k-major panels over Cout: panel q's row r holds channels q·NR …
+// q·NR+NR−1 of k-index r, zero past cout. Each weight row is read in
+// order and scattered down its panel column, four k-rows a step.
+func packConvWeights(dst, weight []float32, cout, k int) {
+	if cout%gemmNR != 0 {
+		clear(dst[cout/gemmNR*k*gemmNR:])
+	}
+	for co := 0; co < cout; co++ {
+		col := dst[co/gemmNR*k*gemmNR+co%gemmNR:]
+		src := weight[co*k : (co+1)*k]
+		r := 0
+		for ; r+4 <= k; r += 4 {
+			s, c := src[r:r+4:r+4], col[r*gemmNR:r*gemmNR+3*gemmNR+1]
+			c[0], c[gemmNR], c[2*gemmNR], c[3*gemmNR] = s[0], s[1], s[2], s[3]
+		}
+		for ; r < k; r++ {
+			col[r*gemmNR] = src[r]
+		}
+	}
 }
 
-func convToNCHW(t convNCHWArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b, co := i/t.cout, i%t.cout
-		var bv float32
-		if t.bd != nil {
-			bv = t.bd[co]
+// convTileArgs carries one convolution to convTiles through
+// parallelRange. Output pixel (img, oy, ox)'s window starts at
+// src[img·image + oy·sh·row + ox·sw] of the padded input, and k-index r
+// reads offs[r] past it.
+type convTileArgs struct {
+	dst, src, w, bias       []float32
+	offs                    []int
+	row, image, k, panels   int
+	n, cout, oh, ow, sh, sw int
+}
+
+// convTiles computes the MR-pixel tiles [lo, hi) of the output, pixels
+// numbered (img, oy, ox) across the whole batch. A short last tile
+// repeats its last pixel's window and stores only its own pixels.
+func convTiles(t convTileArgs, lo, hi int) {
+	var tile [gemmMR * gemmNR]float32
+	var base, out [gemmMR]int // each pixel's window start, and its dst offset at channel 0
+	ohw, npix := t.oh*t.ow, t.n*t.oh*t.ow
+	q := lo * gemmMR
+	img, oy, ox := q/ohw, q%ohw/t.ow, q%t.ow
+	for ti := lo; ti < hi; ti++ {
+		rows := min(gemmMR, npix-ti*gemmMR)
+		for i := range base {
+			if i >= rows {
+				base[i] = base[rows-1]
+				continue
+			}
+			base[i] = img*t.image + oy*t.sh*t.row + ox*t.sw
+			out[i] = img*t.cout*ohw + oy*t.ow + ox
+			if ox++; ox == t.ow {
+				if ox, oy = 0, oy+1; oy == t.oh {
+					oy, img = 0, img+1
+				}
+			}
 		}
-		src := t.pd[co*t.n*t.hw+b*t.hw : co*t.n*t.hw+(b+1)*t.hw]
-		dst := t.od[i*t.hw : (i+1)*t.hw]
-		for j := range dst {
-			dst[j] = src[j] + bv
+		for pn := 0; pn < t.panels; pn++ {
+			convKernel(t.k, t.src, &base, t.offs, t.w[pn*t.k*gemmNR:(pn+1)*t.k*gemmNR], &tile)
+			co0 := pn * gemmNR
+			for j := 0; j < min(gemmNR, t.cout-co0); j++ {
+				var b float32
+				if t.bias != nil {
+					b = t.bias[co0+j]
+				}
+				d := t.dst[(co0+j)*ohw:]
+				for i := 0; i < rows; i++ {
+					d[out[i]] = tile[i*gemmNR+j] + b
+				}
+			}
 		}
+	}
+}
+
+// convKernel sets tile (MR pixels × NR channels, row-major) to the
+// window products of one weight panel w: tile[i][j] is +0 followed by
+// one multiply-add per k-index r, in order, of src[base[i]+offs[r]] and
+// w[r·NR+j].
+func convKernel(k int, src []float32, base *[gemmMR]int, offs []int, w []float32, tile *[gemmMR * gemmNR]float32) {
+	if useAsmKernel {
+		convKernelFMA(k, &src[0], base, &offs[0], &w[0], tile)
+		return
+	}
+	convKernelGo(k, src, base, offs, w, tile)
+}
+
+// convKernelGo is the portable twin of convKernelFMA, written as
+// gemmKernelGo is so that it accumulates exactly as gemmKernelGo does.
+func convKernelGo(k int, src []float32, base *[gemmMR]int, offs []int, w []float32, tile *[gemmMR * gemmNR]float32) {
+	var acc [gemmMR][gemmNR]float32
+	for r, off := range offs[:k] {
+		wr := w[r*gemmNR : r*gemmNR+gemmNR]
+		for i := 0; i < gemmMR; i++ {
+			xv := src[base[i]+off]
+			ci := &acc[i]
+			for j := 0; j < gemmNR; j++ {
+				ci[j] += xv * wr[j]
+			}
+		}
+	}
+	for i := 0; i < gemmMR; i++ {
+		copy(tile[i*gemmNR:(i+1)*gemmNR], acc[i][:])
 	}
 }
 
@@ -361,7 +397,7 @@ func Conv2DBackwardArena(a *Arena, x, weight *Tensor, gradOut *Tensor, p ConvPar
 	col := Im2ColArena(a, x, p)
 	// gradW (+)= g @ colᵀ, accumulated in place by the beta=1 GEMM
 	// (dropping the former gw temporary and its extra AXPY pass).
-	gemm(gradW.data, g.data, denseB(col.data, true), cout, n*hw, cin*p.KH*p.KW, 1, 1, false)
+	gemm(gradW.data, g.data, col.data, cout, n*hw, cin*p.KH*p.KW, 1, 1, false, true)
 	if !needGradX {
 		a.Put(col)
 		a.Put(g)
@@ -369,7 +405,7 @@ func Conv2DBackwardArena(a *Arena, x, weight *Tensor, gradOut *Tensor, p ConvPar
 	}
 	// gradCol = weightᵀ @ g, then scatter with Col2Im.
 	gradCol := col // same shape as the im2col matrix: reuse it directly
-	gemm(gradCol.data, weight.data, denseB(g.data, false), cin*p.KH*p.KW, cout, n*hw, 1, 0, true)
+	gemm(gradCol.data, weight.data, g.data, cin*p.KH*p.KW, cout, n*hw, 1, 0, true, false)
 	a.Put(g)
 	gx := Col2ImArena(a, gradCol, p, n, cin, h, w)
 	a.Put(gradCol)

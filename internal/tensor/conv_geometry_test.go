@@ -162,10 +162,28 @@ func randConvGeom(rng *rand.Rand) convGeom {
 	}
 }
 
+// forEachKernel runs f once per micro-kernel build this CPU can run:
+// the AVX2+FMA assembly (when present) and the portable Go twins, the
+// latter by clearing useAsmKernel for the duration.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Run("portable", func(t *testing.T) {
+		defer func(prev bool) { useAsmKernel = prev }(useAsmKernel)
+		useAsmKernel = false
+		f(t)
+	})
+	if useAsmKernel {
+		t.Run("fma", f)
+	}
+}
+
 // TestConvGeometryMatchesReference sweeps 1,000 seeded geometries
-// through checkConvGeometry and checks that the sweep covered the edge
-// cases it exists for.
+// through checkConvGeometry on each micro-kernel build and checks that
+// the sweep covered the edge cases it exists for.
 func TestConvGeometryMatchesReference(t *testing.T) {
+	forEachKernel(t, testConvGeometryMatchesReference)
+}
+
+func testConvGeometryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	var width1, wideKernel, emptyCol, deepK int
 	for i := 0; i < 1000; i++ {
@@ -196,9 +214,8 @@ func TestConvGeometryMatchesReference(t *testing.T) {
 
 // FuzzConvGeometry drives checkConvGeometry from fuzzed dimensions,
 // folded into the ranges of randConvGeom except that kernels reach 11
-// (wider than one packBConv run) and pads 3, so the seeds can hold both
-// narrowPaddedCases and an AlexNet-style stem verbatim; plain `go test`
-// runs them.
+// and pads 3, so the seeds can hold both narrowPaddedCases and an
+// AlexNet-style stem verbatim; plain `go test` runs them.
 func FuzzConvGeometry(f *testing.F) {
 	add := func(g convGeom, seed int64) {
 		p := g.p
@@ -223,6 +240,66 @@ func FuzzConvGeometry(f *testing.F) {
 		}
 		checkConvGeometry(t, g, seed)
 	})
+}
+
+// TestConvKernelMatchesGemmKernel pins the convolution micro-kernel to
+// the GEMM one on each build: the tile convKernel computes from windows
+// read through the offset table equals, bit for bit, gemmKernel's
+// product of the same pixel values packed as an MR-wide A panel and the
+// same weight panel as B, accumulated from +0. Across builds (FMA vs
+// portable, which rounds each product) the two agree within a k-scaled
+// tolerance.
+func TestConvKernelMatchesGemmKernel(t *testing.T) {
+	type result struct{ conv, gemm [gemmMR * gemmNR]float32 }
+	run := func(t *testing.T, k int, seed int64) result {
+		rng := rand.New(rand.NewSource(seed))
+		src := make([]float32, 4096)
+		for i := range src {
+			src[i] = float32(rng.NormFloat64())
+		}
+		offs := make([]int, k)
+		for r := range offs {
+			offs[r] = rng.Intn(len(src) / 2)
+		}
+		var base [gemmMR]int
+		for i := range base {
+			base[i] = rng.Intn(len(src) / 2)
+		}
+		w := make([]float32, k*gemmNR)
+		for i := range w {
+			w[i] = float32(rng.NormFloat64())
+		}
+		a := make([]float32, k*gemmMR)
+		for r := 0; r < k; r++ {
+			for i := 0; i < gemmMR; i++ {
+				a[r*gemmMR+i] = src[base[i]+offs[r]]
+			}
+		}
+		var res result
+		convKernel(k, src, &base, offs, w, &res.conv)
+		gemmKernel(k, a, w, res.gemm[:], gemmNR)
+		for i := range res.conv {
+			if math.Float32bits(res.conv[i]) != math.Float32bits(res.gemm[i]) {
+				t.Fatalf("k=%d: conv kernel %g, gemm kernel %g at %d", k, res.conv[i], res.gemm[i], i)
+			}
+		}
+		return res
+	}
+	ks := []int{1, 2, 9, 27, 288, 1000}
+	results := map[string][]result{}
+	forEachKernel(t, func(t *testing.T) {
+		for i, k := range ks {
+			results[t.Name()] = append(results[t.Name()], run(t, k, int64(i)))
+		}
+	})
+	asm, portable := results[t.Name()+"/fma"], results[t.Name()+"/portable"]
+	for i := range asm {
+		for j := range asm[i].conv {
+			if d := math.Abs(float64(asm[i].conv[j] - portable[i].conv[j])); d > relTol(ks[i]) {
+				t.Fatalf("k=%d: FMA and portable conv kernels differ at %d: %g vs %g", ks[i], j, asm[i].conv[j], portable[i].conv[j])
+			}
+		}
+	}
 }
 
 // relErr returns max|got−want| relative to max|want|.

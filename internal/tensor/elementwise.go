@@ -57,16 +57,14 @@ func Scale(dst *Tensor, alpha float32) {
 	}
 }
 
-// ReLU writes max(x, 0) into dst; dst may alias x.
+// ReLU writes x > 0 ? x : 0 into dst; dst may alias x. So NaN and −0
+// map to +0, and +Inf and positive denormals pass unchanged.
 func ReLU(dst, x *Tensor) {
 	checkSameSize("ReLU", dst, x)
-	dx, dd := x.data, dst.data
-	for i := range dd {
-		if dx[i] > 0 {
-			dd[i] = dx[i]
-		} else {
-			dd[i] = 0
-		}
+	dx, dd := x.data, dst.data[:len(x.data)]
+	for i, v := range dx {
+		b := math.Float32bits(v)
+		dd[i] = math.Float32frombits(b & positiveMask(b))
 	}
 }
 
@@ -75,14 +73,20 @@ func ReLU(dst, x *Tensor) {
 // the in-place ReLU storage optimization in HMMS (§4.2 of the paper).
 func ReLUBackward(gradIn, gradOut, out *Tensor) {
 	checkSameSize("ReLUBackward", gradIn, gradOut, out)
-	gi, g, o := gradIn.data, gradOut.data, out.data
+	gi, g, o := gradIn.data, gradOut.data[:len(gradIn.data)], out.data[:len(gradIn.data)]
 	for i := range gi {
-		if o[i] > 0 {
-			gi[i] = g[i]
-		} else {
-			gi[i] = 0
-		}
+		gi[i] = math.Float32frombits(math.Float32bits(g[i]) & positiveMask(math.Float32bits(o[i])))
 	}
+}
+
+// positiveMask returns all ones when the float32 with bits b is > 0 and
+// zero otherwise, without a branch: a random-signed activation makes
+// the branch unpredictable. b > 0 exactly when 1 ≤ b ≤ +Inf's bits
+// (0x7F800000), i.e. b−1 < 0x7F800000 unsigned: +0 wraps to the top, and
+// NaNs and the sign bit lie above. The 64-bit difference is negative
+// exactly then, and its sign bit, shifted down, is the mask.
+func positiveMask(b uint32) uint32 {
+	return uint32((int64(b-1) - 0x7F800000) >> 63)
 }
 
 // Softmax computes a row-wise softmax of a [rows, cols] tensor into dst.

@@ -2,7 +2,7 @@ package tensor
 
 // Cache-blocked, panel-packed SGEMM in the BLIS/GotoBLAS style. One
 // driver backs MatMul, MatMulAT, MatMulBT, the alpha/beta Gemm entry
-// point and the convolution forward (an implicit GEMM): the three loops
+// point and the convolution backward's two products: the three loops
 // around the micro-kernel block the operands so the packed B panel
 // stays L3/L2-resident and the packed A block stays L2-resident, and
 // the innermost computation is a register-blocked MR x NR micro-kernel
@@ -12,8 +12,9 @@ package tensor
 // Packing normalizes both transpose variants into the same panel
 // layout — A panels are MR rows wide and k-major, B panels are NR
 // columns wide and k-major — so transA/transB cost only a different
-// gather order during packing, never a different kernel. The same holds
-// for a convolution: its B panels are gathered from the input image.
+// gather order during packing, never a different kernel. The
+// convolution forward (conv.go) runs the same register tile over packed
+// weights and the unpacked input instead.
 
 const (
 	// gemmMR x gemmNR is the register tile: 6x16 float32 = twelve YMM
@@ -40,23 +41,8 @@ var (
 // [m, n]. dst must not alias a or b.
 func Gemm(dst, a, b *Tensor, alpha, beta float32, transA, transB bool) {
 	m, k, n := checkMatMul("Gemm", dst, a, b, transA, transB)
-	gemm(dst.data, a.data, denseB(b.data, transB), m, k, n, alpha, beta, transA)
+	gemm(dst.data, a.data, b.data, m, k, n, alpha, beta, transA, transB)
 }
-
-// gemmB is the B operand of the one GEMM driver: either a dense matrix
-// (op(B)[p][j] is d[p*n+j], or d[j*k+p] when trans is set) or, when
-// conv is set, the implicit im2col matrix of the NCHW convolution input
-// d under p, which is never materialized: packBConv gathers each panel
-// straight from the input.
-type gemmB struct {
-	d               []float32
-	trans, conv     bool
-	p               ConvParams
-	c, h, w, oh, ow int
-}
-
-// denseB wraps a dense B matrix.
-func denseB(d []float32, trans bool) gemmB { return gemmB{d: d, trans: trans} }
 
 // gemm is the driver. Every output element's reduction order is "dst
 // (after the beta pre-pass), then the KC blocks of k in order", whatever
@@ -64,7 +50,7 @@ func denseB(d []float32, trans bool) gemmB { return gemmB{d: d, trans: trans} }
 // of an element depend only on k and its operands, never on m or n —
 // which is what keeps a batch prefix, a coalesced batch and a shard
 // band bit-identical to the full computation.
-func gemm(dd, ad []float32, b gemmB, m, k, n int, alpha, beta float32, transA bool) {
+func gemm(dd, ad, bd []float32, m, k, n int, alpha, beta float32, transA, transB bool) {
 	// beta pre-pass: the kernel always accumulates into dst.
 	if beta == 0 {
 		clear(dd[:m*n])
@@ -81,7 +67,7 @@ func gemm(dd, ad []float32, b gemmB, m, k, n int, alpha, beta float32, transA bo
 		ncPanels := (nc + gemmNR - 1) / gemmNR
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
-			bufB := getScratch(ncPanels * kc * gemmNR)
+			bufB := floatScratch.get(ncPanels * kc * gemmNR)
 			// Packing is a copy, so fanning its panels out cannot move a
 			// bit; it pays only once the block is large enough.
 			minPar := 2
@@ -89,12 +75,12 @@ func gemm(dd, ad []float32, b gemmB, m, k, n int, alpha, beta float32, transA bo
 				minPar = ncPanels + 1
 			}
 			parallelRange(ncPanels, minPar, packBArgs{
-				dst: bufB, b: b, pc: pc, jc: jc, kc: kc, nc: nc, n: n, k: k,
+				dst: bufB, b: bd, trans: transB, pc: pc, jc: jc, kc: kc, nc: nc, n: n, k: k,
 			}, packBPanels)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
 				mPanels := (mc + gemmMR - 1) / gemmMR
-				bufA := getScratch(mPanels * kc * gemmMR)
+				bufA := floatScratch.get(mPanels * kc * gemmMR)
 				packA(bufA, ad, ic, pc, mc, kc, m, k, alpha, transA)
 				// Fan the row panels of this block out over the worker
 				// pool only when the block carries enough arithmetic to
@@ -107,9 +93,9 @@ func gemm(dd, ad []float32, b gemmB, m, k, n int, alpha, beta float32, transA bo
 					dd: dd, bufA: bufA, bufB: bufB,
 					ic: ic, jc: jc, mc: mc, nc: nc, kc: kc, ldc: n,
 				}, gemmTiles)
-				putScratch(bufA)
+				floatScratch.put(bufA)
 			}
-			putScratch(bufB)
+			floatScratch.put(bufB)
 		}
 	}
 }
@@ -234,23 +220,19 @@ func packA(dst, a []float32, ic, pc, mc, kc, m, k int, alpha float32, transA boo
 // packBArgs carries one kc x nc block of op(B) at (pc, jc) to
 // packBPanels through parallelRange.
 type packBArgs struct {
-	dst                  []float32
-	b                    gemmB
+	dst, b               []float32
+	trans                bool
 	pc, jc, kc, nc, n, k int
 }
 
 // packBPanels packs NR-column panels [lo, hi) of one block, k-major
 // within each panel, zero-padding the last panel's column tail.
 func packBPanels(t packBArgs, lo, hi int) {
-	if t.b.conv {
-		packBConv(t.dst, t.b, t.pc, t.jc, t.kc, t.nc, lo, hi)
-		return
-	}
-	b := t.b.d
+	b := t.b
 	for j0 := lo * gemmNR; j0 < min(hi*gemmNR, t.nc); j0 += gemmNR {
 		cols := min(gemmNR, t.nc-j0)
 		panel := t.dst[(j0/gemmNR)*t.kc*gemmNR:]
-		if !t.b.trans {
+		if !t.trans {
 			for p := 0; p < t.kc; p++ {
 				row := panel[p*gemmNR : p*gemmNR+gemmNR]
 				src := b[(t.pc+p)*t.n+t.jc+j0:]

@@ -2,9 +2,10 @@
 
 package tensor
 
-// useAsmKernel gates the AVX2+FMA micro-kernel on runtime CPU support.
+// useAsmKernel gates the AVX2+FMA micro-kernels on runtime CPU support.
 // The binary stays runnable on pre-Haswell hardware (and under
-// emulators without AVX) by falling back to the portable kernel.
+// emulators without AVX) by falling back to the portable kernels; tests
+// clear it to run those.
 var useAsmKernel = detectFMA()
 
 // gemmKernelFMA is the 6x16 AVX2+FMA micro-kernel
@@ -14,6 +15,14 @@ var useAsmKernel = detectFMA()
 //
 //go:noescape
 func gemmKernelFMA(kc int, a, b, c *float32, ldc int)
+
+// convKernelFMA is the 6x16 AVX2+FMA convolution micro-kernel
+// (gemm_amd64.s; convKernelGo is its portable twin): tile[i][j] =
+// Σ_r src[base[i]+offs[r]]·w[r·16+j] over r < k, from +0 and in order.
+// src must hold every window element, offs k offsets, w k·16 floats.
+//
+//go:noescape
+func convKernelFMA(k int, src *float32, base *[gemmMR]int, offs *int, w *float32, tile *[gemmMR * gemmNR]float32)
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

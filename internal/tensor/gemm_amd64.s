@@ -83,6 +83,92 @@ loop:
 	VZEROUPPER
 	RET
 
+// func convKernelFMA(k int, src *float32, base *[6]int, offs *int, w *float32, tile *[96]float32)
+//
+// 6x16 convolution micro-kernel: tile[i][j] = Σ_r src[base[i]+offs[r]]
+// · w[r·16+j] over r = 0 … k−1, from +0 and in order. The six pixels'
+// window pointers live in R8..R13 and the current window offset in DX,
+// so each k step is one offset load, 2 weight loads, 6 broadcasts
+// straight from the input and the same 12 FMAs as gemmKernelFMA, with
+// the pixel value as the broadcast operand instead of the weight.
+TEXT ·convKernelFMA(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), CX
+	MOVQ src+8(FP), AX
+	MOVQ base+16(FP), DX
+	MOVQ offs+24(FP), SI
+	MOVQ w+32(FP), BX
+
+	// R8..R13 = &src[base[i]].
+	MOVQ 0(DX), R8
+	LEAQ (AX)(R8*4), R8
+	MOVQ 8(DX), R9
+	LEAQ (AX)(R9*4), R9
+	MOVQ 16(DX), R10
+	LEAQ (AX)(R10*4), R10
+	MOVQ 24(DX), R11
+	LEAQ (AX)(R11*4), R11
+	MOVQ 32(DX), R12
+	LEAQ (AX)(R12*4), R12
+	MOVQ 40(DX), R13
+	LEAQ (AX)(R13*4), R13
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+
+convloop:
+	MOVQ         (SI), DX
+	VMOVUPS      (BX), Y12
+	VMOVUPS      32(BX), Y13
+	VBROADCASTSS (R8)(DX*4), Y14
+	VFMADD231PS  Y12, Y14, Y0
+	VFMADD231PS  Y13, Y14, Y1
+	VBROADCASTSS (R9)(DX*4), Y15
+	VFMADD231PS  Y12, Y15, Y2
+	VFMADD231PS  Y13, Y15, Y3
+	VBROADCASTSS (R10)(DX*4), Y14
+	VFMADD231PS  Y12, Y14, Y4
+	VFMADD231PS  Y13, Y14, Y5
+	VBROADCASTSS (R11)(DX*4), Y15
+	VFMADD231PS  Y12, Y15, Y6
+	VFMADD231PS  Y13, Y15, Y7
+	VBROADCASTSS (R12)(DX*4), Y14
+	VFMADD231PS  Y12, Y14, Y8
+	VFMADD231PS  Y13, Y14, Y9
+	VBROADCASTSS (R13)(DX*4), Y15
+	VFMADD231PS  Y12, Y15, Y10
+	VFMADD231PS  Y13, Y15, Y11
+	ADDQ         $8, SI    // next window offset
+	ADDQ         $64, BX   // 16 floats of w
+	DECQ         CX
+	JNZ          convloop
+
+	// Store the tile, pixel-major.
+	MOVQ tile+40(FP), DI
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VMOVUPS Y8, 256(DI)
+	VMOVUPS Y9, 288(DI)
+	VMOVUPS Y10, 320(DI)
+	VMOVUPS Y11, 352(DI)
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

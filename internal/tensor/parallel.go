@@ -120,43 +120,48 @@ func parallelRangePar[A any](n, w int, arg A, body func(A, int, int)) {
 	}
 }
 
-// scratchPool is a never-shrinking free list of float32 scratch slices
-// bucketed by power-of-two capacity, used for GEMM packing panels and
-// similar kernel-internal workspace. Unlike sync.Pool it is never
-// drained by the garbage collector, so a warmed-up training loop hits
-// it every time and performs no steady-state allocations. Its footprint
-// is bounded by the largest working set of concurrently running
-// kernels, a few MB in practice.
-var scratchPool = struct {
+// scratchPool is a never-shrinking free list of kernel scratch slices
+// bucketed by power-of-two capacity: GEMM packing panels, packed
+// convolution weights and the convolution's window-offset table. Unlike
+// sync.Pool it is never drained by the garbage collector, so a warmed-up
+// training loop hits it every time and performs no steady-state
+// allocations. Its footprint is bounded by the largest working set of
+// concurrently running kernels, a few MB in practice.
+type scratchPool[T any] struct {
 	mu   sync.Mutex
-	free map[int][][]float32
-}{free: make(map[int][][]float32)}
+	free map[int][][]T
+}
 
-func getScratch(n int) []float32 {
+var (
+	floatScratch  = &scratchPool[float32]{free: make(map[int][][]float32)}
+	offsetScratch = &scratchPool[int]{free: make(map[int][][]int)}
+)
+
+func (p *scratchPool[T]) get(n int) []T {
 	class := pow2ceil(n)
-	scratchPool.mu.Lock()
-	st := scratchPool.free[class]
-	var s []float32
+	p.mu.Lock()
+	st := p.free[class]
+	var s []T
 	if len(st) > 0 {
 		s = st[len(st)-1]
-		scratchPool.free[class] = st[:len(st)-1]
+		p.free[class] = st[:len(st)-1]
 	}
-	scratchPool.mu.Unlock()
+	p.mu.Unlock()
 	if s == nil {
-		s = make([]float32, class)
+		s = make([]T, class)
 	}
 	return s[:n]
 }
 
-func putScratch(s []float32) {
+func (p *scratchPool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	class := cap(s)
 	s = s[:class]
-	scratchPool.mu.Lock()
-	scratchPool.free[class] = append(scratchPool.free[class], s)
-	scratchPool.mu.Unlock()
+	p.mu.Lock()
+	p.free[class] = append(p.free[class], s)
+	p.mu.Unlock()
 }
 
 // pow2ceil returns the smallest power of two >= n (and >= 64, so tiny

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,6 +129,53 @@ func TestReLUAndBackward(t *testing.T) {
 	ReLUBackward(gi, g, y)
 	if gi.Data()[0] != 0 || gi.Data()[1] != 0 || gi.Data()[2] != 30 {
 		t.Fatalf("ReLUBackward = %v", gi.Data())
+	}
+}
+
+// TestReLUBitsMatchBranchyReference pins the branchless ReLU and
+// ReLUBackward to the loops they replaced, `x > 0 ? x : 0` and
+// `out > 0 ? g : 0`, by bits: NaNs of either sign and any payload and
+// −0 give +0; +Inf, denormals and every positive value pass unchanged.
+func TestReLUBitsMatchBranchyReference(t *testing.T) {
+	special := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, // smallest and largest denormals
+		0x00800000, 0x80800000, 0x3F800000, 0xBF800000, // smallest normals, ±1
+		0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000, // ±MaxFloat32, ±Inf
+		0x7F800001, 0x7FC00000, 0x7FFFFFFF, 0xFF800001, 0xFFC00000, 0xFFFFFFFF, // NaNs
+	}
+	rng := rand.New(rand.NewSource(42))
+	xs := make([]float32, 0, len(special)+8192)
+	for _, b := range special {
+		xs = append(xs, math.Float32frombits(b))
+	}
+	for i := 0; i < 4096; i++ {
+		xs = append(xs, float32(rng.NormFloat64()), math.Float32frombits(rng.Uint32()))
+	}
+	gs := make([]float32, len(xs))
+	for i := range gs {
+		gs[i] = math.Float32frombits(rng.Uint32())
+	}
+	x, g := FromSlice(xs, len(xs)), FromSlice(gs, len(gs))
+	y, gi := New(len(xs)), New(len(xs))
+	ReLU(y, x)
+	ReLUBackward(gi, g, x)
+	for i, v := range xs {
+		var wantY, wantG float32
+		if v > 0 {
+			wantY, wantG = v, gs[i]
+		}
+		if got := y.data[i]; math.Float32bits(got) != math.Float32bits(wantY) {
+			t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), math.Float32bits(got), math.Float32bits(wantY))
+		}
+		if got := gi.data[i]; math.Float32bits(got) != math.Float32bits(wantG) {
+			t.Fatalf("ReLUBackward(g %#08x, out %#08x) = %#08x, want %#08x",
+				math.Float32bits(gs[i]), math.Float32bits(v), math.Float32bits(got), math.Float32bits(wantG))
+		}
+	}
+	ReLU(x, x) // in place
+	if MaxAbsDiff(x, y) != 0 {
+		t.Fatal("in-place ReLU differs from ReLU into a second tensor")
 	}
 }
 
