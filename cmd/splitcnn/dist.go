@@ -17,6 +17,7 @@ import (
 	"syscall"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/distserve"
 	"splitcnn/internal/report"
 	"splitcnn/internal/serve"
@@ -30,7 +31,7 @@ func cmdWorker(args []string) error {
 	maxPods := fs.Int("maxpods", 4, "max concurrent shard evaluations (per-pod capacity limit)")
 	logJSON := fs.Bool("logjson", false, "emit lifecycle logs as JSON instead of text")
 	traceSample := fs.Float64("tracesample", 0, "fraction of shard evaluations recording per-stage wall spans")
-	debugAddr := fs.String("debugaddr", "", "HTTP debug listener (host:port; :0 for a random port) serving /healthz, /metricsz and the continuous profiler's /profilez")
+	debugAddr := fs.String("debugaddr", "", "HTTP debug listener (host:port; :0 for a random port) serving /healthz, /metricsz, /tracez and the continuous profiler's /profilez")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -40,12 +41,12 @@ func cmdWorker(args []string) error {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	w, err := distserve.StartWorker(*addr, distserve.WorkerConfig{
-		Spec:        spec,
-		MaxPods:     *maxPods,
-		Metrics:     trace.NewMetrics(),
-		Logger:      slog.New(handler),
-		TraceSample: *traceSample,
-		DebugAddr:   *debugAddr,
+		Spec:      spec,
+		MaxPods:   *maxPods,
+		Metrics:   trace.NewMetrics(),
+		Logger:    slog.New(handler),
+		DebugAddr: *debugAddr,
+		Debug:     debugz.Options{TraceSample: *traceSample},
 	})
 	if err != nil {
 		return err
@@ -54,7 +55,7 @@ func cmdWorker(args []string) error {
 	fmt.Printf("shard worker %q (%d stages, tail %q, max pods %d) on %s\n",
 		spec.Name, len(p.Stages), p.Tail, *maxPods, w.Addr())
 	if w.DebugAddr() != "" {
-		fmt.Printf("debug surface on http://%s/ (healthz, metricsz, profilez)\n", w.DebugAddr())
+		fmt.Printf("debug surface on http://%s/ (healthz, metricsz, tracez, profilez)\n", w.DebugAddr())
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -128,8 +129,8 @@ func cmdRouter(args []string) error {
 		Retries:        *retries,
 		Metrics:        trace.NewMetrics(),
 		Logger:         logger,
-		TraceSample:    *traceSample,
 		SLO:            *slo,
+		Debug:          debugz.Options{TraceSample: *traceSample},
 	})
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/distserve"
 	"splitcnn/internal/memobs"
 	"splitcnn/internal/models"
@@ -45,6 +46,14 @@ func memSmoke() error {
 	return nil
 }
 
+// memSmokeDebug is every smoke process's debug surface: fast runtime
+// samples and short, frequent profiler windows.
+var memSmokeDebug = debugz.Options{
+	RuntimeMetricsInterval: 50 * time.Millisecond,
+	ProfileWindow:          250 * time.Millisecond,
+	ProfileEvery:           300 * time.Millisecond,
+}
+
 // profilezView mirrors the /profilez?format=json body.
 type profilezView struct {
 	Report    *memobs.Report        `json:"report"`
@@ -66,12 +75,10 @@ func memSmokeServe() error {
 	}
 	met := trace.NewMetrics()
 	srv := serve.NewServer(reg, serve.Options{
-		QueueDepth:             1024,
-		RequestTimeout:         30 * time.Second,
-		Metrics:                met,
-		RuntimeMetricsInterval: 50 * time.Millisecond,
-		ProfileWindow:          250 * time.Millisecond,
-		ProfileEvery:           300 * time.Millisecond,
+		QueueDepth:     1024,
+		RequestTimeout: 30 * time.Second,
+		Metrics:        met,
+		Debug:          memSmokeDebug,
 	})
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -153,10 +160,8 @@ func memSmokeFleet() error {
 	for i := 0; i < 2; i++ {
 		w, err := distserve.StartWorker("127.0.0.1:0", distserve.WorkerConfig{
 			Spec: spec, MaxPods: 8,
-			DebugAddr:              "127.0.0.1:0",
-			RuntimeMetricsInterval: 50 * time.Millisecond,
-			ProfileWindow:          250 * time.Millisecond,
-			ProfileEvery:           300 * time.Millisecond,
+			DebugAddr: "127.0.0.1:0",
+			Debug:     memSmokeDebug,
 		})
 		if err != nil {
 			return fmt.Errorf("spawn worker %d: %w", i, err)
@@ -167,11 +172,9 @@ func memSmokeFleet() error {
 	}
 	rt, err := distserve.NewRouter(distserve.RouterOptions{
 		Spec: spec, Workers: addrs,
-		RequestTimeout:         30 * time.Second,
-		Metrics:                trace.NewMetrics(),
-		RuntimeMetricsInterval: 50 * time.Millisecond,
-		ProfileWindow:          250 * time.Millisecond,
-		ProfileEvery:           300 * time.Millisecond,
+		RequestTimeout: 30 * time.Second,
+		Metrics:        trace.NewMetrics(),
+		Debug:          memSmokeDebug,
 	})
 	if err != nil {
 		return err

@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/models"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/trace"
@@ -106,13 +107,12 @@ func cmdServe(args []string) error {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	srv := serve.NewServer(reg, serve.Options{
-		QueueDepth:             *queue,
-		RequestTimeout:         *timeout,
-		Metrics:                trace.NewMetrics(),
-		Logger:                 slog.New(handler),
-		TraceSample:            *traceSample,
-		EnablePprof:            *pprofOn,
-		RuntimeMetricsInterval: *runtimeEvery,
+		QueueDepth:     *queue,
+		RequestTimeout: *timeout,
+		Metrics:        trace.NewMetrics(),
+		Logger:         slog.New(handler),
+		EnablePprof:    *pprofOn,
+		Debug:          debugz.Options{TraceSample: *traceSample, RuntimeMetricsInterval: *runtimeEvery},
 	})
 	bind := *addr
 	if *smoke {

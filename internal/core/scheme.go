@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"splitcnn/internal/tensor"
 )
 
 // Scheme is a partition of a spatial dimension of size L into parts;
@@ -46,9 +48,6 @@ func (s Scheme) Equal(o Scheme) bool {
 	}
 	return true
 }
-
-// Parts returns the number of parts.
-func (s Scheme) Parts() int { return len(s) }
 
 // PartLen returns the length of part i given total dimension size l.
 func (s Scheme) PartLen(i, l int) int {
@@ -123,7 +122,12 @@ type Window1D struct {
 }
 
 // OutSize returns the operation's output length over input length l.
-func (w Window1D) OutSize(l int) int { return (l+w.Pb+w.Pe-w.K)/w.S + 1 }
+// It is tensor.ConvParams.OutSize along one dimension, so it floors: a
+// window wider than the padded input yields a non-positive length, not 1.
+func (w Window1D) OutSize(l int) int {
+	o, _ := tensor.ConvParams{KH: w.K, KW: 1, SH: w.S, SW: 1, Pad: tensor.Pad2D{Top: w.Pb, Bottom: w.Pe}}.OutSize(l, 1)
+	return o
+}
 
 // LowerBound is Equation 1: the smallest legal input split point for
 // output split point o — right before the first element of the window

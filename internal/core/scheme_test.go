@@ -254,19 +254,31 @@ func TestStochasticSchemeSmallDims(t *testing.T) {
 }
 
 func TestSchemeValidate(t *testing.T) {
+	// A row with a window checks the output scheme s that InputScheme
+	// derives over input length l instead: it must fit the window's
+	// output length.
 	cases := []struct {
 		s  Scheme
 		l  int
 		ok bool
+		w  *Window1D
 	}{
-		{Scheme{0}, 5, true},
-		{Scheme{0, 2, 4}, 5, true},
-		{Scheme{1, 2}, 5, false},
-		{Scheme{0, 2, 2}, 5, false},
-		{Scheme{0, 5}, 5, false},
-		{Scheme{}, 5, false},
+		{Scheme{0}, 5, true, nil},
+		{Scheme{0, 2, 4}, 5, true, nil},
+		{Scheme{1, 2}, 5, false, nil},
+		{Scheme{0, 2, 2}, 5, false, nil},
+		{Scheme{0, 5}, 5, false, nil},
+		{Scheme{}, 5, false, nil},
+		// A 3-wide stride-2 window does not fit length 2: no output.
+		{Scheme{0}, 2, false, &Window1D{K: 3, S: 2}},
 	}
 	for _, c := range cases {
+		if c.w != nil {
+			if in, err := InputScheme(c.s, *c.w, c.l, PolicyMidpoint); (err == nil) != c.ok {
+				t.Fatalf("InputScheme(%v, %+v, %d) = %v, err=%v want ok=%v", c.s, *c.w, c.l, in, err, c.ok)
+			}
+			continue
+		}
 		if err := c.s.Validate(c.l); (err == nil) != c.ok {
 			t.Fatalf("Validate(%v, %d): err=%v want ok=%v", c.s, c.l, err, c.ok)
 		}

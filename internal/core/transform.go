@@ -70,10 +70,6 @@ type spatialScheme struct {
 	h, w Scheme
 }
 
-func (s *spatialScheme) equal(o *spatialScheme) bool {
-	return s.h.Equal(o.h) && s.w.Equal(o.w)
-}
-
 // Split transforms a regular CNN computation graph into a Split-CNN
 // (§3): the first cfg.Depth fraction of convolution layers (plus the
 // window/pointwise operations between them) is re-instantiated once per

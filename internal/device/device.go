@@ -173,15 +173,6 @@ type Trace struct {
 	ComputeBusy float64
 }
 
-// Emit replays the completed timeline into a trace recorder, one lane
-// per stream — the post-hoc counterpart of setting Device.Recorder
-// before Run.
-func (t *Trace) Emit(rec trace.Recorder) {
-	for _, sp := range t.Spans {
-		rec.Span(StreamName(sp.Stream), sp.Label, sp.Start, sp.End)
-	}
-}
-
 // linkRequest is a stream whose head item is a copy, ready to start at
 // ready once the link is granted to it.
 type linkRequest struct {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/serve"
 )
 
@@ -232,7 +233,7 @@ func TestRouterCapacity429(t *testing.T) {
 func TestRouterIntrospection(t *testing.T) {
 	spec := testSpec("resnet18")
 	rt, _, base := startFleet(t, spec, 2, WorkerConfig{},
-		RouterOptions{RequestTimeout: 10 * time.Second, TraceSample: 1})
+		RouterOptions{RequestTimeout: 10 * time.Second, Debug: debugz.Options{TraceSample: 1}})
 
 	img := make([]float32, 3*spec.Model.InputH*spec.Model.InputW)
 	if status, _, msg := postPredict(t, base, serve.PredictRequest{Image: img}); status != http.StatusOK {

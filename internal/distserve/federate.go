@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/trace"
 )
 
@@ -200,7 +201,7 @@ func (rt *Router) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		trace.WritePrometheusParts(w, parts)
 	case "json":
-		writeJSON(w, http.StatusOK, view)
+		debugz.WriteJSON(w, http.StatusOK, view)
 	default:
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		renderClusterHTML(w, view)

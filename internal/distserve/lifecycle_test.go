@@ -1,9 +1,11 @@
 package distserve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/rpc"
 	"runtime"
@@ -239,4 +241,61 @@ func TestEarlyRejectionFailsPartner(t *testing.T) {
 	if err := <-busy; err != nil {
 		t.Fatalf("the request occupying A: %v", err)
 	}
+}
+
+// settleGoroutines fails t unless the goroutine count falls back to
+// baseline within 2s.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	limit := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(limit) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the failed start, %d before\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestWorkerFailedStartLeaksNothing: a worker whose debug address is
+// taken fails to start and leaves no background goroutine running.
+func TestWorkerFailedStartLeaksNothing(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	baseline := runtime.NumGoroutine()
+	w, err := StartWorker("127.0.0.1:0", WorkerConfig{Spec: testSpec("vgg16"), DebugAddr: taken.Addr().String()})
+	if err == nil {
+		w.Close()
+		t.Fatal("worker started on a taken debug address")
+	}
+	settleGoroutines(t, baseline)
+}
+
+// TestRouterFailedStartLeaksNothing: a router whose address is taken
+// fails to start and leaves no health loop or worker connection behind.
+func TestRouterFailedStartLeaksNothing(t *testing.T) {
+	spec := testSpec("vgg16")
+	w, err := StartWorker("127.0.0.1:0", WorkerConfig{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	rt, err := NewRouter(RouterOptions{Spec: spec, Workers: []string{w.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background())
+	baseline := runtime.NumGoroutine()
+	if _, err := rt.Start(taken.Addr().String()); err == nil {
+		t.Fatal("router started on a taken address")
+	}
+	settleGoroutines(t, baseline)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/trace"
 )
@@ -27,7 +28,7 @@ func TestStitchedTraceE2E(t *testing.T) {
 		img[i] = rng.Float32()
 	}
 	rt, workers, base := startFleet(t, spec, 4, WorkerConfig{},
-		RouterOptions{RequestTimeout: 30 * time.Second, TraceSample: 1})
+		RouterOptions{RequestTimeout: 30 * time.Second, Debug: debugz.Options{TraceSample: 1}})
 	if len(workers) != 4 {
 		t.Fatal("fleet size")
 	}
@@ -236,7 +237,7 @@ func TestClusterzScrapeRace(t *testing.T) {
 		img[i] = rng.Float32()
 	}
 	_, _, base := startFleet(t, spec, 2,
-		WorkerConfig{MaxPods: 8}, RouterOptions{RequestTimeout: 30 * time.Second, TraceSample: 1, SLO: "p99=1s,err=1%"})
+		WorkerConfig{MaxPods: 8}, RouterOptions{RequestTimeout: 30 * time.Second, Debug: debugz.Options{TraceSample: 1}, SLO: "p99=1s,err=1%"})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

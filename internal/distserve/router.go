@@ -2,7 +2,6 @@ package distserve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -16,9 +15,9 @@ import (
 	"time"
 
 	"splitcnn/internal/buildinfo"
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/dist"
 	"splitcnn/internal/graph"
-	"splitcnn/internal/memobs"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/snapshot"
 	"splitcnn/internal/tensor"
@@ -41,17 +40,11 @@ type RouterOptions struct {
 	Workers []string
 	// MaxShards caps gang width per request (0 = len(Workers)).
 	MaxShards int
-	// TailExecutors sizes the pool of graph-tail executors gathering
-	// shard results into logits (default 2).
-	TailExecutors int
 	// RequestTimeout bounds queue+scatter+gather+tail (default 2s); a
 	// request's timeout_ms may shorten it.
 	RequestTimeout time.Duration
 	// HealthInterval paces the health-check loop (default 1s).
 	HealthInterval time.Duration
-	// FailThreshold consecutive health failures eject a worker
-	// (default 2); one success re-admits it.
-	FailThreshold int
 	// Retries is how many times a failed gang is re-dispatched on the
 	// remaining healthy replicas (default 2).
 	Retries int
@@ -59,29 +52,23 @@ type RouterOptions struct {
 	Metrics *trace.Metrics
 	// Logger receives request/lifecycle logs (nil discards).
 	Logger *slog.Logger
-	// TraceSample in (0,1] samples request-scoped wall spans
-	// (scatter/shard/gather/tail), exposed at /tracez. Sampled requests
-	// additionally harvest worker-side spans into one stitched,
-	// skew-corrected timeline with a row per process.
-	TraceSample float64
-	TraceSeed   int64
 	// SLO declares latency/error objectives in flag syntax
 	// ("p99=50ms,err=0.1%"); when set, multi-window burn-rate gauges
 	// (slo.*) appear on /metricsz. Empty = no SLO tracking.
 	SLO string
-	// ClockProbes is how many Shard.Clock round trips each skew refresh
-	// uses (default 3; the min-RTT sample wins).
-	ClockProbes int
-	// RuntimeMetricsInterval, when positive, runs a background sampler
-	// feeding runtime.* gauges (heap, GC, goroutines) into the registry.
-	RuntimeMetricsInterval time.Duration
-	// NoProfiler disables the continuous profiler behind /profilez.
-	NoProfiler bool
-	// ProfileWindow/ProfileEvery override the profiler's capture window
-	// and duty-cycle period (defaults 1s / 15s).
-	ProfileWindow time.Duration
-	ProfileEvery  time.Duration
+	// Debug tunes the debug surface; the continuous profiler always
+	// runs. Sampled requests record scatter/shard/gather/tail spans and
+	// harvest worker-side spans into one stitched, skew-corrected
+	// timeline with a row per process.
+	Debug debugz.Options
 }
+
+// Fixed router parameters.
+const (
+	tailExecutors = 2 // graph-tail executors gathering shard results into logits
+	failThreshold = 2 // consecutive health failures that eject a worker; one success re-admits it
+	clockProbes   = 3 // Shard.Clock round trips per skew refresh; the min-RTT sample wins
+)
 
 // workerState is the router's view of one replica.
 type workerState struct {
@@ -140,22 +127,18 @@ type Router struct {
 
 	met    *trace.Metrics
 	log    *slog.Logger
+	dbg    *debugz.Surface
 	tracer *trace.WallTracer
 	slo    *trace.SLOTracker
 
 	mu      sync.Mutex
 	workers []*workerState
 
-	reqID   atomic.Uint64
-	started time.Time
+	reqID atomic.Uint64
 
 	http     *http.Server
-	listener net.Listener
 	stop     chan struct{}
 	draining atomic.Bool
-
-	sampler *trace.RuntimeSampler
-	prof    *memobs.Profiler
 }
 
 // tailExec owns one executor for the graph remainder. All tail
@@ -181,9 +164,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = time.Second
 	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = 2
-	}
 	if opts.Retries < 0 {
 		opts.Retries = 0
 	} else if opts.Retries == 0 {
@@ -191,9 +171,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	if opts.MaxShards <= 0 || opts.MaxShards > len(opts.Workers) {
 		opts.MaxShards = len(opts.Workers)
-	}
-	if opts.TailExecutors <= 0 {
-		opts.TailExecutors = 2
 	}
 	spec := opts.Spec
 	spec.MaxBatch = 1
@@ -220,16 +197,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		plan: plan, sig: plan.Signature(fp), opts: opts,
 		pool:  dist.NewClientPool(),
-		tails: make(chan *tailExec, opts.TailExecutors),
+		tails: make(chan *tailExec, tailExecutors),
 		met:   met, log: logger,
 		stop: make(chan struct{}),
-	}
-	if opts.TraceSample > 0 {
-		seed := opts.TraceSeed
-		if seed == 0 {
-			seed = 1
-		}
-		rt.tracer = trace.NewWallTracer(opts.TraceSample, seed)
 	}
 	if opts.SLO != "" {
 		slo, err := trace.ParseSLO(opts.SLO)
@@ -238,7 +208,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		rt.slo = trace.NewSLOTracker(slo)
 	}
-	for i := 0; i < opts.TailExecutors; i++ {
+	for i := 0; i < tailExecutors; i++ {
 		ex, err := graph.NewExecutor(m.Graph, store)
 		if err != nil {
 			return nil, err
@@ -250,14 +220,21 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.workers = append(rt.workers, &workerState{addr: addr, maxPods: 1})
 	}
 	mux := http.NewServeMux()
+	rt.dbg = debugz.Mount(mux, debugz.Config{
+		Options: opts.Debug, Metrics: met, Profile: true,
+		Health: rt.health, Quantiles: []string{"serve.latency"},
+		Refresh: func(m *trace.Metrics) {
+			rt.slo.Publish(m)
+			if rt.tracer != nil {
+				m.Gauge("trace.dropped_spans").Set(float64(rt.tracer.DroppedSpans()))
+			}
+		},
+	})
+	rt.tracer = rt.dbg.Tracer()
 	mux.HandleFunc("/v1/predict", rt.handlePredict)
 	mux.HandleFunc("/v1/models", rt.handleModels)
 	mux.HandleFunc("/v1/workers", rt.handleWorkers)
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/metricsz", rt.handleMetricsz)
-	mux.HandleFunc("/tracez", rt.handleTracez)
 	mux.HandleFunc("/clusterz", rt.handleClusterz)
-	mux.HandleFunc("/profilez", rt.handleProfilez)
 	rt.http = &http.Server{Handler: mux}
 	return rt, nil
 }
@@ -271,26 +248,18 @@ func (rt *Router) Metrics() *trace.Metrics { return rt.met }
 // Tracer returns the request tracer (nil unless TraceSample>0).
 func (rt *Router) Tracer() *trace.WallTracer { return rt.tracer }
 
-// Start probes every worker once (synchronously, so a ready fleet is
-// dispatchable from the first request), starts the health loop, and
-// serves HTTP on addr.
+// Start binds addr, probes every worker once (synchronously, so a
+// ready fleet is dispatchable from the first request), starts the
+// health loop, and serves HTTP. An address it cannot bind fails the
+// start before any of that begins.
 func (rt *Router) Start(addr string) (net.Addr, error) {
-	rt.checkAll()
-	go rt.healthLoop()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	rt.listener = ln
-	rt.started = time.Now()
-	if iv := rt.opts.RuntimeMetricsInterval; iv > 0 {
-		rt.sampler = trace.StartRuntimeSampler(rt.met, iv)
-	}
-	if !rt.opts.NoProfiler {
-		rt.prof = memobs.StartProfiler(memobs.ProfilerOptions{
-			Window: rt.opts.ProfileWindow, Every: rt.opts.ProfileEvery, Metrics: rt.met,
-		})
-	}
+	rt.checkAll()
+	go rt.healthLoop()
+	rt.dbg.Start()
 	go rt.http.Serve(ln)
 	rt.log.Info("dist.router.start", "addr", ln.Addr().String(),
 		"workers", rt.opts.Workers, "max_shards", rt.opts.MaxShards,
@@ -303,8 +272,7 @@ func (rt *Router) Start(addr string) (net.Addr, error) {
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.draining.Store(true)
 	close(rt.stop)
-	rt.sampler.Stop()
-	rt.prof.Stop()
+	rt.dbg.Stop()
 	err := rt.http.Shutdown(ctx)
 	rt.pool.Close()
 	rt.log.Info("dist.router.stop", "requests", rt.met.Counter("dist.requests").Value())
@@ -312,7 +280,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 }
 
 // healthLoop probes every worker each interval, ejecting after
-// FailThreshold consecutive failures and re-admitting on success.
+// failThreshold consecutive failures and re-admitting on success.
 func (rt *Router) healthLoop() {
 	t := time.NewTicker(rt.opts.HealthInterval)
 	defer t.Stop()
@@ -336,15 +304,19 @@ func (rt *Router) checkAll() {
 		}(ws)
 	}
 	wg.Wait()
-	healthy := 0
+	rt.met.Gauge("dist.workers_healthy").Set(float64(rt.healthyWorkers()))
+}
+
+func (rt *Router) healthyWorkers() int {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	n := 0
 	for _, ws := range rt.workers {
 		if ws.healthy {
-			healthy++
+			n++
 		}
 	}
-	rt.mu.Unlock()
-	rt.met.Gauge("dist.workers_healthy").Set(float64(healthy))
+	return n
 }
 
 func (rt *Router) checkOne(ws *workerState) {
@@ -363,7 +335,7 @@ func (rt *Router) checkOne(ws *workerState) {
 	if err != nil {
 		ws.fails++
 		ws.lastErr = err.Error()
-		if ws.healthy && ws.fails >= rt.opts.FailThreshold {
+		if ws.healthy && ws.fails >= failThreshold {
 			ws.healthy = false
 			ws.ejected = time.Now()
 			rt.met.Counter("dist.ejections").Add(1)
@@ -387,14 +359,10 @@ func (rt *Router) checkOne(ws *workerState) {
 	}
 }
 
-// probeClock refreshes one worker's clock-skew estimate: ClockProbes
+// probeClock refreshes one worker's clock-skew estimate: clockProbes
 // Shard.Clock round trips, min-RTT sample wins (dist.EstimateSkew).
 func (rt *Router) probeClock(addr string) (dist.SkewEstimate, bool) {
-	probes := rt.opts.ClockProbes
-	if probes <= 0 {
-		probes = 3
-	}
-	est, err := dist.EstimateSkew(probes, func() (time.Time, error) {
+	est, err := dist.EstimateSkew(clockProbes, func() (time.Time, error) {
 		var cr ClockReply
 		if err := rt.pool.Call(addr, "Shard.Clock", &ClockArgs{}, &cr, rt.opts.HealthInterval); err != nil {
 			return time.Time{}, err
@@ -411,7 +379,7 @@ func (rt *Router) probeClock(addr string) (dist.SkewEstimate, bool) {
 func (rt *Router) ejectNow(ws *workerState, err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ws.fails = rt.opts.FailThreshold
+	ws.fails = failThreshold
 	ws.lastErr = err.Error()
 	if ws.healthy {
 		ws.healthy = false
@@ -730,16 +698,6 @@ func (rt *Router) recordStitched(sc *trace.SpanContext, procs []ProcessSpans) {
 	ExportStitched(rt.tracer, sc.ID(), spans)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // handlePredict mirrors the single-process server's /v1/predict
 // contract (serve.PredictRequest/PredictResponse): the body goes
 // through the same serve.DecodePredict, a wrong image length is 400,
@@ -747,11 +705,11 @@ type errorResponse struct {
 // BatchSize reports the gang width that answered.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
+		debugz.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"draining"})
+		debugz.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	start := time.Now()
@@ -767,7 +725,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	fail := func(code int, msg string) {
 		status = code
 		rt.met.Counter("dist.request_errors").Add(1)
-		writeJSON(w, code, errorResponse{msg})
+		debugz.WriteError(w, code, msg)
 		rt.tracer.Finish(sc)
 	}
 	p := rt.plan
@@ -820,7 +778,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	status = http.StatusOK
 	respondStart := time.Now()
-	writeJSON(w, http.StatusOK, serve.PredictResponse{
+	debugz.WriteJSON(w, http.StatusOK, serve.PredictResponse{
 		Model:     rt.opts.Spec.Name,
 		Argmax:    argmax,
 		Logits:    logits,
@@ -837,7 +795,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, []serve.ModelInfo{{
+	debugz.WriteJSON(w, http.StatusOK, []serve.ModelInfo{{
 		Name:     rt.opts.Spec.Name,
 		Input:    [3]int{rt.plan.InC, rt.plan.InH, rt.plan.InW},
 		Classes:  rt.plan.Classes,
@@ -866,71 +824,24 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 		infos = append(infos, info)
 	}
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, infos)
+	debugz.WriteJSON(w, http.StatusOK, infos)
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	type health struct {
-		Status string `json:"status"`
-		buildinfo.Info
-		Workers       int     `json:"workers"`
-		Healthy       int     `json:"healthy_workers"`
-		Stages        int     `json:"shard_stages"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	rt.mu.Lock()
-	healthy := 0
-	for _, ws := range rt.workers {
-		if ws.healthy {
-			healthy++
-		}
-	}
-	total := len(rt.workers)
-	rt.mu.Unlock()
-	resp := health{Status: "ok", Info: buildinfo.Get(),
-		Workers: total, Healthy: healthy, Stages: len(rt.plan.Stages)}
-	if !rt.started.IsZero() {
-		resp.UptimeSeconds = time.Since(rt.started).Seconds()
-	}
+// health is the router's /healthz verdict: the worker census, and 503
+// while draining or when no worker is healthy.
+func (rt *Router) health(h debugz.Health) (int, any) {
+	healthy := rt.healthyWorkers()
 	code := http.StatusOK
 	switch {
 	case rt.draining.Load():
-		resp.Status = "draining"
-		code = http.StatusServiceUnavailable
+		h.Status, code = "draining", http.StatusServiceUnavailable
 	case healthy == 0:
-		resp.Status = "no healthy workers"
-		code = http.StatusServiceUnavailable
+		h.Status, code = "no healthy workers", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
-}
-
-func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	trace.MetricsHandler(rt.met, func(m *trace.Metrics) {
-		lat := m.Histogram("serve.latency_seconds", trace.LatencyBuckets)
-		m.Gauge("serve.latency_p50_seconds").Set(lat.Quantile(0.5))
-		m.Gauge("serve.latency_p99_seconds").Set(lat.Quantile(0.99))
-		rt.slo.Publish(m)
-		if rt.tracer != nil {
-			m.Gauge("trace.dropped_spans").Set(float64(rt.tracer.DroppedSpans()))
-		}
-	})(w, r)
-}
-
-func (rt *Router) handleProfilez(w http.ResponseWriter, r *http.Request) {
-	if rt.prof == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			"continuous profiling disabled (NoProfiler set)"})
-		return
-	}
-	memobs.Handler(rt.prof, nil)(w, r)
-}
-
-func (rt *Router) handleTracez(w http.ResponseWriter, _ *http.Request) {
-	if rt.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			"request tracing disabled (start with a trace sample rate > 0)"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	rt.tracer.Trace().WriteJSON(w)
+	return code, struct {
+		debugz.Health
+		Workers int `json:"workers"`
+		Healthy int `json:"healthy_workers"`
+		Stages  int `json:"shard_stages"`
+	}{h, len(rt.workers), healthy, len(rt.plan.Stages)}
 }

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"splitcnn/internal/buildinfo"
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/dist"
-	"splitcnn/internal/memobs"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/snapshot"
 	"splitcnn/internal/tensor"
@@ -41,24 +41,19 @@ type WorkerConfig struct {
 	Metrics *trace.Metrics
 	// Logger receives lifecycle/request logs (nil discards).
 	Logger *slog.Logger
-	// TraceSample in (0,1] records per-stage wall spans for that
-	// fraction of shard evaluations (exposed via Tracer).
-	TraceSample float64
 	// StageDelay is a testing aid: every stage evaluation sleeps this
 	// long, making capacity and deadline windows deterministic.
 	StageDelay time.Duration
-	// RuntimeMetricsInterval tunes the runtime.* gauge sampler feeding
-	// per-worker heap/GC series into the registry the router federates
-	// on /clusterz. Zero selects the 10s default; negative disables.
-	RuntimeMetricsInterval time.Duration
-	// DebugAddr, when set (e.g. "127.0.0.1:0"), serves an HTTP debug
-	// surface — /healthz, /metricsz, /profilez — next to the RPC
-	// listener, and starts the continuous profiler behind /profilez.
+	// DebugAddr, when set (e.g. "127.0.0.1:0"), serves the debug
+	// surface (debugz) next to the RPC listener, and starts the
+	// continuous profiler behind its /profilez.
 	DebugAddr string
-	// ProfileWindow/ProfileEvery override the profiler's capture window
-	// and duty-cycle period (defaults 1s / 15s; used with DebugAddr).
-	ProfileWindow time.Duration
-	ProfileEvery  time.Duration
+	// Debug tunes the debug surface. Sampled shard evaluations record
+	// per-stage wall spans, served on /tracez with DebugAddr. The
+	// runtime.* sampler feeds per-worker heap/GC series into the
+	// registry the router federates on /clusterz: its zero interval
+	// selects 10s, a negative one disables it.
+	Debug debugz.Options
 }
 
 // Worker is one shard-evaluation process: it materializes the model,
@@ -90,19 +85,16 @@ type Worker struct {
 	resident                         int64
 	exchReqs, exchBytes, exchBytesHW *trace.Gauge
 
-	log     *slog.Logger
-	tracer  *trace.WallTracer
-	delay   time.Duration
-	started time.Time
+	log    *slog.Logger
+	tracer *trace.WallTracer
+	delay  time.Duration
 
 	ln   net.Listener
 	srv  *rpc.Server
 	stop chan struct{}
 
-	sampler *trace.RuntimeSampler
-	prof    *memobs.Profiler
-	dbgLn   net.Listener
-	dbgSrv  *http.Server
+	dbg   *debugz.Surface
+	dbgLn net.Listener
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -156,14 +148,11 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		pool: dist.NewClientPool(), exch: dist.NewExchange(),
 		bank:    newSpanBank(0),
 		maxPods: maxPods, met: met, log: logger,
-		delay: cfg.StageDelay, started: time.Now(),
-		stop: make(chan struct{}), conns: make(map[net.Conn]struct{}),
+		delay: cfg.StageDelay,
+		stop:  make(chan struct{}), conns: make(map[net.Conn]struct{}),
 		exchReqs:    met.Gauge("dist.worker.exchange_requests"),
 		exchBytes:   met.Gauge("dist.worker.exchange_resident_bytes"),
 		exchBytesHW: met.Gauge("dist.worker.exchange_resident_bytes_high_water"),
-	}
-	if cfg.TraceSample > 0 {
-		w.tracer = trace.NewWallTracer(cfg.TraceSample, 1)
 	}
 	w.srv = rpc.NewServer()
 	if err := w.srv.RegisterName("Shard", &shardService{w}); err != nil {
@@ -174,34 +163,34 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	w.ln = ln
-	// Per-worker runtime.* gauges: Shard.Metrics ships the registry
-	// snapshot to the router, so the sampler's heap/GC series federate
-	// on /clusterz without any extra wiring.
-	if iv := cfg.RuntimeMetricsInterval; iv >= 0 {
-		if iv == 0 {
-			iv = 10 * time.Second
-		}
-		w.sampler = trace.StartRuntimeSampler(met, iv)
-	}
+	var mux *http.ServeMux
 	if cfg.DebugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.DebugAddr)
-		if err != nil {
+		if w.dbgLn, err = net.Listen("tcp", cfg.DebugAddr); err != nil {
 			ln.Close()
 			return nil, fmt.Errorf("distserve: worker debug listener: %w", err)
 		}
-		w.dbgLn = dln
-		w.prof = memobs.StartProfiler(memobs.ProfilerOptions{
-			Window: cfg.ProfileWindow, Every: cfg.ProfileEvery, Metrics: met,
-		})
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", func(hw http.ResponseWriter, _ *http.Request) {
-			hw.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(hw, `{"status":"ok","addr":%q}`, w.ln.Addr().String())
-		})
-		mux.HandleFunc("/metricsz", trace.MetricsHandler(met, nil))
-		mux.HandleFunc("/profilez", memobs.Handler(w.prof, nil))
-		w.dbgSrv = &http.Server{Handler: mux}
-		go w.dbgSrv.Serve(dln) //nolint:errcheck
+		mux = http.NewServeMux()
+	}
+	// Per-worker runtime.* gauges: Shard.Metrics ships the registry
+	// snapshot to the router, so the sampler's heap/GC series federate
+	// on /clusterz without any extra wiring.
+	dbg := cfg.Debug
+	if dbg.RuntimeMetricsInterval == 0 {
+		dbg.RuntimeMetricsInterval = 10 * time.Second
+	}
+	w.dbg = debugz.Mount(mux, debugz.Config{
+		Options: dbg, Metrics: met, Profile: mux != nil,
+		Health: func(h debugz.Health) (int, any) {
+			return http.StatusOK, struct {
+				debugz.Health
+				Addr string `json:"addr"`
+			}{h, w.Addr()}
+		},
+	})
+	w.tracer = w.dbg.Tracer()
+	w.dbg.Start()
+	if mux != nil {
+		go http.Serve(w.dbgLn, mux) //nolint:errcheck
 	}
 	go w.acceptLoop()
 	go w.janitor()
@@ -230,9 +219,6 @@ func (w *Worker) Signature() string { return w.sig }
 // Metrics returns the worker's metrics registry.
 func (w *Worker) Metrics() *trace.Metrics { return w.met }
 
-// Tracer returns the per-stage wall tracer (nil unless TraceSample>0).
-func (w *Worker) Tracer() *trace.WallTracer { return w.tracer }
-
 // Close simulates an abrupt worker death for the failure tests and
 // implements graceful stop: the listener and every open connection are
 // closed, pending exchange waiters fail fast.
@@ -243,8 +229,7 @@ func (w *Worker) Close() error {
 	default:
 	}
 	close(w.stop)
-	w.sampler.Stop()
-	w.prof.Stop()
+	w.dbg.Stop()
 	if w.dbgLn != nil {
 		w.dbgLn.Close()
 	}
@@ -353,7 +338,7 @@ func (s *shardService) Health(_ *HealthArgs, reply *HealthReply) error {
 		Requests:     w.requests.Load(),
 		HaloRequests: w.haloReqs.Load(),
 		HaloBytes:    w.haloBts.Load(),
-		UptimeSec:    time.Since(w.started).Seconds(),
+		UptimeSec:    w.dbg.Uptime().Seconds(),
 		Build:        buildinfo.Get(),
 	}
 	return nil

@@ -69,12 +69,6 @@ type Options struct {
 	TraceDir string
 }
 
-// DefaultOptions returns Standard scale on the paper's P100 testbed,
-// printing to stdout.
-func DefaultOptions() Options {
-	return Options{Scale: Standard, Device: costmodel.P100(), Out: os.Stdout}
-}
-
 func (o *Options) fill() {
 	if o.Out == nil {
 		o.Out = os.Stdout

@@ -748,6 +748,3 @@ func (p *CompiledProgram) Steps() int { return len(p.passes[p.batch].steps) }
 // Arena returns the scratch arena kernels draw transient workspace
 // from; its high-water mark bounds the compiled path's scratch usage.
 func (p *CompiledProgram) Arena() *tensor.Arena { return p.scratch }
-
-// Graph returns the source graph.
-func (p *CompiledProgram) Graph() *Graph { return p.g }

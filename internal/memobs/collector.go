@@ -121,10 +121,3 @@ func (c *Collector) LastPassPeak() int64 {
 	defer c.mu.Unlock()
 	return c.lastPk
 }
-
-// Passes returns the number of completed passes.
-func (c *Collector) Passes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.passes
-}

@@ -27,11 +27,12 @@ type ProfilerOptions struct {
 	// profile ~6.7% of wall time at ~1-3% capture cost, well under the
 	// 3% end-to-end budget.
 	Every time.Duration
-	// TopN caps the per-function tables (default 30).
-	TopN int
 	// Metrics receives profilez.* instruments (nil = none).
 	Metrics *trace.Metrics
 }
+
+// topFuncs caps the per-function tables.
+const topFuncs = 30
 
 // OpCost is one graph op's attributed cost within a profile window.
 type OpCost struct {
@@ -87,9 +88,6 @@ func StartProfiler(opts ProfilerOptions) *Profiler {
 	}
 	if opts.Every < opts.Window {
 		opts.Every = opts.Window
-	}
-	if opts.TopN <= 0 {
-		opts.TopN = 30
 	}
 	p := &Profiler{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
 	go p.loop()
@@ -165,7 +163,7 @@ func (p *Profiler) capture() {
 	if hp := pprof.Lookup("heap"); hp != nil {
 		hp.WriteTo(&heapBuf, 0) //nolint:errcheck — best effort
 	}
-	rep, err := buildReport(cpuBuf.Bytes(), heapBuf.Bytes(), p.opts.Window, p.opts.TopN)
+	rep, err := buildReport(cpuBuf.Bytes(), heapBuf.Bytes(), p.opts.Window, topFuncs)
 	if err != nil {
 		if met != nil {
 			met.Counter("profilez.parse_errors").Add(1)

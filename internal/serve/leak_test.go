@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/trace"
 )
@@ -27,11 +28,11 @@ func TestArenaLeakCanary(t *testing.T) {
 		t.Fatalf("registry: %v", err)
 	}
 	srv := serve.NewServer(reg, serve.Options{
-		QueueDepth:             256,
-		RequestTimeout:         30 * time.Second,
-		Metrics:                met,
-		RuntimeMetricsInterval: 10 * time.Millisecond,
-		NoProfiler:             true,
+		QueueDepth:     256,
+		RequestTimeout: 30 * time.Second,
+		Metrics:        met,
+		Debug:          debugz.Options{RuntimeMetricsInterval: 10 * time.Millisecond},
+		NoProfiler:     true,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

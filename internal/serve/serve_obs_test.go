@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/serve"
 	"splitcnn/internal/trace"
 )
@@ -66,7 +67,7 @@ func postPredict(t *testing.T, base string, img []float32) serve.PredictResponse
 func TestServeRequestTracing(t *testing.T) {
 	srv, base, imageLen := startObsServer(t, serve.Options{
 		RequestTimeout: 30 * time.Second,
-		TraceSample:    1.0,
+		Debug:          debugz.Options{TraceSample: 1.0},
 	})
 
 	const n = 8
@@ -263,7 +264,7 @@ func TestServeMetricszNegotiation(t *testing.T) {
 func TestServeMetricszConcurrentScrapes(t *testing.T) {
 	_, base, imageLen := startObsServer(t, serve.Options{
 		RequestTimeout: 10 * time.Second,
-		TraceSample:    0.5,
+		Debug:          debugz.Options{TraceSample: 0.5},
 	})
 
 	stop := make(chan struct{})
@@ -364,8 +365,8 @@ func TestServePprofGate(t *testing.T) {
 // and aggregate arena.* gauges into the server registry.
 func TestServeRuntimeMetrics(t *testing.T) {
 	srv, _, _ := startObsServer(t, serve.Options{
-		RequestTimeout:         10 * time.Second,
-		RuntimeMetricsInterval: 20 * time.Millisecond,
+		RequestTimeout: 10 * time.Second,
+		Debug:          debugz.Options{RuntimeMetricsInterval: 20 * time.Millisecond},
 	})
 	// The first sample is synchronous with Start, so the gauges are
 	// already populated.

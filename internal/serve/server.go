@@ -2,18 +2,17 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"splitcnn/internal/buildinfo"
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/memobs"
 	"splitcnn/internal/tensor"
 	"splitcnn/internal/trace"
@@ -34,50 +33,36 @@ type Options struct {
 	// discards them — the library stays silent unless its owner opts in
 	// (the serve command installs a text or JSON handler via -logjson).
 	Logger *slog.Logger
-	// TraceSample in (0, 1] enables request-scoped wall-clock tracing:
-	// that fraction of /v1/predict requests record their
-	// admission/queue/batch/forward/respond stage spans into a Chrome
-	// trace, exposed at /tracez and via Tracer(). 0 disables tracing.
-	TraceSample float64
-	// TraceSeed fixes the sampling sequence (0 selects seed 1); tests
-	// use it to make fractional sampling deterministic.
-	TraceSeed int64
+	// Debug tunes the debug surface. Sampled /v1/predict requests
+	// record their admission/queue/batch/forward/respond stage spans
+	// (see Tracer); the runtime sampler also feeds arena.* occupancy
+	// gauges and the instances' memory timelines.
+	Debug debugz.Options
 	// EnablePprof mounts the stdlib net/http/pprof handlers under
 	// /debug/pprof/ on the serve mux.
 	EnablePprof bool
-	// RuntimeMetricsInterval, when positive, runs a background sampler
-	// feeding runtime.* gauges (heap, GC, goroutines) and arena.*
-	// occupancy gauges into the registry on that interval.
-	RuntimeMetricsInterval time.Duration
 	// NoProfiler disables the continuous profiler (on by default: a
 	// windowed in-process pprof CPU+heap sampler feeding /profilez).
 	NoProfiler bool
-	// ProfileWindow/ProfileEvery override the profiler's capture window
-	// and duty-cycle period (defaults 1s / 15s).
-	ProfileWindow time.Duration
-	ProfileEvery  time.Duration
 }
 
 // Server is the HTTP inference front end: one dynamic batcher per
-// registered model behind /v1/predict, plus /v1/models, /healthz,
-// /metricsz, /tracez and (opt-in) /debug/pprof.
+// registered model behind /v1/predict, plus /v1/models and the debug
+// surface (debugz).
 type Server struct {
 	reg      *Registry
 	opts     Options
 	met      *trace.Metrics
 	log      *slog.Logger
+	dbg      *debugz.Surface
 	tracer   *trace.WallTracer
 	batchers map[string]*Batcher
 	// imageLen is the largest registered model's image length: it
 	// bounds every /v1/predict body (MaxPredictBody).
 	imageLen int
 	reqID    atomic.Uint64
-	started  time.Time
 
-	http     *http.Server
-	listener net.Listener
-	sampler  *trace.RuntimeSampler
-	prof     *memobs.Profiler
+	http *http.Server
 
 	mu       sync.Mutex
 	draining bool
@@ -98,13 +83,21 @@ func NewServer(reg *Registry, opts Options) *Server {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{reg: reg, opts: opts, met: met, log: logger, batchers: make(map[string]*Batcher)}
-	if opts.TraceSample > 0 {
-		seed := opts.TraceSeed
-		if seed == 0 {
-			seed = 1
-		}
-		s.tracer = trace.NewWallTracer(opts.TraceSample, seed)
-	}
+	mux := http.NewServeMux()
+	s.dbg = debugz.Mount(mux, debugz.Config{
+		Options: opts.Debug, Metrics: met,
+		Pprof: opts.EnablePprof, Profile: !opts.NoProfiler,
+		Health:    s.health,
+		Quantiles: []string{"serve.latency"},
+		Sample: func(reg *trace.Metrics) {
+			s.arenaStats().Record("arena", reg)
+			for _, tl := range s.timelines() {
+				tl.Record(reg)
+			}
+		},
+		Timelines: s.timelines,
+	})
+	s.tracer = s.dbg.Tracer()
 	for _, name := range reg.Names() {
 		inst, _ := reg.Lookup(name)
 		s.imageLen = max(s.imageLen, inst.ImageLen())
@@ -114,22 +107,23 @@ func NewServer(reg *Registry, opts Options) *Server {
 			Tracer:     s.tracer,
 		})
 	}
-	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", s.handlePredict)
 	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metricsz", s.handleMetricsz)
-	mux.HandleFunc("/tracez", s.handleTracez)
-	mux.HandleFunc("/profilez", s.handleProfilez)
-	if opts.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	s.http = &http.Server{Handler: mux}
 	return s
+}
+
+// timelines lists the measured memory timelines of the registered
+// instances that keep one.
+func (s *Server) timelines() []*memobs.MemTimeline {
+	var out []*memobs.MemTimeline
+	for _, name := range s.reg.Names() {
+		inst, _ := s.reg.Lookup(name)
+		if inst.Mem != nil {
+			out = append(out, inst.Mem.Timeline())
+		}
+	}
+	return out
 }
 
 // arenaStats aggregates executor-arena occupancy across the registry's
@@ -150,28 +144,11 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.listener = ln
-	s.started = time.Now()
-	if iv := s.opts.RuntimeMetricsInterval; iv > 0 {
-		s.sampler = trace.StartRuntimeSampler(s.met, iv, func(reg *trace.Metrics) {
-			s.arenaStats().Record("arena", reg)
-			for _, name := range s.reg.Names() {
-				inst, _ := s.reg.Lookup(name)
-				if inst.Mem != nil {
-					inst.Mem.Timeline().Record(reg)
-				}
-			}
-		})
-	}
-	if !s.opts.NoProfiler {
-		s.prof = memobs.StartProfiler(memobs.ProfilerOptions{
-			Window: s.opts.ProfileWindow, Every: s.opts.ProfileEvery, Metrics: s.met,
-		})
-	}
+	s.dbg.Start()
 	go s.http.Serve(ln)
 	s.log.Info("serve.start", "addr", ln.Addr().String(),
 		"models", s.reg.Names(),
-		"trace_sample", s.opts.TraceSample,
+		"trace_sample", s.opts.Debug.TraceSample,
 		"pprof", s.opts.EnablePprof,
 		"revision", buildinfo.Get().Revision)
 	return ln.Addr(), nil
@@ -183,13 +160,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.log.Info("serve.drain", "uptime_s", time.Since(s.started).Seconds(),
+	s.log.Info("serve.drain", "uptime_s", s.dbg.Uptime().Seconds(),
 		"requests", s.met.Counter("serve.requests").Value())
 	for _, b := range s.batchers {
 		b.Shutdown()
 	}
-	s.sampler.Stop()
-	s.prof.Stop()
+	s.dbg.Stop()
 	err := s.http.Shutdown(ctx)
 	s.log.Info("serve.stop", "err", err)
 	return err
@@ -199,7 +175,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Metrics() *trace.Metrics { return s.met }
 
 // Tracer returns the request-scoped wall-clock tracer (nil when
-// Options.TraceSample is 0).
+// Options.Debug.TraceSample is 0).
 func (s *Server) Tracer() *trace.WallTracer { return s.tracer }
 
 // PredictRequest is the /v1/predict request body.
@@ -223,19 +199,9 @@ type PredictResponse struct {
 	LatencyUs int64 `json:"latency_us"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
+		debugz.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	start := time.Now()
@@ -252,7 +218,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}()
 	fail := func(code int, msg string) {
 		status = code
-		writeJSON(w, code, errorResponse{msg})
+		debugz.WriteError(w, code, msg)
 		s.tracer.Finish(sc)
 	}
 
@@ -332,7 +298,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	status, batchSize = http.StatusOK, resp.BatchSize
 	respondStart := time.Now()
-	writeJSON(w, http.StatusOK, PredictResponse{
+	debugz.WriteJSON(w, http.StatusOK, PredictResponse{
 		Model:     inst.Name,
 		Argmax:    argmax,
 		Logits:    resp.Logits,
@@ -361,75 +327,17 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Classes: inst.Classes, MaxBatch: inst.MaxBatch,
 		})
 	}
-	writeJSON(w, http.StatusOK, infos)
+	debugz.WriteJSON(w, http.StatusOK, infos)
 }
 
-// healthResponse is the /healthz body: liveness plus the build
-// provenance of the answering binary.
-type healthResponse struct {
-	Status string `json:"status"`
-	buildinfo.Info
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health is the server's /healthz verdict: 503 "draining" once
+// Shutdown has begun.
+func (s *Server) health(h debugz.Health) (int, any) {
 	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	resp := healthResponse{Status: "ok", Info: buildinfo.Get()}
-	if !s.started.IsZero() {
-		resp.UptimeSeconds = time.Since(s.started).Seconds()
+	defer s.mu.Unlock()
+	if s.draining {
+		h.Status = "draining"
+		return http.StatusServiceUnavailable, h
 	}
-	if draining {
-		resp.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMetricsz serves the registry through the shared
-// content-negotiated handler (trace.MetricsHandler — also behind the
-// trainer dashboard), refreshing the latency-quantile gauges at scrape
-// time.
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	trace.MetricsHandler(s.met, func(m *trace.Metrics) {
-		lat := m.Histogram("serve.latency_seconds", trace.LatencyBuckets)
-		m.Gauge("serve.latency_p50_seconds").Set(lat.Quantile(0.5))
-		m.Gauge("serve.latency_p99_seconds").Set(lat.Quantile(0.99))
-	})(w, r)
-}
-
-// handleProfilez serves the continuous profiler's latest window (per-op
-// CPU/alloc attribution, flat function tables, pprof downloads) plus
-// the measured memory timeline of every registered instance.
-func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
-	if s.prof == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			"continuous profiling disabled (Options.NoProfiler)"})
-		return
-	}
-	memobs.Handler(s.prof, func() []*memobs.MemTimeline {
-		var out []*memobs.MemTimeline
-		for _, name := range s.reg.Names() {
-			inst, _ := s.reg.Lookup(name)
-			if inst.Mem != nil {
-				out = append(out, inst.Mem.Timeline())
-			}
-		}
-		return out
-	})(w, r)
-}
-
-// handleTracez dumps the request-scoped wall-clock trace accumulated so
-// far as Chrome trace_event JSON — the live-serving counterpart of
-// `splitcnn trace`'s simulated timelines.
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			"request tracing disabled (start with a trace sample rate > 0)"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.tracer.Trace().WriteJSON(w)
+	return http.StatusOK, h
 }

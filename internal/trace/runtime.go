@@ -19,8 +19,8 @@ type RuntimeSampler struct {
 }
 
 // StartRuntimeSampler samples immediately, then every interval
-// (minimum 10ms), until Stop. Each extra hook runs after the runtime
-// gauges on every tick.
+// (minimum 10ms), until Stop. Each non-nil extra hook runs after the
+// runtime gauges on every tick.
 func StartRuntimeSampler(m *Metrics, interval time.Duration, extra ...func(*Metrics)) *RuntimeSampler {
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
@@ -37,7 +37,9 @@ func StartRuntimeSampler(m *Metrics, interval time.Duration, extra ...func(*Metr
 		m.Gauge("runtime.gc_pause_total_seconds").Set(float64(ms.PauseTotalNs) / 1e9)
 		m.Gauge("runtime.goroutines").Set(float64(runtime.NumGoroutine()))
 		for _, f := range extra {
-			f(m)
+			if f != nil {
+				f(m)
+			}
 		}
 		m.Counter("runtime.samples").Add(1)
 	}

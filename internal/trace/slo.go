@@ -134,14 +134,6 @@ func (t *SLOTracker) SetClock(now func() time.Time) {
 	t.mu.Unlock()
 }
 
-// SLO returns the tracked objective.
-func (t *SLOTracker) SLO() SLO {
-	if t == nil {
-		return SLO{}
-	}
-	return t.slo
-}
-
 // Observe records one finished request. isErr marks a request that
 // spends error budget (the router counts 5xx outcomes); a slow success
 // spends latency budget only. Safe on a nil tracker (no SLO declared).

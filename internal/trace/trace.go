@@ -153,13 +153,6 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
-// Streams returns the stream names in thread-ID order.
-func (t *Trace) Streams() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.streams...)
-}
-
 // Events renders the recorded spans as Chrome trace events, sorted by
 // (timestamp, tid, duration, name) so the export is deterministic
 // regardless of recording order. Timestamps convert from seconds to the

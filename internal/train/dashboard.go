@@ -2,27 +2,24 @@ package train
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
-	"splitcnn/internal/buildinfo"
-	"splitcnn/internal/memobs"
+	"splitcnn/internal/debugz"
 	"splitcnn/internal/trace"
 )
 
 // Dashboard is the trainer's live HTTP endpoint (`splitcnn train
-// -listen`): the serving stack's content-negotiated /metricsz and
-// /healthz surfaces over the trainer's metrics registry, gated pprof,
-// and a self-refreshing HTML page at / that shows the run's loss, step
-// rate and gradient health while it trains.
+// -listen`): the debug surface (debugz) over the trainer's metrics
+// registry — its /healthz answers "training", its /profilez gets the
+// same per-op continuous profiler as the serving processes — and a
+// self-refreshing HTML page at / that shows the run's loss, step rate
+// and gradient health while it trains.
 type Dashboard struct {
-	ln      net.Listener
-	srv     *http.Server
-	prof    *memobs.Profiler
-	started time.Time
+	ln  net.Listener
+	srv *http.Server
+	dbg *debugz.Surface
 }
 
 // StartDashboard listens on addr (e.g. "127.0.0.1:0" for a random
@@ -34,23 +31,15 @@ func StartDashboard(addr string, met *trace.Metrics, enablePprof bool) (*Dashboa
 	if err != nil {
 		return nil, err
 	}
-	d := &Dashboard{ln: ln, started: time.Now()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metricsz", trace.MetricsHandler(met, func(m *trace.Metrics) {
-		step := m.Histogram("train.step_seconds", trace.LatencyBuckets)
-		m.Gauge("train.step_p50_seconds").Set(step.Quantile(0.5))
-		m.Gauge("train.step_p99_seconds").Set(step.Quantile(0.99))
-		op := m.Histogram("exec.op_seconds", trace.LatencyBuckets)
-		m.Gauge("exec.op_p50_seconds").Set(op.Quantile(0.5))
-		m.Gauge("exec.op_p99_seconds").Set(op.Quantile(0.99))
-	}))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Status string `json:"status"`
-			buildinfo.Info
-			UptimeSeconds float64 `json:"uptime_seconds"`
-		}{"training", buildinfo.Get(), time.Since(d.started).Seconds()})
+	d := &Dashboard{ln: ln, srv: &http.Server{Handler: mux}}
+	d.dbg = debugz.Mount(mux, debugz.Config{
+		Metrics: met, Pprof: enablePprof, Profile: true,
+		Health: func(h debugz.Health) (int, any) {
+			h.Status = "training"
+			return http.StatusOK, h
+		},
+		Quantiles: []string{"train.step", "exec.op"},
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -60,19 +49,7 @@ func StartDashboard(addr string, met *trace.Metrics, enablePprof bool) (*Dashboa
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write([]byte(dashboardHTML))
 	})
-	// The trainer gets the same per-op continuous profiler as the
-	// serving surfaces: windowed CPU+heap capture joined against op
-	// spans, at /profilez.
-	d.prof = memobs.StartProfiler(memobs.ProfilerOptions{Metrics: met})
-	mux.HandleFunc("/profilez", memobs.Handler(d.prof, nil))
-	if enablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	d.srv = &http.Server{Handler: mux}
+	d.dbg.Start()
 	go d.srv.Serve(ln)
 	return d, nil
 }
@@ -83,7 +60,7 @@ func (d *Dashboard) Addr() net.Addr { return d.ln.Addr() }
 // Close stops the dashboard, waiting up to a second for in-flight
 // scrapes.
 func (d *Dashboard) Close() error {
-	d.prof.Stop()
+	d.dbg.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	return d.srv.Shutdown(ctx)

@@ -28,11 +28,9 @@ type GuardConfig struct {
 	// happens once, on the trip.
 	SampleStride int
 	// FlightPath, when set, receives the flight-recorder dump (JSON) the
-	// moment a guard fires.
+	// moment a guard fires. The recorder keeps the trace package's
+	// default rings: 64 steps, 1024 op spans.
 	FlightPath string
-	// FlightSteps / FlightSpans size the recorder rings (0 selects the
-	// trace package defaults: 64 steps, 1024 spans).
-	FlightSteps, FlightSpans int
 }
 
 // GuardError reports a tripped training guard. The Guard field names
@@ -82,7 +80,7 @@ type guardState struct {
 func newGuardState(cfg GuardConfig, met *trace.Metrics) *guardState {
 	g := &guardState{
 		cfg:    cfg,
-		flight: trace.NewFlightRecorder(cfg.FlightSteps, cfg.FlightSpans),
+		flight: trace.NewFlightRecorder(0, 0),
 		stride: cfg.SampleStride,
 		maxG:   cfg.MaxGradNorm,
 		met:    met,
