@@ -6,19 +6,20 @@ GO ?= go
 .PHONY: build test race dist-race vet cross fmt ci golden trace trace-smoke report-smoke bench-kernels bench-smoke bench-check bench-run prof-forward serve-smoke train-smoke compile-smoke dist-smoke mem-smoke fuzz-smoke
 
 # Micro-benchmarks of the hot paths: the CPU execution engine's
-# (blocked GEMM, im2col, convolution, full arena-backed train step —
-# with and without step telemetry; a serving batch of 1 and of 8 images)
+# (blocked GEMM, im2col, convolution forward and backward, full
+# arena-backed train step — with and without step telemetry; a serving
+# batch of 1 and of 8 images)
 # and the planner's (the offline HMMS pipeline; program serialization,
 # static memory planning and the discrete-event replay of a planned
 # step on plan_imagenet's reference graph), and the serving plane's
 # /v1/predict body decode (encoding/json vs serve.DecodePredict).
-KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|GemmSquare|ConvIm2Col3x3$$|InterpretedForward$$|CompiledForward$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$|DecodePredict$$
+KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|Conv2DBackward$$|GemmSquare|ConvIm2Col3x3$$|InterpretedForward$$|CompiledForward$$|DeviceReplay$$|HMMSPipeline$$|BuildProgram$$|PlanMemory$$|InstanceRunB1$$|InstanceRunB8$$|DecodePredict$$
 
 # Every fuzz target, as package:Name. `go test` runs only their seeds;
 # fuzz-smoke fuzzes each for a few seconds.
 FUZZ_TARGETS = internal/serve:FuzzDecodePredict internal/memlayout:FuzzFirstFit \
 	internal/graph:FuzzCompiledPlan internal/snapshot:FuzzLoad \
-	internal/tensor:FuzzConvGeometry internal/device:FuzzRun
+	internal/tensor:FuzzConvGeometry internal/tensor:FuzzWindowBand internal/device:FuzzRun
 
 build:
 	$(GO) build ./...

@@ -321,9 +321,33 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkIm2Col measures the stride-1 lowering fast path on the same
-// geometry BenchmarkConv2DForward convolves; the metric is column-matrix
-// bytes produced per second.
+// BenchmarkConv2DBackward measures Conv2DBackwardArena (im2col, the
+// weight- and input-gradient GEMMs, col2im) on BenchmarkConv2DForward's
+// geometry. Its FLOPs count as twice the forward's, as bench's
+// tensor.conv_bwd_gflops does.
+func BenchmarkConv2DBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.New(8, 64, 32, 32)
+	w := tensor.New(64, 64, 3, 3)
+	gradOut := tensor.New(8, 64, 32, 32)
+	x.RandNormal(rng, 1)
+	w.RandNormal(rng, 0.1)
+	gradOut.RandNormal(rng, 1)
+	gradW, gradB := tensor.New(64, 64, 3, 3), tensor.New(64)
+	p := tensor.ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: tensor.Symmetric(1)}
+	a := tensor.NewArena()
+	flops := 2 * 2 * int64(8*64*32*32) * int64(64*9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Put(tensor.Conv2DBackwardArena(a, x, w, gradOut, p, gradW, gradB, true))
+	}
+	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkIm2Col measures the lowering on the same geometry
+// BenchmarkConv2DForward convolves; the metric is column-matrix bytes
+// produced per second.
 func BenchmarkIm2Col(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(8, 64, 32, 32)

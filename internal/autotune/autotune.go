@@ -56,7 +56,7 @@ func Sites(g *graph.Graph) []Site {
 		if n.Op.Kind() != "conv" || len(n.Inputs) == 0 {
 			continue
 		}
-		c, ok := n.Op.(interface{ Window() tensor.ConvParams })
+		c, ok := n.Op.(graph.WindowOp)
 		if !ok {
 			continue
 		}

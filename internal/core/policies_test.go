@@ -35,23 +35,23 @@ func TestAllPoliciesPreserveShapes(t *testing.T) {
 // receptive field (zero begin-padding beyond the global), PolicyUpper
 // the left patch (zero end-padding).
 func TestPolicyBoundaryPadding(t *testing.T) {
-	w := Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
+	w := tensor.Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
 	out := Scheme{0, 8} // output length 16
 	lowIn, err := InputScheme(out, w, 16, PolicyLower)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lowPads, _ := Paddings(lowIn, out, w)
-	if lowPads[1].B != 0 || lowPads[0].E != w.K-w.S {
-		t.Fatalf("PolicyLower pads %+v, want right patch begin 0", lowPads)
+	lowB, lowE := axisPads(w, lowIn, out, 16)
+	if lowB[1] != 0 || lowE[0] != w.K-w.S {
+		t.Fatalf("PolicyLower pads %v %v, want right patch begin 0", lowB, lowE)
 	}
 	upIn, err := InputScheme(out, w, 16, PolicyUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	upPads, _ := Paddings(upIn, out, w)
-	if upPads[0].E != 0 || upPads[1].B != w.K-w.S {
-		t.Fatalf("PolicyUpper pads %+v, want left patch end 0", upPads)
+	upB, upE := axisPads(w, upIn, out, 16)
+	if upE[0] != 0 || upB[1] != w.K-w.S {
+		t.Fatalf("PolicyUpper pads %v %v, want left patch end 0", upB, upE)
 	}
 }
 

@@ -1,26 +1,27 @@
 // Package core implements the paper's primary contribution: the
 // Split-CNN transformation of §3. It contains
 //
-//   - the single-dimension split-scheme mathematics of §3.1 — the
-//     lb/ub interval of legal input split points (Equations 1 and 2),
-//     the per-patch padding computation, and the boundary-choice
-//     policies;
+//   - the single-dimension split-scheme choice of §3.1: the input scheme
+//     derived from an output scheme (Equation 3) over the [lb, ub]
+//     bounds of tensor.Window1D (Equations 1 and 2), and the
+//     boundary-choice policies;
 //   - the stochastic output-scheme sampler of §3.3; and
 //   - Split, a graph-to-graph rewriter that converts a regular CNN
 //     computation graph into a Split-CNN: it selects a prefix region
 //     covering the requested fraction of convolution layers, propagates
 //     split schemes backwards through the region, and re-instantiates
 //     every window-based operation once per spatial patch with
-//     per-patch padding, joining patches with a concat at the frontier.
+//     per-patch padding (Window1D.BandPad, Equation 5), joining patches
+//     with a concat at the frontier.
 //
 // Note on the paper's begin-padding formula: §3.1 prints
 // p_{i,b} = I_i + p_b − (O_i − 1)s, which is off by one stride — it
-// yields padding in [s, k] and breaks the output-size identity. This
-// package implements the derivation-consistent p_{i,b} = I_i + p_b −
+// yields padding in [s, k] and breaks the output-size identity.
+// BandPad implements the derivation-consistent p_{i,b} = I_i + p_b −
 // O_i·s (zero for the natural split when k = s, in [0, k−s] for any
 // choice inside [lb, ub]); the property tests in scheme_test.go verify
-// the identity |Y_i| = O_{i+1} − O_i and exact forward equivalence for
-// k = s.
+// the identity |Y_i| = O_{i+1} − O_i, and tensor's FuzzWindowBand exact
+// forward equivalence of any band.
 package core
 
 import (
@@ -114,32 +115,6 @@ func StochasticScheme(l, n int, omega float64, rng *rand.Rand) (Scheme, error) {
 	return s, s.Validate(l)
 }
 
-// Window1D describes a window-based operation along one spatial
-// dimension: kernel size K, stride S, and begin/end padding Pb/Pe — the
-// paper's Op(X, k, s, p).
-type Window1D struct {
-	K, S, Pb, Pe int
-}
-
-// OutSize returns the operation's output length over input length l.
-// It is tensor.ConvParams.OutSize along one dimension, so it floors: a
-// window wider than the padded input yields a non-positive length, not 1.
-func (w Window1D) OutSize(l int) int {
-	o, _ := tensor.ConvParams{KH: w.K, KW: 1, SH: w.S, SW: 1, Pad: tensor.Pad2D{Top: w.Pb, Bottom: w.Pe}}.OutSize(l, 1)
-	return o
-}
-
-// LowerBound is Equation 1: the smallest legal input split point for
-// output split point o — right before the first element of the window
-// producing the first element of the patch.
-func (w Window1D) LowerBound(o int) int { return o*w.S - w.Pb }
-
-// UpperBound is Equation 2: the largest legal input split point — right
-// past the last element of the window producing the previous patch's
-// last output. When K = S the interval collapses (lb = ub) and the
-// split is "natural and non-intrusive".
-func (w Window1D) UpperBound(o int) int { return (o-1)*w.S + w.K - w.Pb }
-
 // BoundaryPolicy selects an input split point within (or, when the
 // interval is empty because k < s, outside) [lb, ub].
 type BoundaryPolicy int
@@ -175,64 +150,19 @@ func (p BoundaryPolicy) String() string {
 
 // InputScheme computes the input split scheme I from an output split
 // scheme O for a window operation over an input of length lin — the
-// paper's ComputeInputSplitScheme (Equation 3). For downsampling
-// windows with k < s the [lb, ub] interval is empty; per the paper's
-// footnote the split is still workable, and lb is used (negative
-// padding, i.e. cropping, absorbs the difference).
-func InputScheme(out Scheme, w Window1D, lin int, policy BoundaryPolicy) (Scheme, error) {
+// paper's ComputeInputSplitScheme (Equation 3) — as Split does for a
+// tensor with one window consumer. For downsampling windows with k < s
+// the [lb, ub] interval is empty; per the paper's footnote the split is
+// still workable, and lb is used (negative padding, i.e. cropping,
+// absorbs the difference).
+func InputScheme(out Scheme, w tensor.Window1D, lin int, policy BoundaryPolicy) (Scheme, error) {
 	lout := w.OutSize(lin)
 	if err := out.Validate(lout); err != nil {
 		return nil, fmt.Errorf("output scheme invalid for length %d: %w", lout, err)
 	}
-	in := make(Scheme, len(out))
-	for i := 1; i < len(out); i++ {
-		lb, ub := w.LowerBound(out[i]), w.UpperBound(out[i])
-		var pick int
-		switch {
-		case ub < lb: // k < s: empty interval, exact crop split
-			pick = lb
-		case policy == PolicyLower:
-			pick = lb
-		case policy == PolicyUpper:
-			pick = ub
-		default:
-			pick = (lb + ub) / 2
-		}
-		in[i] = pick
+	cons := make([]boundaryConstraint, len(out)-1)
+	if err := constrain(cons, out, w); err != nil {
+		return nil, err
 	}
-	if err := in.Validate(lin); err != nil {
-		return nil, fmt.Errorf("derived input scheme invalid (window %+v, out %v, lin %d): %w", w, out, lin, err)
-	}
-	return in, nil
-}
-
-// Pad1D is a per-patch begin/end padding pair.
-type Pad1D struct {
-	B, E int
-}
-
-// Paddings computes the per-patch paddings (Equation 5, with the
-// corrected begin formula): given matching input and output schemes and
-// the window, patch i of input length I_{i+1} − I_i padded by
-// (p_{i,b}, p_{i,e}) yields exactly O_{i+1} − O_i outputs. Negative
-// values denote cropping (footnote 1's "negative padding").
-func Paddings(in, out Scheme, w Window1D) ([]Pad1D, error) {
-	n := len(out)
-	if len(in) != n {
-		return nil, fmt.Errorf("schemes disagree on part count: %d vs %d", len(in), n)
-	}
-	pads := make([]Pad1D, n)
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			pads[i].B = w.Pb
-		} else {
-			pads[i].B = in[i] + w.Pb - out[i]*w.S
-		}
-		if i == n-1 {
-			pads[i].E = w.Pe
-		} else {
-			pads[i].E = (out[i+1]-1)*w.S + w.K - (in[i+1] + w.Pb)
-		}
-	}
-	return pads, nil
+	return negotiate(cons, lin, policy)
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"splitcnn/internal/tensor"
 )
 
 func TestEqualScheme(t *testing.T) {
@@ -30,7 +32,7 @@ func TestEqualScheme(t *testing.T) {
 func TestBoundsCollapseWhenKernelEqualsStride(t *testing.T) {
 	// "lb(I_i) = ub(I_i) if the kernel shape equals the stride, in which
 	// case the splitting is natural and non-intrusive."
-	for _, w := range []Window1D{
+	for _, w := range []tensor.Window1D{
 		{K: 2, S: 2}, {K: 3, S: 3}, {K: 2, S: 2, Pb: 1, Pe: 1},
 	} {
 		for o := 1; o < 10; o++ {
@@ -42,7 +44,7 @@ func TestBoundsCollapseWhenKernelEqualsStride(t *testing.T) {
 }
 
 func TestBoundsOrderingWhenKernelExceedsStride(t *testing.T) {
-	w := Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
+	w := tensor.Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
 	for o := 1; o < 10; o++ {
 		lb, ub := w.LowerBound(o), w.UpperBound(o)
 		if ub-lb != w.K-w.S {
@@ -63,7 +65,7 @@ func TestPaddingOutputSizeIdentity(t *testing.T) {
 		k := s + rng.Intn(4) // k >= s
 		pb, pe := rng.Intn(k), rng.Intn(k)
 		lin := k + rng.Intn(60)
-		w := Window1D{K: k, S: s, Pb: pb, Pe: pe}
+		w := tensor.Window1D{K: k, S: s, Pb: pb, Pe: pe}
 		lout := w.OutSize(lin)
 		if lout < 2 {
 			continue
@@ -81,36 +83,33 @@ func TestPaddingOutputSizeIdentity(t *testing.T) {
 		if err != nil {
 			continue // tiny dims can make the derived scheme degenerate
 		}
-		pads, err := Paddings(in, out, w)
-		if err != nil {
-			t.Fatal(err)
+		padB, padE := axisPads(w, in, out, lin)
+		if padB[0] != pb {
+			t.Fatalf("patch 0 begin pad %d, want global %d", padB[0], pb)
 		}
-		if pads[0].B != pb {
-			t.Fatalf("patch 0 begin pad %d, want global %d", pads[0].B, pb)
-		}
-		if pads[n-1].E != pe {
-			t.Fatalf("last patch end pad %d, want global %d", pads[n-1].E, pe)
+		if padE[n-1] != pe {
+			t.Fatalf("last patch end pad %d, want global %d", padE[n-1], pe)
 		}
 		for i := 0; i < n; i++ {
 			li := in.PartLen(i, lin)
-			got := (li + pads[i].B + pads[i].E - k) / s
-			if (li+pads[i].B+pads[i].E-k)%s != 0 && i < n-1 {
-				t.Fatalf("interior patch %d output size not exact: len %d pads %+v window %+v", i, li, pads[i], w)
+			got := (li + padB[i] + padE[i] - k) / s
+			if (li+padB[i]+padE[i]-k)%s != 0 && i < n-1 {
+				t.Fatalf("interior patch %d output size not exact: len %d pads (%d,%d) window %+v", i, li, padB[i], padE[i], w)
 			}
 			got++
 			want := out.PartLen(i, lout)
 			if got != want {
-				t.Fatalf("iter %d policy %v: patch %d produces %d outputs, want %d (window %+v, in %v, out %v, pads %v)",
-					iter, policy, i, got, want, w, in, out, pads)
+				t.Fatalf("iter %d policy %v: patch %d produces %d outputs, want %d (window %+v, in %v, out %v, pads %v %v)",
+					iter, policy, i, got, want, w, in, out, padB, padE)
 			}
 			if i > 0 {
-				if pads[i].B < 0 || pads[i].B > k-s {
-					t.Fatalf("interior begin pad %d outside [0, %d] (corrected formula)", pads[i].B, k-s)
+				if padB[i] < 0 || padB[i] > k-s {
+					t.Fatalf("interior begin pad %d outside [0, %d] (corrected formula)", padB[i], k-s)
 				}
 			}
 			if i < n-1 {
-				if pads[i].E < 0 || pads[i].E > k-s {
-					t.Fatalf("interior end pad %d outside [0, %d]", pads[i].E, k-s)
+				if padE[i] < 0 || padE[i] > k-s {
+					t.Fatalf("interior end pad %d outside [0, %d]", padE[i], k-s)
 				}
 			}
 		}
@@ -120,7 +119,7 @@ func TestPaddingOutputSizeIdentity(t *testing.T) {
 // TestNaturalSplitHasZeroInteriorPadding: when k = s the natural split
 // needs no padding at all on interior boundaries.
 func TestNaturalSplitHasZeroInteriorPadding(t *testing.T) {
-	w := Window1D{K: 2, S: 2}
+	w := tensor.Window1D{K: 2, S: 2}
 	out, _ := EqualScheme(8, 4) // over output length 8 (input 16)
 	in, err := InputScheme(out, w, 16, PolicyMidpoint)
 	if err != nil {
@@ -129,10 +128,10 @@ func TestNaturalSplitHasZeroInteriorPadding(t *testing.T) {
 	if !in.Equal(Scheme{0, 4, 8, 12}) {
 		t.Fatalf("input scheme %v", in)
 	}
-	pads, _ := Paddings(in, out, w)
-	for i, p := range pads {
-		if p.B != 0 || p.E != 0 {
-			t.Fatalf("patch %d pads %+v, want zero", i, p)
+	padB, padE := axisPads(w, in, out, 16)
+	for i := range padB {
+		if padB[i] != 0 || padE[i] != 0 {
+			t.Fatalf("patch %d pads (%d,%d), want zero", i, padB[i], padE[i])
 		}
 	}
 }
@@ -141,7 +140,7 @@ func TestNaturalSplitHasZeroInteriorPadding(t *testing.T) {
 // maps a scheme onto itself under the midpoint policy — the property
 // that makes multi-layer split regions communication-free (§3.2).
 func TestMidpointFixedPointForSameConv(t *testing.T) {
-	w := Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
+	w := tensor.Window1D{K: 3, S: 1, Pb: 1, Pe: 1}
 	out := Scheme{0, 7, 13, 22}
 	in, err := InputScheme(out, w, 32, PolicyMidpoint)
 	if err != nil {
@@ -157,7 +156,7 @@ func TestMidpointFixedPointForSameConv(t *testing.T) {
 // picks lb and yields negative end padding (cropping) that preserves the
 // output-size identity.
 func TestDownsamplingConvEmptyInterval(t *testing.T) {
-	w := Window1D{K: 1, S: 2}
+	w := tensor.Window1D{K: 1, S: 2}
 	if lb, ub := w.LowerBound(2), w.UpperBound(2); ub >= lb {
 		t.Fatalf("interval should be empty: lb %d ub %d", lb, ub)
 	}
@@ -169,15 +168,15 @@ func TestDownsamplingConvEmptyInterval(t *testing.T) {
 	if !in.Equal(Scheme{0, 4}) {
 		t.Fatalf("input scheme %v, want (0, 4)", in)
 	}
-	pads, _ := Paddings(in, out, w)
-	if pads[0].E != -1 {
-		t.Fatalf("patch 0 end pad %d, want -1 (crop)", pads[0].E)
+	padB, padE := axisPads(w, in, out, 8)
+	if padE[0] != -1 {
+		t.Fatalf("patch 0 end pad %d, want -1 (crop)", padE[0])
 	}
 	// Size identity with flooring: (4 + 0 - 1 - 1)/2 + 1 = 2.
-	if got := (4+pads[0].B+pads[0].E-1)/2 + 1; got != 2 {
+	if got := (4+padB[0]+padE[0]-1)/2 + 1; got != 2 {
 		t.Fatalf("patch 0 outputs %d, want 2", got)
 	}
-	if got := (4+pads[1].B+pads[1].E-1)/2 + 1; got != 2 {
+	if got := (4+padB[1]+padE[1]-1)/2 + 1; got != 2 {
 		t.Fatalf("patch 1 outputs %d, want 2", got)
 	}
 }
@@ -261,7 +260,7 @@ func TestSchemeValidate(t *testing.T) {
 		s  Scheme
 		l  int
 		ok bool
-		w  *Window1D
+		w  *tensor.Window1D
 	}{
 		{Scheme{0}, 5, true, nil},
 		{Scheme{0, 2, 4}, 5, true, nil},
@@ -270,7 +269,7 @@ func TestSchemeValidate(t *testing.T) {
 		{Scheme{0, 5}, 5, false, nil},
 		{Scheme{}, 5, false, nil},
 		// A 3-wide stride-2 window does not fit length 2: no output.
-		{Scheme{0}, 2, false, &Window1D{K: 3, S: 2}},
+		{Scheme{0}, 2, false, &tensor.Window1D{K: 3, S: 2}},
 	}
 	for _, c := range cases {
 		if c.w != nil {

@@ -10,14 +10,6 @@ import (
 	"splitcnn/internal/tensor"
 )
 
-// windowOp is implemented by window-based operations (convolution and
-// pooling): they expose their window geometry and can be re-instantiated
-// with per-patch padding.
-type windowOp interface {
-	Window() tensor.ConvParams
-	WithPad(tensor.Pad2D) graph.Op
-}
-
 // patchwiseOp is implemented by operations that may be applied to each
 // spatial patch independently (ReLU, BN, dropout, residual add).
 type patchwiseOp interface {
@@ -157,7 +149,7 @@ func selectRegion(topo []*graph.Node, budget int) (map[int]bool, int) {
 }
 
 func splittable(op graph.Op) bool {
-	if _, ok := op.(windowOp); ok {
+	if _, ok := op.(graph.WindowOp); ok {
 		return true
 	}
 	if p, ok := op.(patchwiseOp); ok {
@@ -208,6 +200,28 @@ func (b *boundaryConstraint) pick(policy BoundaryPolicy) int {
 	}
 }
 
+// constrain folds into cons the requirement a consumer with output
+// scheme cs and window w (K = 0 for a pointwise consumer) places on the
+// split boundaries of its input: exact for pointwise, [lb, ub] for
+// k >= s, the fallback lb for k < s.
+func constrain(cons []boundaryConstraint, cs Scheme, w tensor.Window1D) error {
+	for i := 1; i < len(cs); i++ {
+		b := &cons[i-1]
+		lb, ub := w.LowerBound(cs[i]), w.UpperBound(cs[i])
+		switch {
+		case w.K == 0:
+			lb, ub = cs[i], cs[i]
+		case ub < lb: // k < s: fully flexible, propose the exact crop point
+			b.propose(lb)
+			continue
+		}
+		if !b.narrow(lb, ub) {
+			return fmt.Errorf("scheme conflict at boundary %d: needs [%d, %d]", i, lb, ub)
+		}
+	}
+	return nil
+}
+
 // negotiate resolves one dimension's input scheme for tensor length l
 // from the constraints collected across consumers.
 func negotiate(cons []boundaryConstraint, l int, policy BoundaryPolicy) (Scheme, error) {
@@ -236,28 +250,6 @@ func assignSchemes(g *graph.Graph, topo []*graph.Node, region map[int]bool, cfg 
 	schemes := make(map[int]*spatialScheme)
 	sources := make(map[int]*spatialScheme)
 
-	// constrainDim folds consumer c's requirement on tensor n into cons.
-	constrainDim := func(cons []boundaryConstraint, cs Scheme, w Window1D, c *graph.Node) error {
-		for i := 1; i < len(cs); i++ {
-			b := &cons[i-1]
-			if w.K == 0 { // pointwise: exact requirement
-				if !b.narrow(cs[i], cs[i]) {
-					return fmt.Errorf("scheme conflict at boundary %d demanded by %s", i, c)
-				}
-				continue
-			}
-			lb, ub := w.LowerBound(cs[i]), w.UpperBound(cs[i])
-			if ub < lb { // k < s: fully flexible, propose the exact crop point
-				b.propose(lb)
-				continue
-			}
-			if !b.narrow(lb, ub) {
-				return fmt.Errorf("scheme conflict at boundary %d: %s needs [%d, %d]", i, c, lb, ub)
-			}
-		}
-		return nil
-	}
-
 	requirement := func(n *graph.Node) (*spatialScheme, error) {
 		consH := make([]boundaryConstraint, cfg.NH-1)
 		consW := make([]boundaryConstraint, cfg.NW-1)
@@ -270,17 +262,15 @@ func assignSchemes(g *graph.Graph, topo []*graph.Node, region map[int]bool, cfg 
 			// window op's non-data slot would be a parameter, which
 			// never reaches here.
 			cs := schemes[c.ID]
-			var wh, ww Window1D
-			if w, ok := c.Op.(windowOp); ok {
-				p := w.Window()
-				wh = Window1D{K: p.KH, S: p.SH, Pb: p.Pad.Top, Pe: p.Pad.Bottom}
-				ww = Window1D{K: p.KW, S: p.SW, Pb: p.Pad.Left, Pe: p.Pad.Right}
+			var wh, ww tensor.Window1D
+			if w, ok := c.Op.(graph.WindowOp); ok {
+				wh, ww = w.Window().Rows(), w.Window().Cols()
 			}
-			if err := constrainDim(consH, cs.h, wh, c); err != nil {
-				return nil, fmt.Errorf("%s (H): %w", n, err)
+			if err := constrain(consH, cs.h, wh); err != nil {
+				return nil, fmt.Errorf("%s (H), demanded by %s: %w", n, c, err)
 			}
-			if err := constrainDim(consW, cs.w, ww, c); err != nil {
-				return nil, fmt.Errorf("%s (W): %w", n, err)
+			if err := constrain(consW, cs.w, ww); err != nil {
+				return nil, fmt.Errorf("%s (W), demanded by %s: %w", n, c, err)
 			}
 			any = true
 		}
@@ -381,18 +371,9 @@ func build(g *graph.Graph, topo []*graph.Node, region map[int]bool, schemes, sou
 		base := mapped[n.ID]
 		ps := make([]*graph.Node, 0, nPatch)
 		for i := 0; i < cfg.NH; i++ {
-			h0 := sch.h[i]
-			h1 := n.Shape.H()
-			if i+1 < cfg.NH {
-				h1 = sch.h[i+1]
-			}
 			for j := 0; j < cfg.NW; j++ {
-				w0 := sch.w[j]
-				w1 := n.Shape.W()
-				if j+1 < cfg.NW {
-					w1 = sch.w[j+1]
-				}
-				op := &nn.ExtractPatch{H0: h0, H1: h1, W0: w0, W1: w1}
+				op := &nn.ExtractPatch{H0: sch.h[i], H1: sch.h[i] + sch.h.PartLen(i, n.Shape.H()),
+					W0: sch.w[j], W1: sch.w[j] + sch.w.PartLen(j, n.Shape.W())}
 				ps = append(ps, out.Add(fmt.Sprintf("%s.patch%d_%d", n.Name, i, j), op, base))
 			}
 		}
@@ -471,7 +452,7 @@ func build(g *graph.Graph, topo []*graph.Node, region map[int]bool, schemes, sou
 			}
 			op := n.Op
 			if pads != nil {
-				op = n.Op.(windowOp).WithPad(pads[p])
+				op = n.Op.(graph.WindowOp).WithPad(pads[p])
 			}
 			patches[n.ID][p] = out.Add(fmt.Sprintf("%s.p%d", n.Name, p), op, ins...)
 		}
@@ -511,29 +492,31 @@ func build(g *graph.Graph, topo []*graph.Node, region map[int]bool, schemes, sou
 // whose (negotiated) input scheme is in, the per-patch 2-D padding in
 // row-major patch order; nil for pointwise ops.
 func patchPads(n *graph.Node, sch, in *spatialScheme, cfg Config) []tensor.Pad2D {
-	w, ok := n.Op.(windowOp)
+	w, ok := n.Op.(graph.WindowOp)
 	if !ok {
 		return nil
 	}
-	p := w.Window()
-	wh := Window1D{K: p.KH, S: p.SH, Pb: p.Pad.Top, Pe: p.Pad.Bottom}
-	ww := Window1D{K: p.KW, S: p.SW, Pb: p.Pad.Left, Pe: p.Pad.Right}
-	padsH, err := Paddings(in.h, sch.h, wh)
-	if err != nil {
-		panic(err) // assignSchemes already validated part counts
-	}
-	padsW, err := Paddings(in.w, sch.w, ww)
-	if err != nil {
-		panic(err)
-	}
+	p, x := w.Window(), n.Inputs[0].Shape
+	top, bottom := axisPads(p.Rows(), in.h, sch.h, x.H())
+	left, right := axisPads(p.Cols(), in.w, sch.w, x.W())
 	out := make([]tensor.Pad2D, 0, cfg.NH*cfg.NW)
 	for i := 0; i < cfg.NH; i++ {
 		for j := 0; j < cfg.NW; j++ {
-			out = append(out, tensor.Pad2D{
-				Top: padsH[i].B, Bottom: padsH[i].E,
-				Left: padsW[j].B, Right: padsW[j].E,
-			})
+			out = append(out, tensor.Pad2D{Top: top[i], Bottom: bottom[i], Left: left[j], Right: right[j]})
 		}
 	}
 	return out
+}
+
+// axisPads returns each patch's begin and end padding (Equation 5)
+// along one axis of input length l that the matching schemes in and
+// out split: patch i of the input, so padded, yields exactly patch i
+// of the output.
+func axisPads(w tensor.Window1D, in, out Scheme, l int) (b, e []int) {
+	lout := w.OutSize(l)
+	b, e = make([]int, len(out)), make([]int, len(out))
+	for i := range out {
+		b[i], e[i] = w.BandPad(out[i], out[i]+out.PartLen(i, lout), in[i], in[i]+in.PartLen(i, l), l)
+	}
+	return b, e
 }

@@ -76,7 +76,7 @@ const winogradSpeedup = 2.25
 // algorithms.
 func effectiveFLOPs(op graph.Op, in []tensor.Shape, out tensor.Shape) float64 {
 	f := float64(op.FLOPs(in, out))
-	if c, ok := op.(interface{ Window() tensor.ConvParams }); ok && op.Kind() == "conv" {
+	if c, ok := op.(graph.WindowOp); ok && op.Kind() == "conv" {
 		if p := c.Window(); p.KH == 3 && p.KW == 3 && p.SH == 1 && p.SW == 1 {
 			f /= winogradSpeedup
 		}

@@ -243,6 +243,37 @@ func TestEarlyRejectionFailsPartner(t *testing.T) {
 	}
 }
 
+// TestHaloRejectsBadRequests: a Shard.Halo call for an empty or
+// inverted row range inside a published band, or for a stage outside
+// the plan, is answered with an error, and the worker lives on to
+// answer Shard.Health.
+func TestHaloRejectsBadRequests(t *testing.T) {
+	w, err := StartWorker("127.0.0.1:0", WorkerConfig{Spec: testSpec("vgg16")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	pool := dist.NewClientPool()
+	t.Cleanup(pool.Close)
+	st := w.Plan().Stages[1]
+	w.exch.Publish("probe/a0", 1, &haloRows{rows: Range{0, 8}, t: tensor.New(1, st.OutC, 8, st.OutW)})
+	for _, args := range []HaloArgs{
+		{Stage: 1, Lo: 4, Hi: 4},
+		{Stage: 1, Lo: 6, Hi: 2},
+		{Stage: len(w.Plan().Stages), Lo: 0, Hi: 2},
+		{Stage: -1, Lo: 0, Hi: 2},
+	} {
+		args.ReqID, args.TimeoutMs = "probe/a0", 200
+		if err := pool.Call(w.Addr(), "Shard.Halo", &args, &HaloReply{}, 2*time.Second); err == nil {
+			t.Fatalf("Shard.Halo %+v answered without error", args)
+		}
+	}
+	var hr HealthReply
+	if err := pool.Call(w.Addr(), "Shard.Health", &HealthArgs{}, &hr, 2*time.Second); err != nil {
+		t.Fatalf("Shard.Health after bad halo requests: %v", err)
+	}
+}
+
 // settleGoroutines fails t unless the goroutine count falls back to
 // baseline within 2s.
 func settleGoroutines(t *testing.T, baseline int) {

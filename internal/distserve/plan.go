@@ -10,10 +10,11 @@
 // each patch with zeros and therefore perturbs boundary values, the
 // halo exchange is exact: every shard convolves over the very rows the
 // unsplit operator would read, so the distributed result is the
-// single-process result. The convolution kernel is the implicit-GEMM
-// im2col, whose bits depend on neither the batch nor the band of rows a
-// shard computes, so any cut is exact. Partition rounds interior cuts
-// down to an even row anyway, for halo traffic: at gang 2 the deep
+// single-process result. Both take their window arithmetic (Equations
+// 1, 2 and 5) from tensor.Window1D. The convolution kernel is the
+// implicit GEMM, whose bits depend on neither the batch nor the band of
+// rows a shard computes, so any cut is exact. Partition rounds interior
+// cuts down to an even row anyway, for halo traffic: at gang 2 the deep
 // two-row stages then land wholly on one shard and exchange nothing.
 package distserve
 
@@ -48,14 +49,8 @@ func intersect(a, b Range) Range {
 	return Range{lo, hi}
 }
 
-// windowOp and patchwiseOp mirror the structural interfaces the §3.1
-// transform keys on (internal/core): window geometry for halo math,
-// patch-safety for pointwise stages.
-type windowOp interface {
-	Window() tensor.ConvParams
-	WithPad(tensor.Pad2D) graph.Op
-}
-
+// patchwiseOp mirrors the patch-safety interface the §3.1 transform
+// keys on (internal/core) for pointwise stages.
 type patchwiseOp interface{ PatchwiseSafe() bool }
 
 // Stage is one shardable op of the prefix chain: a window op (conv,
@@ -68,7 +63,7 @@ type Stage struct {
 	Kind string
 	node *graph.Node
 
-	win      tensor.ConvParams
+	win      tensor.ConvParams // a unit window for pointwise stages
 	windowed bool
 
 	InC, InH, InW    int
@@ -76,22 +71,16 @@ type Stage struct {
 }
 
 // InputRange returns the *virtual* input interval stage windows read to
-// produce output rows out: [Lo·S − padTop, (Hi−1)·S − padTop + K). It
-// may extend past [0, InH); the overhang is exactly the asymmetric
-// zero-padding a shard must apply locally (clip + WithPad re-derive the
-// padded geometry, mirroring core.Split's §3.1 per-patch padding — but
-// against real neighbor rows instead of zeros).
+// produce output rows out: [LowerBound(Lo), UpperBound(Hi)) of the
+// op's row window (Equations 1 and 2). It may extend past [0, InH);
+// evalStage pads the clipped band with Window1D.BandPad — the §3.1
+// per-patch padding core.Split uses, but against real neighbor rows
+// instead of zeros.
 func (s *Stage) InputRange(out Range) Range {
 	if out.Empty() {
 		return Range{}
 	}
-	if !s.windowed {
-		return out
-	}
-	return Range{
-		Lo: out.Lo*s.win.SH - s.win.Pad.Top,
-		Hi: (out.Hi-1)*s.win.SH - s.win.Pad.Top + s.win.KH,
-	}
+	return Range{s.win.Rows().LowerBound(out.Lo), s.win.Rows().UpperBound(out.Hi)}
 }
 
 // ClipInput clips a virtual input interval to the real rows [0, InH).
@@ -161,8 +150,9 @@ func NewPlan(m *models.Model) (*Plan, error) {
 			Name: n.Name, Kind: n.Op.Kind(), node: n,
 			InC: cur.Shape.C(), InH: cur.Shape.H(), InW: cur.Shape.W(),
 			OutC: n.Shape.C(), OutH: n.Shape.H(), OutW: n.Shape.W(),
+			win: tensor.ConvParams{KH: 1, KW: 1, SH: 1, SW: 1},
 		}
-		if w, ok := n.Op.(windowOp); ok {
+		if w, ok := n.Op.(graph.WindowOp); ok {
 			st.win, st.windowed = w.Window(), true
 		} else if pw, ok := n.Op.(patchwiseOp); !ok || !pw.PatchwiseSafe() {
 			break // not shardable (flatten, gap, linear, ...)
@@ -404,9 +394,9 @@ func (se *ShardEval) ArenaStats() tensor.ArenaStats {
 }
 
 // EvalStage computes output rows out of stage i from x, which must hold
-// exactly the clipped input rows ClipInput(InputRange(out)). Overhang
-// beyond the real input becomes local asymmetric zero-padding via the
-// op's WithPad — identical values to the unsplit op's own padding.
+// exactly the clipped input rows ClipInput(InputRange(out)). The band
+// is padded by Window1D.BandPad via the op's WithPad: overhang beyond
+// the real input becomes the unsplit op's own zero-padding.
 // Empty out returns (nil, nil). The result is a plain heap tensor.
 func (se *ShardEval) EvalStage(i int, x *tensor.Tensor, out Range) (*tensor.Tensor, error) {
 	return se.evalStage(nil, nil, i, x, out)
@@ -419,8 +409,7 @@ func (se *ShardEval) evalStage(dst, scratch *tensor.Arena, i int, x *tensor.Tens
 	if out.Empty() {
 		return nil, nil
 	}
-	virt := st.InputRange(out)
-	clip := st.ClipInput(virt)
+	clip := st.ClipInput(st.InputRange(out))
 	if clip.Empty() {
 		return nil, fmt.Errorf("distserve: stage %s: output rows %v read no real input rows", st.Name, out)
 	}
@@ -430,9 +419,8 @@ func (se *ShardEval) evalStage(dst, scratch *tensor.Arena, i int, x *tensor.Tens
 	op := st.node.Op
 	if st.windowed {
 		pad := st.win.Pad
-		pad.Top = clip.Lo - virt.Lo
-		pad.Bottom = virt.Hi - clip.Hi
-		op = st.node.Op.(windowOp).WithPad(pad)
+		pad.Top, pad.Bottom = st.win.Rows().BandPad(out.Lo, out.Hi, clip.Lo, clip.Hi, st.InH)
+		op = st.node.Op.(graph.WindowOp).WithPad(pad)
 	}
 	in := make([]*tensor.Tensor, 0, 1+len(se.params[i]))
 	in = append(in, x)

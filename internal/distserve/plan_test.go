@@ -6,7 +6,6 @@ import (
 
 	"splitcnn/internal/models"
 	"splitcnn/internal/serve"
-	"splitcnn/internal/tensor"
 )
 
 func TestPartitionInvariants(t *testing.T) {
@@ -34,39 +33,6 @@ func TestPartitionInvariants(t *testing.T) {
 			}
 			if parts[n-1].Hi != h || covered != h {
 				t.Fatalf("Partition(%d,%d) covers %d rows ending at %d", h, n, covered, parts[n-1].Hi)
-			}
-		}
-	}
-}
-
-// TestInputRangeBruteForce checks the closed-form halo interval against
-// a direct enumeration of the input rows each output row's window reads.
-func TestInputRangeBruteForce(t *testing.T) {
-	geoms := []tensor.ConvParams{
-		{KH: 3, KW: 3, SH: 1, SW: 1, Pad: tensor.Symmetric(1)},
-		{KH: 3, KW: 3, SH: 2, SW: 2, Pad: tensor.Symmetric(1)},
-		{KH: 5, KW: 5, SH: 1, SW: 1, Pad: tensor.Symmetric(2)},
-		{KH: 11, KW: 11, SH: 4, SW: 4, Pad: tensor.Symmetric(2)},
-		{KH: 2, KW: 2, SH: 2, SW: 2, Pad: tensor.Pad2D{}},
-		{KH: 7, KW: 7, SH: 2, SW: 2, Pad: tensor.Pad2D{Top: 3, Bottom: 2, Left: 3, Right: 2}},
-	}
-	for _, g := range geoms {
-		inH := 37
-		outH, _ := g.OutSize(inH, inH)
-		if outH < 2 {
-			t.Fatalf("geometry %+v too small for inH=%d", g, inH)
-		}
-		st := &Stage{win: g, windowed: true, InH: inH}
-		for lo := 0; lo < outH; lo++ {
-			for hi := lo + 1; hi <= outH; hi++ {
-				got := st.InputRange(Range{lo, hi})
-				// Output row r reads virtual input rows
-				// [r·SH − padTop, r·SH − padTop + KH).
-				wantLo := lo*g.SH - g.Pad.Top
-				wantHi := (hi-1)*g.SH - g.Pad.Top + g.KH
-				if got.Lo != wantLo || got.Hi != wantHi {
-					t.Fatalf("geom %+v out [%d,%d): got %v want [%d,%d)", g, lo, hi, got, wantLo, wantHi)
-				}
 			}
 		}
 	}

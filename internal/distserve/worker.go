@@ -507,6 +507,9 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 }
 
 func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
+	if args.Lo >= args.Hi || args.Stage < 0 || args.Stage >= len(w.plan.Stages) {
+		return fmt.Errorf("distserve: halo request for rows [%d,%d) of stage %d (plan has %d)", args.Lo, args.Hi, args.Stage, len(w.plan.Stages))
+	}
 	w.haloReqs.Add(1)
 	w.met.Counter("dist.worker.halo_requests").Add(1)
 	timeout := time.Duration(args.TimeoutMs) * time.Millisecond

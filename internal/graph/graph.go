@@ -87,6 +87,15 @@ type Op interface {
 	WorkspaceBytes(in []tensor.Shape, out tensor.Shape) int64
 }
 
+// WindowOp is implemented by window-based operations (convolution and
+// pooling): they expose their window geometry and can be re-instantiated
+// with other padding, per Split-CNN patch or distributed shard.
+type WindowOp interface {
+	Op
+	Window() tensor.ConvParams
+	WithPad(tensor.Pad2D) Op
+}
+
 // Node is a vertex of the computation graph.
 type Node struct {
 	ID     int

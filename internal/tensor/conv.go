@@ -11,26 +11,65 @@ type ConvParams struct {
 	Pad    Pad2D
 }
 
+// Rows returns the window along the height axis.
+func (p ConvParams) Rows() Window1D {
+	return Window1D{K: p.KH, S: p.SH, Pb: p.Pad.Top, Pe: p.Pad.Bottom}
+}
+
+// Cols returns the window along the width axis.
+func (p ConvParams) Cols() Window1D {
+	return Window1D{K: p.KW, S: p.SW, Pb: p.Pad.Left, Pe: p.Pad.Right}
+}
+
 // OutSize returns the spatial output size of a convolution/pooling
-// window operation over an input of height h and width w. The division
-// floors (not truncates toward zero), so a window larger than the padded
-// input correctly yields a non-positive size rather than 1.
+// window operation over an input of height h and width w.
 func (p ConvParams) OutSize(h, w int) (oh, ow int) {
-	oh = floorDiv(h+p.Pad.Top+p.Pad.Bottom-p.KH, p.SH) + 1
-	ow = floorDiv(w+p.Pad.Left+p.Pad.Right-p.KW, p.SW) + 1
-	return oh, ow
+	return p.Rows().OutSize(h), p.Cols().OutSize(w)
 }
 
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
+// Window1D is a window-based operation along one spatial axis: kernel
+// size K, stride S, and begin/end padding Pb/Pe — the paper's
+// Op(X, k, s, p). It is the one home of §3.1's window arithmetic, which
+// the Split-CNN transform (internal/core) and the distributed halo plan
+// (internal/distserve) share. Output o's window reads the virtual input
+// rows [o·S − Pb, o·S − Pb + K); rows outside [0, l) are padding.
+type Window1D struct {
+	K, S, Pb, Pe int
+}
+
+// OutSize returns the output length over input length l. The division
+// floors (not truncates toward zero), so a window larger than the
+// padded input correctly yields a non-positive length rather than 1.
+func (w Window1D) OutSize(l int) int {
+	span := l + w.Pb + w.Pe - w.K
+	if span < 0 {
+		span -= w.S - 1
 	}
-	return q
+	return span/w.S + 1
 }
 
-// ceilDiv rounds the quotient towards +inf; b must be positive.
-func ceilDiv(a, b int) int { return floorDiv(a+b-1, b) }
+// LowerBound is Equation 1: the first virtual input row output o's
+// window reads, the smallest legal input split point for output split o.
+func (w Window1D) LowerBound(o int) int { return o*w.S - w.Pb }
+
+// UpperBound is Equation 2: one past the last virtual input row output
+// o−1's window reads, the largest legal input split point for output
+// split o. So outputs [lo, hi) read rows [LowerBound(lo), UpperBound(hi)).
+func (w Window1D) UpperBound(o int) int { return (o-1)*w.S + w.K - w.Pb }
+
+// BandPad is Equation 5 (begin formula corrected; see the core package
+// doc): the padding (b, e) under which the input rows [inLo, inHi) of an
+// axis of length l yield exactly the outputs [outLo, outHi), each from
+// the rows the unsplit op's window reads. At the ends of the axis it is
+// the op's own padding; inside, it is how far the band's windows reach
+// past the input band, and a negative value crops.
+func (w Window1D) BandPad(outLo, outHi, inLo, inHi, l int) (b, e int) {
+	b = inLo - w.LowerBound(outLo)
+	if inHi == l && outHi == w.OutSize(l) {
+		return b, w.Pe
+	}
+	return b, w.UpperBound(outHi) - inHi
+}
 
 func (p ConvParams) check(x *Tensor) (n, c, h, w, oh, ow int) {
 	n, c, h, w = x.shape.N(), x.shape.C(), x.shape.H(), x.shape.W()
@@ -41,41 +80,39 @@ func (p ConvParams) check(x *Tensor) (n, c, h, w, oh, ow int) {
 	return n, c, h, w, oh, ow
 }
 
-// oxRange returns the output-x interval [oxLo, oxHi) whose input column
-// ix = ox*SW - Pad.Left + kx lands inside [0, w), clamped to [0, ow].
-// Precomputing it per (kx) row lets the im2col/col2im inner loops run
-// without per-pixel bounds checks — and for stride 1 the interior
-// becomes one contiguous copy. The range may be empty (a kernel column
-// that reads only padding, as on narrow padded patches); callers then
-// touch no source element.
-func (p ConvParams) oxRange(kx, w, ow int) (oxLo, oxHi int) {
-	oxLo, oxHi = p.Pad.Left-kx, w+p.Pad.Left-kx
-	if p.SW != 1 {
-		oxLo, oxHi = ceilDiv(oxLo, p.SW), ceilDiv(oxHi, p.SW)
-	}
-	oxLo = min(max(oxLo, 0), ow)
-	return oxLo, max(min(oxHi, ow), oxLo)
+// paddedSize returns the rows and columns (hp, wp) an (oh, ow) output's
+// windows span: the planes padInput builds.
+func (p ConvParams) paddedSize(oh, ow int) (hp, wp int) {
+	return (oh-1)*p.SH + p.KH, (ow-1)*p.SW + p.KW
 }
 
 // Im2ColArena lowers the convolution windows of x into a matrix of
 // shape [C*KH*KW, N*OH*OW], drawn from the arena (nil falls back to
 // plain allocation), so that convolution becomes a matrix multiply.
-// Out-of-bounds (padding) positions contribute zeros.
+// It reads through the zero-padded copy of x that Conv2DInto builds, so
+// padding positions contribute zeros with no bounds checks.
 func Im2ColArena(a *Arena, x *Tensor, p ConvParams) *Tensor {
 	n, c, h, w, oh, ow := p.check(x)
+	hp, wp := p.paddedSize(oh, ow)
 	col := a.GetRaw(c*p.KH*p.KW, n*oh*ow)
+	padded := a.GetRaw(n*c, hp, wp)
+	padInput(padded.data, x.data, n*c, h, w, hp, wp, p.Pad)
 	cols := n * oh * ow
 	parallelRange(c*p.KH*p.KW, 1+parallelThreshold/cols, im2colArgs{
-		cd: col.data, xd: x.data, p: p,
-		n: n, c: c, h: h, w: w, oh: oh, ow: ow,
+		cd: col.data, pd: padded.data, p: p,
+		n: n, c: c, hp: hp, wp: wp, oh: oh, ow: ow,
 	}, im2colRows)
+	a.Put(padded)
 	return col
 }
 
+// im2colArgs carries one Im2ColArena or Col2ImArena call through
+// parallelRange: cd is the [C*KH*KW, N*OH*OW] matrix and pd the
+// [N*C, hp, wp] padded planes.
 type im2colArgs struct {
-	cd, xd             []float32
-	p                  ConvParams
-	n, c, h, w, oh, ow int
+	cd, pd               []float32
+	p                    ConvParams
+	n, c, hp, wp, oh, ow int
 }
 
 func im2colRows(t im2colArgs, lo, hi int) {
@@ -83,37 +120,20 @@ func im2colRows(t im2colArgs, lo, hi int) {
 	khkw := p.KH * p.KW
 	cols := t.n * t.oh * t.ow
 	for row := lo; row < hi; row++ {
-		ch := row / khkw
-		rem := row % khkw
-		ky, kx := rem/p.KW, rem%p.KW
-		oxLo, oxHi := p.oxRange(kx, t.w, t.ow)
-		ixBase := oxLo*p.SW - p.Pad.Left + kx
+		ch, ky, kx := row/khkw, row%khkw/p.KW, row%p.KW
 		dst := t.cd[row*cols : (row+1)*cols]
 		for b := 0; b < t.n; b++ {
-			src := t.xd[(b*t.c+ch)*t.h*t.w : (b*t.c+ch+1)*t.h*t.w]
-			base := b * t.oh * t.ow
+			src := t.pd[(b*t.c+ch)*t.hp*t.wp:]
 			for oy := 0; oy < t.oh; oy++ {
-				iy := oy*p.SH - p.Pad.Top + ky
-				drow := dst[base+oy*t.ow : base+(oy+1)*t.ow]
-				if iy < 0 || iy >= t.h {
-					clear(drow)
-					continue
-				}
-				srow := src[iy*t.w : (iy+1)*t.w]
-				clear(drow[:oxLo])
-				clear(drow[oxHi:])
-				if oxLo == oxHi {
-					continue
-				}
+				srow := src[(oy*p.SH+ky)*t.wp+kx:]
 				if p.SW == 1 {
-					copy(drow[oxLo:oxHi], srow[ixBase:ixBase+oxHi-oxLo])
+					copy(dst[:t.ow], srow)
 				} else {
-					ix := ixBase
-					for ox := oxLo; ox < oxHi; ox++ {
-						drow[ox] = srow[ix]
-						ix += p.SW
+					for ox := range dst[:t.ow] {
+						dst[ox] = srow[ox*p.SW]
 					}
 				}
+				dst = dst[t.ow:]
 			}
 		}
 	}
@@ -121,65 +141,53 @@ func im2colRows(t im2colArgs, lo, hi int) {
 
 // Col2ImArena is the adjoint of Im2ColArena: it scatters (accumulates)
 // a [C*KH*KW, N*OH*OW] matrix back into an [N,C,H,W] tensor drawn from
-// the arena.
+// the arena. The scatter lands in zeroed padded planes, in (channel,
+// ky, kx, image, oy, ox) order, which padInput then crops to x's rows
+// and columns.
 func Col2ImArena(a *Arena, col *Tensor, p ConvParams, n, c, h, w int) *Tensor {
 	oh, ow := p.OutSize(h, w)
 	cols := n * oh * ow
 	if !col.shape.Equal(Shape{c * p.KH * p.KW, cols}) {
 		panic(fmt.Sprintf("tensor.Col2Im: col shape %v does not match %+v over (%d,%d,%d,%d)", col.shape, p, n, c, h, w))
 	}
-	out := a.Get(n, c, h, w) // zeroed: the scatter accumulates
+	hp, wp := p.paddedSize(oh, ow)
+	padded := a.Get(n*c, hp, wp) // zeroed: the scatter accumulates
 	// Parallelize over channels: each channel's scatter touches a
-	// disjoint region of the output.
+	// disjoint set of planes.
 	perCh := p.KH * p.KW * cols
-	parallelRange(c, 1+parallelThreshold/perCh, col2imArgs{
-		cd: col.data, od: out.data, p: p,
-		n: n, c: c, h: h, w: w, oh: oh, ow: ow,
+	parallelRange(c, 1+parallelThreshold/perCh, im2colArgs{
+		cd: col.data, pd: padded.data, p: p,
+		n: n, c: c, hp: hp, wp: wp, oh: oh, ow: ow,
 	}, col2imChans)
+	out := a.GetRaw(n, c, h, w)
+	padInput(out.data, padded.data, n*c, hp, wp, h, w, Pad2D{Top: -p.Pad.Top, Left: -p.Pad.Left})
+	a.Put(padded)
 	return out
 }
 
-type col2imArgs struct {
-	cd, od             []float32
-	p                  ConvParams
-	n, c, h, w, oh, ow int
-}
-
-func col2imChans(t col2imArgs, lo, hi int) {
+func col2imChans(t im2colArgs, lo, hi int) {
 	p := t.p
 	cols := t.n * t.oh * t.ow
 	for ch := lo; ch < hi; ch++ {
 		for ky := 0; ky < p.KH; ky++ {
 			for kx := 0; kx < p.KW; kx++ {
 				row := (ch*p.KH+ky)*p.KW + kx
-				oxLo, oxHi := p.oxRange(kx, t.w, t.ow)
-				if oxLo == oxHi {
-					continue // this kernel column reads only padding
-				}
-				ixBase := oxLo*p.SW - p.Pad.Left + kx
 				src := t.cd[row*cols : (row+1)*cols]
 				for b := 0; b < t.n; b++ {
-					dst := t.od[(b*t.c+ch)*t.h*t.w : (b*t.c+ch+1)*t.h*t.w]
-					base := b * t.oh * t.ow
+					dst := t.pd[(b*t.c+ch)*t.hp*t.wp:]
 					for oy := 0; oy < t.oh; oy++ {
-						iy := oy*p.SH - p.Pad.Top + ky
-						if iy < 0 || iy >= t.h {
-							continue
-						}
-						srow := src[base+oy*t.ow : base+(oy+1)*t.ow]
-						drow := dst[iy*t.w : (iy+1)*t.w]
+						drow, srow := dst[(oy*p.SH+ky)*t.wp+kx:], src[:t.ow]
 						if p.SW == 1 {
-							drow = drow[ixBase:]
-							for i, v := range srow[oxLo:oxHi] {
-								drow[i] += v
+							drow = drow[:len(srow)]
+							for ox, v := range srow {
+								drow[ox] += v
 							}
 						} else {
-							ix := ixBase
-							for ox := oxLo; ox < oxHi; ox++ {
-								drow[ix] += srow[ox]
-								ix += p.SW
+							for ox, v := range srow {
+								drow[ox*p.SW] += v
 							}
 						}
+						src = src[t.ow:]
 					}
 				}
 			}
@@ -215,9 +223,7 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	if len(dst.data) != n*cout*oh*ow {
 		panic(fmt.Sprintf("tensor.Conv2DInto: dst %v, want %d elements", dst.shape, n*cout*oh*ow))
 	}
-	// The windows span rows [0, hp) and columns [0, wp) of the padded
-	// input, whose (py, px) is x at (py−Top, px−Left).
-	hp, wp := (oh-1)*p.SH+p.KH, (ow-1)*p.SW+p.KW
+	hp, wp := p.paddedSize(oh, ow)
 	padded := a.GetRaw(n*cin, hp, wp)
 	padInput(padded.data, x.data, n*cin, h, w, hp, wp, p.Pad)
 	t := convTileArgs{

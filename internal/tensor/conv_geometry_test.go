@@ -19,7 +19,7 @@ func (g convGeom) String() string {
 }
 
 // narrowPaddedCases are patches whose padding leaves some kernel column
-// with no in-bounds output (an empty oxRange). Both once panicked in
+// reading only padding. Both once panicked in
 // im2col/col2im, and with spare slice capacity the clear of such a row
 // ran into the next one.
 var narrowPaddedCases = []struct {
@@ -102,10 +102,11 @@ func convNaive64(x, w, bias, g *Tensor, p ConvParams) (y, gx, gw *Tensor) {
 	return narrow(y64, Shape{n, cout, oh, ow}), narrow(gx64, x.shape), narrow(gw64, w.shape)
 }
 
-// checkConvGeometry runs one geometry: Conv2DInto must equal explicit
-// im2col + Gemm bit for bit, and the forward and both gradients of
-// Conv2DBackwardArena must match the float64 loop nest within 1e-4
-// relative.
+// checkConvGeometry runs one geometry: Im2ColArena and Col2ImArena
+// must equal their direct index-loop oracles bit for bit, Conv2DInto
+// must equal explicit im2col + Gemm bit for bit, and the forward and
+// both gradients of Conv2DBackwardArena must match the float64 loop
+// nest within 1e-4 relative.
 func checkConvGeometry(tb testing.TB, g convGeom, seed int64) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -114,6 +115,11 @@ func checkConvGeometry(tb testing.TB, g convGeom, seed int64) {
 	bias := randTensor(rng, g.cout)
 	oh, ow := g.p.OutSize(g.h, g.w)
 	a := NewArena()
+	col := Im2ColArena(a, x, g.p)
+	sameBits(tb, fmt.Sprintf("%v: im2col", g), col.data, im2colDirect(x, g.p))
+	col.RandUniform(rand.New(rand.NewSource(^seed)), -1, 1)
+	sameBits(tb, fmt.Sprintf("%v: col2im", g), Col2ImArena(a, col, g.p, g.n, g.c, g.h, g.w).data,
+		col2imDirect(col.data, g.p, g.n, g.c, g.h, g.w))
 	got := New(g.n, g.cout, oh, ow)
 	Conv2DInto(a, got, x, w, bias, g.p)
 	want := convExplicit(x, w, bias, g.p)
@@ -136,7 +142,92 @@ func checkConvGeometry(tb testing.TB, g convGeom, seed int64) {
 	}
 }
 
-// TestConvNarrowPaddedPatches pins the empty-oxRange geometries,
+// paddingOnlyColumn reports whether some kernel column of g reads only
+// padding: for every output x its input column lies outside [0, w).
+func paddingOnlyColumn(g convGeom) bool {
+	_, ow := g.p.OutSize(g.h, g.w)
+	for kx := 0; kx < g.p.KW; kx++ {
+		inside := false
+		for ox := 0; ox < ow; ox++ {
+			if ix := ox*g.p.SW - g.p.Pad.Left + kx; ix >= 0 && ix < g.w {
+				inside = true
+			}
+		}
+		if !inside {
+			return true
+		}
+	}
+	return false
+}
+
+// im2colDirect is the index-loop oracle of Im2ColArena: row (ch, ky,
+// kx), column (img, oy, ox) holds x at the window position, or 0 where
+// that lies outside x.
+func im2colDirect(x *Tensor, p ConvParams) []float32 {
+	n, c, h, w, oh, ow := p.check(x)
+	cols := n * oh * ow
+	out := make([]float32, c*p.KH*p.KW*cols)
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < p.KH; ky++ {
+			for kx := 0; kx < p.KW; kx++ {
+				row := (ch*p.KH+ky)*p.KW + kx
+				for b := 0; b < n; b++ {
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							iy, ix := oy*p.SH-p.Pad.Top+ky, ox*p.SW-p.Pad.Left+kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								out[row*cols+(b*oh+oy)*ow+ox] = x.data[((b*c+ch)*h+iy)*w+ix]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// col2imDirect is the scatter oracle of Col2ImArena: it accumulates
+// every in-bounds element of col into a zeroed [n,c,h,w] in (ch, ky,
+// kx, img, oy, ox) order and drops the padding positions.
+func col2imDirect(col []float32, p ConvParams, n, c, h, w int) []float32 {
+	oh, ow := p.OutSize(h, w)
+	cols := n * oh * ow
+	out := make([]float32, n*c*h*w)
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < p.KH; ky++ {
+			for kx := 0; kx < p.KW; kx++ {
+				row := (ch*p.KH+ky)*p.KW + kx
+				for b := 0; b < n; b++ {
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							iy, ix := oy*p.SH-p.Pad.Top+ky, ox*p.SW-p.Pad.Left+kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								out[((b*c+ch)*h+iy)*w+ix] += col[row*cols+(b*oh+oy)*ow+ox]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sameBits fails tb unless got and want agree bit for bit.
+func sameBits(tb testing.TB, what string, got, want []float32) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			tb.Fatalf("%s differs at %d: %g vs %g", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestConvNarrowPaddedPatches pins the padding-only kernel columns,
 // forward and backward.
 func TestConvNarrowPaddedPatches(t *testing.T) {
 	for i, c := range narrowPaddedCases {
@@ -195,12 +286,8 @@ func testConvGeometryMatchesReference(t *testing.T) {
 		if g.p.KW > g.w {
 			wideKernel++
 		}
-		_, ow := g.p.OutSize(g.h, g.w)
-		for kx := 0; kx < g.p.KW; kx++ {
-			if lo, hi := g.p.oxRange(kx, g.w, ow); lo == hi {
-				emptyCol++
-				break
-			}
+		if paddingOnlyColumn(g) {
+			emptyCol++
 		}
 		if g.c*g.p.KH*g.p.KW > 2*gemmKC {
 			deepK++

@@ -6,37 +6,6 @@ import (
 	"testing/quick"
 )
 
-// TestQuickConvOutputSize: OutSize must agree with the actual tensor
-// produced by Conv2D for random geometries, including negative padding
-// (cropping).
-func TestQuickConvOutputSize(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(4)
-		s := 1 + rng.Intn(3)
-		pad := Pad2D{
-			Top: rng.Intn(k+2) - 1, Bottom: rng.Intn(k+2) - 1,
-			Left: rng.Intn(k+2) - 1, Right: rng.Intn(k+2) - 1,
-		}
-		h := k + 2 + rng.Intn(10)
-		w := k + 2 + rng.Intn(10)
-		p := ConvParams{KH: k, KW: k, SH: s, SW: s, Pad: pad}
-		oh, ow := p.OutSize(h, w)
-		if oh <= 0 || ow <= 0 {
-			return true // degenerate geometry; Conv2D would panic by design
-		}
-		x := New(1, 2, h, w)
-		x.RandNormal(rng, 1)
-		wt := New(3, 2, k, k)
-		wt.RandNormal(rng, 1)
-		out := conv2D(x, wt, nil, p)
-		return out.Shape().Equal(Shape{1, 3, oh, ow})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNegativeCropConvMatchesManualCrop: negative padding must equal
 // cropping the input before a zero-padding convolution.
 func TestNegativeCropConvMatchesManualCrop(t *testing.T) {
