@@ -17,7 +17,7 @@ KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|
 
 # Every fuzz target, as package:Name. `go test` runs only their seeds;
 # fuzz-smoke fuzzes each for a few seconds.
-FUZZ_TARGETS = internal/serve:FuzzDecodePredict internal/memlayout:FuzzFirstFit \
+FUZZ_TARGETS = internal/serve:FuzzDecodePredict internal/serve:FuzzParsePixel internal/memlayout:FuzzFirstFit \
 	internal/graph:FuzzCompiledPlan internal/snapshot:FuzzLoad \
 	internal/tensor:FuzzConvGeometry internal/tensor:FuzzWindowBand internal/device:FuzzRun
 
@@ -60,15 +60,20 @@ ci: vet cross fmt build race dist-race fuzz-smoke bench-smoke bench-check serve-
 bench-kernels: build
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchtime 2s . ./internal/tensor ./internal/serve
 
-# prof-forward answers "where does the forward's time go": it
+# prof-forward answers "where does a serving request's CPU go": it
 # CPU-profiles the serving forward (BenchmarkInstanceRunB1 and B8, the
-# serving workloads' model) into PROF_DIR and prints the flat top.
+# serving workloads' model) into PROF_DIR/forward.prof, then the
+# /v1/predict body decode (BenchmarkDecodePredict/onepass) into
+# PROF_DIR/decode.prof, and prints the flat top of each.
 PROF_DIR ?= /tmp/splitcnn-prof
 prof-forward:
 	mkdir -p $(PROF_DIR)
 	$(GO) test -run '^$$' -bench 'InstanceRunB1$$|InstanceRunB8$$' -benchtime 3s \
 		-cpuprofile $(PROF_DIR)/forward.prof -o $(PROF_DIR)/splitcnn.test .
 	$(GO) tool pprof -top -nodecount 30 $(PROF_DIR)/splitcnn.test $(PROF_DIR)/forward.prof
+	$(GO) test -run '^$$' -bench 'DecodePredict/onepass$$' -benchtime 3s \
+		-cpuprofile $(PROF_DIR)/decode.prof -o $(PROF_DIR)/serve.test ./internal/serve
+	$(GO) tool pprof -top -nodecount 20 $(PROF_DIR)/serve.test $(PROF_DIR)/decode.prof
 
 # bench-smoke runs every kernel benchmark exactly once so CI catches
 # benchmarks that no longer compile or crash, without paying for a

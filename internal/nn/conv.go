@@ -43,12 +43,23 @@ var (
 type Conv struct {
 	Params  tensor.ConvParams
 	HasBias bool
+
+	// packed caches the weights packed for the forward kernel, repacked
+	// whenever their bits change. WithPad copies — the patches of a
+	// split convolution, the bands of a shard — share it, so one pack
+	// per weight version serves them all. A Conv built as a literal has
+	// none and packs per call.
+	packed *tensor.WeightCache
 }
 
 // NewConv returns a convolution with square kernel k, stride s and
 // symmetric padding p, with bias.
 func NewConv(k, s, p int) *Conv {
-	return &Conv{Params: tensor.ConvParams{KH: k, KW: k, SH: s, SW: s, Pad: tensor.Symmetric(p)}, HasBias: true}
+	return &Conv{
+		Params:  tensor.ConvParams{KH: k, KW: k, SH: s, SW: s, Pad: tensor.Symmetric(p)},
+		HasBias: true,
+		packed:  new(tensor.WeightCache),
+	}
 }
 
 // Kind implements graph.Op.
@@ -95,18 +106,18 @@ func (c *Conv) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 }
 
 // ForwardInto implements graph.Op. Every geometry runs the one
-// implicit-GEMM im2col kernel, which packs its panels straight from the
-// input and so needs no workspace beyond its output product and no heap
-// allocation once the scratch pool is warm. Its bits depend on the
-// reduction length only, not on the batch size or the band of rows
-// computed: batch prefixes, coalesced batches and shard bands are
+// implicit-GEMM kernel, which reads its windows from a padded copy of
+// the input and its weights from the op's packed-weight cache, and so
+// needs no workspace and no heap allocation once warm. Its bits depend
+// on the reduction length only, not on the batch size or the band of
+// rows computed: batch prefixes, coalesced batches and shard bands are
 // bit-identical to the full computation.
 func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) any {
 	var bias *tensor.Tensor
 	if c.HasBias {
 		bias = in[2]
 	}
-	tensor.Conv2DInto(a, dst, in[0], in[1], bias, c.Params)
+	tensor.Conv2DCached(a, dst, in[0], in[1], bias, c.Params, c.packed)
 	return nil
 }
 

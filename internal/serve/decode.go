@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -36,9 +37,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 // A body in the canonical form (one object holding only the keys
 // "model", "image" and "timeout_ms", spelled exactly, each at most once,
 // with an unescaped ASCII model name, JSON numbers as pixels and an
-// integer timeout) is parsed in one pass; every pixel goes through
-// strconv.ParseFloat(s, 32), the call encoding/json makes, so its bits
-// are the same. Any other body goes, as the same bytes, to
+// integer timeout) is parsed in one pass; every pixel gets the bits of
+// strconv.ParseFloat(s, 32), the call encoding/json makes (parsePixel).
+// Any other body goes, as the same bytes, to
 // json.Decoder.Decode, so it is accepted, rejected and worded exactly as
 // encoding/json does.
 func DecodePredict(w http.ResponseWriter, r *http.Request, imageLen int) (PredictRequest, int, error) {
@@ -159,15 +160,11 @@ func parseImage(b []byte, i int, req *PredictRequest, vals *[]float32) (int, boo
 			}
 			i = skipSpace(b, i+1)
 		}
-		j, _ := scanNumber(b, i)
-		if j == i {
+		f, j, ok := parsePixel(b, i)
+		if !ok {
 			return i, false
 		}
-		f, err := strconv.ParseFloat(string(b[i:j]), 32)
-		if err != nil {
-			return i, false
-		}
-		v = append(v, float32(f))
+		v = append(v, f)
 		i = skipSpace(b, j)
 	}
 	if i == len(b) {
@@ -196,16 +193,16 @@ func parseModel(b []byte, i int, req *PredictRequest) (int, bool) {
 
 // parseTimeout parses the integer literal at b[i:] into req.TimeoutMs.
 func parseTimeout(b []byte, i int, req *PredictRequest) (int, bool) {
-	j, isInt := scanNumber(b, i)
-	if j == i || !isInt {
+	n := scanNumber(b, i)
+	if n.end == i || !n.isInt {
 		return i, false
 	}
-	n, err := strconv.ParseInt(string(b[i:j]), 10, strconv.IntSize)
+	v, err := strconv.ParseInt(string(b[i:n.end]), 10, strconv.IntSize)
 	if err != nil {
 		return i, false
 	}
-	req.TimeoutMs = int(n)
-	return j, true
+	req.TimeoutMs = int(v)
+	return n.end, true
 }
 
 // rawString returns the contents of the string starting at b[i] and the
@@ -226,51 +223,129 @@ func rawString(b []byte, i int) (s []byte, end int, ok bool) {
 	return nil, i, false
 }
 
-// scanNumber returns the end of the JSON number at b[i:] (i itself when
-// there is none) and whether it has neither fraction nor exponent.
-func scanNumber(b []byte, i int) (end int, isInt bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	switch {
-	case j == len(b):
-		return i, false
-	case b[j] == '0':
-		j++
-	case '1' <= b[j] && b[j] <= '9':
-		j = skipDigits(b, j+1)
-	default:
-		return i, false
-	}
-	isInt = true
-	if j < len(b) && b[j] == '.' {
-		k := skipDigits(b, j+1)
-		if k == j+1 {
-			return i, false
-		}
-		j, isInt = k, false
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		k := skipDigits(b, j)
-		if k == j {
-			return i, false
-		}
-		j, isInt = k, false
-	}
-	return j, isInt
+// number is the JSON number scanNumber reads: its end (the start when
+// there is none), whether it has neither fraction nor exponent, and its
+// value as ±mant·10^exp when it has at most 19 significant digits.
+type number struct {
+	end   int
+	isInt bool
+	neg   bool
+	mant  uint64
+	exp   int
+	long  bool // more than 19 significant digits: mant is void
 }
 
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// scanNumber reads the longest JSON number at b[i:]: one pass that
+// checks the grammar and collects the digits. A fraction or exponent
+// with no digit ends the number before its '.' or 'e'.
+func scanNumber(b []byte, i int) number {
+	var mant uint64 // every significant digit; void past 19 of them
+	exp, nd := 0, 0 // nd counts the significant digits
+	j := i
+	neg := j < len(b) && b[j] == '-'
+	if neg {
+		j++
 	}
-	return i
+	if j == len(b) || !isDigit(b[j]) {
+		return number{end: i}
+	}
+	if b[j] == '0' {
+		j++
+	} else {
+		k := j
+		j, mant = digits(b, j, mant)
+		nd = j - k
+	}
+	isInt := true
+	if j+1 < len(b) && b[j] == '.' && isDigit(b[j+1]) {
+		isInt = false
+		k := j + 1
+		if mant == 0 { // leading zeros only scale
+			for k < len(b) && b[k] == '0' {
+				k++
+			}
+		}
+		dot := j
+		j, mant = digits(b, k, mant)
+		nd += j - k
+		exp -= j - dot - 1
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		k, sign := j+1, 1
+		if k < len(b) && (b[k] == '+' || b[k] == '-') {
+			if b[k] == '-' {
+				sign = -1
+			}
+			k++
+		}
+		if k < len(b) && isDigit(b[k]) {
+			e := 0
+			for ; k < len(b) && isDigit(b[k]); k++ {
+				if e < 1<<20 { // far past any fast-path exponent
+					e = e*10 + int(b[k]-'0')
+				}
+			}
+			j, isInt, exp = k, false, exp+sign*e
+		}
+	}
+	return number{end: j, isInt: isInt, neg: neg, mant: mant, exp: exp, long: nd > 19}
 }
+
+// digits folds the digits at b[i:] into m, wrapping past 19 of them,
+// and returns the index past the last and the new m.
+func digits(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
+	}
+	return i, m
+}
+
+// parsePixel parses the JSON number at b[i:] to the float32 that
+// strconv.ParseFloat(s, 32) — encoding/json's call — gives, with its end
+// index; ok is false where there is no number or ParseFloat fails.
+//
+// When the number has at most 19 significant digits, mant < 2⁵³ and
+// |exp| ≤ 22, float64(mant) times or over the exact 1e|exp| is one
+// correctly rounded operation (Clinger's fast path), and its magnitude
+// is 0 or within [1e-22, 2⁵³·1e22) — inside float32's normal range, so
+// neither a subnormal nor an overflow can arise. Rounding that float64
+// to float32 gives the decimal's own float32 rounding unless the
+// float64 lies exactly on a float32 halfway point (its 29 low mantissa
+// bits 1<<28), where the decimal may lie on either side of it; such a
+// value and every other number go to ParseFloat.
+func parsePixel(b []byte, i int) (f float32, end int, ok bool) {
+	n := scanNumber(b, i)
+	if n.end == i {
+		return 0, i, false
+	}
+	if !n.long && n.mant < 1<<53 && -22 <= n.exp && n.exp <= 22 {
+		v := float64(n.mant)
+		if n.exp >= 0 {
+			v *= pow10[n.exp]
+		} else {
+			v /= pow10[-n.exp]
+		}
+		if n.neg {
+			v = -v
+		}
+		const halfway, lowBits = 1 << 28, 1<<29 - 1 // the bits float32 rounds off
+		if math.Float64bits(v)&lowBits != halfway {
+			return float32(v), n.end, true
+		}
+	}
+	g, err := strconv.ParseFloat(string(b[i:n.end]), 32)
+	return float32(g), n.end, err == nil
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {

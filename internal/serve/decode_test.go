@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"testing"
 )
 
@@ -192,4 +194,121 @@ func BenchmarkDecodePredict(b *testing.B) {
 			}
 		}
 	})
+}
+
+// jsonNumber matches the longest JSON number (RFC 8259 §6) at the
+// start of a string: the grammar parsePixel's scanner must agree with.
+var jsonNumber = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// checkPixel compares parsePixel on s with the longest JSON number at
+// its start, parsed by strconv.ParseFloat(s, 32): the same end, the
+// same accept/reject decision and the same bits.
+func checkPixel(t *testing.T, s string) {
+	t.Helper()
+	got, end, ok := parsePixel([]byte(s), 0)
+	want := len(jsonNumber.FindString(s))
+	if end != want {
+		t.Fatalf("parsePixel(%q) ends at %d, the JSON number at %d", s, end, want)
+	}
+	if want == 0 {
+		if ok {
+			t.Fatalf("parsePixel(%q) accepts no number", s)
+		}
+		return
+	}
+	if !json.Valid([]byte(s[:want])) {
+		t.Fatalf("%q: the pattern matched %q, which encoding/json rejects", s, s[:want])
+	}
+	f, err := strconv.ParseFloat(s[:want], 32)
+	switch {
+	case ok != (err == nil):
+		t.Fatalf("parsePixel(%q) ok=%v, strconv err %v", s, ok, err)
+	case ok && math.Float32bits(got) != math.Float32bits(float32(f)):
+		t.Fatalf("parsePixel(%q) = %v (%#08x), strconv %v (%#08x)",
+			s, got, math.Float32bits(got), float32(f), math.Float32bits(float32(f)))
+	}
+}
+
+// halfway returns the float64 midpoint between f and the next float32
+// up, which float64 holds exactly.
+func halfway(f float32) float64 {
+	return (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+}
+
+// FuzzParsePixel checks parsePixel against strconv.ParseFloat(s, 32) on
+// any bytes: see checkPixel.
+func FuzzParsePixel(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "-0.0", "0.000000000000000000000000001", "0.0001234", "0e99999999999",
+		"1", "-1.5", "0.1", "3.4028235e38", "1e21", "1e-7", "1.17549435e-38",
+		"1.1754943508222875e-38", "1.1754942e-38", "1e-45", "1.401298464324817e-45",
+		"340282356779733661637539395458142568448",     // MaxFloat32 + ½ ulp: overflows
+		"340282356779733661637539395458142568447",     // just under: MaxFloat32
+		"3.40282356779733661637539395458142568448e38", // the same, as a fraction
+		"1234567890123456789", "12345678901234567890", "9007199254740993",
+		"1.234567890123456789e5", "1.2345678901234567890e5",
+		"1e22", "1e23", "1e-22", "1e-23", "4.5e22", "4.5e-22", "123456789e-22", "123456789e23",
+		"1.00000005960464477539", "1.0000000596046448", "16777217", "16777217.000000001",
+		"-", "-x", "01", "1.", ".5", "+1", "1e", "1e+", "1.e5", "1.5E-3x", "1_0", "0x10", "Infinity", "NaN",
+	} {
+		f.Add(s)
+	}
+	for _, x := range []float32{1, 0.1, 3.3, 1e-30, 1e30, math.MaxFloat32 / 2, 0x1p-126, 7.006492e-46} {
+		m := halfway(x)
+		for d := 14; d <= 18; d++ {
+			f.Add(strconv.FormatFloat(m, 'e', d, 64))
+		}
+	}
+	f.Fuzz(checkPixel)
+}
+
+// TestParsePixelMatchesStrconv runs checkPixel over a seeded mix of
+// 10⁶ strings (10⁵ under the race detector): encoding/json's float32
+// output, random float32 bit patterns in shortest form, float64s scaled
+// by 10^±20 in 17 digits, and decimals of 15–19 digits near float32
+// halfway points, each signed at random.
+func TestParsePixelMatchesStrconv(t *testing.T) {
+	n := 1_000_000
+	if raceEnabled {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(45))
+	buf := make([]byte, 0, 64)
+	randFloat32 := func() float32 {
+		for {
+			if f := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+				return f
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		buf = buf[:0]
+		if rng.Intn(2) == 0 {
+			buf = append(buf, '-')
+		}
+		switch i % 4 {
+		case 0:
+			b, err := json.Marshal(float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf, b...)
+		case 1:
+			buf = strconv.AppendFloat(buf, math.Abs(float64(randFloat32())), 'g', -1, 32)
+		case 2:
+			buf = strconv.AppendFloat(buf, rng.Float64()*math.Pow(10, float64(rng.Intn(41)-20)), 'g', 17, 64)
+		case 3:
+			m := halfway(float32(math.Abs(float64(randFloat32()))))
+			if rng.Intn(2) == 0 {
+				buf = strconv.AppendFloat(buf, m, 'g', -1, 64)
+			} else {
+				buf = strconv.AppendFloat(buf, m, 'e', 14+rng.Intn(5), 64)
+			}
+		}
+		checkPixel(t, string(buf))
+	}
 }

@@ -1,6 +1,11 @@
 package tensor
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"unsafe"
+)
 
 // ConvParams describes a 2-D convolution: kernel size, stride, and
 // asymmetric padding. Dilation and groups are intentionally out of scope
@@ -197,7 +202,14 @@ func col2imChans(t im2colArgs, lo, hi int) {
 
 // Conv2DInto computes a 2-D convolution into a caller-supplied dst. x
 // is [N,Cin,H,W], weight is [Cout,Cin,KH,KW], bias (may be nil) is
-// [Cout]; dst is [N,Cout,OH,OW]. dst must not alias x.
+// [Cout]; dst is [N,Cout,OH,OW]. dst must not alias x. It packs the
+// weights on every call: Conv2DCached with no cache.
+func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
+	Conv2DCached(a, dst, x, weight, bias, p, nil)
+}
+
+// Conv2DCached is Conv2DInto reading its packed weights from c (nil:
+// pack per call), which packs them only when the weights' bits changed.
 //
 // It is an implicit GEMM that packs only the weights: they are copied
 // into NR-wide k-major panels over Cout (O(Cout·K), independent of batch
@@ -214,7 +226,8 @@ func col2imChans(t im2colArgs, lo, hi int) {
 // Im2ColArena followed by Gemm and a bias add, so the two are
 // bit-identical, and — the chain depending on nothing but K — so is
 // the same convolution over any batch prefix or band of output rows.
-func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
+// Cached or packed afresh, the panels hold the same bits.
+func Conv2DCached(a *Arena, dst, x, weight, bias *Tensor, p ConvParams, c *WeightCache) {
 	n, cin, h, w, oh, ow := p.check(x)
 	cout := weight.shape[0]
 	if !weight.shape.Equal(Shape{cout, cin, p.KH, p.KW}) {
@@ -241,8 +254,8 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 		}
 	}
 	t.panels = (cout + gemmNR - 1) / gemmNR
-	t.w = floatScratch.get(t.panels * t.k * gemmNR)
-	packConvWeights(t.w, weight.data, cout, t.k)
+	var cached bool
+	t.w, cached = c.acquire(weight.data, cout, t.k)
 	if bias != nil {
 		t.bias = bias.data
 	}
@@ -250,28 +263,80 @@ func Conv2DInto(a *Arena, dst, x, weight, bias *Tensor, p ConvParams) {
 	tiles := (n*oh*ow + gemmMR - 1) / gemmMR
 	tileFlops := 2 * gemmMR * gemmNR * t.k * t.panels
 	parallelRange(tiles, 1+(1<<21)/tileFlops, t, convTiles)
-	floatScratch.put(t.w)
+	if cached {
+		c.mu.Unlock()
+	} else {
+		floatScratch.put(t.w)
+	}
 	offsetScratch.put(t.offs)
 	a.Put(padded)
 }
 
+// WeightCache holds one convolution's weights packed as Conv2DCached's
+// tiles read them, and a bit copy of the weights they were packed from.
+// It is compared byte for byte on every call, so any change to the
+// weights — a +0/−0 flip or a NaN payload included — repacks, and
+// nothing needs to invalidate it. The zero value is empty; its buffers
+// are allocated at the first call and kept.
+type WeightCache struct {
+	mu     sync.Mutex // held by the call reading panels
+	cout   int
+	bits   []float32
+	panels []float32
+}
+
+// acquire returns weight ([cout, k]) packed into panels: c's, repacked
+// only if weight's bits or shape differ from the last pack (cached is
+// true and c stays locked until the caller unlocks it), or, when c is
+// nil or another call holds it, packed into scratch.
+func (c *WeightCache) acquire(weight []float32, cout, k int) (panels []float32, cached bool) {
+	size := (cout + gemmNR - 1) / gemmNR * k * gemmNR
+	if c == nil || !c.mu.TryLock() {
+		panels = floatScratch.get(size)
+		packConvWeights(panels, weight, cout, k)
+		return panels, false
+	}
+	if c.cout != cout || !bytes.Equal(floatBytes(c.bits), floatBytes(weight)) {
+		if len(c.panels) != size {
+			c.panels = make([]float32, size)
+		}
+		packConvWeights(c.panels, weight, cout, k)
+		c.cout, c.bits = cout, append(c.bits[:0], weight...)
+	}
+	return c.panels, true
+}
+
+// floatBytes views s's memory as bytes, for a comparison of bits.
+func floatBytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
+
 // padInput copies the planes of x ([planes, h, w]) into dst ([planes,
 // hp, wp]) so that dst's (py, px) is x at (py−Top, px−Left), or 0 where
-// that lies outside x. Negative pads crop.
+// that lies outside x. Negative pads crop. Each element of dst is
+// written once: every run of x's values is preceded by one clear of the
+// padding since the previous run — the right and left pad columns of
+// adjacent rows and the bottom and top pad rows of adjacent planes are
+// contiguous.
 func padInput(dst, x []float32, planes, h, w, hp, wp int, pad Pad2D) {
-	clear(dst)
 	lo := min(max(pad.Left, 0), wp)    // the first column inside x
 	hi := min(max(w+pad.Left, lo), wp) // one past the last
 	py0, py1 := min(max(pad.Top, 0), hp), min(max(h+pad.Top, 0), hp)
 	if lo == hi {
+		clear(dst)
 		return
 	}
+	z := 0 // dst[z:] is not yet written
 	for pl := 0; pl < planes; pl++ {
-		src, out := x[pl*h*w:(pl+1)*h*w], dst[pl*hp*wp:(pl+1)*hp*wp]
+		src := x[pl*h*w : (pl+1)*h*w]
 		for py := py0; py < py1; py++ {
-			copy(out[py*wp+lo:py*wp+hi], src[(py-pad.Top)*w+lo-pad.Left:])
+			row := (pl*hp + py) * wp
+			clear(dst[z : row+lo])
+			copy(dst[row+lo:row+hi], src[(py-pad.Top)*w+lo-pad.Left:])
+			z = row + hi
 		}
 	}
+	clear(dst[z:])
 }
 
 // packConvWeights copies weight, read as [cout, k], into NR-wide

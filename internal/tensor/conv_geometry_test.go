@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -418,5 +419,82 @@ func BenchmarkConvIm2Col3x3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv2D(x, w, nil, p)
+	}
+}
+
+// TestPadInputMatchesClearThenCopy: padInput writes each element of its
+// destination once, and into a NaN-filled destination (GetRaw hands out
+// dirty memory) over random geometries — cropping pads and planes of
+// padding only included — gives exactly a clear of the whole
+// destination followed by a copy of the interior.
+func TestPadInputMatchesClearThenCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	nan := float32(math.NaN())
+	var crop, empty int
+	for iter := 0; iter < 3000; iter++ {
+		planes, h, w := 1+rng.Intn(3), 1+rng.Intn(7), 1+rng.Intn(7)
+		pad := Pad2D{Top: rng.Intn(9) - 4, Left: rng.Intn(9) - 4}
+		hp, wp := 1+rng.Intn(10), 1+rng.Intn(10)
+		x := make([]float32, planes*h*w)
+		for i := range x {
+			x[i] = rng.Float32() + 1
+		}
+		want := make([]float32, planes*hp*wp)
+		for pl := 0; pl < planes; pl++ {
+			for py := 0; py < hp; py++ {
+				for px := 0; px < wp; px++ {
+					if y, xx := py-pad.Top, px-pad.Left; 0 <= y && y < h && 0 <= xx && xx < w {
+						want[(pl*hp+py)*wp+px] = x[(pl*h+y)*w+xx]
+					}
+				}
+			}
+		}
+		got := make([]float32, len(want))
+		for i := range got {
+			got[i] = nan
+		}
+		padInput(got, x, planes, h, w, hp, wp, pad)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("planes %d x %dx%d into %dx%d pad %v: dst[%d] = %v, want %v",
+					planes, h, w, hp, wp, pad, i, got[i], want[i])
+			}
+		}
+		if pad.Top < 0 || pad.Left < 0 || pad.Top+h > hp || pad.Left+w > wp {
+			crop++
+		}
+		if slices.Max(want) == 0 {
+			empty++
+		}
+	}
+	if crop == 0 || empty == 0 {
+		t.Fatalf("sweep missed a case: %d cropping, %d all-padding", crop, empty)
+	}
+}
+
+// TestWeightCachePanelsFollowBits: after every change to the weights —
+// a +0/−0 flip and a NaN payload change included, which no conv output
+// can show — and to their shape, the cache's panels are bit for bit a
+// fresh pack of the weights, and the output equals Conv2DInto's.
+func TestWeightCachePanelsFollowBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, Pad: Symmetric(1)}
+	x := randTensor(rng, 2, 3, 6, 6)
+	var c WeightCache
+	for step, cout := range []int{5, 5, 5, 5, 18, 16, 16} {
+		w := randTensor(rng, cout, 3, 3, 3)
+		if 0 < step && step < 5 { // only element 7 differs from the last pack
+			copy(w.data, c.bits)
+			w.data[7] = []float32{0, float32(math.Copysign(0, -1)),
+				math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)}[step-1]
+		}
+		got, want := New(2, cout, 6, 6), New(2, cout, 6, 6)
+		Conv2DCached(nil, got, x, w, nil, p, &c)
+		Conv2DInto(nil, want, x, w, nil, p)
+		fresh := make([]float32, len(c.panels))
+		packConvWeights(fresh, w.data, cout, 27)
+		what := fmt.Sprintf("step %d (cout %d)", step, cout)
+		sameBits(t, what+" panels", c.panels, fresh)
+		sameBits(t, what+" output", got.data, want.data)
 	}
 }

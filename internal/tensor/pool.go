@@ -9,7 +9,9 @@ import "math"
 // each input plane) of every output element, which the backward pass
 // consumes; indices are stored as float32 (exact for plane sizes below
 // 2^24, far above any model here) so they recycle through an arena like
-// any activation, and -1 marks windows that were entirely padding.
+// any activation, and -1 marks windows that were entirely padding
+// (they emit 0). A window of in-bounds values all −Inf emits −Inf with
+// its first element as argmax; a NaN never wins.
 func MaxPool2DInto(out, arg, x *Tensor, p ConvParams) {
 	n, c, h, w, oh, ow := p.check(x)
 	if len(out.data) != n*c*oh*ow {
@@ -55,13 +57,15 @@ func maxPoolPlanes(t maxPoolArgs, lo, hi int) {
 						if ix < 0 || ix >= w {
 							continue
 						}
-						if v := src[iy*w+ix]; v > best {
+						// The first in-bounds value wins even at -Inf; a
+						// NaN never does.
+						if v := src[iy*w+ix]; v > best || bi < 0 && v == best {
 							best, bi = v, iy*w+ix
 						}
 					}
 				}
 				if bi < 0 {
-					// Window entirely in padding: emit 0.
+					// Window entirely in padding (or NaN): emit 0.
 					best = 0
 				}
 				dst[oy*ow+ox] = best

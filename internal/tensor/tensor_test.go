@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -453,5 +454,58 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	}
 	if d := lhs - rhs; d > 1e-2 || d < -1e-2 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
+	}
+}
+
+// TestMaxPoolEdgeWindows pins max pooling's forward value, argmax and
+// backward scatter on windows with no finite winner: in-bounds values
+// all −Inf emit −Inf and route the gradient to the first of them, a
+// NaN never wins, and a window of padding (or NaN) only emits 0 with
+// argmax −1 and drops its gradient.
+func TestMaxPoolEdgeWindows(t *testing.T) {
+	inf, nan := float32(math.Inf(-1)), float32(math.NaN())
+	for _, tc := range []struct {
+		name    string
+		x       []float32 // one 2×2 plane
+		p       ConvParams
+		want    []float32
+		wantArg []float32
+	}{
+		{"all -Inf", []float32{inf, inf, inf, inf},
+			ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}, []float32{inf}, []float32{0}},
+		{"-Inf with padding", []float32{inf, inf, inf, inf},
+			ConvParams{KH: 2, KW: 2, SH: 1, SW: 1, Pad: Pad2D{Top: 1, Left: 1}},
+			[]float32{inf, inf, inf, inf}, []float32{0, 0, 0, 0}},
+		{"padding only", []float32{1, 2, 3, 4},
+			ConvParams{KH: 1, KW: 1, SH: 3, SW: 3, Pad: Pad2D{Top: 1, Left: 1}},
+			[]float32{0}, []float32{-1}},
+		{"NaN never wins", []float32{nan, 1, inf, nan},
+			ConvParams{KH: 2, KW: 1, SH: 1, SW: 1}, []float32{inf, 1}, []float32{2, 1}},
+		{"all NaN", []float32{nan, nan, nan, nan},
+			ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}, []float32{0}, []float32{-1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := FromSlice(tc.x, 1, 1, 2, 2)
+			y, arg := maxPool2D(x, tc.p)
+			for i := range tc.want {
+				if math.Float32bits(y.Data()[i]) != math.Float32bits(tc.want[i]) || arg.Data()[i] != tc.wantArg[i] {
+					t.Fatalf("out %v arg %v, want %v arg %v", y.Data(), arg.Data(), tc.want, tc.wantArg)
+				}
+			}
+			g := New(y.Shape()...)
+			for i := range g.Data() {
+				g.Data()[i] = float32(i + 1)
+			}
+			gi := MaxPool2DBackwardArena(nil, g, arg, tc.p, 1, 1, 2, 2)
+			want := make([]float32, 4)
+			for i, a := range tc.wantArg {
+				if a >= 0 {
+					want[int(a)] += float32(i + 1)
+				}
+			}
+			if !slices.Equal(gi.Data(), want) {
+				t.Fatalf("backward %v, want %v", gi.Data(), want)
+			}
+		})
 	}
 }
