@@ -130,9 +130,10 @@ dist-smoke:
 # compiled single-process server and a two-worker loopback fleet run
 # under load while the smoke asserts /profilez serves per-op CPU
 # attribution on serve, worker, and router, /metricsz carries the
-# measured-memory gauge family and per-request footprint histograms,
+# memory gauge family and both per-request footprint histograms,
 # /clusterz federates the workers' heap gauges into cluster.mem.*
-# rollups, and the measured timeline never exceeds the static plan.
+# rollups, and the memory timeline /profilez serves passes Verify and
+# CheckAgainstPlan (it never exceeds the static plan).
 mem-smoke:
 	$(GO) run -race ./cmd/splitcnn serve -memsmoke
 

@@ -27,8 +27,8 @@ import (
 // asserts that /profilez serves per-op CPU attribution and a raw pprof
 // download, that /metricsz carries the measured-memory gauge family
 // (measured high water, planned slab, finite drift) and the
-// per-request footprint histograms, and that the in-process measured
-// timeline satisfies the hard plan invariant.
+// per-request footprint histograms, and that the memory timeline
+// /profilez serves verifies and satisfies the hard plan invariant.
 //
 // Phase 2 boots a two-worker loopback fleet whose workers expose debug
 // HTTP listeners, drives load through the router, and asserts that all
@@ -95,7 +95,17 @@ func memSmokeServe() error {
 		return err
 	}
 	if len(view.Timelines) == 0 || len(view.Timelines[0].Samples) == 0 {
-		return fmt.Errorf("/profilez has no measured timeline samples")
+		return fmt.Errorf("/profilez has no memory timeline samples")
+	}
+	// The hard invariant, on the served timeline: the slab bytes each
+	// step references never exceed the static plan.
+	for _, tl := range view.Timelines {
+		if err := tl.Verify(); err != nil {
+			return fmt.Errorf("/profilez: %w", err)
+		}
+		if err := tl.CheckAgainstPlan(); err != nil {
+			return fmt.Errorf("/profilez: %w", err)
+		}
 	}
 
 	// Raw pprof download of the captured window.
@@ -129,16 +139,6 @@ func memSmokeServe() error {
 	}
 	if h, ok := snap.Histograms["serve.request_bytes_per_image"]; !ok || h.Count == 0 {
 		return fmt.Errorf("serve.request_bytes_per_image histogram missing or empty")
-	}
-
-	// The hard invariant, on the live collector: measured slab usage
-	// never exceeds the static plan.
-	tl := inst.Mem.Timeline()
-	if err := tl.Verify(); err != nil {
-		return err
-	}
-	if err := tl.CheckAgainstPlan(); err != nil {
-		return err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -67,8 +67,7 @@ func cmdReport(args []string) error {
 	trainLog := fs.String("train", "", "render a training report from this steplog JSONL (from `splitcnn train -steplog`) instead of a memory timeline")
 	distTrace := fs.String("dist", "", "render a distributed gang timeline from this trace file or router URL (its /tracez) instead of a memory timeline")
 	distReq := fs.String("req", "", "request ID to render (with -dist; default: the request with the most spans)")
-	memMeasured := fs.Bool("mem", false, "render the measured-vs-planned memory overlay by running the compiled model (uses -model/-batch/-widthdiv/-inputhw)")
-	memPasses := fs.Int("passes", 3, "measured forward passes (with -mem)")
+	memMeasured := fs.Bool("mem", false, "render the referenced-vs-planned memory overlay of the compiled model after one full-batch forward (uses -model/-batch/-widthdiv/-inputhw)")
 	dev := deviceFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +79,7 @@ func cmdReport(args []string) error {
 		return distReport(*distTrace, *distReq, *out)
 	}
 	if *memMeasured {
-		return memReport(*model, *batch, *widthDiv, *inputHW, *memPasses, *out, *metricsOut)
+		return memReport(*model, *batch, *widthDiv, *inputHW, *out, *metricsOut)
 	}
 	d, err := pickDevice(*dev)
 	if err != nil {
@@ -185,10 +184,11 @@ func cmdReport(args []string) error {
 	return nil
 }
 
-// memReport renders the measured-vs-planned memory overlay: it loads
-// the model through the compiled serving path, runs a few measured
-// forward passes, and plots the per-step bytes the executor actually
-// touched against the static plan's live bytes:
+// memReport renders the referenced-vs-planned memory overlay: it loads
+// the model through the compiled serving path, runs one full-batch
+// forward so the scratch arena's high water is the full batch's, and
+// plots the per-step slab bytes each kernel references against the
+// static plan's live bytes:
 //
 //	splitcnn report -mem -model vgg11 -batch 2 -widthdiv 8 -inputhw 32 -o mem.html
 //
@@ -198,7 +198,7 @@ func cmdReport(args []string) error {
 // enforced, and the plotted measured peak must equal the run's
 // mem.measured_high_water_bytes gauge to the byte before anything is
 // written.
-func memReport(model string, batch, widthDiv, inputHW, passes int, out, metricsOut string) error {
+func memReport(model string, batch, widthDiv, inputHW int, out, metricsOut string) error {
 	modelPath, arch, err := resolveModelArg(model)
 	if err != nil {
 		return err
@@ -213,16 +213,11 @@ func memReport(model string, batch, widthDiv, inputHW, passes int, out, metricsO
 	if err != nil {
 		return err
 	}
-	if passes < 1 {
-		passes = 1
-	}
-	for i := 0; i < passes; i++ {
-		if _, err := inst.Run(make([][]float32, batch)); err != nil {
-			return err
-		}
+	if _, err := inst.Run(make([][]float32, batch)); err != nil {
+		return err
 	}
 
-	tl := inst.Mem.Timeline()
+	tl := inst.Timeline()
 	met := trace.NewMetrics()
 	tl.Record(met)
 
@@ -248,7 +243,7 @@ func memReport(model string, batch, widthDiv, inputHW, passes int, out, metricsO
 	}
 
 	driftMax, driftAt := tl.DriftMax()
-	fmt.Printf("passes:        %d (%d steps each)\n", tl.Passes, len(tl.Samples))
+	fmt.Printf("steps:         %d\n", len(tl.Samples))
 	fmt.Printf("measured peak: %s (plotted == mem.measured_high_water_bytes gauge)\n",
 		report.HumanBytes(float64(plotted)))
 	fmt.Printf("planned slab:  %s · drift max %.3f at %s\n",

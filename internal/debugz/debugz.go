@@ -65,7 +65,7 @@ type Config struct {
 	// Sample runs on every runtime-sampler tick, after the runtime
 	// gauges.
 	Sample func(*trace.Metrics)
-	// Timelines lists the measured memory timelines /profilez shows.
+	// Timelines lists the memory timelines /profilez shows.
 	Timelines func() []*memobs.MemTimeline
 }
 

@@ -101,10 +101,6 @@ type CompileOptions struct {
 	// step with its own storage. The static memory plan still applies.
 	// Used by tests and as an ablation baseline.
 	NoRewrite bool
-	// Scratch, when non-nil, supplies the arena kernels draw transient
-	// workspace from (im2col buffers, softmax probabilities). Defaults
-	// to a fresh private arena.
-	Scratch *tensor.Arena
 }
 
 // CompileStats summarizes what compilation did to the graph.
@@ -187,30 +183,26 @@ type step struct {
 	// extent is the end of the step's output window (offset+bytes) —
 	// the written high-water contribution of this step.
 	extent int64
+	// live is the plan's live bytes at this step: the windows of every
+	// storage whose lifetime covers it, at the full batch.
+	live int64
 }
 
-// StepEvent describes one executed step of a compiled program, fired by
-// the Hook after the step's kernel and its fused epilogues complete.
-// SlabRefBytes/SlabWrittenBytes are runtime observations of the bound
-// slab windows — on a prefix pass, of the prefix views that pass
-// touched; Scratch is a live snapshot of the scratch arena.
-type StepEvent struct {
-	Step  int
-	Name  string
-	Kind  string
-	Fused int // in-place epilogues run as part of this step
-	// SlabRefBytes is the slab footprint the step's kernel actually
-	// touched (output window + distinct slab-resident inputs, deduped).
-	SlabRefBytes int64
-	// SlabWrittenBytes is the high-water extent of slab windows written
-	// so far in this pass (max offset+bytes over executed steps).
-	SlabWrittenBytes int64
-	// Scratch snapshots the program's scratch arena after the step.
-	Scratch tensor.ArenaStats
+// StepMem is one step's row of a pass's static memory table.
+type StepMem struct {
+	Name string
+	Kind string
+	// RefBytes is the slab footprint the step's kernel call references:
+	// its output window plus every distinct slab-resident input, over
+	// the pass's live batch.
+	RefBytes int64
+	// WrittenBytes is the high-water extent (offset+bytes) of the slab
+	// windows written by this step and every step before it.
+	WrittenBytes int64
+	// LiveBytes is the plan's live bytes at this step: the sum of the
+	// storage windows whose lifetime covers it, sized at the full batch.
+	LiveBytes int64
 }
-
-// StepHook receives one StepEvent per executed compiled step.
-type StepHook func(StepEvent)
 
 // pass is the step list and output views that run the first n samples
 // of the batch over the slab.
@@ -242,11 +234,6 @@ type CompiledProgram struct {
 	scratch    *tensor.Arena
 	plan       []PlanEntry
 	stats      CompileStats
-
-	// Hook, when non-nil, receives a StepEvent after every executed
-	// step. Installing a hook costs one arena-stats snapshot per step;
-	// leaving it nil keeps Forward allocation-free.
-	Hook StepHook
 }
 
 // valKind classifies where a node's value lives at run time.
@@ -415,17 +402,20 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 	}
 	stats.SlabBytes = slabBytes
 	stats.Steps = len(steps)
+	live := make([]int64, len(steps))
+	for i, s := range storages {
+		for at := s.birth; at <= s.last; at++ {
+			live[at] += blocks[i].Bytes
+		}
+	}
 
 	full := &pass{outViews: make([]*tensor.Tensor, len(g.Outputs))}
 	p := &CompiledProgram{
 		g:          g,
 		batchViews: make(map[*tensor.Tensor]bool),
 		slab:       make([]float32, slabBytes/4),
-		scratch:    opts.Scratch,
+		scratch:    tensor.NewArena(),
 		outsBuf:    make([]*tensor.Tensor, len(g.Outputs)),
-	}
-	if p.scratch == nil {
-		p.scratch = tensor.NewArena()
 	}
 	for _, n := range g.Nodes {
 		if n.Kind == KindInput && len(n.Shape) > 0 {
@@ -464,6 +454,7 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 			node: n,
 			in:   make([]*tensor.Tensor, len(n.Inputs)),
 			out:  views[n.ID],
+			live: live[si],
 		}
 		for slot, src := range n.Inputs {
 			v := vals[src.ID]
@@ -682,24 +673,12 @@ func (p *CompiledProgram) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
 	for _, b := range p.bindings {
 		ps.steps[b.step].in[b.slot] = feeds[b.name]
 	}
-	var extent int64
 	for i := range ps.steps {
 		st := &ps.steps[i]
 		if opLabelsOn() {
 			labelOp(st.node.Name, func() { p.runStep(st) })
 		} else {
 			p.runStep(st)
-		}
-		if p.Hook != nil {
-			if st.extent > extent {
-				extent = st.extent
-			}
-			p.Hook(StepEvent{
-				Step: i, Name: st.node.Name, Kind: st.node.Op.Kind(),
-				Fused:        len(st.post),
-				SlabRefBytes: st.slabRef, SlabWrittenBytes: extent,
-				Scratch: p.scratch.Stats(),
-			})
 		}
 	}
 	outs := p.outsBuf
@@ -739,6 +718,26 @@ func (p *CompiledProgram) Stats() CompileStats { return p.stats }
 func (p *CompiledProgram) PlanEntries() []PlanEntry {
 	out := make([]PlanEntry, len(p.plan))
 	copy(out, p.plan)
+	return out
+}
+
+// StepMem returns the static memory table of the pass over the first n
+// samples, 1 ≤ n ≤ B, one row per step in execution order. Every entry
+// is fixed at compile time: the slab windows a step touches are the
+// plan's, and the kernels' transient workspace returns to the scratch
+// arena before the step ends. Like Forward, it builds the pass on first
+// use, so it must not run concurrently with Forward.
+func (p *CompiledProgram) StepMem(n int) []StepMem {
+	ps := p.pass(n)
+	out := make([]StepMem, len(ps.steps))
+	var written int64
+	for i, st := range ps.steps {
+		written = max(written, st.extent)
+		out[i] = StepMem{
+			Name: st.node.Name, Kind: st.node.Op.Kind(),
+			RefBytes: st.slabRef, WrittenBytes: written, LiveBytes: st.live,
+		}
+	}
 	return out
 }
 

@@ -546,9 +546,48 @@ func checkPlanInvariants(t *testing.T, g *graph.Graph, prog *graph.CompiledProgr
 	}
 }
 
-// runCompiledSeed builds a random net twice, checks plan invariants,
-// and asserts compiled outputs are bit-identical to the interpreted
-// executor's.
+// checkStepMem verifies the static memory table of the pass over n
+// samples: each step's live bytes are the windows of the plan entries
+// whose lifetime covers it, the slab bytes the step references never
+// exceed them (measured ≤ planned), the written extent is a high water
+// and nothing lies past the slab.
+func checkStepMem(t *testing.T, label string, prog *graph.CompiledProgram, n int) {
+	t.Helper()
+	steps := prog.StepMem(n)
+	if len(steps) != prog.Steps() {
+		t.Fatalf("%s: %d table rows, want %d steps", label, len(steps), prog.Steps())
+	}
+	live := make([]int64, len(steps))
+	seen := map[int]bool{}
+	for _, e := range prog.PlanEntries() {
+		if e.Storage < 0 || seen[e.Storage] {
+			continue
+		}
+		seen[e.Storage] = true
+		for at := e.Start; at <= e.End; at++ {
+			live[at] += e.Bytes
+		}
+	}
+	for i, s := range steps {
+		if s.LiveBytes != live[i] {
+			t.Fatalf("%s: step %d (%s) has %d live bytes, plan entries cover %d", label, i, s.Name, s.LiveBytes, live[i])
+		}
+		if s.RefBytes <= 0 || s.RefBytes > s.LiveBytes {
+			t.Fatalf("%s: step %d (%s) references %d slab bytes, plan has %d live", label, i, s.Name, s.RefBytes, s.LiveBytes)
+		}
+		if i > 0 && s.WrittenBytes < steps[i-1].WrittenBytes {
+			t.Fatalf("%s: step %d (%s) written extent %d fell below step %d's %d", label, i, s.Name, s.WrittenBytes, i-1, steps[i-1].WrittenBytes)
+		}
+		if s.LiveBytes > prog.SlabBytes() || s.WrittenBytes > prog.SlabBytes() {
+			t.Fatalf("%s: step %d (%s) exceeds the %d-byte slab (live %d, written %d)",
+				label, i, s.Name, prog.SlabBytes(), s.LiveBytes, s.WrittenBytes)
+		}
+	}
+}
+
+// runCompiledSeed builds a random net twice, checks plan invariants
+// and the static memory table of every live batch, and asserts compiled
+// outputs are bit-identical to the interpreted executor's.
 func runCompiledSeed(t *testing.T, seed int64, training bool) {
 	t.Helper()
 	gi, store := randomCompiledNet(seed, training)
@@ -570,6 +609,9 @@ func runCompiledSeed(t *testing.T, seed int64, training bool) {
 		t.Fatalf("seed %d: compile: %v", seed, err)
 	}
 	checkPlanInvariants(t, gc, prog)
+	for n := 1; n <= gc.FindNode("image").Shape[0]; n++ {
+		checkStepMem(t, fmt.Sprintf("seed %d n=%d", seed, n), prog, n)
+	}
 	outs, err := prog.Forward(compileFeeds(t, gc, seed*31+7))
 	if err != nil {
 		t.Fatalf("seed %d: compiled: %v", seed, err)

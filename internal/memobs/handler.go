@@ -12,8 +12,8 @@ import (
 // per-op and per-function attribution tables (HTML by default,
 // ?format=json for machines), raw pprof downloads (?download=cpu for
 // the captured window, ?download=heap for a live heap profile), and —
-// when mem is non-nil — the measured memory timelines of the process's
-// collectors.
+// when mem is non-nil — the memory timelines of the process's compiled
+// programs.
 func Handler(p *Profiler, mem func() []*MemTimeline) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("download") {
@@ -86,11 +86,11 @@ caption{font-weight:600;text-align:left;padding:.25rem 0}
 			continue
 		}
 		max, at := tl.DriftMax()
-		fmt.Fprintf(w, `<table><caption>Measured memory timeline (%s · %d passes · high water %d B · planned slab %d B · drift max %.3f at %s)</caption><tr><th>step</th><th>op</th><th>measured B</th><th>planned B</th><th>slab ref B</th><th>scratch B</th></tr>`,
-			html.EscapeString(tl.Source), tl.Passes, tl.MeasuredHighWater, tl.PlannedSlabBytes, max, html.EscapeString(at))
+		fmt.Fprintf(w, `<table><caption>Memory timeline (high water %d B · scratch high water %d B · planned slab %d B · drift max %.3f at %s)</caption><tr><th>step</th><th>op</th><th>measured B</th><th>planned B</th><th>written B</th></tr>`,
+			tl.MeasuredHighWater, tl.ScratchHighWater, tl.PlannedSlabBytes, max, html.EscapeString(at))
 		for _, s := range tl.Samples {
-			fmt.Fprintf(w, `<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
-				s.Step, html.EscapeString(s.Name), s.MeasuredBytes, s.PlannedBytes, s.SlabRefBytes, s.ScratchBytes)
+			fmt.Fprintf(w, `<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
+				s.Step, html.EscapeString(s.Name), s.MeasuredBytes, s.PlannedBytes, s.WrittenBytes)
 		}
 		fmt.Fprint(w, `</table>`)
 	}

@@ -1,60 +1,73 @@
-// Package memobs is the measured-memory observability plane: it turns
-// the planned byte counts the compiler and HMMS planner emit into
-// *measured* runtime series, attributes footprint to ops and requests,
-// and runs an in-process continuous profiler whose windows join pprof
+// Package memobs is the memory observability plane: it publishes the
+// compiled program's static memory timeline next to the one quantity
+// execution measures, attributes footprint to ops and requests, and
+// runs an in-process continuous profiler whose windows join pprof
 // samples against graph op spans.
 //
-// Everything the repo reported about memory before this package was a
-// plan — slab sizes, HMMS peaks, first-fit offsets. memobs closes the
-// loop: a compiled-program hook snapshots the scratch arena and the
-// slab windows each op actually touches, producing a MemTimeline that
-// is directly comparable, step by step, against the static plan. The
-// drift gauges are the bytes analogue of the calibration op-time drift
-// ratios: measured footprint over planned live bytes, per op.
+// A compiled program's activations live at fixed offsets of one slab,
+// and its kernels return their transient workspace to the scratch
+// arena before each step ends, so every per-step byte count is a
+// property of the plan: PassTimeline reads it from the program's static
+// table once, at load. Per-step kernel workspace is not observed; the
+// measured quantity is the scratch arena's high water, read from the
+// arena itself. The drift gauges compare, per op, the slab bytes a step
+// references against the plan's live bytes at that step.
 package memobs
 
 import (
 	"fmt"
 	"math"
 
+	"splitcnn/internal/graph"
 	"splitcnn/internal/trace"
 )
 
-// MemSample is one op step's measured memory state.
+// MemSample is one op step's memory state.
 type MemSample struct {
 	Step int    `json:"step"`
 	Name string `json:"name"`
 	Kind string `json:"kind"`
-	// MeasuredBytes is the step's measured activation footprint: slab
-	// bytes the kernel referenced plus scratch arena in-use.
+	// MeasuredBytes is the slab footprint the step's kernel call
+	// references: its output window plus every distinct slab-resident
+	// input, over the pass's live batch.
 	MeasuredBytes int64 `json:"measured_bytes"`
 	// PlannedBytes is the static plan's live bytes at this step — the
 	// sum of storage windows whose lifetime covers it.
 	PlannedBytes int64 `json:"planned_bytes"`
-	// SlabRefBytes is the slab footprint the kernel call referenced.
-	SlabRefBytes int64 `json:"slab_ref_bytes"`
-	// ScratchBytes is the arena in-use bytes observed after the step.
-	ScratchBytes int64 `json:"scratch_bytes"`
-	// WrittenBytes is the high-water extent of slab windows written so
-	// far in the pass.
+	// WrittenBytes is the high-water extent of slab windows written
+	// so far in the pass.
 	WrittenBytes int64 `json:"written_bytes"`
 }
 
-// MemTimeline is one measured forward pass plus lifetime aggregates.
+// MemTimeline is one forward pass plus the program's high waters.
 type MemTimeline struct {
-	// Source names the measured execution route; always "compiled".
-	Source string `json:"source"`
-	// Samples holds the latest completed pass, one entry per op step.
+	// Samples holds one entry per op step of the pass.
 	Samples []MemSample `json:"samples"`
 	// PlannedSlabBytes is the static plan's slab size (0 when no plan).
 	PlannedSlabBytes int64 `json:"planned_slab_bytes"`
-	// MeasuredHighWater is the maximum MeasuredBytes observed over the
-	// collector's lifetime (across all passes, not just Samples).
+	// MeasuredHighWater is the maximum MeasuredBytes over the passes the
+	// timeline covers: Samples' own from PassTimeline, every pass run so
+	// far from a serving instance.
 	MeasuredHighWater int64 `json:"measured_high_water_bytes"`
-	// ScratchHighWater is the arena's lifetime high-water mark.
+	// ScratchHighWater is the scratch arena's lifetime high-water mark.
 	ScratchHighWater int64 `json:"scratch_high_water_bytes"`
-	// Passes counts completed forward passes.
-	Passes int64 `json:"passes"`
+}
+
+// PassTimeline builds the timeline of p's pass over a live batch of n
+// from the program's static step table; MeasuredHighWater is the
+// pass's peak and ScratchHighWater is left for the caller to read from
+// the arena.
+func PassTimeline(p *graph.CompiledProgram, n int) *MemTimeline {
+	steps := p.StepMem(n)
+	tl := &MemTimeline{Samples: make([]MemSample, len(steps)), PlannedSlabBytes: p.SlabBytes()}
+	for i, s := range steps {
+		tl.Samples[i] = MemSample{
+			Step: i, Name: s.Name, Kind: s.Kind,
+			MeasuredBytes: s.RefBytes, PlannedBytes: s.LiveBytes, WrittenBytes: s.WrittenBytes,
+		}
+		tl.MeasuredHighWater = max(tl.MeasuredHighWater, s.RefBytes)
+	}
+	return tl
 }
 
 // Verify checks the timeline's internal consistency: step indices must
@@ -78,18 +91,18 @@ func (tl *MemTimeline) Verify() error {
 }
 
 // CheckAgainstPlan enforces the hard plan invariant on a compiled
-// timeline: per step, the slab bytes the kernel referenced must not
+// timeline: per step, the slab bytes the kernel references must not
 // exceed the plan's live bytes at that step, and nothing may be written
 // past the planned slab. A violation means the compiled executor
-// touched memory the plan never reserved.
+// touches memory the plan never reserved.
 func (tl *MemTimeline) CheckAgainstPlan() error {
 	if tl.PlannedSlabBytes == 0 {
 		return fmt.Errorf("memobs: timeline has no plan to check against")
 	}
 	for _, s := range tl.Samples {
-		if s.SlabRefBytes > s.PlannedBytes {
+		if s.MeasuredBytes > s.PlannedBytes {
 			return fmt.Errorf("memobs: step %d (%s) referenced %d slab bytes, plan has only %d live",
-				s.Step, s.Name, s.SlabRefBytes, s.PlannedBytes)
+				s.Step, s.Name, s.MeasuredBytes, s.PlannedBytes)
 		}
 		if s.PlannedBytes > tl.PlannedSlabBytes || s.WrittenBytes > tl.PlannedSlabBytes {
 			return fmt.Errorf("memobs: step %d (%s) exceeds planned slab %d (live %d, written %d)",
@@ -100,12 +113,13 @@ func (tl *MemTimeline) CheckAgainstPlan() error {
 }
 
 // DriftMax returns the maximum per-step drift ratio
-// MeasuredBytes/PlannedBytes and the name of the op it occurs at.
-// Ratios above 1 mean the step's measured footprint (slab reference +
-// scratch workspace) exceeded what the plan accounts for — the plan
-// does not model kernel workspace, so conv steps with im2col buffers
-// legitimately drift above 1; what matters is that the ratio is finite,
-// stable, and bounded by the scratch high water.
+// MeasuredBytes/PlannedBytes and the name of the op it occurs at. A
+// step's referenced slab bytes are a subset of the plan's live bytes,
+// so on a timeline that passes CheckAgainstPlan the ratio is at most 1;
+// it falls below 1 where storages the step does not read stay live
+// across it and where a prefix pass touches only its live samples. Kernel workspace
+// is not part of any sample: the scratch arena's high water is
+// reported separately.
 func (tl *MemTimeline) DriftMax() (float64, string) {
 	max, at := 0.0, ""
 	for _, s := range tl.Samples {

@@ -6,11 +6,11 @@ import (
 	"splitcnn/internal/memobs"
 )
 
-// MeasuredMemReport builds the measured-vs-planned memory overlay for a
-// runtime MemTimeline: per op step, the bytes the executor actually
-// touched (slab windows referenced plus scratch arena in use) against
-// the static plan's live bytes, with the planned slab size as the
-// dashed high-water rule.
+// MeasuredMemReport builds the referenced-vs-planned memory overlay for
+// a compiled program's MemTimeline: per op step, the slab bytes the
+// kernel call references against the static plan's live bytes, with the
+// planned slab size as the dashed high-water rule and the scratch
+// arena's measured high water as a fact.
 //
 // The builder is self-verifying in the CompileReport tradition: it
 // refuses to render a timeline that fails Verify (corrupted step
@@ -29,7 +29,6 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 
 	measuredPts := make([]Point, 0, len(tl.Samples))
 	plannedPts := make([]Point, 0, len(tl.Samples))
-	scratchPts := make([]Point, 0, len(tl.Samples))
 	var peak int64
 	for _, s := range tl.Samples {
 		if s.MeasuredBytes > peak {
@@ -37,28 +36,23 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 		}
 		measuredPts = append(measuredPts, Point{X: float64(s.Step), Y: float64(s.MeasuredBytes), Label: s.Name})
 		plannedPts = append(plannedPts, Point{X: float64(s.Step), Y: float64(s.PlannedBytes), Label: s.Name})
-		scratchPts = append(scratchPts, Point{X: float64(s.Step), Y: float64(s.ScratchBytes), Label: s.Name})
 	}
 
 	driftMax, driftAt := tl.DriftMax()
 	facts := []KV{
-		{"source", tl.Source},
 		{"measured peak", HumanBytes(float64(peak))},
 		{"scratch high water", HumanBytes(float64(tl.ScratchHighWater))},
-		{"passes", fmt.Sprint(tl.Passes)},
 	}
 	chart := Chart{
-		Title: "measured vs planned activation bytes",
-		Note:  "runtime step hooks against the static first-fit plan",
+		Title: "referenced vs planned activation bytes",
+		Note:  "slab bytes each step's kernel references against the static first-fit plan",
 		XKind: XSteps,
 		Series: []Series{
 			{Name: "measured", Points: measuredPts},
 			{Name: "planned live", Points: plannedPts},
-			{Name: "scratch", Points: scratchPts},
 		},
 	}
-	subtitle := fmt.Sprintf("%d steps · %d passes · no static plan",
-		len(tl.Samples), tl.Passes)
+	subtitle := fmt.Sprintf("%d steps · no static plan", len(tl.Samples))
 	if tl.PlannedSlabBytes > 0 {
 		if err := tl.CheckAgainstPlan(); err != nil {
 			return nil, 0, err
@@ -70,8 +64,8 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 			KV{"drift max", fmt.Sprintf("%.3f at %s", driftMax, driftAt)},
 			KV{"drift geomean", fmt.Sprintf("%.3f", tl.DriftGeomean())},
 		)
-		subtitle = fmt.Sprintf("%d steps · %d passes · drift max %.3f at %s",
-			len(tl.Samples), tl.Passes, driftMax, driftAt)
+		subtitle = fmt.Sprintf("%d steps · drift max %.3f at %s",
+			len(tl.Samples), driftMax, driftAt)
 	}
 
 	d := &Data{
@@ -81,8 +75,8 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 		Charts:   []Chart{chart},
 	}
 	d.Table = &Table{
-		Caption: "measured memory timeline",
-		Header:  []string{"step", "op", "kind", "measured", "planned", "slab ref", "scratch", "drift"},
+		Caption: "memory timeline",
+		Header:  []string{"step", "op", "kind", "measured", "planned", "written", "drift"},
 	}
 	for _, s := range tl.Samples {
 		drift := "-"
@@ -92,7 +86,7 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 		d.Table.Rows = append(d.Table.Rows, []string{
 			fmt.Sprint(s.Step), s.Name, s.Kind,
 			fmt.Sprint(s.MeasuredBytes), fmt.Sprint(s.PlannedBytes),
-			fmt.Sprint(s.SlabRefBytes), fmt.Sprint(s.ScratchBytes), drift,
+			fmt.Sprint(s.WrittenBytes), drift,
 		})
 	}
 	return d, peak, nil

@@ -9,19 +9,19 @@ import (
 
 func fixtureTimeline() *memobs.MemTimeline {
 	return &memobs.MemTimeline{
-		Source: "compiled", Passes: 2,
-		PlannedSlabBytes: 4096, MeasuredHighWater: 3100,
+		PlannedSlabBytes: 4096, MeasuredHighWater: 3072, ScratchHighWater: 28,
 		Samples: []memobs.MemSample{
-			{Step: 0, Name: "conv1", Kind: "conv2d", MeasuredBytes: 2048, PlannedBytes: 2048, SlabRefBytes: 2048, ScratchBytes: 0},
-			{Step: 1, Name: "relu1", Kind: "relu", MeasuredBytes: 3100, PlannedBytes: 3072, SlabRefBytes: 3072, ScratchBytes: 28},
-			{Step: 2, Name: "fc", Kind: "matmul", MeasuredBytes: 1024, PlannedBytes: 1024, SlabRefBytes: 1024, ScratchBytes: 0},
+			{Step: 0, Name: "conv1", Kind: "conv2d", MeasuredBytes: 2048, PlannedBytes: 2048, WrittenBytes: 2048},
+			{Step: 1, Name: "relu1", Kind: "relu", MeasuredBytes: 3072, PlannedBytes: 3072, WrittenBytes: 4096},
+			{Step: 2, Name: "fc", Kind: "matmul", MeasuredBytes: 1024, PlannedBytes: 1024, WrittenBytes: 4096},
 		},
 	}
 }
 
 // TestMeasuredMemReport renders a well-formed timeline and checks the
-// overlay carries measured, planned-live, and scratch series plus the
-// planned-slab high-water line, and that the returned plotted peak is
+// overlay carries measured and planned-live series, the planned-slab
+// high-water line and the scratch high-water fact, and that the
+// returned plotted peak is
 // the timeline's measured maximum (the value the cmd layer cross-checks
 // against the mem.measured_high_water_bytes gauge).
 func TestMeasuredMemReport(t *testing.T) {
@@ -30,8 +30,8 @@ func TestMeasuredMemReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MeasuredMemReport: %v", err)
 	}
-	if peak != 3100 {
-		t.Fatalf("plotted peak = %d, want 3100", peak)
+	if peak != 3072 {
+		t.Fatalf("plotted peak = %d, want 3072", peak)
 	}
 	if len(data.Charts) == 0 {
 		t.Fatal("no charts rendered")
@@ -41,7 +41,7 @@ func TestMeasuredMemReport(t *testing.T) {
 	for _, s := range ch.Series {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"measured", "planned live", "scratch"} {
+	for _, want := range []string{"measured", "planned live"} {
 		found := false
 		for n := range names {
 			if strings.Contains(strings.ToLower(n), want) {
@@ -54,6 +54,13 @@ func TestMeasuredMemReport(t *testing.T) {
 	}
 	if ch.HighWater != 4096 {
 		t.Fatalf("high-water line = %g, want planned slab 4096", ch.HighWater)
+	}
+	facts := map[string]string{}
+	for _, kv := range data.Facts {
+		facts[kv.Key] = kv.Value
+	}
+	if got, want := facts["scratch high water"], HumanBytes(28); got != want {
+		t.Fatalf("scratch high water fact = %q, want %q", got, want)
 	}
 }
 
@@ -73,7 +80,7 @@ func TestMeasuredMemReportRejectsCorruption(t *testing.T) {
 		t.Fatal("MeasuredMemReport rendered a timeline with broken step order")
 	}
 
-	empty := &memobs.MemTimeline{Source: "compiled"}
+	empty := &memobs.MemTimeline{}
 	if _, _, err := MeasuredMemReport("memtest", empty); err == nil {
 		t.Fatal("MeasuredMemReport rendered an empty timeline")
 	}

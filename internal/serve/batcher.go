@@ -62,11 +62,6 @@ type BatcherOptions struct {
 	// Tracer, when non-nil, receives batch-level spans linking the
 	// coalesced request IDs (the per-request spans ride on Request.Span).
 	Tracer *trace.WallTracer
-	// MemPeak, when non-nil, returns the peak measured activation bytes
-	// of the last completed forward pass — the per-batch footprint the
-	// dispatcher attributes to every request it coalesced (NewBatcher
-	// wires it to the instance's memory collector).
-	MemPeak func() int64
 }
 
 // Batcher coalesces concurrent single-image requests into executor
@@ -76,7 +71,10 @@ type BatcherOptions struct {
 // instance's executor, so the arena and the graph values are never
 // shared across goroutines.
 type Batcher struct {
-	run  func(imgs [][]float32) ([][]float32, error)
+	run func(imgs [][]float32) ([][]float32, error)
+	// peak, when non-nil, returns the peak slab bytes of the pass over
+	// n images — the footprint charged to every request of a batch of n.
+	peak func(n int) int64
 	opts BatcherOptions
 
 	queue chan *Request
@@ -94,14 +92,12 @@ func NewBatcher(inst *Instance, opts BatcherOptions) *Batcher {
 	if opts.MaxBatch <= 0 || opts.MaxBatch > inst.MaxBatch {
 		opts.MaxBatch = inst.MaxBatch
 	}
-	if opts.MemPeak == nil && inst.Mem != nil {
-		opts.MemPeak = inst.Mem.LastPassPeak
-	}
-	return newBatcher(inst.Run, opts)
+	return newBatcher(inst.Run, inst.passPeak, opts)
 }
 
-// newBatcher is the injectable core (tests substitute run).
-func newBatcher(run func([][]float32) ([][]float32, error), opts BatcherOptions) *Batcher {
+// newBatcher is the injectable core (tests substitute run; peak may be
+// nil).
+func newBatcher(run func([][]float32) ([][]float32, error), peak func(int) int64, opts BatcherOptions) *Batcher {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 8
 	}
@@ -110,6 +106,7 @@ func newBatcher(run func([][]float32) ([][]float32, error), opts BatcherOptions)
 	}
 	b := &Batcher{
 		run:   run,
+		peak:  peak,
 		opts:  opts,
 		queue: make(chan *Request, opts.QueueDepth),
 		done:  make(chan struct{}),
@@ -244,10 +241,10 @@ func (b *Batcher) runBatch(batch []*Request, imgs [][]float32) {
 	if m := b.opts.Metrics; m != nil {
 		m.Counter("serve.batches").Add(1)
 		m.Histogram("serve.batch_size", batchSizeBuckets).Observe(float64(len(live)))
-		// Per-request memory attribution: the batch's measured peak
-		// activation bytes, whole and amortized over its occupants.
-		if err == nil && b.opts.MemPeak != nil {
-			if peak := b.opts.MemPeak(); peak > 0 {
+		// Per-request memory attribution: the batch's peak activation
+		// bytes, whole and amortized over its occupants.
+		if err == nil && b.peak != nil {
+			if peak := b.peak(len(live)); peak > 0 {
 				per := float64(peak) / float64(len(live))
 				for range live {
 					m.Histogram("serve.request_peak_bytes", trace.ByteBuckets).Observe(float64(peak))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,7 @@ func TestBatcherEveryRequestAnswered(t *testing.T) {
 	const n = 100
 	const maxBatch = 4
 	var maxSeen int64
-	b := newBatcher(echoRun(&maxSeen), BatcherOptions{
+	b := newBatcher(echoRun(&maxSeen), nil, BatcherOptions{
 		MaxBatch:   maxBatch,
 		QueueDepth: n,
 		Metrics:    trace.NewMetrics(),
@@ -105,7 +106,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		}
 		return out, nil
 	}
-	b := newBatcher(run, BatcherOptions{MaxBatch: 4, QueueDepth: 16})
+	b := newBatcher(run, nil, BatcherOptions{MaxBatch: 4, QueueDepth: 16})
 	ch0, err := b.Submit(&Request{Image: []float32{0}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -135,7 +136,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // lone request runs immediately instead of waiting for company.
 func TestBatcherDispatchesLoneRequestAtOnce(t *testing.T) {
 	var maxSeen int64
-	b := newBatcher(echoRun(&maxSeen), BatcherOptions{MaxBatch: 8})
+	b := newBatcher(echoRun(&maxSeen), nil, BatcherOptions{MaxBatch: 8})
 	defer b.Shutdown()
 	// The smallest of a few waits: one scheduler hiccup on a loaded
 	// machine must not fail the test, while a fill delay would show in
@@ -176,7 +177,7 @@ func TestBatcherQueueFullRejects(t *testing.T) {
 		return out, nil
 	}
 	met := trace.NewMetrics()
-	b := newBatcher(run, BatcherOptions{MaxBatch: 1, QueueDepth: 2, Metrics: met})
+	b := newBatcher(run, nil, BatcherOptions{MaxBatch: 1, QueueDepth: 2, Metrics: met})
 	var accepted []<-chan Response
 	ch, err := b.Submit(&Request{Image: []float32{0}})
 	if err != nil {
@@ -219,7 +220,7 @@ func TestBatcherQueueFullRejects(t *testing.T) {
 // post-shutdown submissions fail with ErrDraining.
 func TestBatcherShutdownDrains(t *testing.T) {
 	var maxSeen int64
-	b := newBatcher(echoRun(&maxSeen), BatcherOptions{MaxBatch: 4, QueueDepth: 64})
+	b := newBatcher(echoRun(&maxSeen), nil, BatcherOptions{MaxBatch: 4, QueueDepth: 64})
 	const n = 32
 	chans := make([]<-chan Response, 0, n)
 	for i := 0; i < n; i++ {
@@ -262,7 +263,7 @@ func TestBatcherExpiresDeadlines(t *testing.T) {
 		return out, nil
 	}
 	met := trace.NewMetrics()
-	b := newBatcher(run, BatcherOptions{MaxBatch: 4, QueueDepth: 8, Metrics: met})
+	b := newBatcher(run, nil, BatcherOptions{MaxBatch: 4, QueueDepth: 8, Metrics: met})
 	ch, err := b.Submit(&Request{Image: []float32{0}, Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -278,4 +279,80 @@ func TestBatcherExpiresDeadlines(t *testing.T) {
 		t.Errorf("serve.timeouts_queue = %d, want 1", v)
 	}
 	b.Shutdown()
+}
+
+// TestBatcherChargesPassPeak: every request of a batch of n is charged
+// the static peak of the pass over n images (serve.request_peak_bytes)
+// and its share of it (serve.request_bytes_per_image), so a lone
+// request is charged less than a request of a full batch.
+func TestBatcherChargesPassPeak(t *testing.T) {
+	inst, err := Load(Spec{
+		Name:      "attr",
+		ModelText: "input 3 8 8\nconv 8 k3 s1 p1\nrelu\nflatten\nlinear 4\n",
+		MaxBatch:  4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first batch holds the dispatcher until the full batch queues
+	// behind it, so the second batch takes all MaxBatch requests.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	run := func(imgs [][]float32) ([][]float32, error) {
+		if calls.Add(1) == 1 {
+			entered <- struct{}{}
+			<-gate
+		}
+		return inst.Run(imgs)
+	}
+	met := trace.NewMetrics()
+	b := newBatcher(run, inst.passPeak, BatcherOptions{MaxBatch: inst.MaxBatch, QueueDepth: 16, Metrics: met})
+	defer b.Shutdown()
+	submit := func() <-chan Response {
+		ch, err := b.Submit(&Request{Image: make([]float32, inst.ImageLen())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	chans := []<-chan Response{submit()}
+	<-entered
+	for range inst.MaxBatch {
+		chans = append(chans, submit())
+	}
+	close(gate)
+	for i, ch := range chans {
+		want := inst.MaxBatch
+		if i == 0 {
+			want = 1
+		}
+		if resp := <-ch; resp.Err != nil || resp.BatchSize != want {
+			t.Fatalf("request %d: batch size %d, err %v; want batch size %d", i, resp.BatchSize, resp.Err, want)
+		}
+	}
+
+	peak1, peakB := inst.passPeak(1), inst.passPeak(inst.MaxBatch)
+	if peak1 <= 0 || peak1 >= peakB {
+		t.Fatalf("pass peaks: %d bytes at n=1, %d at n=%d; want 0 < n=1 < n=%d", peak1, peakB, inst.MaxBatch, inst.MaxBatch)
+	}
+	var last int64
+	for _, s := range inst.Timeline().Samples {
+		last = max(last, s.MeasuredBytes)
+	}
+	if last != peakB {
+		t.Fatalf("timeline after the full batch peaks at %d bytes, want pass peak %d", last, peakB)
+	}
+	B := float64(inst.MaxBatch)
+	for _, c := range []struct {
+		name string
+		sum  float64
+	}{
+		{"serve.request_peak_bytes", float64(peak1) + B*float64(peakB)},
+		{"serve.request_bytes_per_image", float64(peak1) + B*(float64(peakB)/B)},
+	} {
+		h := met.Histogram(c.name, trace.ByteBuckets)
+		if h.Count() != int64(1+inst.MaxBatch) || math.Abs(h.Sum()-c.sum) > 1e-6*c.sum {
+			t.Fatalf("%s: count %d sum %g, want count %d sum %g", c.name, h.Count(), h.Sum(), 1+inst.MaxBatch, c.sum)
+		}
+	}
 }

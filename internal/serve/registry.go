@@ -18,8 +18,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"splitcnn/internal/graph"
 	"splitcnn/internal/memobs"
@@ -69,13 +71,30 @@ type Instance struct {
 	feeds  []graph.Feeds // feeds[n]: the first n images of batchX
 	out    [][]float32   // reused per-slot output buffers
 
-	// Mem collects the measured memory timeline: per-step slab and
-	// scratch-arena occupancy.
-	Mem *memobs.Collector
+	// mem[n] is the memory timeline of the pass over n images, read
+	// from the compiled plan once at load. lastN is the live batch of
+	// the latest completed forward, maxN the largest one run so far.
+	mem         []*memobs.MemTimeline
+	lastN, maxN atomic.Int32
 }
 
 // ImageLen returns the expected flattened image length (C*H*W).
 func (in *Instance) ImageLen() int { return in.C * in.H * in.W }
+
+// Timeline returns the memory timeline of the latest completed forward:
+// its pass's samples, the peak of the largest batch run so far, and the
+// scratch arena's high water. Safe to call while Run executes.
+func (in *Instance) Timeline() *memobs.MemTimeline {
+	// Run stores maxN before lastN, so the high water covers the pass.
+	tl := *in.mem[in.lastN.Load()]
+	tl.Samples = slices.Clone(tl.Samples)
+	tl.MeasuredHighWater = in.mem[in.maxN.Load()].MeasuredHighWater
+	tl.ScratchHighWater = in.prog.Arena().Stats().HighWaterBytes
+	return &tl
+}
+
+// passPeak returns the peak slab bytes of the pass over n images.
+func (in *Instance) passPeak(n int) int64 { return in.mem[n].MeasuredHighWater }
 
 // ArenaStats snapshots the instance's kernel-scratch arena counters,
 // for the server's aggregate arena.* occupancy gauges — activations
@@ -160,10 +179,10 @@ func Load(spec Spec) (*Instance, error) {
 		W:        s.W(),
 		MaxBatch: maxBatch,
 		prog:     prog,
-		Mem:      memobs.AttachCompiled(prog),
 		batchX:   tensor.New(maxBatch, s.C(), s.H(), s.W()),
 		feeds:    make([]graph.Feeds, maxBatch+1),
 		out:      make([][]float32, maxBatch),
+		mem:      make([]*memobs.MemTimeline, maxBatch+1),
 	}
 	for n := 1; n <= maxBatch; n++ {
 		inst.feeds[n] = graph.Feeds{
@@ -171,6 +190,7 @@ func Load(spec Spec) (*Instance, error) {
 			"labels": tensor.New(n),
 		}
 		inst.out[n-1] = make([]float32, m.Classes)
+		inst.mem[n] = memobs.PassTimeline(prog, n)
 	}
 	// Warm the scratch arena: the first forward populates the pool;
 	// later batches of a size already seen recycle through it.
@@ -201,12 +221,17 @@ func (in *Instance) Run(imgs [][]float32) ([][]float32, error) {
 			copy(dst, img)
 		}
 	}
-	outs, err := in.prog.Forward(in.feeds[len(imgs)])
+	n := len(imgs)
+	outs, err := in.prog.Forward(in.feeds[n])
 	if err != nil {
 		return nil, err
 	}
+	if int32(n) > in.maxN.Load() {
+		in.maxN.Store(int32(n))
+	}
+	in.lastN.Store(int32(n))
 	ld := outs[0].Data()
-	res := in.out[:len(imgs)]
+	res := in.out[:n]
 	for i := range res {
 		copy(res[i], ld[i*in.Classes:(i+1)*in.Classes])
 	}

@@ -113,15 +113,12 @@ func NewServer(reg *Registry, opts Options) *Server {
 	return s
 }
 
-// timelines lists the measured memory timelines of the registered
-// instances that keep one.
+// timelines lists the memory timelines of the registered instances.
 func (s *Server) timelines() []*memobs.MemTimeline {
 	var out []*memobs.MemTimeline
 	for _, name := range s.reg.Names() {
 		inst, _ := s.reg.Lookup(name)
-		if inst.Mem != nil {
-			out = append(out, inst.Mem.Timeline())
-		}
+		out = append(out, inst.Timeline())
 	}
 	return out
 }

@@ -69,18 +69,14 @@ type Config struct {
 	Split core.Config
 	// EvalUnsplit evaluates test error on the original unsplit network
 	// (the SSCNN deployment mode); otherwise evaluation uses the same
-	// (deterministically split) architecture that was trained.
+	// (deterministically split) architecture that was trained. A split
+	// run that evaluates unsplit first refreshes the batch-normalization
+	// running statistics by forward passes through the unsplit
+	// train-mode graph: split training accumulates per-patch
+	// statistics, which mismatch the whole-feature-map statistics the
+	// unsplit network sees.
 	EvalUnsplit bool
-	// RecalibrateBN refreshes batch-normalization running statistics by
-	// forward passes through the *unsplit* train-mode graph before each
-	// unsplit evaluation. During stochastic split training the running
-	// estimates accumulate per-patch statistics, which mismatch the
-	// whole-feature-map statistics the unsplit network sees; a short
-	// recalibration pass (standard practice when deploying BN models
-	// under a different execution scheme) removes that artifact.
-	// Defaults on when EvalUnsplit is set.
-	RecalibrateBN *bool
-	Seed          int64
+	Seed        int64
 	// Progress, when non-nil, receives one line per epoch.
 	Progress func(epoch int, trainLoss, testErr float64)
 	// Recorder, when non-nil, receives one "compute"-stream span per
@@ -266,11 +262,6 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 		return nil, fmt.Errorf("train: dataset smaller than one batch")
 	}
 
-	recalibrate := cfg.EvalUnsplit && splitting
-	if cfg.RecalibrateBN != nil {
-		recalibrate = *cfg.RecalibrateBN && splitting
-	}
-
 	// One arena and one set of batch buffers serve the whole run. With a
 	// fixed graph the executor is built once too, so the steady-state
 	// step allocates nothing; stochastic splitting rebuilds graph and
@@ -392,7 +383,7 @@ func Run(cfg Config, ds *data.Dataset) (*Result, error) {
 			}
 		}
 		epochSecs := time.Since(epochStart).Seconds()
-		if recalibrate && cfg.EvalUnsplit {
+		if cfg.EvalUnsplit && splitting {
 			if err := recalibrateBN(perm); err != nil {
 				return nil, err
 			}
