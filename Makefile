@@ -132,8 +132,8 @@ dist-smoke:
 # attribution on serve, worker, and router, /metricsz carries the
 # memory gauge family and both per-request footprint histograms,
 # /clusterz federates the workers' heap gauges into cluster.mem.*
-# rollups, and the memory timeline /profilez serves passes Verify and
-# CheckAgainstPlan (it never exceeds the static plan).
+# rollups, and the memory timeline /profilez serves once the load
+# drains is the instance's own.
 mem-smoke:
 	$(GO) run -race ./cmd/splitcnn serve -memsmoke
 

@@ -3,23 +3,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
-	"os"
 
 	"splitcnn/internal/graph"
-	"splitcnn/internal/modelfile"
 	"splitcnn/internal/models"
-	"splitcnn/internal/nn"
 	"splitcnn/internal/report"
-	"splitcnn/internal/snapshot"
+	"splitcnn/internal/serve"
+	"splitcnn/internal/tensor"
 )
 
 // cmdCompile lowers a model through graph.Compile and dumps the result:
 // the rewrite statistics, the static memory plan, and optionally the
-// HTML slab-timeline report. It self-verifies the headline identity —
-// the plotted peak equals the slab size actually mapped — before
-// printing anything, so `make compile-smoke` is a real check, not a
-// formatter.
+// HTML slab-timeline report of the full-batch StepMem table, with the
+// scratch arena's high water after one full-batch forward as a fact.
+// It self-verifies the headline identity — the plotted written high
+// water equals the slab size actually mapped — before printing
+// anything, so `make compile-smoke` is a real check, not a formatter.
 func cmdCompile(args []string) error {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
 	model := fs.String("model", "", "model description file (overrides -arch)")
@@ -37,38 +35,29 @@ func cmdCompile(args []string) error {
 		return err
 	}
 
-	var m *models.Model
-	var err error
+	name := *arch
 	if *model != "" {
-		var f *os.File
-		if f, err = os.Open(*model); err != nil {
-			return err
-		}
-		m, err = modelfile.Parse(f, *batch)
-		f.Close()
-	} else {
-		m, err = models.Build(*arch, models.Config{
-			BatchSize: *batch, Classes: *classes,
-			InputC: *inC, InputH: *inH, InputW: *inW,
-			WidthDiv: *widthDiv, BatchNorm: true, Eval: true,
-		})
+		name = *model
 	}
+	// The inference program over the logits, built exactly as `serve`
+	// builds it (a -model file takes precedence over -arch).
+	m, store, err := serve.Materialize(serve.Spec{
+		Name: name, ModelFile: *model, Arch: *arch, Snapshot: *snap, MaxBatch: *batch,
+		Model: models.Config{
+			Classes: *classes, InputC: *inC, InputH: *inH, InputW: *inW,
+			WidthDiv: *widthDiv, BatchNorm: true,
+		},
+	})
 	if err != nil {
 		return err
 	}
-	store := graph.NewParamStore()
-	store.InitFromGraph(m.Graph, rand.New(rand.NewSource(1)), nn.KaimingInit)
-	if *snap != "" {
-		if err := snapshot.LoadFile(*snap, store, m.BNStates); err != nil {
-			return err
-		}
-	}
-	// Inference program over the logits, exactly like `serve`.
-	m.Graph.SetTraining(false)
-	m.Graph.SetOutput(m.Logits)
-
 	prog, err := graph.Compile(m.Graph, store, graph.CompileOptions{})
 	if err != nil {
+		return err
+	}
+	// One full-batch forward of zeros: the scratch arena's high water is
+	// the one footprint the static plan does not fix.
+	if _, err := prog.Forward(graph.Feeds{m.Input.Name: tensor.New(m.Input.Shape...)}); err != nil {
 		return err
 	}
 	st := prog.Stats()
@@ -77,11 +66,14 @@ func cmdCompile(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The acceptance identity: what the chart plots as the high-water
-	// mark must be the slab size the program actually mapped.
+	// The acceptance identity: the plotted written high water must be
+	// the slab size the program actually mapped.
 	if peak != prog.SlabBytes() {
 		return fmt.Errorf("compile: plotted peak %d bytes != mapped slab %d bytes", peak, prog.SlabBytes())
 	}
+	data.Facts = append(data.Facts, report.KV{
+		Key: "scratch high water", Value: report.HumanBytes(float64(prog.Arena().Stats().HighWaterBytes)),
+	})
 
 	fmt.Printf("model:     %s (batch %d)\n", m.Name, *batch)
 	fmt.Printf("program:   %d ops -> %d steps (%d fused, %d elided, %d viewed)\n",

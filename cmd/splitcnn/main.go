@@ -27,10 +27,12 @@
 //	    report, one chart per HMMS memory pool; -train run.jsonl
 //	    renders the training page (loss, grad norms, step time) from a
 //	    steplog stream instead; -dist <trace.json|router URL> renders
-//	    the stitched distributed gang timeline for one request
+//	    the stitched distributed gang timeline for one request (a
+//	    compiled model's per-step memory is `compile -o`)
 //	splitcnn compile   -arch vgg19 [-plan] [-o plan.html]
 //	    lower a model through graph.Compile (inference fusion + static
-//	    memory plan) and dump the plan; verifies plotted peak == slab
+//	    memory plan), run one full-batch forward and dump the plan;
+//	    verifies plotted written high water == slab
 //	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap
 //	    HTTP inference server with dynamic micro-batching
 //	splitcnn worker    -addr :9090 -arch vgg19 -snapshot w.snap [-maxpods 4]
@@ -89,11 +91,13 @@ report, one chart per HMMS memory pool (-measured
 to time real kernels via internal/profile), the
 training page from a steplog (-train run.jsonl), or
 the distributed gang timeline for one stitched
-request (-dist trace.json or -dist http://router)`},
+request (-dist trace.json or -dist http://router);
+a compiled model's per-step memory is compile -o`},
 	{"compile", cmdCompile, `lower a model through graph.Compile and dump the
 rewrite stats + static memory plan (-plan for the
-per-node table, -o for the HTML slab timeline);
-self-verifies plotted peak == mapped slab`},
+per-node table, -o for the HTML slab timeline with
+the scratch high water of one full-batch forward);
+self-verifies plotted written high water == slab`},
 	{"serve", cmdServe, `HTTP inference server with dynamic micro-batching
 over the compiled static program (-smoke for a CI
 self-test)`},

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"reflect"
 	"sync"
 	"time"
 
@@ -24,11 +24,10 @@ import (
 //
 // Phase 1 boots a compiled single-process server with fast profiler
 // windows, drives concurrent load through the real HTTP surface, and
-// asserts that /profilez serves per-op CPU attribution and a raw pprof
-// download, that /metricsz carries the measured-memory gauge family
-// (measured high water, planned slab, finite drift) and the
-// per-request footprint histograms, and that the memory timeline
-// /profilez serves verifies and satisfies the hard plan invariant.
+// asserts that /profilez serves per-op CPU attribution, a raw pprof
+// download and, once the load drains, exactly the instance's memory
+// timeline, and that /metricsz carries the memory gauges (measured high
+// water, planned slab) and the per-request footprint histograms.
 //
 // Phase 2 boots a two-worker loopback fleet whose workers expose debug
 // HTTP listeners, drives load through the router, and asserts that all
@@ -88,28 +87,33 @@ func memSmokeServe() error {
 	inst, _ := reg.Lookup("")
 
 	stopLoad, waitLoad := startLoad(base, inst.ImageLen(), 4)
-	view, err := awaitProfile(base+"/profilez", 30*time.Second)
+	_, err = awaitProfile(base+"/profilez", 30*time.Second)
 	stopLoad()
 	waitLoad()
 	if err != nil {
 		return err
 	}
-	if len(view.Timelines) == 0 || len(view.Timelines[0].Samples) == 0 {
-		return fmt.Errorf("/profilez has no memory timeline samples")
+	// Once the load has drained, /profilez serves the instance's own
+	// timeline: the static table of the last pass and its high waters.
+	resp, err := http.Get(base + "/profilez?format=json")
+	if err != nil {
+		return err
 	}
-	// The hard invariant, on the served timeline: the slab bytes each
-	// step references never exceed the static plan.
-	for _, tl := range view.Timelines {
-		if err := tl.Verify(); err != nil {
-			return fmt.Errorf("/profilez: %w", err)
-		}
-		if err := tl.CheckAgainstPlan(); err != nil {
-			return fmt.Errorf("/profilez: %w", err)
-		}
+	var view profilezView
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if len(view.Timelines) != 1 || len(view.Timelines[0].Samples) == 0 {
+		return fmt.Errorf("/profilez serves %d memory timelines, want 1 with samples", len(view.Timelines))
+	}
+	if got, want := view.Timelines[0], inst.Timeline(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("/profilez serves timeline %+v, instance has %+v", got, want)
 	}
 
 	// Raw pprof download of the captured window.
-	resp, err := http.Get(base + "/profilez?download=cpu")
+	resp, err = http.Get(base + "/profilez?download=cpu")
 	if err != nil {
 		return err
 	}
@@ -129,10 +133,6 @@ func memSmokeServe() error {
 	}
 	if v := snap.Gauges["mem.planned_slab_bytes"]; v <= 0 {
 		return fmt.Errorf("mem.planned_slab_bytes = %g, want > 0", v)
-	}
-	drift := snap.Gauges["mem.drift_ratio.max"]
-	if drift <= 0 || math.IsInf(drift, 0) || math.IsNaN(drift) {
-		return fmt.Errorf("mem.drift_ratio.max = %g, want finite > 0", drift)
 	}
 	if h, ok := snap.Histograms["serve.request_peak_bytes"]; !ok || h.Count == 0 {
 		return fmt.Errorf("serve.request_peak_bytes histogram missing or empty")

@@ -15,7 +15,6 @@ import (
 	"splitcnn/internal/models"
 	"splitcnn/internal/profile"
 	"splitcnn/internal/report"
-	"splitcnn/internal/serve"
 	"splitcnn/internal/sim"
 	"splitcnn/internal/trace"
 )
@@ -67,7 +66,6 @@ func cmdReport(args []string) error {
 	trainLog := fs.String("train", "", "render a training report from this steplog JSONL (from `splitcnn train -steplog`) instead of a memory timeline")
 	distTrace := fs.String("dist", "", "render a distributed gang timeline from this trace file or router URL (its /tracez) instead of a memory timeline")
 	distReq := fs.String("req", "", "request ID to render (with -dist; default: the request with the most spans)")
-	memMeasured := fs.Bool("mem", false, "render the referenced-vs-planned memory overlay of the compiled model after one full-batch forward (uses -model/-batch/-widthdiv/-inputhw)")
 	dev := deviceFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,9 +75,6 @@ func cmdReport(args []string) error {
 	}
 	if *distTrace != "" {
 		return distReport(*distTrace, *distReq, *out)
-	}
-	if *memMeasured {
-		return memReport(*model, *batch, *widthDiv, *inputHW, *out, *metricsOut)
 	}
 	d, err := pickDevice(*dev)
 	if err != nil {
@@ -180,77 +175,6 @@ func cmdReport(args []string) error {
 	fmt.Printf("report:      %s (%d charts)\n", *out, len(data.Charts))
 	if *metricsOut != "" {
 		fmt.Printf("metrics:     %s\n", *metricsOut)
-	}
-	return nil
-}
-
-// memReport renders the referenced-vs-planned memory overlay: it loads
-// the model through the compiled serving path, runs one full-batch
-// forward so the scratch arena's high water is the full batch's, and
-// plots the per-step slab bytes each kernel references against the
-// static plan's live bytes:
-//
-//	splitcnn report -mem -model vgg11 -batch 2 -widthdiv 8 -inputhw 32 -o mem.html
-//
-// Like the simulated memory report, the page is self-verifying: the
-// builder refuses corrupted timelines, the hard plan invariant
-// (referenced slab bytes ≤ planned live bytes ≤ planned slab) is
-// enforced, and the plotted measured peak must equal the run's
-// mem.measured_high_water_bytes gauge to the byte before anything is
-// written.
-func memReport(model string, batch, widthDiv, inputHW int, out, metricsOut string) error {
-	modelPath, arch, err := resolveModelArg(model)
-	if err != nil {
-		return err
-	}
-	inst, err := serve.Load(serve.Spec{
-		Name: model, ModelFile: modelPath, Arch: arch,
-		Model: models.Config{
-			Classes: 10, InputC: 3, InputH: inputHW, InputW: inputHW, WidthDiv: widthDiv,
-		},
-		MaxBatch: batch,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := inst.Run(make([][]float32, batch)); err != nil {
-		return err
-	}
-
-	tl := inst.Timeline()
-	met := trace.NewMetrics()
-	tl.Record(met)
-
-	title := fmt.Sprintf("%s measured memory (batch %d)", model, batch)
-	data, plotted, err := report.MeasuredMemReport(title, tl)
-	if err != nil {
-		return err
-	}
-	// Self-verification: the plotted measured peak and the run's
-	// mem.measured_high_water_bytes gauge are the same quantity computed
-	// two ways; refuse to emit a report that disagrees with its own
-	// metrics surface.
-	if gauge := int64(met.Gauge("mem.measured_high_water_bytes").Value()); plotted != gauge {
-		return fmt.Errorf("report: plotted measured peak %d != mem.measured_high_water_bytes gauge %d", plotted, gauge)
-	}
-	if err := report.WriteFile(out, data); err != nil {
-		return err
-	}
-	if metricsOut != "" {
-		if err := met.WriteFile(metricsOut); err != nil {
-			return err
-		}
-	}
-
-	driftMax, driftAt := tl.DriftMax()
-	fmt.Printf("steps:         %d\n", len(tl.Samples))
-	fmt.Printf("measured peak: %s (plotted == mem.measured_high_water_bytes gauge)\n",
-		report.HumanBytes(float64(plotted)))
-	fmt.Printf("planned slab:  %s · drift max %.3f at %s\n",
-		report.HumanBytes(float64(tl.PlannedSlabBytes)), driftMax, driftAt)
-	fmt.Printf("report:        %s\n", out)
-	if metricsOut != "" {
-		fmt.Printf("metrics:       %s\n", metricsOut)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // those routes and builds the request tracer; Start and Stop run the
 // runtime sampler and the continuous profiler behind them. A process
 // keeps only its own routes and passes in what differs: its health
-// verdict, a scrape-time refresh, and its measured memory timelines.
+// verdict, a scrape-time refresh, and its compiled memory timelines.
 package debugz
 
 import (
@@ -210,7 +210,7 @@ func (s *Surface) tracez(w http.ResponseWriter, _ *http.Request) {
 
 // profilez serves the continuous profiler's latest window (per-op
 // CPU/alloc attribution, flat function tables, pprof downloads) and
-// the process's measured memory timelines.
+// the process's compiled memory timelines.
 func (s *Surface) profilez(w http.ResponseWriter, r *http.Request) {
 	if s.prof == nil {
 		WriteError(w, http.StatusNotFound, "continuous profiling disabled")

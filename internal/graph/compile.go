@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"splitcnn/internal/memlayout"
 	"splitcnn/internal/tensor"
@@ -15,7 +16,8 @@ import (
 // rewrite the program, derive storage sharing and lifetimes, then place
 // every storage object at a static offset with the same first-fit
 // allocator hmms.PlanMemory uses (§4.4), so the hot path performs no
-// allocation and no recycling at all.
+// allocation and no recycling at all. Only the ops the graph's outputs
+// reach are lowered: a logits-only program never runs its loss.
 //
 // Three rewrite families run before planning (all disabled by
 // CompileOptions.NoRewrite):
@@ -105,7 +107,7 @@ type CompileOptions struct {
 
 // CompileStats summarizes what compilation did to the graph.
 type CompileStats struct {
-	Ops       int // op nodes in the source graph
+	Ops       int // op nodes of the source graph that some output reaches
 	Steps     int // kernel steps in the compiled program
 	Fused     int // ops folded in place into a producer's step
 	Elided    int // no-op forwards removed entirely
@@ -190,18 +192,18 @@ type step struct {
 
 // StepMem is one step's row of a pass's static memory table.
 type StepMem struct {
-	Name string
-	Kind string
+	Name string `json:"name"`
+	Kind string `json:"kind"`
 	// RefBytes is the slab footprint the step's kernel call references:
 	// its output window plus every distinct slab-resident input, over
 	// the pass's live batch.
-	RefBytes int64
+	RefBytes int64 `json:"ref_bytes"`
 	// WrittenBytes is the high-water extent (offset+bytes) of the slab
 	// windows written by this step and every step before it.
-	WrittenBytes int64
+	WrittenBytes int64 `json:"written_bytes"`
 	// LiveBytes is the plan's live bytes at this step: the sum of the
 	// storage windows whose lifetime covers it, sized at the full batch.
-	LiveBytes int64
+	LiveBytes int64 `json:"live_bytes"`
 }
 
 // pass is the step list and output views that run the first n samples
@@ -261,10 +263,10 @@ type storageSym struct {
 	offset      int64 // filled by layout
 }
 
-// Compile lowers g into a CompiledProgram: applies the inference
-// rewrites (unless opts.NoRewrite), plans a static first-fit memory
-// layout for every intermediate value, and binds each step's inputs and
-// outputs to fixed slab windows. The graph's ops are captured in their
+// Compile lowers the ops g's outputs reach into a CompiledProgram:
+// applies the inference rewrites (unless opts.NoRewrite), plans a
+// static first-fit memory layout for every intermediate value, and
+// binds each step's inputs and outputs to fixed slab windows. The graph's ops are captured in their
 // current mode — flip training/inference with SetTraining BEFORE
 // compiling; mode changes after Compile are not observed by the
 // rewrite decisions (fusion and elision), only by the kernels
@@ -282,10 +284,27 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 			return nil, fmt.Errorf("compile: parameter %q not in store (call InitFromGraph first)", n.Name)
 		}
 	}
-	cons := g.Consumers()
 	isOutput := make([]bool, len(g.Nodes))
 	for _, n := range g.Outputs {
 		isOutput[n.ID] = true
+	}
+	// Keep only the nodes some output reaches, so an unread op's feeds
+	// and reads bind nothing and extend no lifetime. Inputs precede
+	// their consumers, so one reverse sweep marks every reached node.
+	reached := slices.Clone(isOutput)
+	for i := len(topo) - 1; i >= 0; i-- {
+		if n := topo[i]; reached[n.ID] {
+			for _, in := range n.Inputs {
+				reached[in.ID] = true
+			}
+		}
+	}
+	topo = slices.DeleteFunc(slices.Clone(topo), func(n *Node) bool { return !reached[n.ID] })
+	cons := make([][]*Node, len(g.Nodes))
+	for _, n := range topo {
+		for _, in := range n.Inputs {
+			cons[in.ID] = append(cons[in.ID], n)
+		}
 	}
 
 	// ---- Phase A: rewrite sweep. Decide, in topo order, whether each op
@@ -726,12 +745,15 @@ func (p *CompiledProgram) PlanEntries() []PlanEntry {
 // is fixed at compile time: the slab windows a step touches are the
 // plan's, and the kernels' transient workspace returns to the scratch
 // arena before the step ends. Like Forward, it builds the pass on first
-// use, so it must not run concurrently with Forward.
+// use, so its first call at n must not run concurrently with Forward;
+// once the pass over n is built it only reads fields Forward never
+// writes.
 func (p *CompiledProgram) StepMem(n int) []StepMem {
 	ps := p.pass(n)
 	out := make([]StepMem, len(ps.steps))
 	var written int64
-	for i, st := range ps.steps {
+	for i := range ps.steps {
+		st := &ps.steps[i]
 		written = max(written, st.extent)
 		out[i] = StepMem{
 			Name: st.node.Name, Kind: st.node.Op.Kind(),
@@ -740,6 +762,10 @@ func (p *CompiledProgram) StepMem(n int) []StepMem {
 	}
 	return out
 }
+
+// Batch returns B, the batch the program is planned at (0 when the
+// graph has no batched input): StepMem(Batch()) is the full pass.
+func (p *CompiledProgram) Batch() int { return p.batch }
 
 // Steps returns the number of kernel steps in the program.
 func (p *CompiledProgram) Steps() int { return len(p.passes[p.batch].steps) }

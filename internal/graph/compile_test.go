@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"splitcnn/internal/graph"
+	"splitcnn/internal/models"
 	"splitcnn/internal/nn"
 	"splitcnn/internal/tensor"
 )
@@ -456,6 +457,14 @@ func randomCompiledNet(seed int64, training bool) (*graph.Graph, *graph.ParamSto
 	loss := g.Add("loss", nn.SoftmaxCrossEntropy{}, fc, labels)
 	g.SetOutput(loss)
 	g.Outputs = append(g.Outputs, fc)
+	// Half the nets carry a branch no output reads, which Compile prunes.
+	if rng.Intn(2) == 0 {
+		src := cur
+		if res != nil && rng.Intn(2) == 0 {
+			src = res
+		}
+		g.Add("dead", nn.ReLU{}, src)
+	}
 
 	store := graph.NewParamStore()
 	store.InitFromGraph(g, rand.New(rand.NewSource(seed+1)), nn.KaimingInit)
@@ -585,6 +594,62 @@ func checkStepMem(t *testing.T, label string, prog *graph.CompiledProgram, n int
 	}
 }
 
+// TestMeasuredNeverExceedsPlan runs checkStepMem on every bundled
+// architecture, compiled in inference mode over its logits the way the
+// serving path compiles it, at every live batch n ≤ B. Each forward
+// leaves the scratch arena empty: kernel workspace never outlives a
+// step, so the static table is the whole footprint. A prefix pass
+// covers only the samples it runs, so a larger live batch references
+// strictly more of the slab, and the full batch writes all of it.
+func TestMeasuredNeverExceedsPlan(t *testing.T) {
+	const batch = 3
+	for _, arch := range models.Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			hw := 32
+			if arch == "alexnet" {
+				hw = 64 // alexnet's pool stack needs a larger input
+			}
+			m, err := models.Build(arch, models.Config{
+				BatchSize: batch, Classes: 10, InputC: 3, InputH: hw, InputW: hw,
+				WidthDiv: 16, BatchNorm: true,
+			})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			store := graph.NewParamStore()
+			store.InitFromGraph(m.Graph, rand.New(rand.NewSource(1)), nn.KaimingInit)
+			m.Graph.SetTraining(false)
+			m.Graph.SetOutput(m.Logits)
+			prog, err := graph.Compile(m.Graph, store, graph.CompileOptions{})
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			var prevRef int64
+			for n := 1; n <= batch; n++ {
+				if _, err := prog.Forward(graph.Feeds{"image": tensor.New(n, 3, hw, hw)}); err != nil {
+					t.Fatalf("n=%d forward: %v", n, err)
+				}
+				if inUse := prog.Arena().Stats().InUseBytes; inUse != 0 {
+					t.Fatalf("n=%d: %d scratch bytes still in use after the forward", n, inUse)
+				}
+				checkStepMem(t, fmt.Sprintf("n=%d", n), prog, n)
+				steps := prog.StepMem(n)
+				var ref int64
+				for _, s := range steps {
+					ref += s.RefBytes
+				}
+				if w := steps[len(steps)-1].WrittenBytes; n == batch && w != prog.SlabBytes() {
+					t.Fatalf("full batch writes up to %d bytes, want the %d-byte slab", w, prog.SlabBytes())
+				}
+				if ref <= prevRef {
+					t.Fatalf("n=%d references %d slab bytes over the pass, no more than n=%d's %d", n, ref, n-1, prevRef)
+				}
+				prevRef = ref
+			}
+		})
+	}
+}
+
 // runCompiledSeed builds a random net twice, checks plan invariants
 // and the static memory table of every live batch, and asserts compiled
 // outputs are bit-identical to the interpreted executor's.
@@ -609,6 +674,11 @@ func runCompiledSeed(t *testing.T, seed int64, training bool) {
 		t.Fatalf("seed %d: compile: %v", seed, err)
 	}
 	checkPlanInvariants(t, gc, prog)
+	for _, e := range prog.PlanEntries() {
+		if e.Name == "dead" {
+			t.Fatalf("seed %d: the unread branch was lowered: %+v", seed, e)
+		}
+	}
 	for n := 1; n <= gc.FindNode("image").Shape[0]; n++ {
 		checkStepMem(t, fmt.Sprintf("seed %d n=%d", seed, n), prog, n)
 	}

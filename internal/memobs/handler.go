@@ -85,12 +85,11 @@ caption{font-weight:600;text-align:left;padding:.25rem 0}
 		if tl == nil {
 			continue
 		}
-		max, at := tl.DriftMax()
-		fmt.Fprintf(w, `<table><caption>Memory timeline (high water %d B · scratch high water %d B · planned slab %d B · drift max %.3f at %s)</caption><tr><th>step</th><th>op</th><th>measured B</th><th>planned B</th><th>written B</th></tr>`,
-			tl.MeasuredHighWater, tl.ScratchHighWater, tl.PlannedSlabBytes, max, html.EscapeString(at))
-		for _, s := range tl.Samples {
+		fmt.Fprintf(w, `<table><caption>Memory timeline (high water %d B · scratch high water %d B · planned slab %d B)</caption><tr><th>step</th><th>op</th><th>referenced B</th><th>live B</th><th>written B</th></tr>`,
+			tl.MeasuredHighWater, tl.ScratchHighWater, tl.PlannedSlabBytes)
+		for i, s := range tl.Samples {
 			fmt.Fprintf(w, `<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
-				s.Step, html.EscapeString(s.Name), s.MeasuredBytes, s.PlannedBytes, s.WrittenBytes)
+				i, html.EscapeString(s.Name), s.RefBytes, s.LiveBytes, s.WrittenBytes)
 		}
 		fmt.Fprint(w, `</table>`)
 	}

@@ -7,60 +7,35 @@ import (
 )
 
 // CompileReport builds the memory-timeline report for a compiled
-// program's static plan: slab occupancy over the program's steps, with
-// the planned slab size as the dashed high-water rule.
+// program's static plan: the full-batch StepMem table over the
+// program's steps, with the planned slab size as the dashed high-water
+// rule, and the per-node plan table.
 //
-// Two series are plotted. "mapped extent" is the highest slab address
-// live at each step — its maximum over the program IS the slab size, by
-// construction of the first-fit layout, and the returned peak carries
-// that identity so callers can cross-check it against
-// prog.SlabBytes() with == before writing anything. "live bytes" is
-// the sum of live storage sizes, whose gap to the extent line is
-// first-fit fragmentation.
+// Three series are plotted: "live bytes" (the storage windows whose
+// lifetime covers the step), "referenced bytes" (the slab bytes the
+// step's kernel call touches) and "written bytes" (the high-water
+// extent written so far). Every storage is written by the step that births it, so the
+// written line ends at the slab size by construction of the first-fit
+// layout; the returned peak is that end, so callers can cross-check it
+// against prog.SlabBytes() with == before writing anything.
 func CompileReport(title string, prog *graph.CompiledProgram) (*Data, int64, error) {
-	entries := prog.PlanEntries()
-	steps := prog.Steps()
-	if steps <= 0 {
+	rows := prog.StepMem(prog.Batch())
+	if len(rows) == 0 {
 		return nil, 0, fmt.Errorf("report: compiled program has no steps")
 	}
-
-	// One extent per storage (fused and viewed members share one).
-	type extent struct {
-		off, bytes int64
-		start, end int
+	var livePts, refPts, writtenPts []Point
+	for i, r := range rows {
+		x := float64(i)
+		livePts = append(livePts, Point{X: x, Y: float64(r.LiveBytes), Label: r.Name})
+		refPts = append(refPts, Point{X: x, Y: float64(r.RefBytes), Label: r.Name})
+		writtenPts = append(writtenPts, Point{X: x, Y: float64(r.WrittenBytes), Label: r.Name})
 	}
-	seen := map[int]bool{}
-	var storages []extent
-	stepName := make([]string, steps)
+	entries := prog.PlanEntries()
+	storages := map[int]bool{}
 	for _, e := range entries {
-		if e.FusedInto == "" && !e.Alias && e.Step >= 0 && e.Step < steps {
-			stepName[e.Step] = e.Name
+		if e.Storage >= 0 {
+			storages[e.Storage] = true
 		}
-		if e.Storage < 0 || seen[e.Storage] {
-			continue
-		}
-		seen[e.Storage] = true
-		storages = append(storages, extent{e.Offset, e.Bytes, e.Start, e.End})
-	}
-
-	livePts := make([]Point, 0, steps)
-	extentPts := make([]Point, 0, steps)
-	var peak int64
-	for s := 0; s < steps; s++ {
-		var live, ext int64
-		for _, st := range storages {
-			if st.start <= s && s <= st.end {
-				live += st.bytes
-				if st.off+st.bytes > ext {
-					ext = st.off + st.bytes
-				}
-			}
-		}
-		if ext > peak {
-			peak = ext
-		}
-		livePts = append(livePts, Point{X: float64(s), Y: float64(live), Label: stepName[s]})
-		extentPts = append(extentPts, Point{X: float64(s), Y: float64(ext), Label: stepName[s]})
 	}
 
 	st := prog.Stats()
@@ -71,16 +46,17 @@ func CompileReport(title string, prog *graph.CompiledProgram) (*Data, int64, err
 		Facts: []KV{
 			{"slab size", HumanBytes(float64(st.SlabBytes))},
 			{"no-reuse baseline", HumanBytes(float64(st.NoReuseBytes))},
-			{"reuse saving", fmt.Sprintf("%.1f%%", 100*(1-float64(st.SlabBytes)/float64(max64(st.NoReuseBytes, 1))))},
+			{"reuse saving", fmt.Sprintf("%.1f%%", 100*(1-float64(st.SlabBytes)/float64(max(st.NoReuseBytes, 1))))},
 			{"storages", fmt.Sprint(len(storages))},
 		},
 		Charts: []Chart{{
 			Title: "activation slab",
-			Note:  "static first-fit layout over the rewritten program",
+			Note:  "static first-fit layout over the rewritten program, full batch",
 			XKind: XSteps,
 			Series: []Series{
-				{Name: "mapped extent", Points: extentPts},
 				{Name: "live bytes", Points: livePts},
+				{Name: "referenced bytes", Points: refPts},
+				{Name: "written bytes", Points: writtenPts},
 			},
 			HighWater:      float64(st.SlabBytes),
 			HighWaterLabel: "planned slab size",
@@ -111,12 +87,5 @@ func CompileReport(title string, prog *graph.CompiledProgram) (*Data, int64, err
 			e.Name, e.Kind, fmt.Sprint(e.Step), offset, bytes, live, placement,
 		})
 	}
-	return d, peak, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return d, rows[len(rows)-1].WrittenBytes, nil
 }

@@ -14,8 +14,8 @@ import (
 
 // TestCompileReportRenders lowers the mini eval-mode VGG-19 through
 // graph.Compile, renders the slab-timeline report, and pins the
-// acceptance identity: the plotted peak equals the slab size the
-// program actually mapped.
+// acceptance identity: the plotted written high water equals the slab
+// size the program actually mapped.
 func TestCompileReportRenders(t *testing.T) {
 	m := models.VGG19CIFAR(4, models.Config{WidthDiv: 16, Eval: true})
 	m.Graph.SetOutput(m.Logits)
@@ -33,8 +33,8 @@ func TestCompileReportRenders(t *testing.T) {
 	if peak != prog.SlabBytes() {
 		t.Fatalf("plotted peak %d != mapped slab %d", peak, prog.SlabBytes())
 	}
-	if len(data.Charts) != 1 || len(data.Charts[0].Series) != 2 {
-		t.Fatalf("want one chart with extent + live series, got %+v", data.Charts)
+	if len(data.Charts) != 1 || len(data.Charts[0].Series) != 3 {
+		t.Fatalf("want one chart with live + referenced + written series, got %+v", data.Charts)
 	}
 	if data.Table == nil || len(data.Table.Rows) != prog.Stats().Ops {
 		t.Fatalf("plan table should list every op")
@@ -45,7 +45,7 @@ func TestCompileReportRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	for _, want := range []string{"planned slab size", "mapped extent", "fused into"} {
+	for _, want := range []string{"planned slab size", "written bytes", "fused into"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("rendered report missing %q", want)
 		}

@@ -337,7 +337,7 @@ func TestBatcherChargesPassPeak(t *testing.T) {
 	}
 	var last int64
 	for _, s := range inst.Timeline().Samples {
-		last = max(last, s.MeasuredBytes)
+		last = max(last, s.RefBytes)
 	}
 	if last != peakB {
 		t.Fatalf("timeline after the full batch peaks at %d bytes, want pass peak %d", last, peakB)
@@ -354,5 +354,46 @@ func TestBatcherChargesPassPeak(t *testing.T) {
 		if h.Count() != int64(1+inst.MaxBatch) || math.Abs(h.Sum()-c.sum) > 1e-6*c.sum {
 			t.Fatalf("%s: count %d sum %g, want count %d sum %g", c.name, h.Count(), h.Sum(), 1+inst.MaxBatch, c.sum)
 		}
+	}
+}
+
+// TestTimelineDuringRun reads the memory timeline while the dispatcher's
+// forwards run, as the debug sampler and /profilez do: every read is the
+// static table of some pass over at most MaxBatch images, and the high
+// water is that of the largest batch run so far.
+func TestTimelineDuringRun(t *testing.T) {
+	inst, err := Load(Spec{
+		Name:      "tl",
+		ModelText: "input 3 8 8\nconv 8 k3 s1 p1\nrelu\nflatten\nlinear 4\n",
+		MaxBatch:  4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; i < 200 && err == nil; i++ {
+			_, err = inst.Run(make([][]float32, 1+i%inst.MaxBatch))
+		}
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		tl := inst.Timeline()
+		if len(tl.Samples) != inst.prog.Steps() || tl.MeasuredHighWater > inst.passPeak(inst.MaxBatch) {
+			t.Fatalf("timeline with %d rows and high water %d; want %d rows, at most %d bytes",
+				len(tl.Samples), tl.MeasuredHighWater, inst.prog.Steps(), inst.passPeak(inst.MaxBatch))
+		}
+	}
+	if hw := inst.Timeline().MeasuredHighWater; hw != inst.passPeak(inst.MaxBatch) {
+		t.Fatalf("high water %d after full batches, want %d", hw, inst.passPeak(inst.MaxBatch))
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -71,10 +70,11 @@ type Instance struct {
 	feeds  []graph.Feeds // feeds[n]: the first n images of batchX
 	out    [][]float32   // reused per-slot output buffers
 
-	// mem[n] is the memory timeline of the pass over n images, read
-	// from the compiled plan once at load. lastN is the live batch of
-	// the latest completed forward, maxN the largest one run so far.
-	mem         []*memobs.MemTimeline
+	// peaks[n] is the peak slab bytes one step of the pass over n
+	// images references, read from the compiled plan once at load.
+	// lastN is the live batch of the latest completed forward, maxN the
+	// largest one run so far.
+	peaks       []int64
 	lastN, maxN atomic.Int32
 }
 
@@ -82,19 +82,21 @@ type Instance struct {
 func (in *Instance) ImageLen() int { return in.C * in.H * in.W }
 
 // Timeline returns the memory timeline of the latest completed forward:
-// its pass's samples, the peak of the largest batch run so far, and the
-// scratch arena's high water. Safe to call while Run executes.
+// its pass's static table, the peak of the largest batch run so far,
+// and the scratch arena's high water. Safe to call while Run executes:
+// Load built every pass, so StepMem only reads.
 func (in *Instance) Timeline() *memobs.MemTimeline {
 	// Run stores maxN before lastN, so the high water covers the pass.
-	tl := *in.mem[in.lastN.Load()]
-	tl.Samples = slices.Clone(tl.Samples)
-	tl.MeasuredHighWater = in.mem[in.maxN.Load()].MeasuredHighWater
-	tl.ScratchHighWater = in.prog.Arena().Stats().HighWaterBytes
-	return &tl
+	return &memobs.MemTimeline{
+		Samples:           in.prog.StepMem(int(in.lastN.Load())),
+		PlannedSlabBytes:  in.prog.SlabBytes(),
+		MeasuredHighWater: in.peaks[in.maxN.Load()],
+		ScratchHighWater:  in.prog.Arena().Stats().HighWaterBytes,
+	}
 }
 
 // passPeak returns the peak slab bytes of the pass over n images.
-func (in *Instance) passPeak(n int) int64 { return in.mem[n].MeasuredHighWater }
+func (in *Instance) passPeak(n int) int64 { return in.peaks[n] }
 
 // ArenaStats snapshots the instance's kernel-scratch arena counters,
 // for the server's aggregate arena.* occupancy gauges — activations
@@ -143,9 +145,7 @@ func Materialize(spec Spec) (*models.Model, *graph.ParamStore, error) {
 		}
 	}
 
-	// Inference mode, logits as the only graph output. The loss node
-	// still executes (it is in the topo order), so the labels input is
-	// fed zeros; its cost is negligible next to the convolutions.
+	// Inference mode, logits as the only graph output.
 	m.Graph.SetTraining(false)
 	m.Graph.SetOutput(m.Logits)
 
@@ -182,15 +182,16 @@ func Load(spec Spec) (*Instance, error) {
 		batchX:   tensor.New(maxBatch, s.C(), s.H(), s.W()),
 		feeds:    make([]graph.Feeds, maxBatch+1),
 		out:      make([][]float32, maxBatch),
-		mem:      make([]*memobs.MemTimeline, maxBatch+1),
+		peaks:    make([]int64, maxBatch+1),
 	}
 	for n := 1; n <= maxBatch; n++ {
 		inst.feeds[n] = graph.Feeds{
-			"image":  tensor.Wrap(inst.batchX.Data()[:n*inst.ImageLen()], n, s.C(), s.H(), s.W()),
-			"labels": tensor.New(n),
+			"image": tensor.Wrap(inst.batchX.Data()[:n*inst.ImageLen()], n, s.C(), s.H(), s.W()),
 		}
 		inst.out[n-1] = make([]float32, m.Classes)
-		inst.mem[n] = memobs.PassTimeline(prog, n)
+		for _, st := range prog.StepMem(n) {
+			inst.peaks[n] = max(inst.peaks[n], st.RefBytes)
+		}
 	}
 	// Warm the scratch arena: the first forward populates the pool;
 	// later batches of a size already seen recycle through it.

@@ -36,7 +36,7 @@ type Options struct {
 	// Debug tunes the debug surface. Sampled /v1/predict requests
 	// record their admission/queue/batch/forward/respond stage spans
 	// (see Tracer); the runtime sampler also feeds arena.* occupancy
-	// gauges and the instances' memory timelines.
+	// gauges and the mem.* gauges of the instances' memory timelines.
 	Debug debugz.Options
 	// EnablePprof mounts the stdlib net/http/pprof handlers under
 	// /debug/pprof/ on the serve mux.
@@ -92,7 +92,9 @@ func NewServer(reg *Registry, opts Options) *Server {
 		Sample: func(reg *trace.Metrics) {
 			s.arenaStats().Record("arena", reg)
 			for _, tl := range s.timelines() {
-				tl.Record(reg)
+				reg.Gauge("mem.measured_high_water_bytes").Set(float64(tl.MeasuredHighWater))
+				reg.Gauge("mem.planned_slab_bytes").Set(float64(tl.PlannedSlabBytes))
+				reg.Gauge("mem.scratch_high_water_bytes").Set(float64(tl.ScratchHighWater))
 			}
 		},
 		Timelines: s.timelines,

@@ -1,10 +1,8 @@
 // Plan-vs-actual calibration: the observability hook that tells us when
 // the cost model the planner trusts has drifted from the real CPU
 // engine. The trainer's executor hook measures what every op actually
-// cost; those measurements are rebuilt into a program, routed through
-// the same PlanFromProgram pipeline the planner uses, and replayed so
-// the measured compute timeline (Result.OpTimes) can be diffed per-op
-// against the cost model's predictions as calib.* gauges.
+// cost; each op's measured mean is divided by the cost model's
+// prediction for it and published per op as calib.* gauges.
 package sim
 
 import (
@@ -14,7 +12,6 @@ import (
 	"splitcnn/internal/costmodel"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/hmms"
-	"splitcnn/internal/tensor"
 	"splitcnn/internal/trace"
 )
 
@@ -54,10 +51,9 @@ type DriftReport struct {
 // DriftFromMeasured compares measured per-op wall-clock times (keyed by
 // serialized op name, ".bwd" suffix for backward — exactly the names an
 // Executor hook sees) against the cost model's predictions for the same
-// graph on dev. The measured times are fed back through
-// PlanFromProgram and a baseline replay, so the measured timeline is
-// produced by the identical pipeline the planner trusts; ops the hook
-// never timed, or that the model prices at zero, are skipped.
+// graph on dev: each op's ratio is its measured mean over its predicted
+// Time. Ops the hook never timed, or that the model prices at zero, are
+// skipped.
 func DriftFromMeasured(g *graph.Graph, dev costmodel.DeviceSpec, measured map[string]OpSample) (*DriftReport, error) {
 	if len(measured) == 0 {
 		return nil, fmt.Errorf("sim: no measured op times to calibrate against")
@@ -66,45 +62,15 @@ func DriftFromMeasured(g *graph.Graph, dev costmodel.DeviceSpec, measured map[st
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the program with the measured timer (cost-model fallback
-	// for unmeasured ops keeps the program well-formed).
-	cm := hmms.CostModelTimer(dev)
-	timer := func(n *graph.Node, in []tensor.Shape) (float64, float64) {
-		fwd, bwd := cm(n, in)
-		if s, ok := measured[n.Name]; ok && s.Count > 0 {
-			fwd = s.Mean()
-		}
-		if s, ok := measured[n.Name+".bwd"]; ok && s.Count > 0 {
-			bwd = s.Mean()
-		}
-		return fwd, bwd
-	}
-	measProg, err := hmms.BuildProgramTimed(g, dev, timer)
-	if err != nil {
-		return nil, err
-	}
-	plan, mem, err := PlanFromProgram(measProg, MethodNone, -1)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(measProg, plan, mem)
-	if err != nil {
-		return nil, err
-	}
-	start, end := res.OpTimes()
-	if len(start) != len(predicted.Ops) {
-		return nil, fmt.Errorf("sim: measured replay has %d compute spans, predicted program %d ops",
-			len(start), len(predicted.Ops))
-	}
-
 	rep := &DriftReport{}
 	var logSum float64
 	for i := range predicted.Ops {
 		op := &predicted.Ops[i]
-		if _, ok := measured[op.Name]; !ok || op.Time <= 0 {
+		s := measured[op.Name]
+		if s.Count == 0 || op.Time <= 0 {
 			continue
 		}
-		d := Drift{Name: op.Name, Predicted: op.Time, Measured: end[i] - start[i]}
+		d := Drift{Name: op.Name, Predicted: op.Time, Measured: s.Mean()}
 		d.Ratio = d.Measured / d.Predicted
 		rep.Ops = append(rep.Ops, d)
 		logSum += math.Log(d.Ratio)
