@@ -19,7 +19,8 @@ KERNEL_BENCH = MatMul$$|Im2Col$$|TrainStep$$|TrainStepSteplog$$|Conv2DForward$$|
 # fuzz-smoke fuzzes each for a few seconds.
 FUZZ_TARGETS = internal/serve:FuzzDecodePredict internal/serve:FuzzParsePixel internal/memlayout:FuzzFirstFit \
 	internal/graph:FuzzCompiledPlan internal/snapshot:FuzzLoad \
-	internal/tensor:FuzzConvGeometry internal/tensor:FuzzWindowBand internal/device:FuzzRun
+	internal/tensor:FuzzConvGeometry internal/tensor:FuzzWindowBand internal/device:FuzzRun \
+	internal/modelfile:FuzzModelfile internal/memobs:FuzzParsePprof
 
 build:
 	$(GO) build ./...

@@ -513,7 +513,7 @@ func benchEvalModel(b *testing.B) (*models.Model, *graph.ParamStore, graph.Feeds
 	store.InitFromGraph(m.Graph, rng, nn.KaimingInit)
 	xt := tensor.New(batch, 3, 32, 32)
 	xt.RandNormal(rng, 1)
-	return m, store, graph.Feeds{"image": xt, "labels": tensor.New(batch)}
+	return m, store, graph.Feeds{"image": xt}
 }
 
 // BenchmarkInterpretedForward is the eval-mode forward pass through the

@@ -31,7 +31,7 @@ func cmdWorker(args []string) error {
 	maxPods := fs.Int("maxpods", 4, "max concurrent shard evaluations (per-pod capacity limit)")
 	logJSON := fs.Bool("logjson", false, "emit lifecycle logs as JSON instead of text")
 	traceSample := fs.Float64("tracesample", 0, "fraction of shard evaluations recording per-stage wall spans")
-	debugAddr := fs.String("debugaddr", "", "HTTP debug listener (host:port; :0 for a random port) serving /healthz, /metricsz, /tracez and the continuous profiler's /profilez")
+	debugAddr := fs.String("debugaddr", "", "HTTP debug listener (host:port; :0 for a random port) serving /healthz, /metricsz, /tracez and on-demand /profilez captures")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

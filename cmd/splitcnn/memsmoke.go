@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"splitcnn/internal/debugz"
 	"splitcnn/internal/distserve"
 	"splitcnn/internal/memobs"
 	"splitcnn/internal/models"
@@ -22,18 +21,20 @@ import (
 // memSmoke is the CI `make mem-smoke` target: it exercises the memory
 // observability plane end to end, race-enabled, in this one process.
 //
-// Phase 1 boots a compiled single-process server with fast profiler
-// windows, drives concurrent load through the real HTTP surface, and
-// asserts that /profilez serves per-op CPU attribution, a raw pprof
-// download and, once the load drains, exactly the instance's memory
-// timeline, and that /metricsz carries the memory gauges (measured high
-// water, planned slab) and the per-request footprint histograms.
+// Phase 1 boots a compiled single-process server with default options,
+// drives concurrent load through the real HTTP surface, and asserts
+// that a 0.25 s /profilez capture under that load serves per-op CPU
+// attribution and the instance's memory timeline, that a raw pprof
+// download is a gzip profile, that once the load drains /profilez
+// serves exactly the instance's timeline, and that /metricsz carries
+// the runtime, arena and memory gauges (measured high water, planned
+// slab) and the per-request footprint histograms.
 //
 // Phase 2 boots a two-worker loopback fleet whose workers expose debug
-// HTTP listeners, drives load through the router, and asserts that all
-// three processes' /profilez surfaces answer with per-op attribution
-// and that the router's /clusterz federates the workers' runtime
-// memory gauges into the cluster.mem.* rollups.
+// HTTP listeners, drives load through the router, and asserts that a
+// capture on each of the three processes' /profilez surfaces answers
+// with per-op attribution and that the router's /clusterz federates
+// the workers' runtime memory gauges into the cluster.mem.* rollups.
 func memSmoke() error {
 	if err := memSmokeServe(); err != nil {
 		return fmt.Errorf("memsmoke serve: %w", err)
@@ -43,14 +44,6 @@ func memSmoke() error {
 	}
 	fmt.Println("mem smoke ok")
 	return nil
-}
-
-// memSmokeDebug is every smoke process's debug surface: fast runtime
-// samples and short, frequent profiler windows.
-var memSmokeDebug = debugz.Options{
-	RuntimeMetricsInterval: 50 * time.Millisecond,
-	ProfileWindow:          250 * time.Millisecond,
-	ProfileEvery:           300 * time.Millisecond,
 }
 
 // profilezView mirrors the /profilez?format=json body.
@@ -77,7 +70,6 @@ func memSmokeServe() error {
 		QueueDepth:     1024,
 		RequestTimeout: 30 * time.Second,
 		Metrics:        met,
-		Debug:          memSmokeDebug,
 	})
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -87,7 +79,7 @@ func memSmokeServe() error {
 	inst, _ := reg.Lookup("")
 
 	stopLoad, waitLoad := startLoad(base, inst.ImageLen(), 4)
-	_, err = awaitProfile(base+"/profilez", 30*time.Second)
+	err = profileUnderLoad(base)
 	stopLoad()
 	waitLoad()
 	if err != nil {
@@ -95,38 +87,26 @@ func memSmokeServe() error {
 	}
 	// Once the load has drained, /profilez serves the instance's own
 	// timeline: the static table of the last pass and its high waters.
-	resp, err := http.Get(base + "/profilez?format=json")
+	view, err := getProfile(base+"/profilez", "0.05")
 	if err != nil {
 		return err
 	}
-	var view profilezView
-	err = json.NewDecoder(resp.Body).Decode(&view)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if len(view.Timelines) != 1 || len(view.Timelines[0].Samples) == 0 {
-		return fmt.Errorf("/profilez serves %d memory timelines, want 1 with samples", len(view.Timelines))
+	if len(view.Timelines) != 1 {
+		return fmt.Errorf("/profilez serves %d memory timelines after the load, want 1", len(view.Timelines))
 	}
 	if got, want := view.Timelines[0], inst.Timeline(); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("/profilez serves timeline %+v, instance has %+v", got, want)
-	}
-
-	// Raw pprof download of the captured window.
-	resp, err = http.Get(base + "/profilez?download=cpu")
-	if err != nil {
-		return err
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(raw) == 0 {
-		return fmt.Errorf("profilez cpu download: status %d, %d bytes", resp.StatusCode, len(raw))
 	}
 
 	// Measured-memory gauge family and per-request footprint histograms.
 	snap, err := scrapeSnapshot(base)
 	if err != nil {
 		return err
+	}
+	for _, g := range []string{"runtime.heap_alloc_bytes", "runtime.goroutines", "arena.high_water_bytes"} {
+		if v := snap.Gauges[g]; v <= 0 {
+			return fmt.Errorf("%s = %g, want > 0", g, v)
+		}
 	}
 	if v := snap.Gauges["mem.measured_high_water_bytes"]; v <= 0 {
 		return fmt.Errorf("mem.measured_high_water_bytes = %g, want > 0", v)
@@ -161,7 +141,6 @@ func memSmokeFleet() error {
 		w, err := distserve.StartWorker("127.0.0.1:0", distserve.WorkerConfig{
 			Spec: spec, MaxPods: 8,
 			DebugAddr: "127.0.0.1:0",
-			Debug:     memSmokeDebug,
 		})
 		if err != nil {
 			return fmt.Errorf("spawn worker %d: %w", i, err)
@@ -174,7 +153,6 @@ func memSmokeFleet() error {
 		Spec: spec, Workers: addrs,
 		RequestTimeout: 30 * time.Second,
 		Metrics:        trace.NewMetrics(),
-		Debug:          memSmokeDebug,
 	})
 	if err != nil {
 		return err
@@ -186,10 +164,9 @@ func memSmokeFleet() error {
 	base := "http://" + bound.String()
 	imageLen := spec.Model.InputC * spec.Model.InputH * spec.Model.InputW
 
-	stopLoad, waitLoad := startLoad(base, imageLen, 4)
-	// The router and every worker must answer /profilez with a captured
-	// window; the profilers share one process-global CPU profiler and
-	// skip contended windows, so poll each surface generously.
+	// The router and every worker must answer a /profilez capture under
+	// load with per-op attribution. The captures run one at a time: the
+	// process has one CPU profiler, and a concurrent capture answers 409.
 	surfaces := []string{base + "/profilez"}
 	for i, w := range workers {
 		if w.DebugAddr() == "" {
@@ -197,18 +174,22 @@ func memSmokeFleet() error {
 		}
 		surfaces = append(surfaces, "http://"+w.DebugAddr()+"/profilez")
 	}
+	stopLoad, waitLoad := startLoad(base, imageLen, 4)
 	for _, url := range surfaces {
-		if _, err := awaitProfile(url, 60*time.Second); err != nil {
-			stopLoad()
-			waitLoad()
-			return fmt.Errorf("%s: %w", url, err)
+		if _, err = captureProfile(url); err != nil {
+			err = fmt.Errorf("%s: %w", url, err)
+			break
 		}
 	}
 	stopLoad()
 	waitLoad()
+	if err != nil {
+		return err
+	}
 
-	// Federation: the workers' runtime samplers must roll up into the
-	// cluster-wide memory gauges on /clusterz.
+	// Federation: the workers' runtime gauges, refreshed by each
+	// Shard.Metrics call, must roll up into the cluster-wide memory
+	// gauges on /clusterz.
 	resp, err := http.Get(base + "/clusterz?format=json")
 	if err != nil {
 		return err
@@ -264,33 +245,59 @@ func startLoad(base string, imageLen, conc int) (stop, wait func()) {
 	return func() { once.Do(func() { close(stopCh) }) }, wg.Wait
 }
 
-// awaitProfile polls url?format=json until a profile window with
-// sampled CPU and at least one per-op attribution row has landed.
-func awaitProfile(url string, timeout time.Duration) (*profilezView, error) {
-	deadline := time.Now().Add(timeout)
-	var last string
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "?format=json")
-		if err != nil {
-			last = err.Error()
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		var view profilezView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			last = fmt.Sprintf("status %d, err %v", resp.StatusCode, err)
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		if view.Report != nil && view.Report.CPUSeconds > 0 && len(view.Report.Ops) > 0 {
-			return &view, nil
-		}
-		last = "no completed profile window yet"
-		time.Sleep(100 * time.Millisecond)
+// profileUnderLoad checks a server's /profilez while load runs: a
+// capture with per-op attribution and the instance's memory timeline,
+// and a ?download=cpu window that is a gzip profile.
+func profileUnderLoad(base string) error {
+	view, err := captureProfile(base + "/profilez")
+	if err != nil {
+		return err
 	}
-	return nil, fmt.Errorf("profilez never produced per-op attribution (%s)", last)
+	if len(view.Timelines) != 1 || len(view.Timelines[0].Samples) == 0 {
+		return fmt.Errorf("/profilez serves %d memory timelines, want 1 with samples", len(view.Timelines))
+	}
+	resp, err := http.Get(base + "/profilez?download=cpu&seconds=0.25")
+	if err != nil {
+		return err
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		return fmt.Errorf("profilez cpu download: status %d, %d bytes, want a gzip profile", resp.StatusCode, len(raw))
+	}
+	return nil
+}
+
+// getProfile asks url for one capture window of the given seconds and
+// decodes its JSON body.
+func getProfile(url, seconds string) (*profilezView, error) {
+	resp, err := http.Get(url + "?format=json&seconds=" + seconds)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		return nil, fmt.Errorf("profilez status %d: %s", resp.StatusCode, body)
+	}
+	var view profilezView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		return nil, err
+	}
+	return &view, nil
+}
+
+// captureProfile takes one 0.25 s window from url, under the caller's
+// load, and checks that it sampled CPU and attributed some to ops.
+func captureProfile(url string) (*profilezView, error) {
+	view, err := getProfile(url, "0.25")
+	if err != nil {
+		return nil, err
+	}
+	if view.Report == nil || view.Report.CPUSeconds <= 0 || len(view.Report.Ops) == 0 {
+		return nil, fmt.Errorf("profilez window has no per-op attribution (report %+v)", view.Report)
+	}
+	return view, nil
 }
 
 // scrapeSnapshot fetches the target's /metricsz JSON snapshot.

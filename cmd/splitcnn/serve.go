@@ -80,7 +80,6 @@ func cmdServe(args []string) error {
 	traceSample := fs.Float64("tracesample", 0, "fraction of requests recording wall-clock stage spans (0 disables /tracez)")
 	traceOut := fs.String("traceout", "", "write the accumulated request trace (Chrome trace_event JSON) here on shutdown")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	runtimeEvery := fs.Duration("runtimemetrics", 10*time.Second, "runtime.*/arena.* gauge sampling interval (0 disables)")
 	smoke := fs.Bool("smoke", false, "self-test: serve on a random port, answer one self-issued request, exit")
 	memsmoke := fs.Bool("memsmoke", false, "self-test: exercise the memory observability plane (per-op /profilez attribution, measured-vs-planned invariant, cluster memory federation), exit")
 	if err := fs.Parse(args); err != nil {
@@ -95,7 +94,6 @@ func cmdServe(args []string) error {
 		if *traceSample <= 0 {
 			*traceSample = 1
 		}
-		*runtimeEvery = 50 * time.Millisecond
 	}
 	spec := sf.spec()
 	reg, err := serve.NewRegistry(spec)
@@ -112,7 +110,7 @@ func cmdServe(args []string) error {
 		Metrics:        trace.NewMetrics(),
 		Logger:         slog.New(handler),
 		EnablePprof:    *pprofOn,
-		Debug:          debugz.Options{TraceSample: *traceSample, RuntimeMetricsInterval: *runtimeEvery},
+		Debug:          debugz.Options{TraceSample: *traceSample},
 	})
 	bind := *addr
 	if *smoke {

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
+	"time"
 
 	"splitcnn/internal/debugz"
 	"splitcnn/internal/distserve"
@@ -75,27 +75,30 @@ func startDashboard(pprof bool) func(t *testing.T) string {
 
 // TestDebugSurfaceContract holds every process's debug surface to one
 // contract: /healthz is JSON with a status, /metricsz negotiates JSON,
-// Prometheus and text, /tracez and /profilez answer a JSON 404 when
-// off, and /debug/pprof/ answers only where pprof is enabled.
+// Prometheus and text and carries the runtime.* gauges, /tracez
+// answers a JSON 404 when off, /profilez captures a window per
+// request (400 on a bad window, 409 while another capture runs, each
+// with the JSON error body), and /debug/pprof/ answers only where
+// pprof is enabled.
 func TestDebugSurfaceContract(t *testing.T) {
 	for _, p := range []struct {
-		name                    string
-		start                   func(t *testing.T) string
-		traced, profiled, pprof bool
+		name          string
+		start         func(t *testing.T) string
+		traced, pprof bool
 	}{
-		{"server", startServer(serve.Options{NoProfiler: true}), false, false, false},
+		{"server", startServer(serve.Options{}), false, false},
 		{"server/all-on", startServer(serve.Options{
 			EnablePprof: true, Debug: debugz.Options{TraceSample: 1},
-		}), true, true, true},
-		{"router", startRouter, false, true, false},
+		}), true, true},
+		{"router", startRouter, false, false},
 		{"worker", func(t *testing.T) string {
 			w := startWorker(t, distserve.WorkerConfig{
 				DebugAddr: "127.0.0.1:0", Debug: debugz.Options{TraceSample: 1},
 			})
 			return "http://" + w.DebugAddr()
-		}, true, true, false},
-		{"dashboard", startDashboard(false), false, true, false},
-		{"dashboard/pprof", startDashboard(true), false, true, true},
+		}, true, false},
+		{"dashboard", startDashboard(false), false, false},
+		{"dashboard/pprof", startDashboard(true), false, true},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			base := p.start(t)
@@ -135,21 +138,91 @@ func TestDebugSurfaceContract(t *testing.T) {
 				}
 			}
 
-			for _, c := range []struct {
-				path string
-				on   bool
-			}{{"/tracez", p.traced}, {"/profilez?format=json", p.profiled}} {
-				code, ct, body := get(c.path)
+			code, _, body = get("/metricsz")
+			var snap trace.Snapshot
+			if json.Unmarshal(body, &snap) != nil || snap.Gauges["runtime.heap_alloc_bytes"] <= 0 ||
+				snap.Gauges["runtime.goroutines"] <= 0 {
+				t.Errorf("/metricsz lacks the runtime.* gauges: %d %s", code, body)
+			}
+
+			jsonError := func(path string, want int) {
+				t.Helper()
+				code, ct, body := get(path)
 				var e struct {
 					Error string `json:"error"`
 				}
-				switch {
-				case c.on && (code != http.StatusOK || !json.Valid(body)):
-					t.Errorf("%s on: %d %s", c.path, code, body)
-				case !c.on && (code != http.StatusNotFound || ct != "application/json" ||
-					json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "disabled")):
-					t.Errorf("%s off: %d %q %s, want a JSON 404", c.path, code, ct, body)
+				if code != want || ct != "application/json" || json.Unmarshal(body, &e) != nil || e.Error == "" {
+					t.Errorf("%s: %d %q %s, want a JSON %d", path, code, ct, body, want)
 				}
+			}
+			if p.traced {
+				if code, _, body := get("/tracez"); code != http.StatusOK || !json.Valid(body) {
+					t.Errorf("/tracez on: %d %s", code, body)
+				}
+			} else {
+				jsonError("/tracez", http.StatusNotFound)
+			}
+
+			code, _, body = get("/profilez?format=json&seconds=0.05")
+			var prof struct {
+				Report *struct {
+					WindowSeconds float64 `json:"window_seconds"`
+				} `json:"report"`
+			}
+			if code != http.StatusOK || json.Unmarshal(body, &prof) != nil || prof.Report == nil ||
+				prof.Report.WindowSeconds <= 0 {
+				t.Errorf("/profilez: %d %s", code, body)
+			}
+			for _, bad := range []string{"0", "-1", "x", "31", "NaN"} {
+				jsonError("/profilez?format=json&seconds="+bad, http.StatusBadRequest)
+			}
+			if code, _, body := get("/profilez?download=cpu&seconds=0.05"); code != http.StatusOK ||
+				len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
+				t.Errorf("/profilez?download=cpu: %d, %d bytes, want a gzip profile", code, len(body))
+			}
+
+			// A capture that finds another one running answers 409. The
+			// long capture (retried should a probe below hold the
+			// profiler first) runs until its request is cancelled, which
+			// ends its window early.
+			ctx, cancel := context.WithCancel(context.Background())
+			long := make(chan struct{})
+			go func() {
+				defer close(long)
+				for ctx.Err() == nil {
+					req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+"/profilez?format=json&seconds=30", nil)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, resp.Body) //nolint:errcheck
+					resp.Body.Close()
+				}
+			}()
+			conflict := false
+			for deadline := time.Now().Add(10 * time.Second); !conflict && time.Now().Before(deadline); {
+				if code, _, _ := get("/profilez?download=heap"); code != http.StatusOK {
+					t.Errorf("/profilez?download=heap during a capture: %d", code)
+				}
+				code, _, _ := get("/profilez?format=json&seconds=0.01")
+				conflict = code == http.StatusConflict
+			}
+			if conflict {
+				jsonError("/profilez?format=json&seconds=0.01", http.StatusConflict)
+			} else {
+				t.Error("a capture concurrent with a running one never answered 409")
+			}
+			cancel()
+			<-long
+			// The cancelled window ends early: a capture succeeds again
+			// long before its 30 s would have run out.
+			freed := false
+			for deadline := time.Now().Add(10 * time.Second); !freed && time.Now().Before(deadline); {
+				code, _, _ := get("/profilez?format=json&seconds=0.01")
+				freed = code == http.StatusOK
+			}
+			if !freed {
+				t.Error("a cancelled 30 s capture still holds the CPU profiler after 10 s")
 			}
 
 			if code, _, _ := get("/debug/pprof/"); (code == http.StatusOK) != p.pprof {

@@ -2,16 +2,22 @@
 // process serves — the single-process server, the distributed router
 // and shard workers, and the trainer dashboard: /healthz, /metricsz,
 // /tracez, /profilez and, when enabled, /debug/pprof/. Mount registers
-// those routes and builds the request tracer; Start and Stop run the
-// runtime sampler and the continuous profiler behind them. A process
-// keeps only its own routes and passes in what differs: its health
-// verdict, a scrape-time refresh, and its compiled memory timelines.
+// those routes and builds the request tracer. The surface runs nothing
+// in the background: /metricsz computes its derived gauges when it is
+// scraped, and /profilez captures a profile window when it is asked.
+// A process keeps only its own routes and passes in what differs: its
+// health verdict, a scrape-time refresh, and its compiled memory
+// timelines.
 package debugz
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
+	rpprof "runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -28,43 +34,28 @@ type Options struct {
 	// that fraction of requests record their stage spans into a Chrome
 	// trace, served at /tracez. 0 disables tracing.
 	TraceSample float64
-	// RuntimeMetricsInterval, when positive, runs a background sampler
-	// feeding runtime.* gauges (heap, GC, goroutines) into the registry
-	// on that interval.
-	RuntimeMetricsInterval time.Duration
-	// ProfileWindow/ProfileEvery override the continuous profiler's
-	// capture window and duty-cycle period (defaults 1s / 15s).
-	ProfileWindow time.Duration
-	ProfileEvery  time.Duration
 }
 
 // Config is what a process passes to Mount: its Options, and the hooks
 // where processes differ. Nil hooks are skipped.
 type Config struct {
 	Options
-	// Metrics is the registry served at /metricsz and fed by the
-	// runtime sampler and the profiler.
+	// Metrics is the registry served at /metricsz.
 	Metrics *trace.Metrics
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/.
 	Pprof bool
-	// Profile runs the continuous profiler (windowed in-process CPU and
-	// heap capture, joined against op spans) between Start and Stop.
-	// Without it /profilez answers 404.
-	Profile bool
 	// Health turns the shared /healthz body into the process's answer:
 	// it may change h.Status, and returns the status code and the body,
 	// which may embed h to add fields. Nil answers 200 with h.
 	Health func(h Health) (code int, body any)
 	// Quantiles names latency histograms (<name>_seconds, on
 	// trace.LatencyBuckets) whose <name>_p50_seconds and
-	// <name>_p99_seconds gauges every /metricsz scrape recomputes.
+	// <name>_p99_seconds gauges every Refresh recomputes.
 	Quantiles []string
-	// Refresh runs before every /metricsz dump, after Quantiles: the
-	// hook that recomputes other derived gauges at scrape time.
+	// Refresh runs at the end of every Surface.Refresh, after the
+	// Quantiles and the runtime.* gauges: the hook that recomputes the
+	// process's own derived gauges at scrape time.
 	Refresh func(*trace.Metrics)
-	// Sample runs on every runtime-sampler tick, after the runtime
-	// gauges.
-	Sample func(*trace.Metrics)
 	// Timelines lists the memory timelines /profilez shows.
 	Timelines func() []*memobs.MemTimeline
 }
@@ -81,17 +72,15 @@ type Health struct {
 type Surface struct {
 	cfg     Config
 	tracer  *trace.WallTracer
-	started time.Time
-	sampler *trace.RuntimeSampler
-	prof    *memobs.Profiler
+	mounted time.Time
 }
 
 // Mount registers the debug routes on mux and builds the request
 // tracer. A nil mux registers nothing: a process without a debug
-// listener still gets the tracer and the samplers. Mount starts
-// nothing; call Start before serving mux.
+// listener still gets the tracer and Refresh. Mount starts no
+// goroutine; uptime counts from it.
 func Mount(mux *http.ServeMux, cfg Config) *Surface {
-	s := &Surface{cfg: cfg}
+	s := &Surface{cfg: cfg, mounted: time.Now()}
 	if cfg.TraceSample > 0 {
 		s.tracer = trace.NewWallTracer(cfg.TraceSample, 1)
 	}
@@ -112,37 +101,35 @@ func Mount(mux *http.ServeMux, cfg Config) *Surface {
 	return s
 }
 
-// Start starts the uptime clock, the runtime sampler (when
-// RuntimeMetricsInterval > 0) and the continuous profiler (when
-// Profile is set).
-func (s *Surface) Start() {
-	s.started = time.Now()
-	if iv := s.cfg.RuntimeMetricsInterval; iv > 0 {
-		s.sampler = trace.StartRuntimeSampler(s.cfg.Metrics, iv, s.cfg.Sample)
-	}
-	if s.cfg.Profile {
-		s.prof = memobs.StartProfiler(memobs.ProfilerOptions{
-			Window: s.cfg.ProfileWindow, Every: s.cfg.ProfileEvery, Metrics: s.cfg.Metrics,
-		})
-	}
-}
-
-// Stop halts the sampler and the profiler and waits for them to exit.
-// It is safe without a prior Start.
-func (s *Surface) Stop() {
-	s.sampler.Stop()
-	s.prof.Stop()
-}
-
 // Tracer returns the request tracer (nil when TraceSample is 0).
 func (s *Surface) Tracer() *trace.WallTracer { return s.tracer }
 
-// Uptime is the time since Start (0 before it).
-func (s *Surface) Uptime() time.Duration {
-	if s.started.IsZero() {
-		return 0
+// Uptime is the time since Mount.
+func (s *Surface) Uptime() time.Duration { return time.Since(s.mounted) }
+
+// Refresh recomputes the registry's scrape-time gauges: the Quantiles,
+// the Go runtime's runtime.* gauges (heap, GC, goroutines), then
+// Config.Refresh. /metricsz runs it before every dump; a process that
+// ships its registry another way runs it before taking the snapshot.
+func (s *Surface) Refresh() {
+	m := s.cfg.Metrics
+	for _, name := range s.cfg.Quantiles {
+		h := m.Histogram(name+"_seconds", trace.LatencyBuckets)
+		m.Gauge(name + "_p50_seconds").Set(h.Quantile(0.5))
+		m.Gauge(name + "_p99_seconds").Set(h.Quantile(0.99))
 	}
-	return time.Since(s.started)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m.Gauge("runtime.heap_alloc_bytes").Set(float64(ms.HeapAlloc))
+	m.Gauge("runtime.heap_sys_bytes").Set(float64(ms.HeapSys))
+	m.Gauge("runtime.heap_objects").Set(float64(ms.HeapObjects))
+	m.Gauge("runtime.next_gc_bytes").Set(float64(ms.NextGC))
+	m.Gauge("runtime.gc_count").Set(float64(ms.NumGC))
+	m.Gauge("runtime.gc_pause_total_seconds").Set(float64(ms.PauseTotalNs) / 1e9)
+	m.Gauge("runtime.goroutines").Set(float64(runtime.NumGoroutine()))
+	if s.cfg.Refresh != nil {
+		s.cfg.Refresh(m)
+	}
 }
 
 // WriteJSON answers code with v as a JSON body.
@@ -159,21 +146,13 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 	}{msg})
 }
 
-// metricsz serves the registry, refreshed by Config.Quantiles and
-// Config.Refresh: JSON by
-// default, Prometheus text exposition 0.0.4 when the client asks for
-// text/plain (what a Prometheus scraper's Accept header implies) or
-// ?format=prom, and "kind name value" lines with ?format=text.
+// metricsz serves the registry after a Refresh: JSON by default,
+// Prometheus text exposition 0.0.4 when the client asks for text/plain
+// (what a Prometheus scraper's Accept header implies) or ?format=prom,
+// and "kind name value" lines with ?format=text.
 func (s *Surface) metricsz(w http.ResponseWriter, r *http.Request) {
+	s.Refresh()
 	m := s.cfg.Metrics
-	for _, name := range s.cfg.Quantiles {
-		h := m.Histogram(name+"_seconds", trace.LatencyBuckets)
-		m.Gauge(name + "_p50_seconds").Set(h.Quantile(0.5))
-		m.Gauge(name + "_p99_seconds").Set(h.Quantile(0.99))
-	}
-	if s.cfg.Refresh != nil {
-		s.cfg.Refresh(m)
-	}
 	switch format := r.URL.Query().Get("format"); {
 	case format == "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -208,13 +187,56 @@ func (s *Surface) tracez(w http.ResponseWriter, _ *http.Request) {
 	s.tracer.Trace().WriteJSON(w) //nolint:errcheck
 }
 
-// profilez serves the continuous profiler's latest window (per-op
-// CPU/alloc attribution, flat function tables, pprof downloads) and
-// the process's compiled memory timelines.
+// profilez captures one CPU window of ?seconds= (a decimal in (0, 30],
+// default 1; a closed request ends it early) and serves its
+// per-op and per-function attribution next to the process's compiled
+// memory timelines: HTML by default, ?format=json for machines, and
+// the window's raw profile with ?download=cpu. ?download=heap serves a
+// live heap profile without a window. A capture that finds another CPU
+// profile running answers 409.
 func (s *Surface) profilez(w http.ResponseWriter, r *http.Request) {
-	if s.prof == nil {
-		WriteError(w, http.StatusNotFound, "continuous profiling disabled")
+	q := r.URL.Query()
+	if q.Get("download") == "heap" {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Disposition", `attachment; filename="heap.pprof"`)
+		rpprof.Lookup("heap").WriteTo(w, 0) //nolint:errcheck
 		return
 	}
-	memobs.Handler(s.prof, s.cfg.Timelines)(w, r)
+	window := time.Second
+	if v := q.Get("seconds"); v != "" {
+		sec, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(sec > 0 && sec <= 30) {
+			WriteError(w, http.StatusBadRequest, "seconds must be a decimal in (0, 30]")
+			return
+		}
+		window = time.Duration(sec * float64(time.Second))
+	}
+	rep, err := memobs.Capture(r.Context(), window)
+	switch {
+	case errors.Is(err, memobs.ErrBusy):
+		WriteError(w, http.StatusConflict, err.Error())
+		return
+	case err != nil:
+		WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if q.Get("download") == "cpu" {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Disposition", `attachment; filename="cpu.pprof"`)
+		w.Write(rep.CPUProfile) //nolint:errcheck
+		return
+	}
+	var timelines []*memobs.MemTimeline
+	if s.cfg.Timelines != nil {
+		timelines = s.cfg.Timelines()
+	}
+	if q.Get("format") == "json" {
+		WriteJSON(w, http.StatusOK, struct {
+			Report    *memobs.Report        `json:"report"`
+			Timelines []*memobs.MemTimeline `json:"timelines,omitempty"`
+		}{rep, timelines})
+		return
+	}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	memobs.WriteHTML(w, rep, timelines)
 }

@@ -114,7 +114,8 @@ func (rt *Router) collectCluster() clusterView {
 				reqMem = m
 			}
 		}
-		// Fleet memory rollup from each worker's runtime sampler gauges.
+		// Fleet memory rollup from each worker's runtime.* gauges,
+		// refreshed by its Shard.Metrics call.
 		heap := snaps[i].Gauges["runtime.heap_alloc_bytes"]
 		sumHeap += heap
 		if heap > maxHeap {
@@ -151,7 +152,7 @@ func (rt *Router) collectCluster() clusterView {
 	roll.Gauge("cluster.stage_p50_seconds").Set(stageSecs.Quantile(0.5))
 	roll.Gauge("cluster.stage_p99_seconds").Set(stageSecs.Quantile(0.99))
 	// Fleet-wide memory: total and hottest-worker heap (from each
-	// worker's runtime sampler), halo bytes resident on the exchanges,
+	// worker's runtime.* gauges), halo bytes resident on the exchanges,
 	// plus the merged per-request transfer footprint distribution.
 	roll.Gauge("cluster.mem.heap_alloc_bytes_total").Set(sumHeap)
 	roll.Gauge("cluster.mem.heap_alloc_bytes_max_worker").Set(maxHeap)

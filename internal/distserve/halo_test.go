@@ -194,7 +194,7 @@ func referenceTail(t *testing.T, spec serve.Spec, image *tensor.Tensor) (*Plan, 
 	s := m.Input.Shape
 	x := tensor.New(1, s.C(), s.H(), s.W())
 	copy(x.Data(), image.Data())
-	outs, err := ex.Forward(graph.Feeds{"image": x, "labels": tensor.New(1)})
+	outs, err := ex.Forward(graph.Feeds{"image": x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,9 @@ type RouterOptions struct {
 	// ("p99=50ms,err=0.1%"); when set, multi-window burn-rate gauges
 	// (slo.*) appear on /metricsz. Empty = no SLO tracking.
 	SLO string
-	// Debug tunes the debug surface; the continuous profiler always
-	// runs. Sampled requests record scatter/shard/gather/tail spans and
-	// harvest worker-side spans into one stitched, skew-corrected
-	// timeline with a row per process.
+	// Debug tunes the debug surface. Sampled requests record
+	// scatter/shard/gather/tail spans and harvest worker-side spans
+	// into one stitched, skew-corrected timeline with a row per process.
 	Debug debugz.Options
 }
 
@@ -127,7 +126,6 @@ type Router struct {
 
 	met    *trace.Metrics
 	log    *slog.Logger
-	dbg    *debugz.Surface
 	tracer *trace.WallTracer
 	slo    *trace.SLOTracker
 
@@ -220,8 +218,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.workers = append(rt.workers, &workerState{addr: addr, maxPods: 1})
 	}
 	mux := http.NewServeMux()
-	rt.dbg = debugz.Mount(mux, debugz.Config{
-		Options: opts.Debug, Metrics: met, Profile: true,
+	dbg := debugz.Mount(mux, debugz.Config{
+		Options: opts.Debug, Metrics: met,
 		Health: rt.health, Quantiles: []string{"serve.latency"},
 		Refresh: func(m *trace.Metrics) {
 			rt.slo.Publish(m)
@@ -230,7 +228,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			}
 		},
 	})
-	rt.tracer = rt.dbg.Tracer()
+	rt.tracer = dbg.Tracer()
 	mux.HandleFunc("/v1/predict", rt.handlePredict)
 	mux.HandleFunc("/v1/models", rt.handleModels)
 	mux.HandleFunc("/v1/workers", rt.handleWorkers)
@@ -259,7 +257,6 @@ func (rt *Router) Start(addr string) (net.Addr, error) {
 	}
 	rt.checkAll()
 	go rt.healthLoop()
-	rt.dbg.Start()
 	go rt.http.Serve(ln)
 	rt.log.Info("dist.router.start", "addr", ln.Addr().String(),
 		"workers", rt.opts.Workers, "max_shards", rt.opts.MaxShards,
@@ -272,7 +269,6 @@ func (rt *Router) Start(addr string) (net.Addr, error) {
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.draining.Store(true)
 	close(rt.stop)
-	rt.dbg.Stop()
 	err := rt.http.Shutdown(ctx)
 	rt.pool.Close()
 	rt.log.Info("dist.router.stop", "requests", rt.met.Counter("dist.requests").Value())
@@ -574,9 +570,7 @@ func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang
 		if len(replies[i].Data) != bandLen(last.OutC, r.Len(), last.OutW) {
 			return nil, nil, fmt.Errorf("distserve: shard %d band %v has %d floats", i, r, len(replies[i].Data))
 		}
-		band := tensor.New(1, last.OutC, r.Len(), last.OutW)
-		copy(band.Data(), replies[i].Data)
-		copyRows(fm, r.Lo, band, 0, r.Len())
+		copyRows(fm, r.Lo, tensor.Wrap(replies[i].Data, 1, last.OutC, r.Len(), last.OutW), 0, r.Len())
 		covered += r.Len()
 	}
 	if covered != last.OutH {

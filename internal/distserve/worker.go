@@ -45,14 +45,10 @@ type WorkerConfig struct {
 	// long, making capacity and deadline windows deterministic.
 	StageDelay time.Duration
 	// DebugAddr, when set (e.g. "127.0.0.1:0"), serves the debug
-	// surface (debugz) next to the RPC listener, and starts the
-	// continuous profiler behind its /profilez.
+	// surface (debugz) next to the RPC listener.
 	DebugAddr string
 	// Debug tunes the debug surface. Sampled shard evaluations record
-	// per-stage wall spans, served on /tracez with DebugAddr. The
-	// runtime.* sampler feeds per-worker heap/GC series into the
-	// registry the router federates on /clusterz: its zero interval
-	// selects 10s, a negative one disables it.
+	// per-stage wall spans, served on /tracez with DebugAddr.
 	Debug debugz.Options
 }
 
@@ -171,15 +167,8 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		}
 		mux = http.NewServeMux()
 	}
-	// Per-worker runtime.* gauges: Shard.Metrics ships the registry
-	// snapshot to the router, so the sampler's heap/GC series federate
-	// on /clusterz without any extra wiring.
-	dbg := cfg.Debug
-	if dbg.RuntimeMetricsInterval == 0 {
-		dbg.RuntimeMetricsInterval = 10 * time.Second
-	}
 	w.dbg = debugz.Mount(mux, debugz.Config{
-		Options: dbg, Metrics: met, Profile: mux != nil,
+		Options: cfg.Debug, Metrics: met,
 		Health: func(h debugz.Health) (int, any) {
 			return http.StatusOK, struct {
 				debugz.Health
@@ -188,7 +177,6 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		},
 	})
 	w.tracer = w.dbg.Tracer()
-	w.dbg.Start()
 	if mux != nil {
 		go http.Serve(w.dbgLn, mux) //nolint:errcheck
 	}
@@ -229,7 +217,6 @@ func (w *Worker) Close() error {
 	default:
 	}
 	close(w.stop)
-	w.dbg.Stop()
 	if w.dbgLn != nil {
 		w.dbgLn.Close()
 	}
@@ -361,8 +348,11 @@ func (s *shardService) Spans(args *SpansArgs, reply *SpansReply) error {
 }
 
 // Metrics implements Shard.Metrics: one tear-free snapshot of the
-// worker's registry for router-side federation.
+// worker's registry for router-side federation, taken after the same
+// scrape-time refresh /metricsz runs, so its runtime.* heap/GC series
+// are current when /clusterz asks.
 func (s *shardService) Metrics(_ *MetricsArgs, reply *MetricsReply) error {
+	s.w.dbg.Refresh()
 	reply.Snap = s.w.met.Snapshot()
 	return nil
 }

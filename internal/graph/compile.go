@@ -289,16 +289,8 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 		isOutput[n.ID] = true
 	}
 	// Keep only the nodes some output reaches, so an unread op's feeds
-	// and reads bind nothing and extend no lifetime. Inputs precede
-	// their consumers, so one reverse sweep marks every reached node.
-	reached := slices.Clone(isOutput)
-	for i := len(topo) - 1; i >= 0; i-- {
-		if n := topo[i]; reached[n.ID] {
-			for _, in := range n.Inputs {
-				reached[in.ID] = true
-			}
-		}
-	}
+	// and reads bind nothing and extend no lifetime.
+	reached := reachOf(topo, g.Outputs, make([]bool, len(g.Nodes))).need
 	topo = slices.DeleteFunc(slices.Clone(topo), func(n *Node) bool { return !reached[n.ID] })
 	cons := make([][]*Node, len(g.Nodes))
 	for _, n := range topo {

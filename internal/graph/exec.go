@@ -77,8 +77,10 @@ type Executor struct {
 	// overrides): released and recycled by clearing the slot only,
 	// never by returning the tensor to the arena.
 	extern []bool
-	// ovr caches the reachability analysis of the last ForwardFrom
-	// override set (override.go).
+	// all is the part of the graph a plain Forward runs: what the
+	// outputs reach. ovr caches the same analysis for the last
+	// ForwardFrom override set (override.go).
+	all reach
 	ovr *overrideState
 	// retired holds output tensors whose arena reclamation is deferred
 	// to the next Forward: the caller reads them after Backward returns.
@@ -123,6 +125,7 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 	for _, n := range g.Outputs {
 		e.isOutput[n.ID] = true
 	}
+	e.all = reachOf(topo, g.Outputs, make([]bool, len(g.Nodes)))
 	for _, n := range topo {
 		if n.Kind != KindOp {
 			continue
@@ -188,39 +191,51 @@ func (e *Executor) recycle() {
 }
 
 // Forward runs the forward pass and returns the value of each graph
-// output. Activation tensors not needed by the backward pass are
-// released before Forward returns. When an arena is installed, the
-// returned tensors are valid until the next Forward call.
+// output. Only the ops the outputs reach run, so inputs that only feed
+// unread ops need no feed. Activation tensors not needed by the
+// backward pass are released before Forward returns. When an arena is
+// installed, the returned tensors are valid until the next Forward
+// call.
 func (e *Executor) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
-	return e.forward(feeds, nil, nil)
+	return e.forward(feeds, nil, e.all)
 }
 
-// forward is the shared forward core. over, when non-nil, maps node IDs
-// to caller-supplied values that replace the node's computation; need,
-// when non-nil, masks which nodes must execute at all (both come from
-// ForwardFrom's reachability analysis and are nil for a plain Forward).
-func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*tensor.Tensor, error) {
-	e.recycle()
-	e.liveBytes, e.PeakLiveBytes = 0, 0
-	for id := range e.remaining {
-		e.remaining[id] = len(e.cons[id])
+// reach is the part of the graph one forward runs: need marks the
+// nodes the outputs reach, stopping at cut nodes (whose values the
+// caller supplies, so their ancestors need not run or be fed), and
+// uses counts each node's consumers that run and so read it.
+type reach struct {
+	need []bool
+	uses []int
+}
+
+// reachOf sweeps topo once in reverse: inputs precede their consumers,
+// so a node is marked before its inputs are visited.
+func reachOf(topo, outputs []*Node, cut []bool) reach {
+	r := reach{need: make([]bool, len(cut)), uses: make([]int, len(cut))}
+	for _, n := range outputs {
+		r.need[n.ID] = true
 	}
-	if need != nil {
-		// Only consumers that will actually execute count toward a
-		// value's liveness: skipped and overridden ops never read their
-		// inputs.
-		for id := range e.remaining {
-			r := 0
-			for _, c := range e.cons[id] {
-				if need[c.ID] && over[c.ID] == nil {
-					r++
-				}
+	for i := len(topo) - 1; i >= 0; i-- {
+		if n := topo[i]; r.need[n.ID] && !cut[n.ID] {
+			for _, in := range n.Inputs {
+				r.need[in.ID] = true
+				r.uses[in.ID]++
 			}
-			e.remaining[id] = r
 		}
 	}
+	return r
+}
+
+// forward is the shared forward core: it runs the nodes r marks. over,
+// when non-nil, maps node IDs to caller-supplied values that replace
+// the node's computation (ForwardFrom's cut nodes).
+func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, r reach) ([]*tensor.Tensor, error) {
+	e.recycle()
+	e.liveBytes, e.PeakLiveBytes = 0, 0
+	copy(e.remaining, r.uses)
 	for _, n := range e.topo {
-		if need != nil && !need[n.ID] {
+		if !r.need[n.ID] {
 			continue
 		}
 		switch n.Kind {

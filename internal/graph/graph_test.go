@@ -99,6 +99,35 @@ func TestExecutorMissingFeed(t *testing.T) {
 	}
 }
 
+// TestExecutorRunsOnlyWhatOutputsReach: an op no output reads does not
+// run, so its input needs no feed — a logits-only graph needs no labels.
+func TestExecutorRunsOnlyWhatOutputsReach(t *testing.T) {
+	g := graph.New()
+	x := g.Input("x", tensor.Shape{1, 4})
+	out := g.Add("r", nn.ReLU{}, x)
+	unread := g.Add("unread", nn.ReLU{}, g.Input("labels", tensor.Shape{1, 4}))
+	g.SetOutput(out)
+	ex, err := graph.NewExecutor(g, graph.NewParamStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xt := tensor.FromSlice([]float32{-1, 2, -3, 4}, 1, 4)
+	outs, err := ex.Forward(graph.Feeds{"x": xt})
+	if err != nil {
+		t.Fatalf("forward without the unread op's feed: %v", err)
+	}
+	if got := outs[0].Data(); got[0] != 0 || got[1] != 2 || got[2] != 0 || got[3] != 4 {
+		t.Fatalf("relu = %v", got)
+	}
+	if ex.Value(unread) != nil {
+		t.Fatal("the unread op ran")
+	}
+	// An extra feed stays ignored.
+	if _, err := ex.Forward(graph.Feeds{"x": xt, "labels": tensor.New(1, 4)}); err != nil {
+		t.Fatalf("forward with an extra feed: %v", err)
+	}
+}
+
 func TestExecutorRequiresInitializedParams(t *testing.T) {
 	g := graph.New()
 	x := g.Input("x", tensor.Shape{1, 4})

@@ -9,13 +9,13 @@ import (
 )
 
 // overrideState caches the reachability analysis for one override name
-// set: which nodes still need to execute when the named op values are
-// supplied externally. The distributed router always overrides the same
-// node, so a single-entry cache makes repeat calls allocation-light.
+// set: the executor's reach with the overridden nodes cut. The
+// distributed router always overrides the same node, so a single-entry
+// cache makes repeat calls allocation-light.
 type overrideState struct {
-	key  string
-	ids  []int            // overridden node IDs
-	need []bool           // nodes that must execute (or be fed/overridden)
+	key string
+	ids []int // overridden node IDs
+	reach
 	over []*tensor.Tensor // per-node override values, cleared after use
 }
 
@@ -33,42 +33,17 @@ func (e *Executor) overrideState(overrides map[string]*tensor.Tensor) (*override
 	if e.ovr != nil && e.ovr.key == key {
 		return e.ovr, nil
 	}
-	st := &overrideState{
-		key:  key,
-		need: make([]bool, len(e.g.Nodes)),
-		over: make([]*tensor.Tensor, len(e.g.Nodes)),
-	}
-	overridden := make([]bool, len(e.g.Nodes))
+	st := &overrideState{key: key, over: make([]*tensor.Tensor, len(e.g.Nodes))}
+	cut := make([]bool, len(e.g.Nodes))
 	for name := range overrides {
 		n := e.g.FindNode(name)
 		if n == nil || n.Kind != KindOp {
 			return nil, fmt.Errorf("executor: override %q is not an op node", name)
 		}
-		overridden[n.ID] = true
+		cut[n.ID] = true
 		st.ids = append(st.ids, n.ID)
 	}
-	// Mark ancestors of the outputs, stopping at overridden nodes: their
-	// subgraphs need not run (or be fed) at all.
-	var stack []*Node
-	for _, n := range e.g.Outputs {
-		if !st.need[n.ID] {
-			st.need[n.ID] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if overridden[n.ID] {
-			continue
-		}
-		for _, src := range n.Inputs {
-			if !st.need[src.ID] {
-				st.need[src.ID] = true
-				stack = append(stack, src)
-			}
-		}
-	}
+	st.reach = reachOf(e.topo, e.g.Outputs, cut)
 	for _, id := range st.ids {
 		if !st.need[id] {
 			return nil, fmt.Errorf("executor: override %q does not feed any graph output", e.g.Nodes[id].Name)
@@ -108,7 +83,7 @@ func (e *Executor) ForwardFrom(feeds Feeds, overrides map[string]*tensor.Tensor)
 		}
 		st.over[id] = t
 	}
-	outs, err := e.forward(feeds, st.over, st.need)
+	outs, err := e.forward(feeds, st.over, st.reach)
 	for _, id := range st.ids {
 		st.over[id] = nil
 	}

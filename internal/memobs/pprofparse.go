@@ -323,7 +323,7 @@ func (d *pbdec) bytesField(wt int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.i+int(n) > len(d.b) {
+	if n > uint64(len(d.b)-d.i) {
 		return nil, fmt.Errorf("memobs: truncated field")
 	}
 	b := d.b[d.i : d.i+int(n)]

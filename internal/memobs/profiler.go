@@ -2,34 +2,26 @@ package memobs
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
 
 	"splitcnn/internal/graph"
-	"splitcnn/internal/trace"
 )
 
 // cpuProfileMu serializes CPU capture windows process-wide: the Go
 // runtime supports one CPU profile at a time, and a loopback fleet
-// (`router -spawn`, the memory smoke) runs several routers/workers/
-// servers — each with its own Profiler — in one process. A profiler that loses the race skips its
-// window (counted, not queued) rather than blocking its loop.
+// (`router -spawn`, the memory smoke) runs several routers, workers and
+// servers in one process. A capture that loses the race fails with
+// ErrBusy rather than queueing.
 var cpuProfileMu sync.Mutex
 
-// ProfilerOptions configures the continuous profiler.
-type ProfilerOptions struct {
-	// Window is the CPU capture window length (default 1s).
-	Window time.Duration
-	// Every is the period between window starts (default 15s). The duty
-	// cycle Window/Every bounds steady-state overhead: the defaults
-	// profile ~6.7% of wall time at ~1-3% capture cost, well under the
-	// 3% end-to-end budget.
-	Every time.Duration
-	// Metrics receives profilez.* instruments (nil = none).
-	Metrics *trace.Metrics
-}
+// ErrBusy reports that another CPU profile is running in the process.
+var ErrBusy = errors.New("memobs: a CPU profile is already running")
 
 // topFuncs caps the per-function tables.
 const topFuncs = 30
@@ -65,119 +57,37 @@ type Report struct {
 	CPUProfile []byte `json:"-"`
 }
 
-// Profiler takes windowed in-process pprof CPU+heap profiles on a duty
-// cycle and keeps the latest aggregated Report.
-type Profiler struct {
-	opts ProfilerOptions
-
-	mu  sync.Mutex
-	rep *Report
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartProfiler launches the capture loop. The first window starts
-// immediately; subsequent windows start every opts.Every.
-func StartProfiler(opts ProfilerOptions) *Profiler {
-	if opts.Window <= 0 {
-		opts.Window = time.Second
-	}
-	if opts.Every <= 0 {
-		opts.Every = 15 * time.Second
-	}
-	if opts.Every < opts.Window {
-		opts.Every = opts.Window
-	}
-	p := &Profiler{opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
-	go p.loop()
-	return p
-}
-
-// Stop terminates the capture loop and waits for it. Safe to call on a
-// nil profiler and more than once.
-func (p *Profiler) Stop() {
-	if p == nil {
-		return
-	}
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
-	<-p.done
-}
-
-// Report returns the latest window's aggregation (nil until the first
-// window completes).
-func (p *Profiler) Report() *Report {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rep
-}
-
-func (p *Profiler) loop() {
-	defer close(p.done)
-	t := time.NewTicker(p.opts.Every)
-	defer t.Stop()
-	p.capture()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.capture()
-		}
-	}
-}
-
-func (p *Profiler) capture() {
-	met := p.opts.Metrics
+// Capture profiles the process's CPU for window, or until ctx ends,
+// with per-op labels on; then it takes a heap profile and aggregates
+// both into a Report. It fails with ErrBusy when another CPU profile
+// is running.
+func Capture(ctx context.Context, window time.Duration) (*Report, error) {
 	if !cpuProfileMu.TryLock() {
-		if met != nil {
-			met.Counter("profilez.skipped_windows").Add(1)
-		}
-		return
+		return nil, ErrBusy
 	}
 	var cpuBuf bytes.Buffer
 	if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
 		cpuProfileMu.Unlock()
-		if met != nil {
-			met.Counter("profilez.skipped_windows").Add(1)
-		}
-		return
+		return nil, fmt.Errorf("%w: %v", ErrBusy, err)
 	}
+	start := time.Now()
 	graph.EnableOpLabels(true)
+	t := time.NewTimer(window)
 	select {
-	case <-time.After(p.opts.Window):
-	case <-p.stop:
+	case <-t.C:
+	case <-ctx.Done():
+		t.Stop()
 	}
 	graph.EnableOpLabels(false)
 	pprof.StopCPUProfile()
+	elapsed := time.Since(start)
 	cpuProfileMu.Unlock()
 
 	var heapBuf bytes.Buffer
 	if hp := pprof.Lookup("heap"); hp != nil {
 		hp.WriteTo(&heapBuf, 0) //nolint:errcheck — best effort
 	}
-	rep, err := buildReport(cpuBuf.Bytes(), heapBuf.Bytes(), p.opts.Window, topFuncs)
-	if err != nil {
-		if met != nil {
-			met.Counter("profilez.parse_errors").Add(1)
-		}
-		return
-	}
-	p.mu.Lock()
-	p.rep = rep
-	p.mu.Unlock()
-	if met != nil {
-		met.Counter("profilez.windows").Add(1)
-		met.Gauge("profilez.cpu_seconds").Set(rep.CPUSeconds)
-		met.Gauge("profilez.ops").Set(float64(len(rep.Ops)))
-	}
+	return buildReport(cpuBuf.Bytes(), heapBuf.Bytes(), elapsed, topFuncs)
 }
 
 // buildReport aggregates one window: flat self cost per function from

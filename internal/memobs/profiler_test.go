@@ -2,12 +2,18 @@ package memobs
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"errors"
+	"io"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
-	"splitcnn/internal/trace"
+	"splitcnn/internal/graph"
+	"splitcnn/internal/nn"
+	"splitcnn/internal/tensor"
 )
 
 // burn spins hot enough for the 100 Hz CPU sampler to land samples.
@@ -81,51 +87,131 @@ func TestParsePprofLabeled(t *testing.T) {
 	}
 }
 
-// TestProfilerWindow runs the continuous profiler end to end with a
-// short window and checks a report lands with the window's metrics.
+// TestProfilerWindow captures one window while a graph runs and checks
+// the capture turned op labels on: the ops' CPU lands on their names.
 func TestProfilerWindow(t *testing.T) {
-	met := trace.NewMetrics()
-	p := StartProfiler(ProfilerOptions{
-		Window:  200 * time.Millisecond,
-		Every:   250 * time.Millisecond,
-		Metrics: met,
-	})
-	defer p.Stop()
-	done := make(chan struct{})
+	g := graph.New()
+	cur := g.Input("x", tensor.Shape{1, 1 << 16})
+	for _, name := range []string{"r0", "r1", "r2", "r3"} {
+		cur = g.Add(name, nn.ReLU{}, cur)
+	}
+	g.SetOutput(cur)
+	ex, err := graph.NewExecutor(g, graph.NewParamStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeds := graph.Feeds{"x": tensor.New(1, 1<<16)}
+	stop := make(chan struct{})
+	done := make(chan error)
 	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			burn(100 * time.Millisecond)
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := ex.Forward(feeds); err != nil {
+				done <- err
+				return
+			}
 		}
 	}()
-	var rep *Report
-	for wait := 0; wait < 200; wait++ {
-		if rep = p.Report(); rep != nil && rep.CPUSeconds > 0 {
-			break
+	rep, err := Capture(context.Background(), 300*time.Millisecond)
+	close(stop)
+	if ferr := <-done; ferr != nil {
+		t.Fatal(ferr)
+	}
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
+	}
+	if rep.CPUSeconds <= 0 || len(rep.Funcs) == 0 || len(rep.CPUProfile) == 0 {
+		t.Fatalf("report lacks CPU, functions or the raw profile: %+v", rep)
+	}
+	if rep.WindowSeconds < 0.3 {
+		t.Errorf("window %gs, want at least 0.3s", rep.WindowSeconds)
+	}
+	var opCPU float64
+	for _, o := range rep.Ops {
+		if strings.HasPrefix(o.Op, "r") && len(o.Op) == 2 {
+			opCPU += o.CPUSeconds
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
-	p.Stop()
-	<-done
-	if rep == nil || rep.CPUSeconds <= 0 {
-		t.Fatalf("no profile window landed (report %+v)", rep)
-	}
-	if len(rep.Funcs) == 0 {
-		t.Fatal("report has no flat function costs")
-	}
-	if len(rep.CPUProfile) == 0 {
-		t.Fatal("report has no raw CPU profile for download")
-	}
-	if met.Counter("profilez.windows").Value() == 0 {
-		t.Fatal("profilez.windows counter never incremented")
+	if opCPU <= 0 {
+		t.Fatalf("no CPU attributed to the graph's ops: %+v", rep.Ops)
 	}
 }
 
-// TestProfilerStopIdempotent: Stop must be safe on nil and repeated.
-func TestProfilerStopIdempotent(t *testing.T) {
-	var p *Profiler
-	p.Stop() // nil-safe
-	q := StartProfiler(ProfilerOptions{Window: 20 * time.Millisecond, Every: 30 * time.Millisecond})
-	q.Stop()
-	q.Stop()
+// TestCaptureBusyAndCancel: a capture fails with ErrBusy while another
+// holds the CPU profiler, and a cancelled context ends its window.
+func TestCaptureBusyAndCancel(t *testing.T) {
+	cpuProfileMu.Lock()
+	_, err := Capture(context.Background(), time.Second)
+	cpuProfileMu.Unlock()
+	if !errors.Is(err, ErrBusy) {
+		t.Fatalf("capture under a held profiler: %v, want ErrBusy", err)
+	}
+
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("cpu profile unavailable: %v", err)
+	}
+	_, err = Capture(context.Background(), time.Second)
+	pprof.StopCPUProfile()
+	if !errors.Is(err, ErrBusy) {
+		t.Fatalf("capture beside a running CPU profile: %v, want ErrBusy", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	rep, err := Capture(ctx, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second || rep.WindowSeconds > 10 {
+		t.Fatalf("a cancelled capture took %v (window %gs)", d, rep.WindowSeconds)
+	}
+}
+
+// FuzzParsePprof: no byte string panics the profile decoder or the
+// report built from what it accepts. The seeds are a CPU profile whose
+// samples carry an op label and a heap profile, both taken in-process.
+func FuzzParsePprof(f *testing.F) {
+	cpuProfileMu.Lock()
+	var cpu bytes.Buffer
+	if err := pprof.StartCPUProfile(&cpu); err == nil {
+		pprof.Do(context.Background(), pprof.Labels("op", "conv_seed"), func(context.Context) {
+			burn(50 * time.Millisecond)
+		})
+		pprof.StopCPUProfile()
+	}
+	cpuProfileMu.Unlock()
+	var heap bytes.Buffer
+	pprof.Lookup("heap").WriteTo(&heap, 0) //nolint:errcheck
+	f.Add(cpu.Bytes(), heap.Bytes())
+	// The same profiles unzipped, so mutations reach the protobuf
+	// decoder rather than the gzip reader.
+	raw := func(b []byte) []byte {
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			f.Fatal(err)
+		}
+		out, err := io.ReadAll(zr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	f.Add(raw(cpu.Bytes()), raw(heap.Bytes()))
+	// A string-table field whose length varint is 2⁶⁴−1, negative as an
+	// int: the bounds check must compare it unsigned.
+	f.Add([]byte{0x32, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte(nil))
+	f.Fuzz(func(t *testing.T, cpuProf, heapProf []byte) {
+		if _, err := parsePprof(cpuProf); err != nil {
+			return
+		}
+		if _, err := buildReport(cpuProf, heapProf, time.Second, topFuncs); err != nil {
+			t.Fatalf("buildReport rejects a profile parsePprof accepts: %v", err)
+		}
+	})
 }

@@ -1,7 +1,7 @@
 // Package memobs is the memory observability plane: it serves the
 // compiled program's static memory table on /profilez, attributes
-// footprint to ops and requests, and runs an in-process continuous
-// profiler whose windows join pprof samples against graph op spans.
+// footprint to ops and requests, and captures in-process CPU and heap
+// profiles on request, joining their samples against graph op spans.
 //
 // A compiled program's activations live at fixed offsets of one slab,
 // and its kernels return their transient workspace to the scratch

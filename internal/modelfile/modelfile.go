@@ -48,6 +48,12 @@ import (
 	"splitcnn/internal/tensor"
 )
 
+// maxSize bounds every number a description names (input dimensions,
+// channel counts, widths, kernel, stride and padding): building the
+// graph allocates per-channel state, so an absurd number is an error
+// rather than an allocation.
+const maxSize = 1 << 16
+
 // Parse reads a model description and builds its computation graph for
 // the given batch size.
 func Parse(r io.Reader, batch int) (*models.Model, error) {
@@ -103,7 +109,7 @@ func Parse(r io.Reader, batch int) (*models.Model, error) {
 				return nil, fail("conv: want output channels")
 			}
 			out, err := strconv.Atoi(args[0])
-			if err != nil || out <= 0 {
+			if err != nil || out <= 0 || out > maxSize {
 				return nil, fail("conv: bad channel count %q", args[0])
 			}
 			k, s, p := 3, 1, -1
@@ -213,7 +219,7 @@ func Parse(r io.Reader, batch int) (*models.Model, error) {
 				return nil, fail("linear: want output width")
 			}
 			out, err := strconv.Atoi(args[0])
-			if err != nil || out <= 0 {
+			if err != nil || out <= 0 || out > maxSize {
 				return nil, fail("linear: bad width %q", args[0])
 			}
 			if len(cur.Shape) != 2 {
@@ -255,7 +261,7 @@ func ints(args []string, n int) ([]int, error) {
 	out := make([]int, n)
 	for i, a := range args {
 		v, err := strconv.Atoi(a)
-		if err != nil || v <= 0 {
+		if err != nil || v <= 0 || v > maxSize {
 			return nil, fmt.Errorf("bad value %q", a)
 		}
 		out[i] = v
@@ -269,7 +275,7 @@ func prefixed(a string) (int, error) {
 		return 0, fmt.Errorf("bad option %q", a)
 	}
 	v, err := strconv.Atoi(a[1:])
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || v > maxSize {
 		return 0, fmt.Errorf("bad option %q", a)
 	}
 	return v, nil

@@ -96,6 +96,10 @@ func TestParseErrors(t *testing.T) {
 		{"no classifier", "input 3 8 8\nconv 8\n"},
 		{"shape error", "input 3 8 8\nconv 4 k9 p0\nflatten\nlinear 4\n"},
 		{"bn after flatten", "input 3 8 8\nflatten\nbn\n"},
+		{"huge input channels", "input 100000 8 8\nbn\nflatten\nlinear 2\n"},
+		{"huge conv channels", "input 3 8 8\nconv 100000\nbn\nflatten\nlinear 2\n"},
+		{"huge padding", "input 3 8 8\nconv 4 p100000\nflatten\nlinear 2\n"},
+		{"huge width", "input 3 8 8\nflatten\nlinear 100000\n"},
 	}
 	for _, c := range cases {
 		if _, err := modelfile.ParseString(c.src, 2); err == nil {
@@ -131,4 +135,39 @@ func TestZeroKernelRejectedNotPanic(t *testing.T) {
 			t.Fatalf("accepted: %q", src)
 		}
 	}
+}
+
+// FuzzModelfile: no description panics the parser, and one it accepts
+// builds a graph whose input and logits carry the batch and the class
+// count and whose one output is the loss.
+func FuzzModelfile(f *testing.F) {
+	for _, src := range []string{
+		sample,
+		// The package doc's example.
+		"input 3 32 32\nconv 64 k3 s1 p1\nbn\nrelu\nconv 64 k3 s1 p1\nbn\nrelu\npool max k2 s2\ngap\nflatten\ndropout 0.5\nlinear 10\n",
+		// README's custom model and the serving tests' fixture.
+		"input 3 64 64\nconv 32 k5 p2\nbnrelu\npool max k2 s2\nconv 64 k3\nrelu\nflatten\nlinear 100\n",
+		"input 3 6 6\nconv 4 k3 s1 p1\nbn\nrelu\npool max k2 s2\nflatten\ndropout 0.3\nlinear 5\n",
+		"  # leading comment\n\ninput 1 8 8   # trailing\n\tconv 4 k3\nflatten\nlinear 2\n",
+		"input 3 8 8\nconv 8 k0\nflatten\nlinear 2\n",
+		"input 3 8 8\nconv 4 k9 p0\nflatten\nlinear 4\n",
+	} {
+		f.Add(src, uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, src string, batch uint8) {
+		b := int(batch%4) + 1
+		m, err := modelfile.ParseString(src, b)
+		if err != nil {
+			return
+		}
+		if m.Input.Shape[0] != b || !m.Logits.Shape.Equal(tensor.Shape{b, m.Classes}) {
+			t.Fatalf("input %v, logits %v for batch %d and %d classes", m.Input.Shape, m.Logits.Shape, b, m.Classes)
+		}
+		if len(m.Graph.Outputs) != 1 || m.Graph.Outputs[0] != m.Loss {
+			t.Fatalf("outputs %v, want the loss", m.Graph.Outputs)
+		}
+		if _, err := m.Graph.Topo(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -6,20 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"splitcnn/internal/debugz"
 	"splitcnn/internal/serve"
-	"splitcnn/internal/trace"
 )
 
 // TestArenaLeakCanary is the memory-leak canary: under concurrent load
 // the executor arena vends storage per pass, and after the load stops
 // and the server drains gracefully, arena in-use bytes must return to
 // the idle baseline — both on the live instance counters and on the
-// arena.in_use_bytes gauge the runtime sampler publishes. Run with
+// arena.in_use_bytes gauge a /metricsz scrape publishes. Run with
 // -race in CI (make mem-smoke covers the serve binary; this covers the
 // library path).
 func TestArenaLeakCanary(t *testing.T) {
-	met := trace.NewMetrics()
 	snap := writeFixtureSnapshot(t)
 	reg, err := serve.NewRegistry(serve.Spec{
 		Name: "tiny", ModelText: modelText, Snapshot: snap, MaxBatch: 8,
@@ -30,9 +27,6 @@ func TestArenaLeakCanary(t *testing.T) {
 	srv := serve.NewServer(reg, serve.Options{
 		QueueDepth:     256,
 		RequestTimeout: 30 * time.Second,
-		Metrics:        met,
-		Debug:          debugz.Options{RuntimeMetricsInterval: 10 * time.Millisecond},
-		NoProfiler:     true,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -61,18 +55,10 @@ func TestArenaLeakCanary(t *testing.T) {
 	}
 
 	// All responses are in hand, so every pass has released its arena
-	// storage; poll briefly for the sampler to publish the settled value.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		live := inst.ArenaStats().InUseBytes
-		gauge := int64(met.Gauge("arena.in_use_bytes").Value())
-		if live == baseline && gauge == baseline {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("arena did not drain: in-use %d (gauge %d), baseline %d", live, gauge, baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// storage, and a scrape publishes the settled value.
+	live := inst.ArenaStats().InUseBytes
+	if gauge := int64(scrapeGauges(t, base)["arena.in_use_bytes"]); live != baseline || gauge != baseline {
+		t.Fatalf("arena did not drain: in-use %d (gauge %d), baseline %d", live, gauge, baseline)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

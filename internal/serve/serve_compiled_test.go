@@ -40,7 +40,7 @@ func TestInstanceMatchesExecutor(t *testing.T) {
 				t.Fatalf("executor: %v", err)
 			}
 			x := tensor.New(spec.MaxBatch, 3, hw, hw)
-			feeds := graph.Feeds{"image": x, "labels": tensor.New(spec.MaxBatch)}
+			feeds := graph.Feeds{"image": x}
 			for n := 1; n <= spec.MaxBatch; n++ {
 				// Run computes only the n images; the executor runs a
 				// full batch whose first n images are the same.

@@ -361,25 +361,77 @@ func TestServePprofGate(t *testing.T) {
 	}
 }
 
-// TestServeRuntimeMetrics checks the background sampler feeds runtime.*
-// and aggregate arena.* gauges into the server registry.
+// scrapeGauges reads the gauges of one /metricsz scrape.
+func scrapeGauges(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatalf("metricsz: %v", err)
+	}
+	defer resp.Body.Close()
+	var snap trace.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("metricsz decode: %v", err)
+	}
+	return snap.Gauges
+}
+
+// TestServeRuntimeMetrics checks that a default server's /metricsz
+// computes the runtime.*, aggregate arena.* and mem.* gauges at scrape.
 func TestServeRuntimeMetrics(t *testing.T) {
-	srv, _, _ := startObsServer(t, serve.Options{
-		RequestTimeout: 10 * time.Second,
-		Debug:          debugz.Options{RuntimeMetricsInterval: 20 * time.Millisecond},
-	})
-	// The first sample is synchronous with Start, so the gauges are
-	// already populated.
-	m := srv.Metrics()
-	if v := m.Gauge("runtime.heap_alloc_bytes").Value(); v <= 0 {
-		t.Errorf("runtime.heap_alloc_bytes = %v, want > 0", v)
+	_, base, _ := startObsServer(t, serve.Options{})
+	g := scrapeGauges(t, base)
+	for _, name := range []string{
+		"runtime.heap_alloc_bytes", "runtime.goroutines",
+		// The registry warmed each instance's arena with a full forward,
+		// so the aggregate high-water mark must be visible.
+		"arena.high_water_bytes",
+		"mem.measured_high_water_bytes", "mem.planned_slab_bytes",
+	} {
+		if g[name] <= 0 {
+			t.Errorf("%s = %v, want > 0", name, g[name])
+		}
 	}
-	if v := m.Gauge("runtime.goroutines").Value(); v <= 0 {
-		t.Errorf("runtime.goroutines = %v, want > 0", v)
+}
+
+// TestServeMemGaugesSumInstances: with two models, each mem.* gauge is
+// the sum over the instances' timelines, not the last one's value.
+func TestServeMemGaugesSumInstances(t *testing.T) {
+	snap := writeFixtureSnapshot(t)
+	reg, err := serve.NewRegistry(
+		serve.Spec{Name: "a", ModelText: modelText, Snapshot: snap, MaxBatch: 8},
+		serve.Spec{Name: "b", ModelText: modelText, Snapshot: snap, MaxBatch: 2},
+	)
+	if err != nil {
+		t.Fatalf("registry: %v", err)
 	}
-	// The registry warmed each instance's arena with a full forward, so
-	// the aggregate high-water mark must be visible.
-	if v := m.Gauge("arena.high_water_bytes").Value(); v <= 0 {
-		t.Errorf("arena.high_water_bytes = %v, want > 0 after warmup", v)
+	srv := serve.NewServer(reg, serve.Options{})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer srv.Shutdown(context.Background())
+	var high, slab, scratch float64
+	for _, name := range []string{"a", "b"} {
+		inst, _ := reg.Lookup(name)
+		tl := inst.Timeline()
+		high += float64(tl.MeasuredHighWater)
+		slab += float64(tl.PlannedSlabBytes)
+		scratch += float64(tl.ScratchHighWater)
+	}
+	a, _ := reg.Lookup("a")
+	b, _ := reg.Lookup("b")
+	if a.Timeline().PlannedSlabBytes == b.Timeline().PlannedSlabBytes {
+		t.Fatal("the two models plan the same slab; the sum would not tell them apart")
+	}
+	g := scrapeGauges(t, "http://"+addr.String())
+	for name, want := range map[string]float64{
+		"mem.measured_high_water_bytes": high,
+		"mem.planned_slab_bytes":        slab,
+		"mem.scratch_high_water_bytes":  scratch,
+	} {
+		if g[name] != want {
+			t.Errorf("%s = %v, want the instances' sum %v", name, g[name], want)
+		}
 	}
 }

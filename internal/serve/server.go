@@ -35,15 +35,13 @@ type Options struct {
 	Logger *slog.Logger
 	// Debug tunes the debug surface. Sampled /v1/predict requests
 	// record their admission/queue/batch/forward/respond stage spans
-	// (see Tracer); the runtime sampler also feeds arena.* occupancy
-	// gauges and the mem.* gauges of the instances' memory timelines.
+	// (see Tracer). Every /metricsz scrape also publishes the arena.*
+	// occupancy gauges and the mem.* gauges of the instances' memory
+	// timelines, each summed over the instances.
 	Debug debugz.Options
 	// EnablePprof mounts the stdlib net/http/pprof handlers under
 	// /debug/pprof/ on the serve mux.
 	EnablePprof bool
-	// NoProfiler disables the continuous profiler (on by default: a
-	// windowed in-process pprof CPU+heap sampler feeding /profilez).
-	NoProfiler bool
 }
 
 // Server is the HTTP inference front end: one dynamic batcher per
@@ -86,17 +84,10 @@ func NewServer(reg *Registry, opts Options) *Server {
 	mux := http.NewServeMux()
 	s.dbg = debugz.Mount(mux, debugz.Config{
 		Options: opts.Debug, Metrics: met,
-		Pprof: opts.EnablePprof, Profile: !opts.NoProfiler,
+		Pprof:     opts.EnablePprof,
 		Health:    s.health,
 		Quantiles: []string{"serve.latency"},
-		Sample: func(reg *trace.Metrics) {
-			s.arenaStats().Record("arena", reg)
-			for _, tl := range s.timelines() {
-				reg.Gauge("mem.measured_high_water_bytes").Set(float64(tl.MeasuredHighWater))
-				reg.Gauge("mem.planned_slab_bytes").Set(float64(tl.PlannedSlabBytes))
-				reg.Gauge("mem.scratch_high_water_bytes").Set(float64(tl.ScratchHighWater))
-			}
-		},
+		Refresh:   s.refresh,
 		Timelines: s.timelines,
 	})
 	s.tracer = s.dbg.Tracer()
@@ -125,15 +116,24 @@ func (s *Server) timelines() []*memobs.MemTimeline {
 	return out
 }
 
-// arenaStats aggregates executor-arena occupancy across the registry's
-// instances — the arena.* gauge source for the runtime sampler.
-func (s *Server) arenaStats() tensor.ArenaStats {
-	var agg tensor.ArenaStats
+// refresh publishes, at scrape time, the arena.* occupancy and the
+// mem.* memory-timeline gauges, each summed over the registry's
+// instances.
+func (s *Server) refresh(m *trace.Metrics) {
+	var arena tensor.ArenaStats
+	var high, slab, scratch int64
 	for _, name := range s.reg.Names() {
 		inst, _ := s.reg.Lookup(name)
-		agg = agg.Add(inst.ArenaStats())
+		arena = arena.Add(inst.ArenaStats())
+		tl := inst.Timeline()
+		high += tl.MeasuredHighWater
+		slab += tl.PlannedSlabBytes
+		scratch += tl.ScratchHighWater
 	}
-	return agg
+	arena.Record("arena", m)
+	m.Gauge("mem.measured_high_water_bytes").Set(float64(high))
+	m.Gauge("mem.planned_slab_bytes").Set(float64(slab))
+	m.Gauge("mem.scratch_high_water_bytes").Set(float64(scratch))
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0" for a random port) and
@@ -143,7 +143,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.dbg.Start()
 	go s.http.Serve(ln)
 	s.log.Info("serve.start", "addr", ln.Addr().String(),
 		"models", s.reg.Names(),
@@ -164,7 +163,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, b := range s.batchers {
 		b.Shutdown()
 	}
-	s.dbg.Stop()
 	err := s.http.Shutdown(ctx)
 	s.log.Info("serve.stop", "err", err)
 	return err

@@ -150,8 +150,8 @@ func (s ArenaStats) Add(o ArenaStats) ArenaStats {
 
 // Record publishes the snapshot as gauges under prefix (conventionally
 // "arena"): <prefix>.in_use_bytes, .high_water_bytes, .pooled_bytes and
-// .hit_rate — the arena-occupancy series the runtime sampler and the
-// trainer both feed.
+// .hit_rate — the arena-occupancy series the server's /metricsz
+// refresh and the trainer both feed.
 func (s ArenaStats) Record(prefix string, reg *trace.Metrics) {
 	reg.Gauge(prefix + ".in_use_bytes").Set(float64(s.InUseBytes))
 	reg.Gauge(prefix + ".high_water_bytes").Set(float64(s.HighWaterBytes))

@@ -12,14 +12,13 @@ import (
 
 // Dashboard is the trainer's live HTTP endpoint (`splitcnn train
 // -listen`): the debug surface (debugz) over the trainer's metrics
-// registry — its /healthz answers "training", its /profilez gets the
-// same per-op continuous profiler as the serving processes — and a
+// registry — its /healthz answers "training", its /profilez captures
+// the same per-op profile windows as the serving processes — and a
 // self-refreshing HTML page at / that shows the run's loss, step rate
 // and gradient health while it trains.
 type Dashboard struct {
 	ln  net.Listener
 	srv *http.Server
-	dbg *debugz.Surface
 }
 
 // StartDashboard listens on addr (e.g. "127.0.0.1:0" for a random
@@ -33,8 +32,8 @@ func StartDashboard(addr string, met *trace.Metrics, enablePprof bool) (*Dashboa
 	}
 	mux := http.NewServeMux()
 	d := &Dashboard{ln: ln, srv: &http.Server{Handler: mux}}
-	d.dbg = debugz.Mount(mux, debugz.Config{
-		Metrics: met, Pprof: enablePprof, Profile: true,
+	debugz.Mount(mux, debugz.Config{
+		Metrics: met, Pprof: enablePprof,
 		Health: func(h debugz.Health) (int, any) {
 			h.Status = "training"
 			return http.StatusOK, h
@@ -49,7 +48,6 @@ func StartDashboard(addr string, met *trace.Metrics, enablePprof bool) (*Dashboa
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write([]byte(dashboardHTML))
 	})
-	d.dbg.Start()
 	go d.srv.Serve(ln)
 	return d, nil
 }
@@ -60,7 +58,6 @@ func (d *Dashboard) Addr() net.Addr { return d.ln.Addr() }
 // Close stops the dashboard, waiting up to a second for in-flight
 // scrapes.
 func (d *Dashboard) Close() error {
-	d.dbg.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	return d.srv.Shutdown(ctx)
