@@ -429,7 +429,7 @@ func smokeObservability(rt *distserve.Router, base string, workers []*distserve.
 	if err != nil {
 		return fmt.Errorf("smoke: /metricsz: %w", err)
 	}
-	for _, want := range []string{"slo.latency_burn_5m", "slo.error_burn_1h", "dist.clock_skew_seconds"} {
+	for _, want := range []string{"slo.latency_burn_5m", "slo.error_burn_1h"} {
 		if !strings.Contains(metz, want) {
 			return fmt.Errorf("smoke: /metricsz missing %q", want)
 		}

@@ -210,7 +210,8 @@ func TestEarlyRejectionFailsPartner(t *testing.T) {
 	partner := make(chan error, 1)
 	start := time.Now()
 	go func() { partner <- eval(b, "stranded/a0", 1, gang) }()
-	for a.haloReqs.Load() == 0 {
+	haloReqs := a.Metrics().Counter("dist.worker.halo_requests")
+	for haloReqs.Value() == 0 {
 		if time.Since(start) > 3*time.Second {
 			t.Fatal("B never asked A for halo rows")
 		}
@@ -235,7 +236,7 @@ func TestEarlyRejectionFailsPartner(t *testing.T) {
 		t.Fatalf("partner failed after %v, want well under 1s of its 5s budget", d)
 	}
 	// Nothing is parked on A: every halo request that entered was answered.
-	if in, out := int64(a.haloReqs.Load()), a.Metrics().Histogram("dist.worker.halo_serve_seconds", trace.LatencyBuckets).Count(); in != out {
+	if in, out := haloReqs.Value(), a.Metrics().Histogram("dist.worker.halo_serve_seconds", trace.LatencyBuckets).Count(); in != out {
 		t.Fatalf("A: %d halo requests entered, %d answered", in, out)
 	}
 	if err := <-busy; err != nil {

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"splitcnn/internal/debugz"
+	"splitcnn/internal/dist"
 	"splitcnn/internal/serve"
+	"splitcnn/internal/tensor"
 	"splitcnn/internal/trace"
 )
 
@@ -276,8 +279,8 @@ func TestClusterzScrapeRace(t *testing.T) {
 }
 
 // TestWorkersEndpointBuildInfoAndSkew: /v1/workers reports each
-// worker's build identity and a clock-skew estimate (near zero for
-// same-host workers, but present).
+// worker's build identity. It carries no clock-skew estimate: a sampled
+// request's offsets are read from its own Eval calls (placeShards).
 func TestWorkersEndpointBuildInfoAndSkew(t *testing.T) {
 	spec := testSpec("resnet18")
 	_, _, base := startFleet(t, spec, 2, WorkerConfig{},
@@ -298,12 +301,6 @@ func TestWorkersEndpointBuildInfoAndSkew(t *testing.T) {
 	for _, wi := range infos {
 		if wi.Build == nil || wi.Build.GoVersion == "" {
 			t.Fatalf("worker %s: no build info (%+v)", wi.Addr, wi.Build)
-		}
-		if wi.ClockRTTSeconds <= 0 {
-			t.Fatalf("worker %s: no clock estimate (rtt %v)", wi.Addr, wi.ClockRTTSeconds)
-		}
-		if wi.ClockSkewSeconds > 1 || wi.ClockSkewSeconds < -1 {
-			t.Fatalf("worker %s: implausible same-host skew %vs", wi.Addr, wi.ClockSkewSeconds)
 		}
 	}
 }
@@ -351,54 +348,114 @@ func TestSLOGauges(t *testing.T) {
 	}
 }
 
-// TestSpanBank covers the harvest buffer's lifecycle: auto-create on
-// early halo, fetch-and-delete, FIFO eviction, expiry sweep.
-func TestSpanBank(t *testing.T) {
-	b := newSpanBank(2)
-	exp := time.Now().Add(time.Minute)
-
-	// Halo span lands before Eval: entry exists but is not harvestable.
-	b.add("r1", exp, WireSpan{Name: "halo_serve:s0"})
-	if _, _, ok := b.take("r1"); ok {
-		t.Fatal("took an unfinished entry")
+// TestWorkerServiceAndScrapeGauges: the Shard service is exactly the
+// four methods wire.go lists, and a traced worker publishes
+// trace.dropped_spans when scraped, with no background tick behind it.
+func TestWorkerServiceAndScrapeGauges(t *testing.T) {
+	var methods []string
+	st := reflect.TypeOf(&shardService{})
+	for i := 0; i < st.NumMethod(); i++ {
+		methods = append(methods, st.Method(i).Name)
 	}
-	b.add("r1", exp, WireSpan{Name: "shard_eval"})
-	b.finish("r1", 2)
-	shard, spans, ok := b.take("r1")
-	if !ok || shard != 2 || len(spans) != 2 {
-		t.Fatalf("take: ok=%v shard=%d spans=%d", ok, shard, len(spans))
-	}
-	if _, _, ok := b.take("r1"); ok {
-		t.Fatal("double take")
+	if got := strings.Join(methods, ","); got != "Eval,Halo,Health,Metrics" {
+		t.Fatalf("Shard methods %s, want Eval,Halo,Health,Metrics", got)
 	}
 
-	// FIFO eviction at capacity 2.
-	b.add("a", exp, WireSpan{Name: "x"})
-	b.add("b", exp, WireSpan{Name: "x"})
-	b.add("c", exp, WireSpan{Name: "x"}) // evicts a
-	b.finish("a", 0)
-	if _, _, ok := b.take("a"); ok {
-		t.Fatal("evicted entry still present")
+	w, err := StartWorker("127.0.0.1:0", WorkerConfig{Spec: testSpec("vgg16"),
+		DebugAddr: "127.0.0.1:0", Debug: debugz.Options{TraceSample: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.finish("c", 0)
-	if _, _, ok := b.take("c"); !ok {
-		t.Fatal("newest entry evicted")
+	t.Cleanup(func() { w.Close() })
+	resp, err := http.Get("http://" + w.DebugAddr() + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap trace.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := snap.Gauges["trace.dropped_spans"]; !ok {
+		t.Fatalf("first /metricsz scrape lacks trace.dropped_spans: %v", snap.Gauges)
+	}
+}
+
+// TestEvalReplyCarriesSpans drives a two-worker gang over Shard.Eval
+// directly. Sampled, each reply reports its handler interval and spans
+// stamped inside it, and relays every halo fetch's serve interval
+// tagged with the owner's shard; unsampled, a reply carries none of it.
+func TestEvalReplyCarriesSpans(t *testing.T) {
+	spec := testSpec("vgg16")
+	var ws []*Worker
+	var gang []string
+	for i := 0; i < 2; i++ {
+		w, err := StartWorker("127.0.0.1:0", WorkerConfig{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		ws, gang = append(ws, w), append(gang, w.Addr())
+	}
+	pool := dist.NewClientPool()
+	t.Cleanup(pool.Close)
+	plan := ws[0].Plan()
+	full := tensor.New(1, plan.InC, plan.InH, plan.InW)
+	copy(full.Data(), randImages(5, 1, spec)[0])
+
+	run := func(reqID string, sampled bool) []EvalReply {
+		replies := make([]EvalReply, len(gang))
+		errs := make([]error, len(gang))
+		var wg sync.WaitGroup
+		for i, w := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				imgR := plan.ImageRange(plan.Owners(len(gang)), i)
+				errs[i] = pool.Call(w.Addr(), "Shard.Eval", &EvalArgs{
+					ReqID: reqID, Model: w.Signature(), Shard: i, Gang: gang,
+					TimeoutMs: 5000, RowLo: imgR.Lo, RowHi: imgR.Hi,
+					Rows: SliceRows(full, 0, imgR).Data(), Sampled: sampled,
+				}, &replies[i], 6*time.Second)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+		}
+		return replies
 	}
 
-	// drop discards failed attempts.
-	b.add("d", exp, WireSpan{Name: "x"})
-	b.drop("d")
-	b.finish("d", 0)
-	if _, _, ok := b.take("d"); ok {
-		t.Fatal("dropped entry still present")
+	for i, r := range run("sampled/a0", true) {
+		if r.StartUnixNano == 0 || r.Dur <= 0 {
+			t.Fatalf("shard %d: handler interval start %d dur %v", i, r.StartUnixNano, r.Dur)
+		}
+		var waits, serves int
+		for _, s := range r.Spans {
+			switch {
+			case strings.HasPrefix(s.Name, "halo_serve:"):
+				serves++
+				if s.Shard != 1-i || s.Parent != "" || s.EndUnixNano < s.StartUnixNano {
+					t.Errorf("shard %d relays %+v, want the owner's shard %d and no parent", i, s, 1-i)
+				}
+				continue
+			case strings.HasPrefix(s.Name, "halo_wait:"):
+				waits++
+			}
+			if s.Shard != i || s.Parent != "shard_eval" ||
+				s.StartUnixNano < r.StartUnixNano || s.EndUnixNano > r.StartUnixNano+int64(r.Dur) {
+				t.Errorf("shard %d span %+v escapes its handler [%d, +%v]", i, s, r.StartUnixNano, r.Dur)
+			}
+		}
+		if waits == 0 || serves != waits {
+			t.Errorf("shard %d: %d halo waits, %d relayed serves", i, waits, serves)
+		}
 	}
-
-	// Expiry sweep.
-	b.add("e", time.Now().Add(-time.Second), WireSpan{Name: "x"})
-	if n := b.sweep(time.Now()); n != 1 {
-		t.Fatalf("sweep dropped %d, want 1", n)
-	}
-	if b.len() != 1 { // "b" still parked
-		t.Fatalf("bank holds %d entries", b.len())
+	for i, r := range run("unsampled/a0", false) {
+		if r.StartUnixNano != 0 || r.Dur != 0 || len(r.Spans) != 0 {
+			t.Errorf("unsampled shard %d reply carries trace fields: start %d dur %v, %d spans", i, r.StartUnixNano, r.Dur, len(r.Spans))
+		}
 	}
 }

@@ -57,8 +57,9 @@ type RouterOptions struct {
 	// (slo.*) appear on /metricsz. Empty = no SLO tracking.
 	SLO string
 	// Debug tunes the debug surface. Sampled requests record
-	// scatter/shard/gather/tail spans and harvest worker-side spans
-	// into one stitched, skew-corrected timeline with a row per process.
+	// scatter/shard/gather/tail spans and stitch the worker-side spans
+	// their Eval replies carry into one skew-corrected timeline with a
+	// row per process.
 	Debug debugz.Options
 }
 
@@ -66,7 +67,6 @@ type RouterOptions struct {
 const (
 	tailExecutors = 2 // graph-tail executors gathering shard results into logits
 	failThreshold = 2 // consecutive health failures that eject a worker; one success re-admits it
-	clockProbes   = 3 // Shard.Clock round trips per skew refresh; the min-RTT sample wins
 )
 
 // workerState is the router's view of one replica.
@@ -85,11 +85,6 @@ type workerState struct {
 	dispatched atomic.Uint64
 	// build is the worker's binary identity from its last health reply.
 	build buildinfo.Info
-	// skew/skewRTT: latest clock-skew estimate (worker − router) and
-	// the min-RTT it rode in on; skewOK gates stitching on having one.
-	skew    time.Duration
-	skewRTT time.Duration
-	skewOK  bool
 }
 
 // WorkerInfo is one /v1/workers entry.
@@ -101,11 +96,8 @@ type WorkerInfo struct {
 	LastErr  string `json:"last_err,omitempty"`
 	// Build is the worker's binary identity (version/commit), so a
 	// mixed-version gang is visible at a glance.
-	Build *buildinfo.Info `json:"build,omitempty"`
-	// ClockSkewSeconds / ClockRTTSeconds: latest skew estimate.
-	ClockSkewSeconds float64 `json:"clock_skew_seconds"`
-	ClockRTTSeconds  float64 `json:"clock_rtt_seconds"`
-	Dispatched       uint64  `json:"dispatched"`
+	Build      *buildinfo.Info `json:"build,omitempty"`
+	Dispatched uint64          `json:"dispatched"`
 }
 
 // Router fronts a pool of shard workers: health-checked membership with
@@ -321,11 +313,6 @@ func (rt *Router) checkOne(ws *workerState) {
 	if err == nil && hr.Model != rt.sig {
 		err = fmt.Errorf("model signature mismatch (worker runs a different model or weights)")
 	}
-	var est dist.SkewEstimate
-	estOK := false
-	if err == nil {
-		est, estOK = rt.probeClock(ws.addr)
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if err != nil {
@@ -343,29 +330,11 @@ func (rt *Router) checkOne(ws *workerState) {
 	ws.maxPods = hr.MaxPods
 	ws.lastErr = ""
 	ws.build = hr.Build
-	if estOK {
-		ws.skew, ws.skewRTT, ws.skewOK = est.Offset, est.RTT, true
-		rt.met.Gauge("dist.clock_skew_seconds." + ws.addr).Set(est.Offset.Seconds())
-		rt.met.Gauge("dist.clock_rtt_seconds." + ws.addr).Set(est.RTT.Seconds())
-	}
 	if !ws.healthy {
 		ws.healthy = true
 		rt.met.Counter("dist.readmissions").Add(1)
 		rt.log.Info("dist.router.readmit", "worker", ws.addr)
 	}
-}
-
-// probeClock refreshes one worker's clock-skew estimate: clockProbes
-// Shard.Clock round trips, min-RTT sample wins (dist.EstimateSkew).
-func (rt *Router) probeClock(addr string) (dist.SkewEstimate, bool) {
-	est, err := dist.EstimateSkew(clockProbes, func() (time.Time, error) {
-		var cr ClockReply
-		if err := rt.pool.Call(addr, "Shard.Clock", &ClockArgs{}, &cr, rt.opts.HealthInterval); err != nil {
-			return time.Time{}, err
-		}
-		return time.Unix(0, cr.UnixNano), nil
-	})
-	return est, err == nil
 }
 
 // ejectNow immediately marks a worker unhealthy after a dispatch-path
@@ -430,8 +399,8 @@ func (rt *Router) Predict(image []float32, deadline time.Time, sc *trace.SpanCon
 	return logits, shards, err
 }
 
-// predict is Predict plus the harvested worker spans of the winning
-// attempt (nil when unsampled or tracing is off).
+// predict is Predict plus the worker spans of the winning attempt,
+// placed per shard (nil when unsampled or tracing is off).
 func (rt *Router) predict(image []float32, deadline time.Time, sc *trace.SpanContext) ([]float32, int, []ProcessSpans, error) {
 	want := bandLen(rt.plan.InC, rt.plan.InH, rt.plan.InW)
 	if len(image) != want {
@@ -458,7 +427,7 @@ func (rt *Router) predict(image []float32, deadline time.Time, sc *trace.SpanCon
 			}
 			return nil, 0, nil, err
 		}
-		logits, procs, err := rt.attempt(full, fmt.Sprintf("%s/a%d", base, attempt), attempt, gang, deadline, sc)
+		logits, procs, err := rt.attempt(full, fmt.Sprintf("%s/a%d", base, attempt), gang, deadline, sc)
 		rt.releaseGang(gang)
 		if err == nil {
 			return logits, len(gang), procs, nil
@@ -476,20 +445,17 @@ func (rt *Router) predict(image []float32, deadline time.Time, sc *trace.SpanCon
 }
 
 // attempt dispatches one gang-wide evaluation and finishes the tail.
-func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang []*workerState, deadline time.Time, sc *trace.SpanContext) ([]float32, []ProcessSpans, error) {
+func (rt *Router) attempt(full *tensor.Tensor, reqID string, gang []*workerState, deadline time.Time, sc *trace.SpanContext) ([]float32, []ProcessSpans, error) {
 	n := len(gang)
 	owners := rt.plan.Owners(n)
 	addrs := make([]string, n)
 	for i, ws := range gang {
 		addrs[i] = ws.addr
 	}
-	tc := TraceContext{Attempt: attemptNo}
-	if sc != nil {
-		tc = TraceContext{ID: sc.ID(), Sampled: true, Parent: scatterSpanName, Attempt: attemptNo}
-	}
 	scatterStart := time.Now()
 	replies := make([]EvalReply, n)
 	errs := make([]error, n)
+	sent := make([]time.Time, n)
 	durs := make([]time.Duration, n)
 	var wg sync.WaitGroup
 	for i := range gang {
@@ -502,14 +468,14 @@ func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang
 				Shard: i, Gang: addrs,
 				TimeoutMs: time.Until(deadline).Milliseconds(),
 				RowLo:     imgR.Lo, RowHi: imgR.Hi,
-				Trace: tc,
+				Sampled: sc != nil,
 			}
 			if !imgR.Empty() {
 				args.Rows = SliceRows(full, 0, imgR).Data()
 			}
-			t0 := time.Now()
+			sent[i] = time.Now()
 			errs[i] = rt.pool.Call(addrs[i], "Shard.Eval", args, &replies[i], time.Until(deadline))
-			durs[i] = time.Since(t0)
+			durs[i] = time.Since(sent[i])
 		}(i)
 	}
 	wg.Wait()
@@ -597,8 +563,8 @@ func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang
 		return nil, nil, err
 	}
 	var procs []ProcessSpans
-	if tc.Sampled {
-		procs = rt.harvestSpans(reqID, gang)
+	if sc != nil {
+		procs = placeShards(addrs, sent, durs, replies)
 	}
 	return logits, procs, nil
 }
@@ -628,49 +594,9 @@ func (rt *Router) observeStraggler(durs []time.Duration) {
 // still distinguish 2× from 10× stragglers.
 var stragglerBuckets = []float64{1, 1.05, 1.1, 1.25, 1.5, 2, 3, 5, 10}
 
-// harvestSpans collects the gang's banked stage spans for one sampled
-// attempt (Shard.Spans, fan-out) and pairs each reply with the
-// worker's latest clock-skew estimate. Workers without a skew estimate
-// yet are skipped — an uncorrected row would be worse than a missing
-// one. Harvest failures only cost timeline rows, never the request.
-func (rt *Router) harvestSpans(reqID string, gang []*workerState) []ProcessSpans {
-	replies := make([]SpansReply, len(gang))
-	errs := make([]error, len(gang))
-	var wg sync.WaitGroup
-	for i, ws := range gang {
-		wg.Add(1)
-		go func(i int, ws *workerState) {
-			defer wg.Done()
-			errs[i] = rt.pool.Call(ws.addr, "Shard.Spans", &SpansArgs{ReqID: reqID}, &replies[i], time.Second)
-		}(i, ws)
-	}
-	wg.Wait()
-	var procs []ProcessSpans
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for i, ws := range gang {
-		if errs[i] != nil || !replies[i].Found {
-			rt.met.Counter("dist.span_harvest_misses").Add(1)
-			continue
-		}
-		if !ws.skewOK {
-			rt.met.Counter("dist.span_harvest_misses").Add(1)
-			continue
-		}
-		procs = append(procs, ProcessSpans{
-			Process:       fmt.Sprintf("shard%d %s", replies[i].Shard, ws.addr),
-			Skew:          ws.skew,
-			Uncertainty:   ws.skewRTT / 2,
-			DefaultParent: scatterSpanName,
-			Spans:         replies[i].Spans,
-		})
-	}
-	return procs
-}
-
 // recordStitched verifies and exports one sampled request's stitched
-// timeline: router spans on the "router" row, each worker's harvested
-// spans (already skew-corrected by Stitch) on a "shard<i> <addr>" row.
+// timeline: router spans on the "router" row, each worker's spans
+// (skew-corrected by Stitch) on a "shard<i> <addr>" row.
 // Verification failures increment dist.stitch_errors but still export —
 // a broken timeline you can look at beats a silently missing one.
 func (rt *Router) recordStitched(sc *trace.SpanContext, procs []ProcessSpans) {
@@ -810,10 +736,6 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 		if ws.build != (buildinfo.Info{}) {
 			b := ws.build
 			info.Build = &b
-		}
-		if ws.skewOK {
-			info.ClockSkewSeconds = ws.skew.Seconds()
-			info.ClockRTTSeconds = ws.skewRTT.Seconds()
 		}
 		infos = append(infos, info)
 	}

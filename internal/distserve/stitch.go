@@ -8,14 +8,13 @@ import (
 	"splitcnn/internal/trace"
 )
 
-// Cross-process trace stitching: the router harvests worker-side stage
-// spans (Shard.Spans), pulls their worker-local timestamps onto its own
-// clock using the per-worker skew estimate from the health loop, and
-// lays everything onto one timeline with a row per process. The result
-// is the distributed answer to PR 4's single-process request traces —
-// one sampled request reads as router lanes (admit → scatter_gather →
-// gather → tail → respond) with each worker's shard_eval, stage and
-// halo spans nested under them.
+// Cross-process trace stitching: a sampled request's workers return
+// their stage and halo spans in their Shard.Eval replies, the router
+// pulls those worker-clock timestamps onto its own clock with an offset
+// read from the very call that carried them, and lays everything onto
+// one timeline with a row per process. One sampled request reads as
+// router lanes (admit → scatter_gather → gather → tail → respond) with
+// each worker's shard_eval, stage and halo spans nested under them.
 
 // Router-side span parentage. The "request" span is the root.
 var routerSpanParents = map[string]string{
@@ -41,8 +40,8 @@ type StitchedSpan struct {
 	// Start/End are on the router's clock (worker times skew-corrected).
 	Start, End time.Time
 	// Uncertainty bounds how far this span's timestamps may sit from
-	// truth after skew correction (half the skew probe's best RTT;
-	// zero for router-local spans).
+	// truth after skew correction (see placeShards; zero for
+	// router-local spans).
 	Uncertainty time.Duration
 }
 
@@ -51,22 +50,50 @@ type ProcessSpans struct {
 	Process     string
 	Skew        time.Duration // process clock − router clock
 	Uncertainty time.Duration
-	// DefaultParent adopts spans with an empty Parent (cross-process
-	// roots like shard_eval when the wire context had no parent, and
-	// halo_serve spans).
-	DefaultParent string
-	Spans         []WireSpan
+	Spans       []WireSpan
 }
 
-// Stitch corrects every process's spans onto the router clock and
-// resolves default parents. Span order is preserved per process.
+// placeShards gathers a sampled attempt's worker spans into one
+// ProcessSpans per shard, each with its clock offset. The router's call
+// to shard i was sent at sent[i] and answered rtts[i] later, and the
+// worker's handler ran inside it for reply.Dur from reply.StartUnixNano
+// on its own clock. The offset is the handler's midpoint less the
+// call's: since the handler's true midpoint lies within (RTT − Dur)/2
+// of the call's, that is the uncertainty, and a placed shard_eval nests
+// inside the call by construction. A halo_serve span that a fetcher
+// relayed lands on the row, and clock, of the owner named by its Shard.
+func placeShards(addrs []string, sent []time.Time, rtts []time.Duration, replies []EvalReply) []ProcessSpans {
+	procs := make([]ProcessSpans, len(replies))
+	for i, r := range replies {
+		mid := sent[i].UnixNano() + int64(rtts[i]/2)
+		procs[i] = ProcessSpans{
+			Process:     fmt.Sprintf("shard%d %s", i, addrs[i]),
+			Skew:        time.Duration(r.StartUnixNano + int64(r.Dur/2) - mid),
+			Uncertainty: max(0, (rtts[i]-r.Dur)/2),
+			Spans: []WireSpan{{Name: "shard_eval", Shard: i,
+				StartUnixNano: r.StartUnixNano, EndUnixNano: r.StartUnixNano + int64(r.Dur)}},
+		}
+	}
+	for _, r := range replies {
+		for _, s := range r.Spans {
+			if s.Shard >= 0 && s.Shard < len(procs) {
+				procs[s.Shard].Spans = append(procs[s.Shard].Spans, s)
+			}
+		}
+	}
+	return procs
+}
+
+// Stitch corrects every process's spans onto the router clock; a span
+// with no parent parents under the router's scatter_gather. Span order
+// is preserved per process.
 func Stitch(procs []ProcessSpans) []StitchedSpan {
 	var out []StitchedSpan
 	for _, p := range procs {
 		for _, s := range p.Spans {
 			parent := s.Parent
 			if parent == "" {
-				parent = p.DefaultParent
+				parent = scatterSpanName
 			}
 			out = append(out, StitchedSpan{
 				Process:     p.Process,

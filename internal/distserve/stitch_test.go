@@ -8,64 +8,91 @@ import (
 	"splitcnn/internal/trace"
 )
 
-// mkWire builds a WireSpan on a synthetic clock: base + offsets, in ms.
-func mkWire(name, parent string, base time.Time, startMs, endMs int64) WireSpan {
-	return WireSpan{
-		Name: name, Parent: parent,
-		StartUnixNano: base.Add(time.Duration(startMs) * time.Millisecond).UnixNano(),
-		EndUnixNano:   base.Add(time.Duration(endMs) * time.Millisecond).UnixNano(),
-	}
-}
-
-// TestStitchCorrectsSyntheticSkew is the clock-skew acceptance check:
-// a worker whose clock runs a full hour ahead still stitches into a
-// monotonic, properly nested timeline once its estimated skew is
-// applied — and fails verification when it is not.
+// TestStitchCorrectsSyntheticSkew places a sampled attempt whose two
+// workers' clocks run an hour ahead and an hour behind the router's,
+// each offset read only from the Eval call that carried the spans: every
+// worker span must land inside the router's timing of its call, within
+// its uncertainty of the truth; a relayed halo_serve must land on its
+// owner's row; and with the offsets' signs flipped the timeline must
+// fail verification.
 func TestStitchCorrectsSyntheticSkew(t *testing.T) {
-	routerBase := time.Unix(1_000_000, 0)
-	const skew = time.Hour
-	workerBase := routerBase.Add(skew) // worker clock reads 1h ahead
-
-	// Router truth: request [0, 100ms], scatter window [10, 80].
+	base := time.Unix(1_000_000, 0)
+	ms := func(v float64) time.Time { return base.Add(time.Duration(v * float64(time.Millisecond))) }
+	offsets := []time.Duration{time.Hour, -time.Hour} // worker clock − router clock
+	// wire reads a true router-clock interval [a, b] ms off shard's clock.
+	wire := func(name, parent string, shard int, a, b float64) WireSpan {
+		return WireSpan{Name: name, Parent: parent, Shard: shard,
+			StartUnixNano: ms(a).Add(offsets[shard]).UnixNano(), EndUnixNano: ms(b).Add(offsets[shard]).UnixNano()}
+	}
 	router := []StitchedSpan{
-		{Process: "router", Name: "request", Start: routerBase, End: routerBase.Add(100 * time.Millisecond)},
-		{Process: "router", Name: "scatter_gather", Parent: "request",
-			Start: routerBase.Add(10 * time.Millisecond), End: routerBase.Add(80 * time.Millisecond)},
+		{Process: "router", Name: "request", Start: ms(0), End: ms(100)},
+		{Process: "router", Name: scatterSpanName, Parent: "request", Start: ms(10), End: ms(90)},
 	}
-	// Worker truth: eval [20, 70] on the router clock, recorded with
-	// the worker's skewed clock.
-	worker := ProcessSpans{
-		Process:       "shard0 w0",
-		Skew:          skew,
-		Uncertainty:   50 * time.Microsecond,
-		DefaultParent: scatterSpanName,
-		Spans: []WireSpan{
-			mkWire("shard_eval", "", workerBase, 20, 70),
-			mkWire("stage:conv1", "shard_eval", workerBase, 21, 40),
-			mkWire("halo_wait:s0", "shard_eval", workerBase, 41, 50),
-		},
+	// The router's calls: shard 0 over [12, 82], shard 1 over [13, 85].
+	sent := []time.Time{ms(12), ms(13)}
+	rtts := []time.Duration{70 * time.Millisecond, 72 * time.Millisecond}
+	// The handlers ran over [15, 80] and [17, 83]; each shard fetched a
+	// halo from the other, which served it on its own clock.
+	replies := []EvalReply{
+		{StartUnixNano: ms(15).Add(offsets[0]).UnixNano(), Dur: 65 * time.Millisecond, Spans: []WireSpan{
+			wire("stage:conv1", "shard_eval", 0, 16, 30),
+			wire("halo_wait:s0", "shard_eval", 0, 30, 40),
+			wire("halo_serve:s0", "", 1, 31, 39),
+			wire("stage:conv2", "shard_eval", 0, 40, 79),
+		}},
+		{StartUnixNano: ms(17).Add(offsets[1]).UnixNano(), Dur: 66 * time.Millisecond, Spans: []WireSpan{
+			wire("stage:conv1", "shard_eval", 1, 18, 30),
+			wire("halo_wait:s0", "shard_eval", 1, 30, 36),
+			wire("halo_serve:s0", "", 0, 31, 35),
+			wire("stage:conv2", "shard_eval", 1, 36, 82),
+		}},
+	}
+	truth := map[string][2]float64{
+		"shard0 w0/shard_eval": {15, 80}, "shard0 w0/stage:conv1": {16, 30},
+		"shard0 w0/halo_wait:s0": {30, 40}, "shard0 w0/stage:conv2": {40, 79},
+		"shard0 w0/halo_serve:s0": {31, 35},
+		"shard1 w1/shard_eval":    {17, 83}, "shard1 w1/stage:conv1": {18, 30},
+		"shard1 w1/halo_wait:s0": {30, 36}, "shard1 w1/stage:conv2": {36, 82},
+		"shard1 w1/halo_serve:s0": {31, 39},
 	}
 
-	spans := append(append([]StitchedSpan(nil), router...), Stitch([]ProcessSpans{worker})...)
-	if err := VerifyStitched(spans); err != nil {
-		t.Fatalf("skew-corrected timeline failed verification: %v", err)
+	procs := placeShards([]string{"w0", "w1"}, sent, rtts, replies)
+	placed := Stitch(procs)
+	if len(placed) != len(truth) {
+		t.Fatalf("placed %d spans, want %d", len(placed), len(truth))
 	}
-	// Corrected timestamps sit on the router clock.
-	for _, s := range spans {
-		if s.Name == "shard_eval" {
-			if got, want := s.Start, routerBase.Add(20*time.Millisecond); !got.Equal(want) {
-				t.Fatalf("shard_eval start = %v, want %v", got, want)
+	for _, s := range placed {
+		key := s.Process + "/" + s.Name
+		want, ok := truth[key]
+		if !ok {
+			t.Fatalf("unexpected span %s", key)
+		}
+		for _, d := range []time.Duration{s.Start.Sub(ms(want[0])), s.End.Sub(ms(want[1]))} {
+			if d < -s.Uncertainty || d > s.Uncertainty {
+				t.Errorf("%s placed %v from the truth, uncertainty %v", key, d, s.Uncertainty)
 			}
 		}
+		if strings.HasPrefix(s.Name, "halo_serve:") {
+			continue // served inside the fetcher's call, not the owner's
+		}
+		i := map[string]int{"shard0 w0": 0, "shard1 w1": 1}[s.Process]
+		if s.Start.Before(sent[i]) || s.End.After(sent[i].Add(rtts[i])) {
+			t.Errorf("%s [%v, %v] escapes the router's call [%v, %v]", key,
+				s.Start.Sub(base), s.End.Sub(base), sent[i].Sub(base), sent[i].Add(rtts[i]).Sub(base))
+		}
+	}
+	if err := VerifyStitched(append(append([]StitchedSpan(nil), router...), placed...)); err != nil {
+		t.Fatalf("placed timeline failed verification: %v", err)
 	}
 
-	// Without correction the worker spans sit an hour in the future —
-	// verification must reject the timeline.
-	worker.Skew = 0
-	bad := append(append([]StitchedSpan(nil), router...), Stitch([]ProcessSpans{worker})...)
-	err := VerifyStitched(bad)
+	// Offsets applied the wrong way round put the worker spans two
+	// hours off: verification must reject the timeline.
+	for i := range procs {
+		procs[i].Skew = -procs[i].Skew
+	}
+	err := VerifyStitched(append(append([]StitchedSpan(nil), router...), Stitch(procs)...))
 	if err == nil {
-		t.Fatal("uncorrected 1h-skewed timeline passed verification")
+		t.Fatal("timeline with flipped offsets passed verification")
 	}
 	if !strings.Contains(err.Error(), "escapes parent") {
 		t.Fatalf("unexpected verification error: %v", err)

@@ -1,40 +1,23 @@
 package distserve
 
 import (
+	"time"
+
 	"splitcnn/internal/buildinfo"
 	"splitcnn/internal/trace"
 )
 
 // Wire types for the Shard RPC service (net/rpc over TCP, gob-encoded).
-// Six methods:
+// Four methods:
 //
 //	Shard.Eval    router → worker   evaluate one shard of one request
 //	Shard.Halo    worker → worker   fetch boundary rows of an earlier stage
 //	Shard.Health  router → worker   liveness + capacity + model signature
-//	Shard.Clock   router → worker   read the worker's wall clock (skew probe)
-//	Shard.Spans   router → worker   harvest a sampled request's stage spans
 //	Shard.Metrics router → worker   snapshot the worker's metrics registry
 //
 // Request identity is attempt-scoped: the router mints a fresh ReqID
 // per retry attempt, so halo rows published by a failed gang can never
 // be consumed by its replacement.
-
-// TraceContext is the trace state the router propagates inside Eval so
-// worker-side spans can be stitched under the router's request span.
-// The zero value means "unsampled": workers record nothing.
-type TraceContext struct {
-	// ID is the router's request trace ID (attempt-less); it rides into
-	// every harvested span's args so one stitched timeline can be
-	// filtered to one request.
-	ID string
-	// Sampled marks the request as trace-sampled at the router; workers
-	// bank their stage spans for later harvest via Shard.Spans.
-	Sampled bool
-	// Parent names the router-side span worker spans parent under.
-	Parent string
-	// Attempt is the router's retry attempt index (0-based).
-	Attempt int
-}
 
 // EvalArgs asks a worker to evaluate shard Shard of a Shards-wide gang.
 type EvalArgs struct {
@@ -56,8 +39,9 @@ type EvalArgs struct {
 	// band Plan.ImageRange assigns this shard.
 	RowLo, RowHi int
 	Rows         []float32
-	// Trace propagates the router's sampling decision and span parent.
-	Trace TraceContext
+	// Sampled marks the request as trace-sampled at the router: the
+	// worker returns its spans in the reply.
+	Sampled bool
 }
 
 // EvalReply carries the shard's band of the final prefix stage.
@@ -67,8 +51,14 @@ type EvalReply struct {
 	RowLo, RowHi int
 	// Data is the band in NCHW row-band layout (C × rows × W).
 	Data []float32
-	// Stages echoes the evaluated stage count (router sanity check).
-	Stages int
+	// Sampled requests only: the handler's start on the worker's wall
+	// clock and its duration on the worker's monotonic clock, which the
+	// router sets against its own timing of the call to place Spans;
+	// Spans are the stage and halo spans of this shard, plus the
+	// halo_serve spans its fetches brought back from their owners.
+	StartUnixNano int64
+	Dur           time.Duration
+	Spans         []WireSpan
 }
 
 // HaloArgs requests rows [Lo, Hi) of stage Stage's output for request
@@ -79,15 +69,14 @@ type HaloArgs struct {
 	Stage     int
 	Lo, Hi    int
 	TimeoutMs int64
-	// Sampled asks the serving worker to bank a halo_serve span for this
-	// request (set when the fetching side's Eval carried a sampled
-	// TraceContext).
-	Sampled bool
 }
 
-// HaloReply carries the rows in NCHW row-band layout.
+// HaloReply carries the rows in NCHW row-band layout, and the interval
+// the serving worker waited for them on its own wall clock, which a
+// sampled fetcher passes on as a halo_serve span.
 type HaloReply struct {
-	Data []float32
+	Data                       []float32
+	WaitStartNano, WaitEndNano int64
 }
 
 // HealthArgs is empty; the method exists to probe liveness.
@@ -103,48 +92,22 @@ type HealthReply struct {
 	// evaluations (the per-pod capacity limit).
 	InFlight int
 	MaxPods  int
-	// Counters since start, for /v1/workers introspection.
-	Requests     uint64
-	HaloRequests uint64
-	HaloBytes    uint64
-	UptimeSec    float64
 	// Build identifies the worker binary (version/commit), so mixed-
 	// version gangs are detectable from /v1/workers at a glance.
 	Build buildinfo.Info
 }
 
-// ClockArgs is empty; the method reads the worker's wall clock.
-type ClockArgs struct{}
-
-// ClockReply carries the worker's wall-clock reading, taken as close to
-// the RPC service point as possible. The router converts it with
-// dist.EstimateSkew into a per-worker offset.
-type ClockReply struct {
-	UnixNano int64
-}
-
-// WireSpan is one worker-recorded stage span in worker-local wall time.
-// Parent names the span it nests under: another WireSpan's Name, or a
-// router-side span name for cross-process roots ("shard_eval" parents
-// under the router's scatter_gather).
+// WireSpan is one worker-recorded span on the wall clock of the worker
+// named by Shard: the worker that recorded it, or for a relayed
+// halo_serve, the owner that served the rows. Parent names the span it
+// nests under on that worker; empty parents it under the router's
+// scatter_gather.
 type WireSpan struct {
 	Name          string
 	Parent        string
+	Shard         int
 	StartUnixNano int64
 	EndUnixNano   int64
-}
-
-// SpansArgs asks for the banked spans of one sampled (request, attempt).
-type SpansArgs struct {
-	ReqID string
-}
-
-// SpansReply returns the banked spans, consuming them. Found is false
-// when the worker never saw the request or its bank entry was evicted.
-type SpansReply struct {
-	Found bool
-	Shard int
-	Spans []WireSpan
 }
 
 // MetricsArgs is empty; the method snapshots the worker's registry.

@@ -53,7 +53,7 @@ type WorkerConfig struct {
 }
 
 // Worker is one shard-evaluation process: it materializes the model,
-// extracts the shard plan, and serves Shard.{Eval,Halo,Health} over
+// extracts the shard plan, and serves Shard.{Eval,Halo,Health,Metrics} over
 // net/rpc. Halo rows flow through a dist.Exchange so the Eval goroutine
 // and concurrent neighbor Halo handlers rendezvous without shared state
 // beyond the exchange.
@@ -64,13 +64,9 @@ type Worker struct {
 
 	pool *dist.ClientPool
 	exch *dist.Exchange
-	bank *spanBank
 
 	maxPods  int
 	inflight atomic.Int64
-	requests atomic.Uint64
-	haloReqs atomic.Uint64
-	haloBts  atomic.Uint64
 
 	met *trace.Metrics
 	// Exchange occupancy gauges, kept current at every change rather
@@ -142,7 +138,6 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		plan: plan, eval: se, sig: plan.Signature(fp),
 		pool: dist.NewClientPool(), exch: dist.NewExchange(),
-		bank:    newSpanBank(0),
 		maxPods: maxPods, met: met, log: logger,
 		delay: cfg.StageDelay,
 		stop:  make(chan struct{}), conns: make(map[net.Conn]struct{}),
@@ -174,6 +169,11 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 				debugz.Health
 				Addr string `json:"addr"`
 			}{h, w.Addr()}
+		},
+		Refresh: func(m *trace.Metrics) {
+			if w.tracer != nil {
+				m.Gauge("trace.dropped_spans").Set(float64(w.tracer.DroppedSpans()))
+			}
 		},
 	})
 	w.tracer = w.dbg.Tracer()
@@ -229,7 +229,7 @@ func (w *Worker) Close() error {
 	w.pool.Close()
 	w.exch.Expire(time.Now().Add(24 * time.Hour)) // everything
 	w.exchChanged()
-	w.log.Info("dist.worker.stop", "requests", w.requests.Load())
+	w.log.Info("dist.worker.stop", "requests", w.met.Counter("dist.worker.requests").Value())
 	return err
 }
 
@@ -293,14 +293,7 @@ func (w *Worker) janitor() {
 			if n := w.exch.Expire(now); n > 0 {
 				w.met.Counter("dist.worker.expired_requests").Add(int64(n))
 			}
-			if n := w.bank.sweep(now); n > 0 {
-				w.met.Counter("dist.worker.span_bank_expired").Add(int64(n))
-			}
 			w.exchChanged()
-			w.met.Gauge("dist.worker.span_bank_requests").Set(float64(w.bank.len()))
-			if w.tracer != nil {
-				w.met.Gauge("trace.dropped_spans").Set(float64(w.tracer.DroppedSpans()))
-			}
 		}
 	}
 }
@@ -319,31 +312,11 @@ func (s *shardService) Halo(args *HaloArgs, reply *HaloReply) error {
 func (s *shardService) Health(_ *HealthArgs, reply *HealthReply) error {
 	w := s.w
 	*reply = HealthReply{
-		Model:        w.sig,
-		InFlight:     int(w.inflight.Load()),
-		MaxPods:      w.maxPods,
-		Requests:     w.requests.Load(),
-		HaloRequests: w.haloReqs.Load(),
-		HaloBytes:    w.haloBts.Load(),
-		UptimeSec:    w.dbg.Uptime().Seconds(),
-		Build:        buildinfo.Get(),
+		Model:    w.sig,
+		InFlight: int(w.inflight.Load()),
+		MaxPods:  w.maxPods,
+		Build:    buildinfo.Get(),
 	}
-	return nil
-}
-
-// Clock implements Shard.Clock: a wall-clock read for the router's
-// skew estimator. The timestamp is taken immediately, so the only
-// unmodeled delay is the RPC framing itself (bounded by the probe RTT).
-func (s *shardService) Clock(_ *ClockArgs, reply *ClockReply) error {
-	reply.UnixNano = time.Now().UnixNano()
-	return nil
-}
-
-// Spans implements Shard.Spans: consume the banked stage spans of one
-// sampled (request, attempt).
-func (s *shardService) Spans(args *SpansArgs, reply *SpansReply) error {
-	shard, spans, ok := s.w.bank.take(args.ReqID)
-	*reply = SpansReply{Found: ok, Shard: shard, Spans: spans}
 	return nil
 }
 
@@ -373,7 +346,6 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 		return reject(fmt.Errorf("%s%w (%d in flight, max %d)", capacityPrefix, ErrCapacity, n-1, w.maxPods))
 	}
 	defer w.inflight.Add(-1)
-	w.requests.Add(1)
 	w.met.Counter("dist.worker.requests").Add(1)
 
 	if args.Model != w.sig {
@@ -409,28 +381,38 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 	}()
 
 	sc := w.tracer.Request(fmt.Sprintf("%s/s%d", args.ReqID, args.Shard))
-	// Harvest expiry: spans must outlive the request deadline long
-	// enough for the router to collect them right after gather.
-	bankExpiry := deadline.Add(5 * time.Second)
 	start := time.Now()
+	// A sampled request's spans go back in the reply. Their times are
+	// the start's wall reading plus monotonic time since, so each nests
+	// exactly inside the handler interval the reply reports.
+	wall := start.UnixNano()
+	var spans []WireSpan
+	span := func(name string, s0, s1 time.Time) {
+		if args.Sampled {
+			spans = append(spans, WireSpan{Name: name, Parent: "shard_eval", Shard: args.Shard,
+				StartUnixNano: wall + int64(s0.Sub(start)), EndUnixNano: wall + int64(s1.Sub(start))})
+		}
+	}
 	fetch := func(stage, owner int, rows Range) (*tensor.Tensor, error) {
 		remaining := time.Until(deadline)
 		var hr HaloReply
 		h0 := time.Now()
 		err := w.pool.Call(args.Gang[owner], "Shard.Halo", &HaloArgs{
 			ReqID: args.ReqID, Stage: stage, Lo: rows.Lo, Hi: rows.Hi,
-			TimeoutMs: remaining.Milliseconds(), Sampled: args.Trace.Sampled,
+			TimeoutMs: remaining.Milliseconds(),
 		}, &hr, remaining)
 		h1 := time.Now()
 		w.met.Histogram("dist.worker.halo_wait_seconds", trace.LatencyBuckets).Observe(h1.Sub(h0).Seconds())
-		if args.Trace.Sampled {
-			w.bank.add(args.ReqID, bankExpiry, WireSpan{
-				Name: fmt.Sprintf("halo_wait:s%d", stage), Parent: "shard_eval",
-				StartUnixNano: h0.UnixNano(), EndUnixNano: h1.UnixNano(),
-			})
-		}
 		if err != nil {
 			return nil, err
+		}
+		span(fmt.Sprintf("halo_wait:s%d", stage), h0, h1)
+		if args.Sampled {
+			// The owner's wait, on the owner's clock and row. It began
+			// inside this shard's call, perhaps before the owner's own
+			// Eval did, so it parents under the router's scatter_gather.
+			spans = append(spans, WireSpan{Name: fmt.Sprintf("halo_serve:s%d", stage), Shard: owner,
+				StartUnixNano: hr.WaitStartNano, EndUnixNano: hr.WaitEndNano})
 		}
 		c, wd := w.plan.Stages[stage].OutC, w.plan.Stages[stage].OutW
 		if len(hr.Data) != bandLen(c, rows.Len(), wd) {
@@ -451,43 +433,27 @@ func (w *Worker) evalShard(args *EvalArgs, reply *EvalReply) error {
 			time.Sleep(w.delay)
 		}
 		sc.Record("stage:"+name, s0, s1)
-		if args.Trace.Sampled {
-			w.bank.add(args.ReqID, bankExpiry, WireSpan{
-				Name: "stage:" + name, Parent: "shard_eval",
-				StartUnixNano: s0.UnixNano(), EndUnixNano: s1.UnixNano(),
-			})
-		}
+		span("stage:"+name, s0, s1)
 		w.met.Histogram("dist.worker.stage_seconds", trace.LatencyBuckets).Observe(s1.Sub(s0).Seconds())
 	}
 	out, band, err := w.eval.RunShard(image, args.Shard, owners, fetch, publish, obs)
 	if err != nil {
-		// A failed attempt is never harvested; don't hold its spans.
-		w.bank.drop(args.ReqID)
 		w.failExchange(args.ReqID, err, deadline)
 		w.met.Counter("dist.worker.errors").Add(1)
 		w.log.Warn("dist.worker.eval_error", "req", args.ReqID, "shard", args.Shard, "err", err)
 		return err
 	}
 	reply.RowLo, reply.RowHi = band.Lo, band.Hi
-	reply.Stages = len(w.plan.Stages)
 	if out != nil {
 		reply.Data = append([]float32(nil), out.Data()...)
 	}
 	end := time.Now()
+	if args.Sampled {
+		reply.StartUnixNano, reply.Dur, reply.Spans = wall, end.Sub(start), spans
+	}
 	sc.Record("shard_eval", start, end)
 	w.tracer.Finish(sc)
-	if args.Trace.Sampled {
-		// The root worker span parents under the router-side span named
-		// in the trace context; marking the entry done makes it
-		// harvestable. Spans banked by Halo handlers serving this same
-		// attempt on this worker ride along in the same entry.
-		w.bank.add(args.ReqID, bankExpiry, WireSpan{
-			Name: "shard_eval", Parent: args.Trace.Parent,
-			StartUnixNano: start.UnixNano(), EndUnixNano: end.UnixNano(),
-		})
-		w.bank.finish(args.ReqID, args.Shard)
-	}
-	w.met.Histogram("dist.worker.eval_seconds", trace.LatencyBuckets).Observe(time.Since(start).Seconds())
+	w.met.Histogram("dist.worker.eval_seconds", trace.LatencyBuckets).Observe(end.Sub(start).Seconds())
 	// Per-request memory attribution: the bytes this request actually
 	// buffered on the worker — input band in, output band back. Halo
 	// traffic is accounted separately (dist.worker.halo_* counters).
@@ -500,7 +466,6 @@ func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
 	if args.Lo >= args.Hi || args.Stage < 0 || args.Stage >= len(w.plan.Stages) {
 		return fmt.Errorf("distserve: halo request for rows [%d,%d) of stage %d (plan has %d)", args.Lo, args.Hi, args.Stage, len(w.plan.Stages))
 	}
-	w.haloReqs.Add(1)
 	w.met.Counter("dist.worker.halo_requests").Add(1)
 	timeout := time.Duration(args.TimeoutMs) * time.Millisecond
 	if timeout <= 0 {
@@ -511,15 +476,6 @@ func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
 	w.exchChanged()
 	h1 := time.Now()
 	w.met.Histogram("dist.worker.halo_serve_seconds", trace.LatencyBuckets).Observe(h1.Sub(h0).Seconds())
-	if args.Sampled && err == nil {
-		// A halo serve can begin before this worker's own Eval arrives,
-		// so it can't nest under shard_eval; an empty parent parents it
-		// under the router's cross-process span at stitch time.
-		w.bank.add(args.ReqID, h1.Add(time.Duration(args.TimeoutMs)*time.Millisecond+5*time.Second), WireSpan{
-			Name: fmt.Sprintf("halo_serve:s%d", args.Stage), Parent: "",
-			StartUnixNano: h0.UnixNano(), EndUnixNano: h1.UnixNano(),
-		})
-	}
 	if err != nil {
 		return err
 	}
@@ -530,7 +486,7 @@ func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
 	}
 	slice := SliceRows(hr.t, hr.rows.Lo, want)
 	reply.Data = slice.Data()
-	w.haloBts.Add(uint64(len(reply.Data) * 4))
+	reply.WaitStartNano, reply.WaitEndNano = h0.UnixNano(), h1.UnixNano()
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // DistReport renders one stitched distributed request — the timeline
-// /tracez exports after cross-process span harvesting — as a gantt
+// /tracez exports after cross-process stitching — as a gantt
 // page: the router's critical-path lane on top (its request span
 // decomposed into admit → scatter_gather → gather → tail → respond,
 // idle gaps shown explicitly), then one forward lane and one halo lane
@@ -21,7 +21,7 @@ import (
 // segments must equal the measured request duration. The two are
 // returned in the summary and the report subcommand refuses to write a
 // page where they disagree beyond Chrome-event microsecond rounding —
-// a mismatch means the harvested spans overlap or escape the request
+// a mismatch means the stitched spans overlap or escape the request
 // window, i.e. the timeline lies.
 
 // distSpan is one stitched span parsed back out of its exported Chrome

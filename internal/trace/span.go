@@ -160,7 +160,7 @@ func (w *WallTracer) Finish(c *SpanContext) {
 
 // SpanAt records one wall-clock interval directly into the tracer's
 // trace under an explicit stream, bypassing the per-request Finish
-// export. The cluster stitcher uses this to lay harvested remote spans
+// export. The cluster stitcher uses this to lay remote spans
 // (already skew-corrected to this process's clock) onto per-process
 // rows of a single timeline.
 func (w *WallTracer) SpanAt(stream, name string, start, end time.Time, args map[string]any) {
